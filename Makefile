@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-intra lint-inter lint-conc lint-json lint-update test race bench-smoke sweep-bench obs-bench mem-smoke profile metrics-check serve-smoke verify
+.PHONY: all build vet lint test race bench-smoke sweep-bench obs-bench mem-smoke profile metrics-check serve-smoke verify
 
 all: verify
 
@@ -12,35 +12,13 @@ build:
 vet:
 	$(GO) vet ./...
 
-lint: lint-intra lint-inter lint-conc
-
-# Package-scoped rules only: fast, no whole-program load. Stale baseline
-# entries are fatal: the baseline may only shrink (prune with
-# `make lint-update`), never silently rot.
-lint-intra:
-	$(GO) run ./cmd/mctlint -skip detflow,allochot,lockflow,racecand,atomicmix,chanmisuse,nodeprecated -baseline lint/baseline.json -stale-fatal ./...
-
-# Interprocedural rules (call graph + summaries) plus the CI artifacts:
-# the static call graph and the ranked hot-path allocation worklist.
-lint-inter:
-	$(GO) run ./cmd/mctlint -only detflow,allochot,lockflow,nodeprecated -baseline lint/baseline.json -stale-fatal \
-		-graph-json results/callgraph.json -allochot-json results/allochot.json ./...
-
-# Concurrency rules (MHP + guarded-by inference) plus the inferred
-# guard-domain dump as a CI artifact.
-lint-conc:
-	$(GO) run ./cmd/mctlint -only racecand,atomicmix,chanmisuse -baseline lint/baseline.json -stale-fatal \
-		-guards-json results/guards.json ./...
-
-# Machine-readable findings, as archived by CI. Exit code is preserved.
-lint-json:
-	$(GO) run ./cmd/mctlint -json -baseline lint/baseline.json ./...
-
-# Rewrite lint/baseline.json in one step, dropping entries no finding
-# matches anymore. One full-registry run: pruning per-pass would wrongly
-# drop the other pass's entries (each pass sees only its own findings).
-lint-update:
-	$(GO) run ./cmd/mctlint -baseline lint/baseline.json -prune-baseline ./... || true
+# One full-registry pass over one whole-program load: every error-severity
+# finding fails the build (there is no baseline). The same run writes the
+# CI artifacts: the static call graph, the ranked hot-path allocation
+# worklist and the inferred shared-variable guard domains.
+lint:
+	$(GO) run ./cmd/mctlint -graph-json results/callgraph.json \
+		-allochot-json results/allochot.json -guards-json results/guards.json ./...
 
 test:
 	$(GO) test ./...

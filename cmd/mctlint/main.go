@@ -15,9 +15,6 @@
 //	mctlint -only detflow,lockflow ./... # run a subset of the registry
 //	mctlint -skip allochot ./...         # run everything but a subset
 //	mctlint -json ./...                  # machine-readable findings (stable order)
-//	mctlint -baseline lint/baseline.json ./...  # fail only on NEW findings
-//	mctlint -baseline lint/baseline.json -stale-fatal ./...     # CI: stale entries fail
-//	mctlint -baseline lint/baseline.json -prune-baseline ./...  # rewrite dropping stale
 //	mctlint -graph-json graph.json ./...        # export the static call graph
 //	mctlint -allochot-json allocs.json ./...    # export the hot-path allocation worklist
 //	mctlint -guards-json guards.json ./...      # export inferred shared-variable guard domains
@@ -28,27 +25,17 @@
 // whole-program view with a static call graph, so a run that selects any
 // of them loads the transitive module dependencies of the requested
 // packages too — findings are still reported only inside the requested
-// packages. When lockbalance and lockflow both report the same lock leak
-// on the same line (a direct acquisition that is also a call-derived
-// hold), only the lockbalance finding survives.
+// packages.
 //
-// Severity: each rule is "error" or "warn" (see -rules). Error findings
-// fail the run with exit 1; warn findings (audit-class, e.g. allochot's
-// allocation worklist) are printed and exported but do not affect the exit
-// code.
+// Severity: each rule is "error" or "warn" (see -rules). Every error
+// finding fails the run with exit 1 — there is no accepted-findings
+// baseline; a finding is fixed or suppressed at its line with a reason.
+// Warn findings (audit-class, e.g. allochot's allocation worklist) are
+// printed and exported but do not affect the exit code.
 //
 // -json emits the findings as a JSON array sorted by (file, line, col,
 // rule), with module-relative forward-slash paths, so the bytes are stable
 // across runs and machines — CI archives them as a build artifact.
-//
-// -baseline loads a committed findings file in the same JSON format and
-// subtracts it: only findings not in the baseline fail the run. Matching
-// ignores line numbers (edits above a finding must not churn the
-// baseline); each baseline entry absorbs at most one finding. Stale
-// baseline entries are reported on stderr; -stale-fatal makes them fail
-// the run (CI uses this so the baseline only ever shrinks), and
-// -prune-baseline rewrites the file in place keeping only entries that
-// still match a finding.
 //
 // -graph-json writes the program's static call graph (nodes plus
 // call/dispatch/ref edges), -allochot-json the ranked hot-path allocation
@@ -76,11 +63,8 @@ import (
 func main() {
 	rules := flag.Bool("rules", false, "list rules (name, severity, scope, doc) and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as a stable JSON array")
-	baselinePath := flag.String("baseline", "", "accepted-findings JSON file; fail only on findings not in it")
 	only := flag.String("only", "", "comma-separated rule names to run exclusively")
 	skip := flag.String("skip", "", "comma-separated rule names to skip")
-	staleFatal := flag.Bool("stale-fatal", false, "fail when baseline entries match no finding")
-	pruneFlag := flag.Bool("prune-baseline", false, "rewrite the -baseline file keeping only entries that still match")
 	graphPath := flag.String("graph-json", "", "write the static call graph as JSON to this path")
 	allocPath := flag.String("allochot-json", "", "write the ranked hot-path allocation worklist as JSON to this path")
 	guardsPath := flag.String("guards-json", "", "write the inferred shared-variable guard domains as JSON to this path")
@@ -178,36 +162,8 @@ func main() {
 		}
 	}
 
-	findings := dedupeOverlap(toJSONDiagnostics(moduleDir, all))
+	findings := toJSONDiagnostics(moduleDir, all)
 	applySeverities(findings, severityByRule(analysis.Analyzers()))
-
-	if *baselinePath != "" {
-		base, err := loadBaseline(*baselinePath)
-		if err != nil {
-			fatal(err)
-		}
-		var stale int
-		findings, stale = filterBaseline(findings, base)
-		if stale > 0 {
-			fmt.Fprintf(os.Stderr, "mctlint: %d baseline entr%s no longer found (stale)\n",
-				stale, plural(stale, "y", "ies"))
-			if *pruneFlag {
-				retained := pruneBaseline(base, toJSONDiagnostics(moduleDir, all))
-				out, err := renderJSON(retained)
-				if err != nil {
-					fatal(err)
-				}
-				if err := os.WriteFile(*baselinePath, out, 0o644); err != nil {
-					fatal(fmt.Errorf("prune baseline: %w", err))
-				}
-				fmt.Fprintf(os.Stderr, "mctlint: pruned %s to %d entr%s\n",
-					*baselinePath, len(retained), plural(len(retained), "y", "ies"))
-			} else if *staleFatal {
-				fmt.Fprintln(os.Stderr, "mctlint: stale baseline entries are fatal (-stale-fatal); run with -prune-baseline to tidy")
-				os.Exit(1)
-			}
-		}
-	}
 
 	if *jsonOut {
 		out, err := renderJSON(findings)
@@ -313,13 +269,6 @@ func writeArtifact(path string, render func() ([]byte, error)) error {
 		}
 	}
 	return os.WriteFile(path, out, 0o644)
-}
-
-func plural(n int, one, many string) string {
-	if n == 1 {
-		return one
-	}
-	return many
 }
 
 // resolvePattern maps a ./dir or ./dir/... argument to import paths.

@@ -1,34 +1,28 @@
-// Machine-readable output and the baseline gate.
+// Machine-readable output.
 //
-// The JSON form exists so CI can both archive the findings and diff them
-// against a committed baseline: paths are module-relative with forward
-// slashes and the array is sorted by (file, line, col, rule, message), so
-// the rendered bytes are identical across runs, working directories and
-// operating systems.
+// The JSON form exists so CI can archive the findings: paths are
+// module-relative with forward slashes and the array is sorted by (file,
+// line, col, rule, message), so the rendered bytes are identical across
+// runs, working directories and operating systems.
 package main
 
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"mct/internal/analysis"
 )
 
-// jsonDiagnostic is one finding in the machine-readable schema shared by
-// -json output and -baseline input.
+// jsonDiagnostic is one finding in the machine-readable -json schema.
 type jsonDiagnostic struct {
 	File    string `json:"file"`
 	Line    int    `json:"line"`
 	Col     int    `json:"col"`
 	Rule    string `json:"rule"`
 	Message string `json:"message"`
-	// Severity is derived from the rule ("error" or "warn"). It is omitted
-	// from baseline files written before the field existed and deliberately
-	// excluded from baseline matching.
+	// Severity is derived from the rule ("error" or "warn").
 	Severity string `json:"severity,omitempty"`
 }
 
@@ -101,109 +95,9 @@ func renderAnyJSON(v any) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// dedupeOverlap collapses the intra/inter lock-leak overlap: a direct
-// acquisition that leaks is reported by lockbalance (package pass), and
-// when the same statement also carries a call-derived hold the lockflow
-// pass reports the same file:line again. One leak, one finding: when both
-// rules fire on the same line about the same lock expression (both
-// messages lead with "<expr> is ..."), the lockflow duplicate is dropped
-// — lockbalance is the more local, more actionable report.
-func dedupeOverlap(ds []jsonDiagnostic) []jsonDiagnostic {
-	type lineKey struct {
-		file string
-		line int
-		expr string
-	}
-	exprOf := func(msg string) string {
-		if i := strings.Index(msg, " is "); i >= 0 {
-			return msg[:i]
-		}
-		return msg
-	}
-	balance := map[lineKey]bool{}
-	for _, d := range ds {
-		if d.Rule == "lockbalance" {
-			balance[lineKey{d.File, d.Line, exprOf(d.Message)}] = true
-		}
-	}
-	out := ds[:0:0]
-	for _, d := range ds {
-		if d.Rule == "lockflow" && balance[lineKey{d.File, d.Line, exprOf(d.Message)}] {
-			continue
-		}
-		out = append(out, d)
-	}
-	return out
-}
-
-// loadBaseline reads an accepted-findings file written by -json.
-func loadBaseline(path string) ([]jsonDiagnostic, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("mctlint: baseline: %w", err)
-	}
-	var ds []jsonDiagnostic
-	if err := json.Unmarshal(data, &ds); err != nil {
-		return nil, fmt.Errorf("mctlint: baseline %s: %w", path, err)
-	}
-	return ds, nil
-}
-
 // applySeverities stamps each finding with its rule's severity.
 func applySeverities(ds []jsonDiagnostic, sev map[string]string) {
 	for i := range ds {
 		ds[i].Severity = sev[ds[i].Rule]
 	}
-}
-
-// baselineKey identifies a finding for baseline matching. Line and column
-// are deliberately excluded: edits above a finding shift it without
-// changing what it is, and a baseline that churns on every edit gets
-// deleted, not maintained.
-type baselineKey struct {
-	file, rule, message string
-}
-
-// filterBaseline subtracts the baseline from the findings as a multiset:
-// each baseline entry absorbs at most one finding with the same file, rule
-// and message. It returns the surviving (new) findings and the number of
-// stale baseline entries that matched nothing.
-func filterBaseline(findings, baseline []jsonDiagnostic) (fresh []jsonDiagnostic, stale int) {
-	credit := map[baselineKey]int{}
-	for _, b := range baseline {
-		credit[baselineKey{b.File, b.Rule, b.Message}]++
-	}
-	fresh = findings[:0:0]
-	for _, d := range findings {
-		k := baselineKey{d.File, d.Rule, d.Message}
-		if credit[k] > 0 {
-			credit[k]--
-			continue
-		}
-		fresh = append(fresh, d)
-	}
-	for _, left := range credit {
-		stale += left
-	}
-	return fresh, stale
-}
-
-// pruneBaseline returns the baseline entries that still match a current
-// finding, multiset-aware: n findings with one key retain at most n
-// baseline entries with that key. Entry order (and so the rewritten file's
-// bytes) is preserved.
-func pruneBaseline(baseline, findings []jsonDiagnostic) []jsonDiagnostic {
-	have := map[baselineKey]int{}
-	for _, d := range findings {
-		have[baselineKey{d.File, d.Rule, d.Message}]++
-	}
-	retained := baseline[:0:0]
-	for _, b := range baseline {
-		k := baselineKey{b.File, b.Rule, b.Message}
-		if have[k] > 0 {
-			have[k]--
-			retained = append(retained, b)
-		}
-	}
-	return retained
 }

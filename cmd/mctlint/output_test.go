@@ -2,10 +2,10 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"go/token"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"mct/internal/analysis"
@@ -80,121 +80,9 @@ func TestToJSONDiagnosticsModuleRelative(t *testing.T) {
 	}
 }
 
-func TestBaselineRoundTrip(t *testing.T) {
-	ds := sampleFindings()
-	sortJSONDiagnostics(ds)
-	out, err := renderJSON(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := loadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(ds) {
-		t.Fatalf("round trip lost findings: %d != %d", len(got), len(ds))
-	}
-	for i := range got {
-		if got[i] != ds[i] {
-			t.Errorf("entry %d: %+v != %+v", i, got[i], ds[i])
-		}
-	}
-}
-
-func TestLoadBaselineErrors(t *testing.T) {
-	if _, err := loadBaseline(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Error("missing baseline file did not error")
-	}
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(bad, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadBaseline(bad); err == nil {
-		t.Error("malformed baseline did not error")
-	}
-}
-
-func TestFilterBaseline(t *testing.T) {
-	findings := []jsonDiagnostic{
-		{File: "a.go", Line: 10, Rule: "goleak", Message: "m1"},
-		{File: "a.go", Line: 20, Rule: "goleak", Message: "m1"}, // same key, second instance
-		{File: "b.go", Line: 5, Rule: "maprange", Message: "m2"},
-	}
-	baseline := []jsonDiagnostic{
-		// Line differs: matching is line-agnostic.
-		{File: "a.go", Line: 99, Rule: "goleak", Message: "m1"},
-		// Stale: nothing matches this anymore.
-		{File: "gone.go", Line: 1, Rule: "floateq", Message: "old"},
-	}
-	fresh, stale := filterBaseline(findings, baseline)
-	if stale != 1 {
-		t.Errorf("stale = %d, want 1", stale)
-	}
-	if len(fresh) != 2 {
-		t.Fatalf("fresh = %+v, want 2 entries (one goleak instance absorbed)", fresh)
-	}
-	// The single baseline credit absorbs one of the two identical goleak
-	// findings; the other plus the maprange one survive.
-	if fresh[0].Rule != "goleak" || fresh[1].Rule != "maprange" {
-		t.Errorf("unexpected survivors: %+v", fresh)
-	}
-}
-
-func TestFilterBaselineEmptyBaseline(t *testing.T) {
-	findings := sampleFindings()
-	fresh, stale := filterBaseline(findings, nil)
-	if stale != 0 || len(fresh) != len(findings) {
-		t.Errorf("empty baseline changed findings: fresh=%d stale=%d", len(fresh), stale)
-	}
-}
-
-// TestDedupeOverlap pins the lockbalance/lockflow merge: when both rules
-// report the same lock expression on the same line, only the lockbalance
-// finding survives; everything else passes through untouched.
-func TestDedupeOverlap(t *testing.T) {
-	ds := []jsonDiagnostic{
-		// The overlapping pair: a direct Lock that is also a call-derived
-		// hold, both firing at s.lockIt(); s.mu.Lock() on one line.
-		{File: "a.go", Line: 10, Rule: "lockbalance", Message: "s.mu is locked here but not released on every path to return/panic; unlock on all paths or defer the unlock"},
-		{File: "a.go", Line: 10, Rule: "lockflow", Message: "s.mu is acquired here through call to lockIt but not released on every path to return/panic; unlock on all paths or defer the release"},
-		// Same line, different lock expression: NOT a duplicate.
-		{File: "a.go", Line: 10, Rule: "lockflow", Message: "s.other is acquired here through call to lockIt but not released on every path to return/panic; unlock on all paths or defer the release"},
-		// Same expression, different line: NOT a duplicate.
-		{File: "a.go", Line: 20, Rule: "lockflow", Message: "s.mu is acquired here through call to lockIt but not released on every path to return/panic; unlock on all paths or defer the release"},
-		// A lockflow finding with no lockbalance twin anywhere.
-		{File: "b.go", Line: 5, Rule: "lockflow", Message: "c.mu is acquired here through call to helper but not released on every path to return/panic; unlock on all paths or defer the release"},
-		// Unrelated rules are never touched.
-		{File: "a.go", Line: 10, Rule: "racecand", Message: "x is written in f and read in g without a common lock; the accesses may happen in parallel"},
-	}
-	got := dedupeOverlap(ds)
-	if len(got) != 5 {
-		t.Fatalf("dedupeOverlap kept %d findings, want 5: %+v", len(got), got)
-	}
-	for _, d := range got {
-		if d.Rule == "lockflow" && d.File == "a.go" && d.Line == 10 && strings.HasPrefix(d.Message, "s.mu ") {
-			t.Errorf("overlapping lockflow finding survived: %+v", d)
-		}
-	}
-	// The survivors keep their order and the non-overlap cases are intact.
-	rules := make([]string, len(got))
-	for i, d := range got {
-		rules[i] = d.Rule
-	}
-	want := []string{"lockbalance", "lockflow", "lockflow", "lockflow", "racecand"}
-	for i := range want {
-		if rules[i] != want[i] {
-			t.Fatalf("survivor order = %v, want %v", rules, want)
-		}
-	}
-}
-
-// TestDedupeOverlapEndToEnd drives the merge from real analyzer output: a
-// snippet whose single statement is reported by both passes must yield
-// exactly one finding on that line after the merge.
+// TestDedupeOverlapEndToEnd drives the full registry over a snippet that
+// leaks one lock acquired twice — through a helper and then directly — and
+// pins that the leak is reported exactly once, at its first acquisition.
 func TestDedupeOverlapEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	src := `package overlap
@@ -234,35 +122,13 @@ func leak(s *store) {
 	prog := analysis.NewProgram(loader, []*analysis.Package{pkg})
 	all = append(all, analysis.RunProgramAnalyzers(prog, selected)...)
 
-	merged := dedupeOverlap(toJSONDiagnostics(moduleDir, all))
-	perLine := map[int][]string{}
-	for _, d := range merged {
-		perLine[d.Line] = append(perLine[d.Line], d.Rule+": "+d.Message)
-	}
-	// The s.lockIt() line: lockflow's call-derived hold for s.mu leaks, and
-	// the helper itself is a lockflow finding at its own line — but the
-	// direct s.mu.Lock() line must carry exactly one finding (lockbalance),
-	// its lockflow twin merged away.
-	for line, msgs := range perLine {
-		seen := map[string]bool{}
-		for _, m := range msgs {
-			expr := m[strings.Index(m, ": ")+2:]
-			if i := strings.Index(expr, " is "); i >= 0 {
-				expr = expr[:i]
-			}
-			if seen[expr] {
-				t.Errorf("line %d still carries two findings for %q: %v", line, expr, msgs)
-			}
-			seen[expr] = true
+	var inLeak []string
+	for _, d := range toJSONDiagnostics(moduleDir, all) {
+		if d.Line == 13 || d.Line == 14 { // s.lockIt(); s.mu.Lock()
+			inLeak = append(inLeak, fmt.Sprintf("%d:%s", d.Line, d.Rule))
 		}
 	}
-	var direct []string
-	for _, d := range merged {
-		if d.Line == 14 { // the s.mu.Lock() line
-			direct = append(direct, d.Rule)
-		}
-	}
-	if len(direct) != 1 || direct[0] != "lockbalance" {
-		t.Errorf("direct-lock line findings = %v, want exactly [lockbalance]", direct)
+	if len(inLeak) != 1 || inLeak[0] != "13:lockflow" {
+		t.Errorf("leak findings = %v, want exactly [13:lockflow]", inLeak)
 	}
 }

@@ -91,24 +91,23 @@ func (a *Analyzer) EffectiveSeverity() string {
 func (a *Analyzer) Interprocedural() bool { return a.RunProgram != nil }
 
 // Analyzers returns the default registry: every simulator-aware rule
-// shipped with mctlint. The first eight are syntactic; the next four are
-// flow-sensitive, built on the CFG/dataflow layer of cfg.go and
-// dataflow.go; the next three are interprocedural, built on the call-graph
-// and summary layer of callgraph.go and summaries.go; the next three are
-// concurrency-aware, built on the MHP and guarded-by layers of mhp.go and
-// guards.go; the last is the program-scoped deprecation gate.
+// shipped with mctlint. The package-scoped rules come first, syntactic ones
+// before those built on the CFG/dataflow layer of cfg.go and dataflow.go;
+// then the interprocedural rules, built on the call-graph and summary
+// layer of callgraph.go and summaries.go; then the concurrency rules,
+// built on the MHP and guarded-by layers of mhp.go and guards.go; the last
+// is the program-scoped deprecation gate. Copying a lock by value is go
+// vet's copylocks check, so no rule here repeats it.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		NoRandGlobal,
 		FloatEq,
 		UncheckedErr,
 		CycleCast,
-		MutexCopy,
 		CtxFirst,
 		CloneFields,
 		MapRange,
 		ObsNames,
-		LockBalance,
 		GoLeak,
 		DeferLoop,
 		DetFlow,

@@ -6,7 +6,7 @@
 // iterates a worklist in reverse post-order until block-entry facts stop
 // changing and returns the entry and exit fact of every block.
 //
-// The framework is deliberately small: the analyzers it serves (lockbalance,
+// The framework is deliberately small: the analyzers it serves (lockflow,
 // maprange) need may-analyses over finite fact domains (sets of held locks,
 // reaching definitions), for which union joins converge in O(blocks ×
 // domain) iterations. A safety cap guards against a non-monotone client.

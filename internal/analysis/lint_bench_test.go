@@ -46,8 +46,9 @@ func BenchmarkLintTree(b *testing.B) {
 }
 
 // TestLintTreeWallClockBudget is the CI ceiling: a full mctlint run
-// (intra + inter + concurrency, cold caches) must finish inside the
-// budget, so a new whole-program pass cannot silently blow up lint time.
+// (package, interprocedural and concurrency rules, cold caches) must
+// finish inside the budget, so a new whole-program pass cannot silently
+// blow up lint time.
 // Override with MCTLINT_BUDGET_SECONDS; the default leaves generous
 // headroom over the observed single-digit-second runtime.
 func TestLintTreeWallClockBudget(t *testing.T) {

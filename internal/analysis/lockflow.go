@@ -1,24 +1,20 @@
-// lockflow: lockbalance lifted across call boundaries.
-//
-// The intra-procedural lockbalance rule proves that a mutex locked in a
-// function body is released on every path out of that body — but it cannot
-// see acquisitions hidden behind helpers: a caller of
+// lockflow: every mutex acquisition must be released on every path out of
+// the function that holds it — return, panic, or falling off the end —
+// whether the Lock call appears in the function's own body or is hidden
+// behind a helper. A caller of
 //
 //	func (s *store) lockIt() { s.mu.Lock() }
 //
 // holds s.mu without any Lock call appearing in its own body. lockflow
-// closes that gap with lock-effect summaries: each function is summarized
-// by the set of parameter-rooted locks it net-acquires (still held at
-// exit) and net-releases (released without acquiring). At a call site the
+// sees it through lock-effect summaries: each function is summarized by
+// the set of parameter-rooted locks it net-acquires (still held at exit)
+// and net-releases (released without acquiring). At a call site the
 // summary is rewritten into the caller's expression space — the callee's
 // "recv.mu/w" becomes "s.mu/w" for the call s.lockIt() — and composed into
-// the same may-be-held dataflow lockbalance runs. A lock acquired through
-// a call and not released on some path to exit (directly, through a
-// releasing helper, or via defer of either) is reported at the call site.
-//
-// Division of labor: acquisitions made directly in the leaking function
-// are lockbalance findings and are NOT re-reported here; lockflow reports
-// only call-derived holds, so the two rules never double-report.
+// one may-be-held dataflow with the function's direct Lock/Unlock calls.
+// A lock still held at exit on some path (not released directly, through
+// a releasing helper, or via defer of either) is reported once, at its
+// earliest acquisition: the Lock call or the acquiring call site.
 //
 // Approximations (see DESIGN.md): effects are tracked only for locks
 // rooted at a parameter or receiver of the callee; interface dispatch with
@@ -35,12 +31,50 @@ import (
 	"strings"
 )
 
-// LockFlow is the interprocedural lock-balance rule.
+// LockFlow is the lock-balance rule. On the simulator's hot paths an
+// unlock skipped on an error return deadlocks the sweep cache or the
+// worker pool on the next acquisition.
 var LockFlow = &Analyzer{
 	Name:       "lockflow",
-	Doc:        "a mutex acquired through a callee (helper lock methods, any depth) must be released on all paths to return/panic in the caller",
-	Severity:   "error",
+	Doc:        "every mu.Lock()/RLock(), direct or through a callee (helper lock methods, any depth), must be released on all paths to return/panic",
 	RunProgram: runLockFlow,
+}
+
+// lockOp classifies one sync lock/unlock call site.
+type lockOp struct {
+	key     string // receiver expression + mode, e.g. "mu/w", "c.mu/r"
+	acquire bool
+	pos     token.Pos
+}
+
+// syncLockOp resolves a call expression to a lock operation on a
+// sync.Mutex, sync.RWMutex or sync.Locker receiver (including promoted
+// methods of embedded mutexes). TryLock variants are ignored: their result
+// is conditional, so balance cannot be judged from the call alone.
+func syncLockOp(info *types.Info, call *ast.CallExpr) (lockOp, bool) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return lockOp{}, false
+	}
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
+		return lockOp{}, false
+	}
+	var mode string
+	var acquire bool
+	switch fn.Name() {
+	case "Lock":
+		mode, acquire = "w", true
+	case "Unlock":
+		mode, acquire = "w", false
+	case "RLock":
+		mode, acquire = "r", true
+	case "RUnlock":
+		mode, acquire = "r", false
+	default:
+		return lockOp{}, false
+	}
+	return lockOp{key: types.ExprString(sel.X) + "/" + mode, acquire: acquire, pos: call.Pos()}, true
 }
 
 // lockParamKey names a lock rooted at a callee parameter: param is the
@@ -135,8 +169,8 @@ type lockFlowState struct {
 }
 
 // analyze runs the interprocedural may-be-held solve over one function,
-// returning its lock summary and (when report is set) reporting
-// call-derived holds that survive to exit.
+// returning its lock summary and (when report is set) reporting holds that
+// survive to exit.
 func (lf *lockFlowState) analyze(fn *FuncInfo, get func(*FuncInfo) *lockSummary, report bool) *lockSummary {
 	params := detParams(fn)
 	sum := newLockSummary(len(params))
@@ -202,8 +236,14 @@ func (lf *lockFlowState) analyze(fn *FuncInfo, get func(*FuncInfo) *lockSummary,
 		if ent.isParam {
 			sum.acquires[ent.pk] = true
 		}
-		if report && ent.via != "" {
-			expr := k[:len(k)-2]
+		if !report {
+			continue
+		}
+		expr := k[:len(k)-2] // strip "/w" or "/r"
+		if ent.via == "" {
+			lf.prog.Reportf(ent.pos, "lockflow",
+				"%s is locked here but not released on every path to return/panic; unlock on all paths or defer the unlock", expr)
+		} else {
 			lf.prog.Reportf(ent.pos, "lockflow",
 				"%s is acquired here through call to %s but not released on every path to return/panic; unlock on all paths or defer the release",
 				expr, shortFuncName(ent.via))

@@ -246,8 +246,7 @@ func (prog *Program) takeDiagnostics() []Diagnostic {
 }
 
 // Position renders a short file:line location for messages (base name only:
-// messages must stay stable under baseline matching even when the tree
-// moves).
+// messages must stay stable even when the tree moves).
 func (prog *Program) Position(pos token.Pos) string {
 	p := prog.Fset.Position(pos)
 	name := p.Filename
