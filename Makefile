@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race bench-smoke sweep-bench obs-bench mem-smoke profile metrics-check serve-smoke verify
+.PHONY: all build vet lint test race bench-smoke metrics-check serve-smoke verify
 
 all: verify
 
@@ -27,38 +27,16 @@ race:
 	$(GO) test -race ./...
 
 # Quick end-to-end check that the mctbench binary still runs an experiment
-# and that the warm/cold evaluation micro-benchmarks still compile and run:
+# and that the warm-clone evaluation micro-benchmark still compiles and runs:
 # the parallel-determinism tests exercise the engine, this exercises the CLI
 # and the bench harness. The batched-step-loop benchmark is the streaming
 # pipeline's allocation gate: its companion test asserts exactly 0
 # allocs/op at steady state.
 bench-smoke:
 	$(GO) run ./cmd/mctbench -experiment space -quick -quiet
-	$(GO) test -run '^$$' -bench 'BenchmarkEvaluate(WarmClone|ColdRebuild)' -benchtime 5x .
+	$(GO) test -run '^$$' -bench 'BenchmarkEvaluateWarmClone' -benchtime 5x .
 	$(GO) test -run '^$$' -bench 'Benchmark(Tiered)?BatchedStepLoop' -benchtime 200000x ./internal/sim
 	$(GO) test -run 'Test(Tiered)?BatchedStepLoopZeroAllocs' -count 1 ./internal/sim
-
-# Memory-boundedness smoke: stream a 50M-access evaluation under a fixed
-# GOMEMLIMIT and fail unless cumulative allocation stays far below what
-# materializing the trace (~1.2 GB) would need.
-mem-smoke:
-	GOMEMLIMIT=192MiB $(GO) run ./cmd/mctbench -mem-smoke 50000000 -mem-smoke-alloc-max 67108864
-
-# Capture CPU+heap pprof profiles of the quick sweeps into results/.
-profile:
-	$(GO) run ./cmd/mctbench -profile -quick -quiet
-
-# Wall-clock comparison of cold-rebuild vs warm-clone sweeps on every
-# benchmark; verifies the two are identical and writes
-# results/BENCH_sweep.json.
-sweep-bench:
-	$(GO) run ./cmd/mctbench -sweep-bench -quick -quiet
-
-# Observability overhead gate: the identical MCT run with and without a
-# metrics registry attached (best of 3 per arm) must stay within the
-# tolerated slowdown. Writes results/BENCH_obs.json, exits 1 above the gate.
-obs-bench:
-	$(GO) run ./cmd/mctbench -obs-bench
 
 # Determinism check on the metrics dump itself: the same run at -workers 1
 # and -workers 4 must produce byte-identical stable dumps — once on the
@@ -78,4 +56,4 @@ metrics-check:
 serve-smoke:
 	./scripts/serve_smoke.sh
 
-verify: build vet lint test race bench-smoke mem-smoke serve-smoke
+verify: build vet lint test race bench-smoke serve-smoke

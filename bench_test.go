@@ -431,24 +431,6 @@ func BenchmarkEvaluateWarmClone(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluateColdRebuild measures the reference path the warm-clone
-// sweep replaced: a fresh machine plus a full warmup replay per
-// configuration. The ratio to BenchmarkEvaluateWarmClone is the per-config
-// saving of the snapshot contract.
-func BenchmarkEvaluateColdRebuild(b *testing.B) {
-	p, err := sim.Prepare("lbm", 0, 10_000, sim.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := mct.StaticBaseline()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.EvaluateCold(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func geo(xs []float64) float64 { return stats.GeoMean(xs) }
 
 func mctPhaseOptions() phase.Options {

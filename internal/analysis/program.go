@@ -34,7 +34,7 @@ type FuncInfo struct {
 	// for literals in package-scope initializers).
 	Encl *FuncInfo
 	// Name is a stable printable identifier: the type-checker's FullName
-	// for declarations ("mct/internal/sim.Evaluate",
+	// for declarations ("mct/internal/sim.Prepare",
 	// "(*mct/internal/nvm.Controller).Read"), the enclosing name plus
 	// "$<n>" for literals.
 	Name string

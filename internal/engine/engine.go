@@ -191,15 +191,19 @@ func Map[T any](ctx context.Context, n int, opt Options, fn func(ctx context.Con
 						eo.queueSecs.Observe(start.Sub(poolStart).Seconds())
 					}
 					v, err := fn(ctx, i)
-					mu.Lock()
 					if err != nil {
+						// Cancel before queueing for mu, so the other
+						// workers, which take mu twice per task, stop
+						// claiming while this one waits for the lock.
+						cancel()
+						mu.Lock()
 						if errIdx < 0 || i < errIdx {
 							errIdx, firstErr = i, err
 						}
 						mu.Unlock()
-						cancel()
 						return
 					}
+					mu.Lock()
 					out[i] = v
 					done++
 					if eo != nil {

@@ -105,12 +105,8 @@ func (k sweepKey) filename() string {
 	// The o%016x component is the sim.Options digest: sweeps of different
 	// simulated systems must land in different cache files (entries from
 	// before this component existed are simply never matched again).
-	cold := ""
-	if k.cold {
-		cold = "_cold"
-	}
-	return fmt.Sprintf("sweep_%s_a%d_s%d_wq%t_t%g_seed%d_o%016x%s.json",
-		k.bench, k.accesses, k.stride, k.wq, k.target, k.seed, k.sim, cold)
+	return fmt.Sprintf("sweep_%s_a%d_s%d_wq%t_t%g_seed%d_o%016x.json",
+		k.bench, k.accesses, k.stride, k.wq, k.target, k.seed, k.sim)
 }
 
 // loadSweepFromDisk returns a cached sweep or nil. spaceLen guards against

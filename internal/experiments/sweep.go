@@ -42,12 +42,6 @@ type Options struct {
 	// schedule-independent counters land in the stable dump, so sweep
 	// dumps stay byte-identical at any worker count.
 	Obs *obs.Registry
-	// ColdSweep evaluates each configuration on a freshly built machine
-	// (replaying the full warmup per configuration) instead of cloning the
-	// shared warm machine. Results are identical by the snapshot contract —
-	// this exists as the reference path for equivalence tests and for the
-	// cold-vs-warm sweep benchmarks.
-	ColdSweep bool
 }
 
 // DefaultOptions returns full-fidelity settings (full space, all
@@ -100,9 +94,6 @@ type sweepKey struct {
 	target   float64
 	seed     int64
 	sim      uint64
-	// cold keeps warm-clone and cold-rebuild sweeps in distinct cache slots
-	// so the equivalence tests actually compare two computations.
-	cold bool
 }
 
 // simDigest hashes every sim.Options field into a cache-key component.
@@ -127,7 +118,6 @@ func sweepKeyFor(benchmark string, includeWQ bool, opt Options) sweepKey {
 		target:   opt.LifetimeTarget,
 		seed:     opt.Seed,
 		sim:      simDigest(opt.Sim),
-		cold:     opt.ColdSweep,
 	}
 }
 
@@ -232,12 +222,8 @@ func computeSweep(ctx context.Context, benchmark string, includeWQ bool, key swe
 			}
 		}
 	}
-	evaluate := prep.Evaluate
-	if opt.ColdSweep {
-		evaluate = prep.EvaluateCold
-	}
 	metrics, err := engine.Map(ctx, len(indices), eopt, func(ctx context.Context, k int) (sim.Metrics, error) {
-		m, err := evaluate(space.At(indices[k]))
+		m, err := prep.Evaluate(space.At(indices[k]))
 		if err != nil {
 			return sim.Metrics{}, fmt.Errorf("experiments: sweep %s config %d: %w", benchmark, indices[k], err)
 		}
@@ -248,10 +234,10 @@ func computeSweep(ctx context.Context, benchmark string, includeWQ bool, key swe
 	}
 
 	s := &Sweep{Benchmark: benchmark, Space: space, Indices: indices, Metrics: metrics}
-	if s.Baseline, err = evaluate(baselineAt(opt.LifetimeTarget)); err != nil {
+	if s.Baseline, err = prep.Evaluate(baselineAt(opt.LifetimeTarget)); err != nil {
 		return nil, err
 	}
-	if s.Default, err = evaluate(config.Default()); err != nil {
+	if s.Default, err = prep.Evaluate(config.Default()); err != nil {
 		return nil, err
 	}
 

@@ -4,29 +4,21 @@ import (
 	"context"
 	"reflect"
 	"testing"
+
+	"mct/internal/config"
+	"mct/internal/engine"
+	"mct/internal/sim"
 )
-
-// sweepFingerprint is the comparable content of a sweep (Space is a shared
-// pointer and excluded).
-type sweepFingerprint struct {
-	Indices  []int
-	Metrics  interface{}
-	Baseline interface{}
-	Default  interface{}
-}
-
-func fingerprint(s *Sweep) sweepFingerprint {
-	return sweepFingerprint{Indices: s.Indices, Metrics: s.Metrics, Baseline: s.Baseline, Default: s.Default}
-}
 
 // TestWarmCloneSweepMatchesColdRebuild is the acceptance criterion of the
 // warm-start refactor: for every benchmark in QuickOptions, the warm-clone
 // sweep (one warm machine per benchmark, cloned per configuration) is
-// identical to the cold-rebuild sweep (fresh machine + full warmup replay
-// per configuration) at Workers=1 and Workers=4.
+// identical at Workers=1 and Workers=4 to a cold rebuild of the same
+// configurations (fresh machine + full warmup replay per configuration,
+// via Prepared.EvaluateCold).
 func TestWarmCloneSweepMatchesColdRebuild(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full QuickOptions cold sweeps are slow; run without -short")
+		t.Skip("full QuickOptions cold rebuilds are slow; run without -short")
 	}
 	t.Setenv(cacheEnv, "")
 	ResetSweepCache()
@@ -34,17 +26,10 @@ func TestWarmCloneSweepMatchesColdRebuild(t *testing.T) {
 
 	opt := QuickOptions()
 	for _, bench := range opt.Benchmarks {
-		cold := opt
-		cold.ColdSweep = true
-		cold.Workers = 4
-		ref, err := RunSweep(context.Background(), bench, false, cold)
-		if err != nil {
-			t.Fatalf("%s cold: %v", bench, err)
-		}
+		var ref *Sweep
 		for _, workers := range []int{1, 4} {
 			// Warm sweeps at different worker counts share one cache entry;
-			// reset so both worker counts are real computations (the held ref
-			// pointer is unaffected).
+			// reset so both worker counts are real computations.
 			ResetSweepCache()
 			warm := opt
 			warm.Workers = workers
@@ -52,26 +37,42 @@ func TestWarmCloneSweepMatchesColdRebuild(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s warm workers=%d: %v", bench, workers, err)
 			}
-			if !reflect.DeepEqual(fingerprint(ref), fingerprint(got)) {
+			if ref == nil {
+				ref = coldRebuild(t, got, opt)
+			}
+			if !reflect.DeepEqual(ref.Metrics, got.Metrics) ||
+				!reflect.DeepEqual(ref.Baseline, got.Baseline) ||
+				!reflect.DeepEqual(ref.Default, got.Default) {
 				t.Errorf("%s: warm-clone sweep at Workers=%d differs from cold rebuild", bench, workers)
 			}
 		}
 	}
 }
 
-// TestColdSweepKeyDistinct: cold and warm sweeps must never share a cache
-// slot (in-process or on disk) — otherwise the equivalence test above would
-// compare a computation against itself.
-func TestColdSweepKeyDistinct(t *testing.T) {
-	warm := tinyOptions()
-	cold := warm
-	cold.ColdSweep = true
-	kw := sweepKeyFor("lbm", false, warm)
-	kc := sweepKeyFor("lbm", false, cold)
-	if kw == kc {
-		t.Fatal("cold and warm sweeps share an in-process cache key")
+// coldRebuild evaluates s's configurations, baseline and default the
+// reference way: every evaluation rebuilds a machine and replays the whole
+// warmup.
+func coldRebuild(t *testing.T, s *Sweep, opt Options) *Sweep {
+	t.Helper()
+	simOpt := opt.Sim
+	simOpt.Seed = opt.Seed
+	prep, err := sim.Prepare(s.Benchmark, 0, opt.Accesses, simOpt)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if kw.filename() == kc.filename() {
-		t.Fatalf("cold and warm sweeps share a disk-cache filename: %s", kw.filename())
+	metrics, err := engine.Map(context.Background(), len(s.Indices), engine.Options{Workers: 4},
+		func(_ context.Context, k int) (sim.Metrics, error) {
+			return prep.EvaluateCold(s.Space.At(s.Indices[k]))
+		})
+	if err != nil {
+		t.Fatalf("%s cold: %v", s.Benchmark, err)
 	}
+	ref := &Sweep{Metrics: metrics}
+	if ref.Baseline, err = prep.EvaluateCold(baselineAt(opt.LifetimeTarget)); err != nil {
+		t.Fatal(err)
+	}
+	if ref.Default, err = prep.EvaluateCold(config.Default()); err != nil {
+		t.Fatal(err)
+	}
+	return ref
 }

@@ -144,8 +144,7 @@ func (p *Prepared) Evaluate(cfg config.Config) (Metrics, error) {
 // machine and replay the entire warmup before the measurement window. It
 // must produce byte-identical Metrics to Evaluate — that equivalence is the
 // correctness proof of the whole snapshot contract (enforced by tests) —
-// and exists as the reference path for those tests and for the cold-vs-warm
-// sweep benchmarks.
+// and exists as the reference path for those tests.
 func (p *Prepared) EvaluateCold(cfg config.Config) (Metrics, error) {
 	m, err := NewMachine(p.Spec, warmupConfig(), p.opt)
 	if err != nil {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"mct/internal/config"
@@ -72,55 +73,76 @@ func TestTraceIsTheMeasurementStream(t *testing.T) {
 	}
 }
 
-// TestEvaluateStreamingMatchesMaterialized: the thin-wrapper contract of the
-// refactor — Evaluate (incremental generation) and EvaluateTrace over the
-// equivalent materialized slice produce byte-identical metrics.
-func TestEvaluateStreamingMatchesMaterialized(t *testing.T) {
+// TestRunSourceMatchesRunAccesses: stepping a machine from a streamed
+// source — the generator itself or a replay of its materialized slice —
+// equals stepping an identical machine from its own generator.
+func TestRunSourceMatchesRunAccesses(t *testing.T) {
 	const n = 30_000
-	opt := DefaultOptions()
-	cfg := config.Default()
-	cfg.FastCancellation = true
-	cfg.SlowCancellation = true
-
-	streamed, err := Evaluate("gups", n, cfg, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := trace.ByName("gups")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := trace.Collect(trace.NewGenerator(spec, rng.NewRand(opt.Seed)), n)
-	materialized, err := EvaluateTrace(tr, spec, cfg, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(streamed, materialized) {
-		t.Errorf("streaming Evaluate diverged from materialized EvaluateTrace:\n%+v\nvs\n%+v", streamed, materialized)
+	cancel := config.Default()
+	cancel.FastCancellation = true
+	cancel.SlowCancellation = true
+	for _, tc := range []struct {
+		bench string
+		cfg   config.Config
+	}{
+		{"milc", config.Default()},
+		{"gups", cancel},
+	} {
+		t.Run(tc.bench, func(t *testing.T) {
+			spec, err := trace.ByName(tc.bench)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt := DefaultOptions()
+			run := func(step func(m *Machine) Metrics) Metrics {
+				m, err := NewMachine(spec, tc.cfg, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return step(m)
+			}
+			gen := func() *trace.Generator { return trace.NewGenerator(spec, rng.NewRand(opt.Seed)) }
+			own := run(func(m *Machine) Metrics { return m.RunAccesses(n) })
+			streamed := run(func(m *Machine) Metrics { return m.RunSource(trace.Limit(gen(), n)) })
+			replayed := run(func(m *Machine) Metrics { return m.RunSource(trace.NewReplay(trace.Collect(gen(), n))) })
+			if !reflect.DeepEqual(own, streamed) {
+				t.Errorf("RunSource over the generator diverged from RunAccesses:\n%+v\nvs\n%+v", streamed, own)
+			}
+			if !reflect.DeepEqual(own, replayed) {
+				t.Errorf("RunSource over the materialized stream diverged from RunAccesses:\n%+v\nvs\n%+v", replayed, own)
+			}
+		})
 	}
 }
 
-// TestRunSourceMatchesRunAccesses: stepping a machine from a replayed
-// source equals stepping an identical machine from its own generator.
-func TestRunSourceMatchesRunAccesses(t *testing.T) {
-	const n = 20_000
-	spec, err := trace.ByName("milc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := DefaultOptions()
-	a, err := NewMachine(spec, config.Default(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewMachine(spec, config.Default(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	own := a.RunAccesses(n)
-	tr := trace.Collect(trace.NewGenerator(spec, rng.NewRand(opt.Seed)), n)
-	replay := b.RunSource(trace.NewReplay(tr))
-	if !reflect.DeepEqual(own, replay) {
-		t.Errorf("RunSource over the materialized stream diverged from RunAccesses:\n%+v\nvs\n%+v", own, replay)
+// TestPreparedEvaluateMemoryBounded: an evaluation allocates the same
+// amount however long its measurement stream is, because the stream is
+// regenerated batch by batch from the clone's generator and never
+// materialized (a materialized 1M-access trace alone would be 24 MB).
+func TestPreparedEvaluateMemoryBounded(t *testing.T) {
+	const maxGrowth = 64 << 10
+	for _, tiers := range []config.TierConfig{{}, {DRAMCache: true}} {
+		opt := DefaultOptions()
+		opt.Tiers = tiers
+		alloc := func(measure int) uint64 {
+			p, err := Prepare("lbm", 0, measure, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			if _, err := p.Evaluate(config.Default()); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		short, long := alloc(50_000), alloc(1_000_000)
+		t.Logf("DRAMCache=%v: %d B at 50k accesses, %d B at 1M", tiers.DRAMCache, short, long)
+		if long > short+maxGrowth {
+			t.Errorf("DRAMCache=%v: evaluation allocated %d B at 1M accesses vs %d B at 50k; growth over %d B means the stream is not bounded",
+				tiers.DRAMCache, long, short, maxGrowth)
+		}
 	}
 }

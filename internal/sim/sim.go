@@ -637,41 +637,3 @@ func (m *MultiMachine) settleHierarchy() {
 		}
 	}
 }
-
-// EvaluateSource streams src to exhaustion on a fresh machine under cfg and
-// returns the run metrics (with queued writes drained so their wear and
-// energy are charged). This is the streaming core every evaluation
-// entrypoint reduces to: memory stays O(StepBatchSize) regardless of stream
-// length, so multi-billion-access runs are memory-bounded.
-func EvaluateSource(src trace.Source, spec trace.Spec, cfg config.Config, opt Options) (Metrics, error) {
-	m, err := NewMachine(spec, cfg, opt)
-	if err != nil {
-		return Metrics{}, err
-	}
-	m.beginWindow()
-	m.runSource(src)
-	m.finishRun()
-	return m.windowMetrics(), nil
-}
-
-// EvaluateTrace runs a pre-materialized trace (identical for every
-// configuration — the fair-comparison methodology of trace-driven
-// simulation) on a fresh machine under cfg and returns the run metrics. It
-// is a thin wrapper over the streaming path: the slice is replayed
-// batch-by-batch, never copied.
-func EvaluateTrace(tr []trace.Access, spec trace.Spec, cfg config.Config, opt Options) (Metrics, error) {
-	return EvaluateSource(trace.NewReplay(tr), spec, cfg, opt)
-}
-
-// Evaluate streams nAccesses of the named benchmark (seeded by opt.Seed)
-// through a fresh machine under cfg. The stream is generated incrementally
-// — a thin wrapper over EvaluateSource, producing the byte-identical
-// metrics the old materialize-then-replay path did, in O(batch) memory.
-func Evaluate(benchmark string, nAccesses int, cfg config.Config, opt Options) (Metrics, error) {
-	spec, err := trace.ByName(benchmark)
-	if err != nil {
-		return Metrics{}, err
-	}
-	src := trace.Limit(trace.NewGenerator(spec, rng.NewRand(opt.Seed)), nAccesses)
-	return EvaluateSource(src, spec, cfg, opt)
-}

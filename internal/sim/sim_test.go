@@ -236,12 +236,6 @@ func TestAccumEmpty(t *testing.T) {
 	}
 }
 
-func TestEvaluateUnknownBenchmark(t *testing.T) {
-	if _, err := Evaluate("nope", 100, config.Default(), quickOptions()); err == nil {
-		t.Fatal("unknown benchmark must error")
-	}
-}
-
 func TestControllerAccessor(t *testing.T) {
 	m := mustMachine(t, "lbm", config.Default())
 	if m.Controller() == nil || m.Controller().Config() != config.Default().Canonical() {

@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -168,6 +169,18 @@ func RestoreMachine(st MachineState) (*Machine, error) {
 	}
 	if st.Options.Tiers.DRAMCache != (st.DRAM != nil) {
 		return nil, fmt.Errorf("sim: checkpoint tier composition disagrees with machine options")
+	}
+	// The clocks feed uint64(cycles/ratio) conversions, which turn a NaN,
+	// infinite or negative count into garbage instead of an error.
+	for _, c := range []float64{st.CPUCycles, st.WinStartCycles} {
+		if math.IsNaN(c) || math.IsInf(c, 0) || c < 0 {
+			return nil, fmt.Errorf("sim: checkpoint cycle counts must be finite and non-negative (clock %v, window start %v)",
+				st.CPUCycles, st.WinStartCycles)
+		}
+	}
+	if st.WinStartCycles > st.CPUCycles || st.WinStartInsts > st.Insts {
+		return nil, fmt.Errorf("sim: checkpoint window starts after the machine clock (cycles %v > %v or insts %d > %d)",
+			st.WinStartCycles, st.CPUCycles, st.WinStartInsts, st.Insts)
 	}
 	m := &Machine{
 		opt:            st.Options,

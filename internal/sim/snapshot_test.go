@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -139,6 +140,38 @@ func TestMachineSnapshotRoundTrip(t *testing.T) {
 	got := runWindow(r, 20_000)
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("snapshot round trip diverged\noriginal: %+v\nrestored: %+v", want, got)
+	}
+}
+
+// TestRestoreMachineRejectsBadClocks: checkpoints come from disk, so
+// RestoreMachine refuses clock scalars that the machine's cycle
+// conversions cannot represent or that put the window start in the future.
+func TestRestoreMachineRejectsBadClocks(t *testing.T) {
+	m, err := NewMachine(mustSpec(t, "leslie3d"), config.StaticBaseline(), quickOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runWindow(m, 10_000)
+	for _, tc := range []struct {
+		name   string
+		tamper func(st *MachineState)
+	}{
+		{"NaN cycles", func(st *MachineState) { st.CPUCycles = math.NaN() }},
+		{"infinite cycles", func(st *MachineState) { st.CPUCycles = math.Inf(1) }},
+		{"negative cycles", func(st *MachineState) { st.CPUCycles, st.WinStartCycles = -1, -2 }},
+		{"NaN window start", func(st *MachineState) { st.WinStartCycles = math.NaN() }},
+		{"negative window start", func(st *MachineState) { st.WinStartCycles = -1 }},
+		{"window cycles after clock", func(st *MachineState) { st.WinStartCycles = st.CPUCycles + 1 }},
+		{"window insts after clock", func(st *MachineState) { st.WinStartInsts = st.Insts + 1 }},
+	} {
+		st := m.Snapshot()
+		tc.tamper(&st)
+		if _, err := RestoreMachine(st); err == nil {
+			t.Errorf("%s: RestoreMachine accepted the checkpoint", tc.name)
+		}
+	}
+	if _, err := RestoreMachine(m.Snapshot()); err != nil {
+		t.Fatalf("untampered checkpoint rejected: %v", err)
 	}
 }
 

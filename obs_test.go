@@ -99,6 +99,41 @@ func TestRuntimeMetricsFamilies(t *testing.T) {
 	}
 }
 
+// TestObserverDoesNotPerturbRuntime: attaching a registry to the machine
+// and the runtime leaves every MCT result unchanged — the layer only reads
+// cumulative stats at window boundaries.
+func TestObserverDoesNotPerturbRuntime(t *testing.T) {
+	ctx := context.Background()
+	run := func(opts ...mct.Option) mct.Result {
+		m, err := mct.NewMachine(ctx, "lbm", mct.StaticBaseline(), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ro := mct.DefaultRuntimeOptions()
+		ro.SamplingTotalInsts = 900_000
+		ro.SampleUnitInsts = 10_000
+		ro.BaselineInsts = 100_000
+		rt, err := mct.NewRuntime(ctx, m, mct.DefaultObjective(8),
+			append(opts, mct.WithRuntimeOptions(ro))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := rt.Run(4_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	reg := mct.NewRegistry()
+	observed := run(mct.WithObserver(reg))
+	if reg.Counter("core.decisions").Value() == 0 {
+		t.Fatal("the observed run published no decisions; the registry was not attached")
+	}
+	if bare := run(); !reflect.DeepEqual(bare, observed) {
+		t.Errorf("attaching a registry changed the MCT result:\nbare     %+v\nobserved %+v", bare, observed)
+	}
+}
+
 // TestRuntimeTraceSink: WithTraceSink receives the runtime's decision
 // trace (baseline, sampling, decision events) with the runtime scope.
 func TestRuntimeTraceSink(t *testing.T) {
