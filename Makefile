@@ -31,12 +31,14 @@ race:
 # the parallel-determinism tests exercise the engine, this exercises the CLI
 # and the bench harness. The batched-step-loop benchmark is the streaming
 # pipeline's allocation gate: its companion test asserts exactly 0
-# allocs/op at steady state.
+# allocs/op at steady state. The controller benchmark replays a recorded
+# gups miss stream into a warm NVM controller (ns per controller call).
 bench-smoke:
 	$(GO) run ./cmd/mctbench -experiment space -quick -quiet
 	$(GO) test -run '^$$' -bench 'BenchmarkEvaluateWarmClone' -benchtime 5x .
 	$(GO) test -run '^$$' -bench 'Benchmark(Tiered)?BatchedStepLoop' -benchtime 200000x ./internal/sim
 	$(GO) test -run 'Test(Tiered)?BatchedStepLoopZeroAllocs' -count 1 ./internal/sim
+	$(GO) test -run '^$$' -bench 'BenchmarkControllerBusy' -benchtime 200000x ./internal/nvm
 
 # Determinism check on the metrics dump itself: the same run at -workers 1
 # and -workers 4 must produce byte-identical stable dumps — once on the

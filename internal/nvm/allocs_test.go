@@ -51,3 +51,53 @@ func TestWriteCancelSteadyStateAllocs(t *testing.T) {
 			"the op-by-value and in-place re-queue fixes have regressed", perCycle, avg, rounds)
 	}
 }
+
+// TestQuotaEagerSetConfigSteadyStateAllocs: the issue path of every write
+// class — fast, slow (bank-aware and eager) and forced under an exhausted
+// wear quota — plus SetConfig switching between two ratio pairs, which
+// folds the per-class write counters into WritesByRatio, allocates nothing
+// once the queues and the ratio map are warm.
+func TestQuotaEagerSetConfigSteadyStateAllocs(t *testing.T) {
+	p := smallParams()
+	p.WearQuotaSliceCycles = 2000
+	p.LinesPerBank = 3_000_000 // a binding quota: most slices run forced
+	a := config.StaticBaseline()
+	b := a
+	b.FastLatency, b.SlowLatency = 1.5, 2.5
+	cfgs := [2]config.Config{a, b}
+	c := mustNew(t, a, p)
+
+	now, k := uint64(100), 0
+	cycle := func() {
+		for i := uint64(0); i < 8; i++ {
+			// Three lines of one row: the bank's queue builds, so
+			// bank-aware issue goes fast for the middle one.
+			for l := uint64(0); l < 3; l++ {
+				now = c.Write(i*4096+l*64, now)
+			}
+			c.EagerWrite(i*4096+1024, now)
+			now = c.Read(i*4096+2048, now+3) + 300
+		}
+		k ^= 1
+		if err := c.SetConfig(cfgs[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 256; i++ {
+		cycle()
+	}
+	st := c.Stats()
+	if st.ForcedWrites == 0 || st.EagerWrites == 0 || st.FastWrites == 0 || len(st.WritesByRatio) < 5 {
+		t.Fatalf("warm-up did not reach every write class and ratio: %+v", st)
+	}
+
+	const rounds = 50
+	avg := testing.AllocsPerRun(5, func() {
+		for i := 0; i < rounds; i++ {
+			cycle()
+		}
+	})
+	if avg != 0 {
+		t.Errorf("quota/eager/SetConfig cycle allocates %.2f objects per %d cycles, want 0", avg, rounds)
+	}
+}

@@ -4,8 +4,9 @@
 // The aliasing rules (see DESIGN.md, "Snapshot contract"): a clone shares
 // nothing mutable with its parent. Per-bank queues are slices of value
 // structs and are copied; the in-flight op is a fresh pointer; Stats is
-// deep-copied (WearByBank slice, WritesByRatio map). Params and Config are
-// pure value types and copy by assignment.
+// deep-copied (WearByBank slice, WritesByRatio map), and the event-horizon
+// bounds are copied with it. Params and Config are pure value types and
+// copy by assignment.
 package nvm
 
 import (
@@ -46,6 +47,7 @@ func (c *Controller) Clone() *Controller {
 		n.banks[i] = c.banks[i].clone()
 	}
 	n.tokens = append([]uint64(nil), c.tokens...)
+	n.ev = append([]uint64(nil), c.ev...)
 	n.st = c.st.Clone()
 	return &n
 }
@@ -106,8 +108,11 @@ func reqFromState(s WriteReqState) writeReq {
 	return writeReq{addr: s.Addr, enq: s.Enq, cancels: s.Cancels, eager: s.Eager}
 }
 
+// reqsToState returns nil for an empty queue, drained or never used, so a
+// snapshot does not depend on the queue's history (gob, too, sends
+// neither).
 func reqsToState(rs []writeReq) []WriteReqState {
-	if rs == nil {
+	if len(rs) == 0 {
 		return nil
 	}
 	out := make([]WriteReqState, len(rs))
@@ -128,7 +133,12 @@ func reqsFromState(ss []WriteReqState) []writeReq {
 	return out
 }
 
-// Snapshot captures the controller's complete state for checkpointing.
+// Snapshot captures the controller's complete state for checkpointing. A
+// bank's op is emitted only while it can still be observed (freeAt past
+// swept): which skipped banks still carry a completed op's marker depends
+// on the visit schedule, and the bytes must not.
+//
+//mctlint:ignore clonefields ev and nextEvent are derived from the queues and freeAt and recomputed by FromSnapshot
 func (c *Controller) Snapshot() Snapshot {
 	banks := make([]BankSnapshot, len(c.banks))
 	for i := range c.banks {
@@ -140,7 +150,7 @@ func (c *Controller) Snapshot() Snapshot {
 			OpenRow:  b.openRow,
 			RowValid: b.rowValid,
 		}
-		if b.opValid {
+		if b.opValid && b.freeAt > c.swept {
 			bs.Op = &InflightState{
 				Req:         reqToState(b.op.req),
 				PulseStart:  b.op.pulseStart,
@@ -164,7 +174,7 @@ func (c *Controller) Snapshot() Snapshot {
 		DrainMode: c.drainMode,
 		Forced:    c.forced,
 		NextSlice: c.nextSlice,
-		Stats:     c.st.Clone(),
+		Stats:     c.Stats(),
 	}
 }
 
@@ -218,5 +228,8 @@ func FromSnapshot(s Snapshot) (*Controller, error) {
 	if c.st.WritesByRatio == nil {
 		c.st.WritesByRatio = make(map[float64]uint64)
 	}
+	// Every emitted op is still observable, so a restored controller needs
+	// no sweep history (swept = 0); the horizon is rebuilt from the queues.
+	c.refreshEvents()
 	return c, nil
 }

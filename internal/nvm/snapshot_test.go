@@ -1,6 +1,8 @@
 package nvm
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -161,5 +163,106 @@ func TestStatsCloneIsDeep(t *testing.T) {
 	}
 	if reflect.DeepEqual(orig.WearByBank, cl.WearByBank) || reflect.DeepEqual(orig.WritesByRatio, cl.WritesByRatio) {
 		t.Error("Stats.Clone shares backing storage with the original")
+	}
+}
+
+// ckptBytes gob-encodes a snapshot as a checkpoint would, less the
+// WritesByRatio map, whose gob encoding follows map iteration order; the
+// map is compared separately.
+func ckptBytes(t *testing.T, s Snapshot) []byte {
+	t.Helper()
+	s.Stats.WritesByRatio = nil
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func sameCheckpoint(t *testing.T, what string, a, b Snapshot) {
+	t.Helper()
+	if !bytes.Equal(ckptBytes(t, a), ckptBytes(t, b)) || !reflect.DeepEqual(a.Stats.WritesByRatio, b.Stats.WritesByRatio) {
+		t.Fatalf("%s: checkpoints differ\n got: %+v\nwant: %+v", what, b, a)
+	}
+}
+
+// TestSnapshotContinuationByteIdentical: a checkpoint cut mid-traffic
+// (writes queued and in flight, callers behind the controller's clock in
+// the skewed mix) restores into a controller whose continuation matches
+// the uninterrupted run call for call and ends in the same checkpoint
+// bytes. The bytes at the cut do not depend on which banks the event
+// horizon skipped: they equal the tick-sweep reference's.
+func TestSnapshotContinuationByteIdentical(t *testing.T) {
+	for _, mix := range trafficMixes {
+		mix := mix
+		t.Run(mix.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 8; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				cfgs := spaceWithQuota()
+				cfg := cfgs[rng.Intn(len(cfgs))]
+				c := mustNew(t, cfg, mix.params())
+				r, err := newRef(cfg, mix.params())
+				if err != nil {
+					t.Fatal(err)
+				}
+				mid, err := lockstep(rng, mix, cfgs, 700, 0, c, r)
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				cut := c.Snapshot()
+				sameCheckpoint(t, "at the cut vs reference", r.Snapshot(), cut)
+
+				var decoded Snapshot
+				if err := gob.NewDecoder(bytes.NewReader(ckptBytes(t, cut))).Decode(&decoded); err != nil {
+					t.Fatal(err)
+				}
+				decoded.Stats.WritesByRatio = cut.Stats.WritesByRatio
+				restored, err := FromSnapshot(decoded)
+				if err != nil {
+					t.Fatal(err)
+				}
+				end, err := lockstep(rng, mix, cfgs, 700, mid, c, restored)
+				if err != nil {
+					t.Fatalf("seed %d: restored run diverged: %v", seed, err)
+				}
+				if err := drainAll(end, c, restored); err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				sameCheckpoint(t, "after the continuation", c.Snapshot(), restored.Snapshot())
+			}
+		})
+	}
+}
+
+// TestSnapshotKeepsOpForLaggingReader: a completed write whose bank no
+// sweep has passed since is still cancellable by a reader behind the
+// controller's clock (a core of a multi-core machine after another core's
+// backpressure stall), so the checkpoint must carry it.
+func TestSnapshotKeepsOpForLaggingReader(t *testing.T) {
+	cfg := config.Default()
+	cfg.FastCancellation = true
+	cfg.SlowCancellation = true
+	c := mustNew(t, cfg, smallParams())
+	r, err := newRef(cfg, smallParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []memCtl{c, r} {
+		m.Write(0, 100) // issues at once: pulse [108, 168)
+		m.Advance(300)  // nothing queued, so no sweep clears the op
+	}
+	restored, err := FromSnapshot(c.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctls := []memCtl{r, c, restored}
+	for _, m := range ctls {
+		m.Read(0, 120) // a lagging reader at 20% of the pulse cancels it
+	}
+	if got := r.Stats().CancelledWrites; got != 1 {
+		t.Fatalf("reference cancelled %d writes, want 1", got)
+	}
+	if err := drainAll(300, ctls...); err != nil {
+		t.Fatal(err)
 	}
 }
