@@ -10,24 +10,26 @@
 // back." UselessPositions computes that N; NextEagerVictim yields dirty
 // lines resident in those positions.
 //
-// Layout: the line array is struct-of-arrays — one flat []uint64 of tags
-// and one flat []uint8 of valid/dirty bits, both indexed set*ways+pos with
-// each set ordered MRU..LRU. The hot operations (tag probe, LRU shift) touch
-// the tag lane almost exclusively, so SoA packs 8 tags per cache line of
-// simulator memory instead of 5⅓ padded AoS entries, and the LRU shift of
-// the metadata lane is a byte-wise copy.
+// Layout: the tag lane is one flat []uint64 indexed set*ways+pos, each set
+// ordered MRU..LRU. Valid and dirty state is two per-set bit masks over LRU
+// stack positions, valid[set] and dirty[set]: bit p stands for the line at
+// position p (0 = MRU), so associativity is capped at 64. The probe and the
+// LRU shift touch the tag lane plus two words of mask arithmetic, and the
+// eager-victim test of a set is one masked load: the victim is the lowest
+// dirty position among the uselessN least-recently-used ones.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // LineBytes is the cache-line size in bytes.
 const LineBytes = 64
 
-// Metadata lane bits (one byte per line).
-const (
-	metaValid uint8 = 1 << 0
-	metaDirty uint8 = 1 << 1
-)
+// maxWays is the largest supported associativity: one bit per way in the
+// per-set valid/dirty masks.
+const maxWays = 64
 
 // Stats aggregates cache event counters.
 type Stats struct {
@@ -42,14 +44,17 @@ type Stats struct {
 // Cache is a set-associative write-back LLC. It is not safe for concurrent
 // use.
 type Cache struct {
-	// tags and meta are the SoA line array: entry set*ways+pos holds the tag
-	// and valid/dirty bits of the line at LRU stack position pos of that set
-	// (0 = MRU).
+	// tags[set*ways+pos] is the tag of the line at LRU stack position pos
+	// of that set (0 = MRU). Bit pos of valid[set] and dirty[set] is that
+	// line's state; dirty implies valid.
 	tags     []uint64
-	meta     []uint8
+	valid    []uint64
+	dirty    []uint64
 	setCount int
 	ways     int
-	setMask  uint64
+	// wayMask has the low ways bits set: the positions a set mask can use.
+	wayMask uint64
+	setMask uint64
 	// setShift is log2(setCount), hoisted at construction so the per-access
 	// locate/reconstruct pair shifts by a constant instead of recounting
 	// bits.
@@ -61,26 +66,38 @@ type Cache struct {
 	eagerCursor int
 }
 
-// New constructs a cache of sizeBytes capacity with the given associativity.
-// sizeBytes must be a positive multiple of ways*LineBytes and yield a
-// power-of-two set count.
-func New(sizeBytes, ways int) (*Cache, error) {
-	if sizeBytes <= 0 || ways <= 0 {
-		return nil, fmt.Errorf("cache: invalid size %d / ways %d", sizeBytes, ways)
+// ValidateGeometry reports whether New accepts a cache of sizeBytes
+// capacity and the given associativity: sizeBytes must be a positive
+// multiple of ways*LineBytes and yield a power-of-two set count, and ways
+// must be in [1, maxWays].
+func ValidateGeometry(sizeBytes, ways int) error {
+	if sizeBytes <= 0 || ways <= 0 || ways > maxWays {
+		return fmt.Errorf("cache: invalid size %d / ways %d (ways must be in [1,%d])", sizeBytes, ways, maxWays)
 	}
 	lines := sizeBytes / LineBytes
 	if lines*LineBytes != sizeBytes || lines%ways != 0 {
-		return nil, fmt.Errorf("cache: size %d not divisible into %d-way sets of %d-byte lines", sizeBytes, ways, LineBytes)
+		return fmt.Errorf("cache: size %d not divisible into %d-way sets of %d-byte lines", sizeBytes, ways, LineBytes)
 	}
-	setCount := lines / ways
-	if setCount&(setCount-1) != 0 {
-		return nil, fmt.Errorf("cache: set count %d is not a power of two", setCount)
+	if setCount := lines / ways; setCount&(setCount-1) != 0 {
+		return fmt.Errorf("cache: set count %d is not a power of two", setCount)
 	}
+	return nil
+}
+
+// New constructs a cache of sizeBytes capacity with the given associativity
+// (see ValidateGeometry).
+func New(sizeBytes, ways int) (*Cache, error) {
+	if err := ValidateGeometry(sizeBytes, ways); err != nil {
+		return nil, err
+	}
+	setCount := sizeBytes / LineBytes / ways
 	c := &Cache{
 		tags:     make([]uint64, setCount*ways),
-		meta:     make([]uint8, setCount*ways),
+		valid:    make([]uint64, setCount),
+		dirty:    make([]uint64, setCount),
 		setCount: setCount,
 		ways:     ways,
+		wayMask:  ^uint64(0) >> (maxWays - ways),
 		setMask:  uint64(setCount - 1),
 		setShift: uint(log2(setCount)),
 	}
@@ -142,27 +159,31 @@ type Result struct {
 // Access performs a load (write=false) or store (write=true) at addr and
 // returns what the memory system must do: nothing (hit), a fill (read
 // miss), and possibly a dirty writeback (victim eviction). It is on the
-// simulator's per-access hot path: the probe walks the set's tag lane, and
-// the metadata lane is only touched on a hit or a fill.
+// simulator's per-access hot path: the probe walks the set's tag lane
+// against its valid mask, and the LRU shift moves the tags with one copy
+// and each mask with a few shifts.
 func (c *Cache) Access(addr uint64, write bool) Result {
 	setIdx, tag := c.locate(addr)
 	base := setIdx * c.ways
 	tags := c.tags[base : base+c.ways]
-	meta := c.meta[base : base+c.ways]
+	valid, dirty := c.valid[setIdx], c.dirty[setIdx]
+	var bit uint64
+	if write {
+		bit = 1
+	}
 
 	for pos := range tags {
-		if meta[pos]&metaValid != 0 && tags[pos] == tag {
+		if tags[pos] == tag && valid>>pos&1 != 0 {
 			c.stats.Hits++
 			c.stats.HitsByPos[pos]++
-			m := meta[pos]
-			if write {
-				m |= metaDirty
-			}
-			// Move to MRU.
+			// Move to MRU: positions 0..pos-1 shift down one, position pos
+			// lands at 0, positions above pos stay.
+			below := uint64(1)<<pos - 1
+			keep := ^(uint64(2)<<pos - 1)
+			c.valid[setIdx] = valid&keep | (valid&below)<<1 | 1
+			c.dirty[setIdx] = dirty&keep | (dirty&below)<<1 | bit | dirty>>pos&1
 			copy(tags[1:pos+1], tags[:pos])
-			copy(meta[1:pos+1], meta[:pos])
 			tags[0] = tag
-			meta[0] = m
 			return Result{Hit: true}
 		}
 	}
@@ -171,18 +192,15 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 	c.stats.Misses++
 	res := Result{FillAddr: addr &^ uint64(LineBytes-1)}
 	last := c.ways - 1
-	if meta[last]&(metaValid|metaDirty) == metaValid|metaDirty {
+	if (valid&dirty)>>last&1 != 0 {
 		c.stats.Writebacks++
 		res.Writeback = true
 		res.WritebackAddr = c.reconstruct(setIdx, tags[last])
 	}
 	copy(tags[1:], tags[:last])
-	copy(meta[1:], meta[:last])
 	tags[0] = tag
-	meta[0] = metaValid
-	if write {
-		meta[0] |= metaDirty
-	}
+	c.valid[setIdx] = (valid<<1 | 1) & c.wayMask
+	c.dirty[setIdx] = (dirty<<1 | bit) & c.wayMask
 	return res
 }
 
@@ -202,10 +220,7 @@ func (c *Cache) UselessPositions(eagerThreshold int) int {
 	if eagerThreshold <= 0 {
 		return 0
 	}
-	var total uint64
-	for _, h := range c.stats.HitsByPos {
-		total += h
-	}
+	total := c.stats.Hits // == ΣHitsByPos, kept so by Access and FromSnapshot
 	if total == 0 {
 		return c.ways
 	}
@@ -227,9 +242,9 @@ func (c *Cache) UselessPositions(eagerThreshold int) int {
 // least-recently-used positions. If found, the line is marked clean (its
 // data is now considered written back — a later store re-dirties it, making
 // the eager write wasted wear, as in the paper), and its address is
-// returned. The scan reads only the one-byte metadata lane until it finds a
-// victim, so skipping clean sets costs a few cache lines of simulator
-// memory per set, not the full tag array.
+// returned; the cursor stops one past that set. Each set costs one load of
+// its dirty mask: the victim is the lowest dirty position in range, the one
+// nearest the MRU end.
 func (c *Cache) NextEagerVictim(uselessN, maxSets int) (addr uint64, ok bool) {
 	if uselessN <= 0 {
 		return 0, false
@@ -240,17 +255,15 @@ func (c *Cache) NextEagerVictim(uselessN, maxSets int) (addr uint64, ok bool) {
 	if maxSets <= 0 || maxSets > c.setCount {
 		maxSets = c.setCount
 	}
-	const valadirty = metaValid | metaDirty
+	useMask := c.wayMask &^ (c.wayMask >> uselessN)
 	for scanned := 0; scanned < maxSets; scanned++ {
 		setIdx := c.eagerCursor
-		c.eagerCursor = (c.eagerCursor + 1) % c.setCount
-		base := setIdx * c.ways
-		for pos := c.ways - uselessN; pos < c.ways; pos++ {
-			if c.meta[base+pos]&valadirty == valadirty {
-				c.meta[base+pos] &^= metaDirty
-				c.stats.EagerWrites++
-				return c.reconstruct(setIdx, c.tags[base+pos]), true
-			}
+		c.eagerCursor = (setIdx + 1) & (c.setCount - 1)
+		if m := c.dirty[setIdx] & useMask; m != 0 {
+			pos := bits.TrailingZeros64(m)
+			c.dirty[setIdx] &^= 1 << pos
+			c.stats.EagerWrites++
+			return c.reconstruct(setIdx, c.tags[setIdx*c.ways+pos]), true
 		}
 	}
 	return 0, false
@@ -262,9 +275,11 @@ func (c *Cache) NextEagerVictim(uselessN, maxSets int) (addr uint64, ok bool) {
 func (c *Cache) Clone() *Cache {
 	n := &Cache{
 		tags:        append([]uint64(nil), c.tags...),
-		meta:        append([]uint8(nil), c.meta...),
+		valid:       append([]uint64(nil), c.valid...),
+		dirty:       append([]uint64(nil), c.dirty...),
 		setCount:    c.setCount,
 		ways:        c.ways,
+		wayMask:     c.wayMask,
 		setMask:     c.setMask,
 		setShift:    c.setShift,
 		eagerCursor: c.eagerCursor,
@@ -278,11 +293,8 @@ func (c *Cache) Clone() *Cache {
 // helper).
 func (c *Cache) DirtyLines() int {
 	n := 0
-	const valadirty = metaValid | metaDirty
-	for _, m := range c.meta {
-		if m&valadirty == valadirty {
-			n++
-		}
+	for _, m := range c.dirty {
+		n += bits.OnesCount64(m)
 	}
 	return n
 }

@@ -18,6 +18,7 @@ func mustNew(t *testing.T, size, ways int) *Cache {
 func TestNewErrors(t *testing.T) {
 	cases := []struct{ size, ways int }{
 		{0, 4}, {1024, 0}, {1000, 4} /* not divisible */, {3 * 64 * 4, 4}, /* 3 sets: not a power of two */
+		{128 * 64, 128} /* wider than the per-set masks */, {2 * 65 * 64, 65},
 	}
 	for _, c := range cases {
 		if _, err := New(c.size, c.ways); err == nil {
@@ -26,6 +27,10 @@ func TestNewErrors(t *testing.T) {
 	}
 	c := mustNew(t, 64*64*4, 4)
 	if c.Ways() != 4 || c.Sets() != 64 {
+		t.Fatalf("geometry wrong: %d ways, %d sets", c.Ways(), c.Sets())
+	}
+	c = mustNew(t, 2*maxWays*64, maxWays)
+	if c.Ways() != maxWays || c.Sets() != 2 {
 		t.Fatalf("geometry wrong: %d ways, %d sets", c.Ways(), c.Sets())
 	}
 }

@@ -29,15 +29,16 @@ type Snapshot struct {
 	Stats       Stats
 }
 
-// Snapshot captures the cache's complete state for checkpointing. The
-// in-memory SoA lanes are re-interleaved into LineState records, so the
-// serialized format is layout-independent (and unchanged from the AoS era).
+// Snapshot captures the cache's complete state for checkpointing. The tag
+// lane and the per-set masks are re-interleaved into LineState records, so
+// the serialized format is independent of the in-memory layout.
 //
-//mctlint:ignore clonefields setMask and setShift are derived from setCount and recomputed by New on restore
+//mctlint:ignore clonefields wayMask, setMask and setShift are derived from the geometry and recomputed by New on restore
 func (c *Cache) Snapshot() Snapshot {
 	lines := make([]LineState, len(c.tags))
 	for i, tag := range c.tags {
-		lines[i] = LineState{Tag: tag, Valid: c.meta[i]&metaValid != 0, Dirty: c.meta[i]&metaDirty != 0}
+		set, pos := i/c.ways, i%c.ways
+		lines[i] = LineState{Tag: tag, Valid: c.valid[set]>>pos&1 != 0, Dirty: c.dirty[set]>>pos&1 != 0}
 	}
 	st := c.stats
 	st.HitsByPos = append([]uint64(nil), c.stats.HitsByPos...)
@@ -51,7 +52,9 @@ func (c *Cache) Snapshot() Snapshot {
 }
 
 // FromSnapshot rebuilds a cache from a state captured with Snapshot. The
-// rebuilt cache continues the identical simulation.
+// rebuilt cache continues the identical simulation. A snapshot no run can
+// produce — a dirty line that is not valid, or a hit total that is not the
+// sum of the hit histogram — is rejected.
 func FromSnapshot(s Snapshot) (*Cache, error) {
 	c, err := New(s.SizeBytes, s.Ways)
 	if err != nil {
@@ -66,16 +69,25 @@ func FromSnapshot(s Snapshot) (*Cache, error) {
 	if s.EagerCursor < 0 || s.EagerCursor >= c.setCount {
 		return nil, fmt.Errorf("cache: snapshot eager cursor %d outside [0,%d)", s.EagerCursor, c.setCount)
 	}
+	var hits uint64
+	for _, h := range s.Stats.HitsByPos {
+		hits += h
+	}
+	if hits != s.Stats.Hits {
+		return nil, fmt.Errorf("cache: snapshot counts %d hits, its histogram %d", s.Stats.Hits, hits)
+	}
 	for i, ls := range s.Lines {
+		if ls.Dirty && !ls.Valid {
+			return nil, fmt.Errorf("cache: snapshot line %d is dirty but not valid", i)
+		}
+		set, pos := i/c.ways, i%c.ways
 		c.tags[i] = ls.Tag
-		var m uint8
 		if ls.Valid {
-			m |= metaValid
+			c.valid[set] |= 1 << pos
 		}
 		if ls.Dirty {
-			m |= metaDirty
+			c.dirty[set] |= 1 << pos
 		}
-		c.meta[i] = m
 	}
 	c.eagerCursor = s.EagerCursor
 	c.stats = s.Stats

@@ -76,6 +76,21 @@ func TestFromSnapshotValidates(t *testing.T) {
 	}
 
 	bad = c.Snapshot()
+	if !bad.Lines[0].Dirty {
+		t.Fatal("line 0 should hold the dirty fill")
+	}
+	bad.Lines[0].Valid = false
+	if _, err := FromSnapshot(bad); err == nil {
+		t.Error("dirty line that is not valid accepted")
+	}
+
+	bad = c.Snapshot()
+	bad.Stats.Hits++
+	if _, err := FromSnapshot(bad); err == nil {
+		t.Error("hit total that disagrees with the histogram accepted")
+	}
+
+	bad = c.Snapshot()
 	bad.SizeBytes = 7
 	if _, err := FromSnapshot(bad); err == nil {
 		t.Error("invalid geometry accepted")

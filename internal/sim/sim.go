@@ -86,8 +86,8 @@ func (o Options) Validate() error {
 	if err := o.Energy.Validate(); err != nil {
 		return err
 	}
-	if o.CacheBytes <= 0 || o.CacheWays <= 0 {
-		return fmt.Errorf("sim: invalid cache geometry %d/%d", o.CacheBytes, o.CacheWays)
+	if err := cache.ValidateGeometry(o.CacheBytes, o.CacheWays); err != nil {
+		return fmt.Errorf("sim: %w", err)
 	}
 	if o.BaseCPI <= 0 || o.CPUCyclesPerMemCycle <= 0 {
 		return fmt.Errorf("sim: invalid core model (CPI %g, ratio %g)", o.BaseCPI, o.CPUCyclesPerMemCycle)

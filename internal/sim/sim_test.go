@@ -33,6 +33,8 @@ func TestOptionsValidate(t *testing.T) {
 	bad := []func(*Options){
 		func(o *Options) { o.CacheBytes = 0 },
 		func(o *Options) { o.CacheWays = 0 },
+		func(o *Options) { o.CacheWays = 128 }, // over the LLC's 64-way mask width
+		func(o *Options) { o.CacheBytes = 3 * 64 * 16 },
 		func(o *Options) { o.BaseCPI = 0 },
 		func(o *Options) { o.CPUCyclesPerMemCycle = 0 },
 		func(o *Options) { o.ReadStallFactor = 2 },
