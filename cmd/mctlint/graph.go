@@ -6,7 +6,6 @@
 package main
 
 import (
-	"encoding/json"
 	"go/token"
 	"path/filepath"
 
@@ -47,11 +46,7 @@ func graphJSON(moduleDir string, g *analysis.CallGraph) ([]byte, error) {
 			})
 		}
 	}
-	b, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
+	return marshalArtifact(out)
 }
 
 // jsonAllocSite is one worklist entry of the hot-path allocation audit.
@@ -81,11 +76,7 @@ func allochotJSON(moduleDir string, sites []analysis.AllocSite) ([]byte, error) 
 			Line:   s.Pos.Line,
 		})
 	}
-	b, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
+	return marshalArtifact(out)
 }
 
 // relPath renders a position's file module-relative with forward slashes,

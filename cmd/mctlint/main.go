@@ -17,15 +17,14 @@
 //	mctlint -json ./...                  # machine-readable findings (stable order)
 //	mctlint -graph-json graph.json ./...        # export the static call graph
 //	mctlint -allochot-json allocs.json ./...    # export the hot-path allocation worklist
-//	mctlint -guards-json guards.json ./...      # export inferred shared-variable guard domains
 //
 // Rules are either package-scoped (one pass per package) or
-// program-scoped: the interprocedural rules (detflow, allochot, lockflow)
-// and the concurrency rules (racecand, atomicmix, chanmisuse) run over a
-// whole-program view with a static call graph, so a run that selects any
-// of them loads the transitive module dependencies of the requested
-// packages too — findings are still reported only inside the requested
-// packages.
+// program-scoped: the interprocedural rules (detflow, allochot, lockflow,
+// nodeprecated) run over a whole-program view with a static call graph, so
+// a run that selects any of them loads the transitive module dependencies
+// of the requested packages too — findings are still reported only inside
+// the requested packages. Data races are the race detector's job (CI runs
+// go test -race over the whole module), not a lint rule's.
 //
 // Severity: each rule is "error" or "warn" (see -rules). Every error
 // finding fails the run with exit 1 — there is no accepted-findings
@@ -38,16 +37,17 @@
 // across runs and machines — CI archives them as a build artifact.
 //
 // -graph-json writes the program's static call graph (nodes plus
-// call/dispatch/ref edges), -allochot-json the ranked hot-path allocation
-// worklist, and -guards-json the inferred guard domain of every shared
-// variable (atomic / lock / confined / mixed / escaped / unguarded, with
-// the goroutine contexts its accesses run under) — all in deterministic
-// JSON for CI artifacts. Each implies the whole-program load even when no
-// program-scoped rule is selected.
+// call/dispatch/ref edges) and -allochot-json the ranked hot-path
+// allocation worklist, both in deterministic JSON for CI artifacts. Each
+// implies the whole-program load even when no program-scoped rule is
+// selected.
 //
 // Suppress a finding with a trailing comment (or one on the line above):
 //
 //	//mctlint:ignore <rule> <reason>
+//
+// A directive without a reason, or naming a rule that is not in the
+// registry, is itself reported under the reserved rule "mctlint".
 package main
 
 import (
@@ -67,7 +67,6 @@ func main() {
 	skip := flag.String("skip", "", "comma-separated rule names to skip")
 	graphPath := flag.String("graph-json", "", "write the static call graph as JSON to this path")
 	allocPath := flag.String("allochot-json", "", "write the ranked hot-path allocation worklist as JSON to this path")
-	guardsPath := flag.String("guards-json", "", "write the inferred shared-variable guard domains as JSON to this path")
 	flag.Parse()
 
 	selected, err := selectRules(analysis.Analyzers(), *only, *skip)
@@ -134,7 +133,7 @@ func main() {
 			break
 		}
 	}
-	if interprocedural || *graphPath != "" || *allocPath != "" || *guardsPath != "" {
+	if interprocedural || *graphPath != "" || *allocPath != "" {
 		prog := analysis.NewProgram(loader, pkgs)
 		if interprocedural {
 			all = append(all, analysis.RunProgramAnalyzers(prog, selected)...)
@@ -149,13 +148,6 @@ func main() {
 		if *allocPath != "" {
 			if err := writeArtifact(*allocPath, func() ([]byte, error) {
 				return allochotJSON(moduleDir, analysis.AllochotWorklist(prog))
-			}); err != nil {
-				fatal(err)
-			}
-		}
-		if *guardsPath != "" {
-			if err := writeArtifact(*guardsPath, func() ([]byte, error) {
-				return renderAnyJSON(analysis.GuardReport(prog))
 			}); err != nil {
 				fatal(err)
 			}

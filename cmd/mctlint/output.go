@@ -78,16 +78,12 @@ func renderJSON(ds []jsonDiagnostic) ([]byte, error) {
 	if len(ds) == 0 {
 		return []byte("[]\n"), nil
 	}
-	b, err := json.MarshalIndent(ds, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
+	return marshalArtifact(ds)
 }
 
-// renderAnyJSON marshals an arbitrary artifact value (guard domains, call
-// graph wrappers) as indented JSON terminated by a newline.
-func renderAnyJSON(v any) ([]byte, error) {
+// marshalArtifact marshals v as two-space indented JSON terminated by a
+// newline: the byte form of every JSON output the driver writes.
+func marshalArtifact(v any) ([]byte, error) {
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return nil, err

@@ -13,8 +13,9 @@
 //
 //	//mctlint:ignore <rule> <reason>
 //
-// The reason is mandatory; a directive without one is itself reported and
-// suppresses nothing.
+// The reason is mandatory and the rule must be in the registry: a directive
+// without a reason, or naming an unknown rule (a typo, or a rule since
+// deleted), is itself reported and suppresses nothing.
 package analysis
 
 import (
@@ -94,10 +95,9 @@ func (a *Analyzer) Interprocedural() bool { return a.RunProgram != nil }
 // shipped with mctlint. The package-scoped rules come first, syntactic ones
 // before those built on the CFG/dataflow layer of cfg.go and dataflow.go;
 // then the interprocedural rules, built on the call-graph and summary
-// layer of callgraph.go and summaries.go; then the concurrency rules,
-// built on the MHP and guarded-by layers of mhp.go and guards.go; the last
-// is the program-scoped deprecation gate. Copying a lock by value is go
-// vet's copylocks check, so no rule here repeats it.
+// layer of callgraph.go and summaries.go; the last is the program-scoped
+// deprecation gate. Copying a lock by value is go vet's copylocks check
+// and data races are the race detector's, so no rule here repeats them.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		NoRandGlobal,
@@ -109,13 +109,9 @@ func Analyzers() []*Analyzer {
 		MapRange,
 		ObsNames,
 		GoLeak,
-		DeferLoop,
 		DetFlow,
 		AllocHot,
 		LockFlow,
-		RaceCand,
-		AtomicMix,
-		ChanMisuse,
 		NoDeprecated,
 	}
 }
@@ -131,10 +127,13 @@ type ignoreDirective struct {
 const ignorePrefix = "mctlint:ignore"
 
 // parseIgnores extracts the ignore directives of a file. Malformed
-// directives (missing rule or reason) suppress nothing; when malformed is
-// non-nil it is called with their positions so the package pass can report
-// them under the reserved rule name "mctlint".
-func parseIgnores(fset *token.FileSet, file *ast.File, malformed func(token.Pos)) []ignoreDirective {
+// directives (missing rule or reason) suppress nothing; when bad is non-nil
+// it is called with their positions, and with those of well-formed
+// directives naming a rule outside the full registry, so the package pass
+// can report them under the reserved rule name "mctlint". The registry
+// check ignores any -only/-skip selection: a directive for a rule that
+// exists but is not running is still live.
+func parseIgnores(fset *token.FileSet, file *ast.File, bad func(pos token.Pos, msg string)) []ignoreDirective {
 	var out []ignoreDirective
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
@@ -146,10 +145,13 @@ func parseIgnores(fset *token.FileSet, file *ast.File, malformed func(token.Pos)
 			rest := strings.TrimSpace(strings.TrimPrefix(text, ignorePrefix))
 			fields := strings.Fields(rest)
 			if len(fields) < 2 {
-				if malformed != nil {
-					malformed(c.Pos())
+				if bad != nil {
+					bad(c.Pos(), "malformed ignore directive: want //mctlint:ignore <rule> <reason>")
 				}
 				continue
+			}
+			if bad != nil && !registered(fields[0]) {
+				bad(c.Pos(), fmt.Sprintf("ignore directive names unknown rule %q (see mctlint -rules)", fields[0]))
 			}
 			out = append(out, ignoreDirective{
 				rule:   fields[0],
@@ -162,6 +164,16 @@ func parseIgnores(fset *token.FileSet, file *ast.File, malformed func(token.Pos)
 	return out
 }
 
+// registered reports whether rule names an analyzer of the full registry.
+func registered(rule string) bool {
+	for _, a := range Analyzers() {
+		if a.Name == rule {
+			return true
+		}
+	}
+	return false
+}
+
 // suppressKey identifies one (file, line, rule) suppression slot.
 type suppressKey struct {
 	file string
@@ -172,11 +184,11 @@ type suppressKey struct {
 // suppressionIndex collects the suppression slots of files: a directive on
 // line L suppresses matching findings on L and L+1 (trailing comment or
 // comment-above placement).
-func suppressionIndex(fset *token.FileSet, files []*ast.File, malformed func(token.Pos)) map[suppressKey]bool {
+func suppressionIndex(fset *token.FileSet, files []*ast.File, bad func(pos token.Pos, msg string)) map[suppressKey]bool {
 	suppressed := map[suppressKey]bool{}
 	for _, f := range files {
 		fname := fset.Position(f.Pos()).Filename
-		for _, d := range parseIgnores(fset, f, malformed) {
+		for _, d := range parseIgnores(fset, f, bad) {
 			suppressed[suppressKey{fname, d.line, d.rule}] = true
 			suppressed[suppressKey{fname, d.line + 1, d.rule}] = true
 		}
@@ -218,7 +230,8 @@ func sortDiagnostics(out []Diagnostic) {
 }
 
 // RunAnalyzers runs every package-scoped analyzer over the package, applies
-// ignore directives, and returns the surviving findings sorted by position.
+// ignore directives, and returns the surviving findings sorted by position,
+// plus one "mctlint" finding per malformed or unknown-rule directive.
 // Program-scoped analyzers in the list are skipped (see
 // RunProgramAnalyzers).
 func RunAnalyzers(pass *Pass, analyzers []*Analyzer) []Diagnostic {
@@ -227,18 +240,16 @@ func RunAnalyzers(pass *Pass, analyzers []*Analyzer) []Diagnostic {
 			a.Run(pass)
 		}
 	}
-	suppressed := suppressionIndex(pass.Fset, pass.Files, func(pos token.Pos) {
-		pass.Reportf(pos, "mctlint",
-			"malformed ignore directive: want //mctlint:ignore <rule> <reason>")
+	suppressed := suppressionIndex(pass.Fset, pass.Files, func(pos token.Pos, msg string) {
+		pass.Reportf(pos, "mctlint", "%s", msg)
 	})
 	return applySuppression(pass.diags, suppressed)
 }
 
 // RunProgramAnalyzers runs every program-scoped analyzer over the program,
 // applies ignore directives of the analyzed packages, and returns the
-// surviving findings sorted by position. Malformed directives are not
-// re-reported here: the package pass over the same files already owns that
-// diagnostic.
+// surviving findings sorted by position. Bad directives are not re-reported
+// here: the package pass over the same files already owns that diagnostic.
 func RunProgramAnalyzers(prog *Program, analyzers []*Analyzer) []Diagnostic {
 	for _, a := range analyzers {
 		if a.RunProgram != nil {

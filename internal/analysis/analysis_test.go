@@ -125,23 +125,26 @@ func TestAnalyzerFixtures(t *testing.T) {
 	}
 }
 
-// TestMalformedIgnoreReported asserts that a directive without a reason is
-// itself reported under the reserved rule "mctlint" (the norandglobal fixture
-// carries one in badignore.go) and — via the want marker on the line below
-// the directive — that it suppresses nothing.
+// TestMalformedIgnoreReported asserts that a directive without a reason and
+// a directive naming a rule outside the registry are each reported under the
+// reserved rule "mctlint" (the norandglobal fixture carries one of each in
+// badignore.go) and — via the want markers on the lines below the
+// directives — that neither suppresses anything. The registry check uses
+// the full registry even though only norandglobal runs here.
 func TestMalformedIgnoreReported(t *testing.T) {
 	diags := loadFixture(t, "norandglobal", []*Analyzer{NoRandGlobal})
-	var malformed []Diagnostic
+	var got []string
 	for _, d := range diags {
 		if d.Rule == "mctlint" {
-			malformed = append(malformed, d)
+			got = append(got, fmt.Sprintf("%s:%d %s", filepath.Base(d.Pos.Filename), d.Pos.Line, d.Message))
 		}
 	}
-	if len(malformed) != 1 {
-		t.Fatalf("want exactly 1 malformed-directive finding, got %d: %v", len(malformed), malformed)
+	want := []string{
+		"badignore.go:9 malformed ignore directive: want //mctlint:ignore <rule> <reason>",
+		`badignore.go:17 ignore directive names unknown rule "norandglobl" (see mctlint -rules)`,
 	}
-	if base := filepath.Base(malformed[0].Pos.Filename); base != "badignore.go" {
-		t.Errorf("malformed-directive finding in %s, want badignore.go", base)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("directive findings mismatch\n got: %v\nwant: %v", got, want)
 	}
 }
 

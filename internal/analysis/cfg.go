@@ -2,7 +2,7 @@
 //
 // The syntactic analyzers of this package catch single-statement hazards;
 // the remaining bug classes that threaten the simulator's determinism are
-// flow-shaped (a lock released on some paths only, a defer registered once
+// flow-shaped (a lock released on some paths only, an allocation repeated
 // per loop iteration, map-iteration order leaking into a report). Those
 // need a CFG. NewCFG builds one per function from pure syntax — no type
 // information — so it is cheap, and the dataflow layer (dataflow.go) runs
@@ -22,9 +22,9 @@
 //   - Function literals are opaque: a FuncLit appearing in an expression is
 //     part of that expression's node, and its body gets its own CFG via
 //     ForEachFunc. Control flow never crosses a function boundary.
-//   - defer is recorded both as an ordinary node (its arguments are
-//     evaluated in sequence) and in CFG.Defers, since deferred calls run on
-//     every exit path — normal or panicking — after their defer executes.
+//   - defer is an ordinary node (its arguments are evaluated in sequence);
+//     clients that care where the deferred call runs (lockflow) handle the
+//     DeferStmt themselves.
 package analysis
 
 import (
@@ -56,9 +56,6 @@ type CFG struct {
 	Blocks []*Block
 	Entry  *Block
 	Exit   *Block
-	// Defers lists every defer statement of the function (not of nested
-	// function literals), in source order.
-	Defers []*ast.DeferStmt
 
 	blockOf map[ast.Node]*Block
 }
@@ -102,7 +99,7 @@ func (g *CFG) ReachableFrom(b *Block) map[*Block]bool {
 }
 
 // InLoop reports whether b lies on a cycle: whether b is reachable from one
-// of its own successors. A defer or allocation in such a block executes an
+// of its own successors. An allocation in such a block executes an
 // unbounded number of times.
 func (g *CFG) InLoop(b *Block) bool {
 	for _, s := range b.Succs {
@@ -278,10 +275,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 	case *ast.BranchStmt:
 		b.branchStmt(s)
 
-	case *ast.DeferStmt:
-		b.add(s)
-		b.g.Defers = append(b.g.Defers, s)
-
 	case *ast.ExprStmt:
 		b.add(s)
 		if call, ok := s.X.(*ast.CallExpr); ok && isTerminatingCall(call) {
@@ -317,7 +310,8 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.switchBody(s, s.Body, true)
 
 	default:
-		// AssignStmt, DeclStmt, GoStmt, IncDecStmt, SendStmt, EmptyStmt.
+		// AssignStmt, DeclStmt, DeferStmt, GoStmt, IncDecStmt, SendStmt,
+		// EmptyStmt.
 		b.add(s)
 	}
 }

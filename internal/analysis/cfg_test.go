@@ -205,23 +205,6 @@ func TestCFGUnreachableAfterReturn(t *testing.T) {
 	}
 }
 
-func TestCFGDefersRecorded(t *testing.T) {
-	g := buildCFG(t, `
-	defer println("a")
-	for i := 0; i < 3; i++ {
-		defer println("b")
-	}`)
-	if len(g.Defers) != 2 {
-		t.Fatalf("recorded %d defers, want 2", len(g.Defers))
-	}
-	if b := g.BlockOf(g.Defers[0]); b == nil || g.InLoop(b) {
-		t.Errorf("top-level defer block %v should exist outside any loop", b)
-	}
-	if b := g.BlockOf(g.Defers[1]); b == nil || !g.InLoop(b) {
-		t.Errorf("loop-body defer block %v should be in a loop", b)
-	}
-}
-
 func TestCFGFuncLitIsOpaque(t *testing.T) {
 	g := buildCFG(t, `
 	f := func() {
@@ -230,12 +213,14 @@ func TestCFGFuncLitIsOpaque(t *testing.T) {
 		}
 	}
 	f()`)
-	if len(g.Defers) != 0 {
-		t.Errorf("outer CFG recorded %d defers from a nested literal, want 0", len(g.Defers))
-	}
 	for _, b := range g.Blocks {
 		if strings.HasPrefix(b.Desc, "for") {
 			t.Errorf("outer CFG grew loop block %v from a nested literal", b)
+		}
+		for _, n := range b.Nodes {
+			if _, ok := n.(*ast.DeferStmt); ok {
+				t.Errorf("outer CFG block %v holds a defer from a nested literal", b)
+			}
 		}
 	}
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // runFullLint runs the full registry — package passes plus the
-// interprocedural and concurrency program passes — over every module
-// package, exactly like `mctlint ./...`, and returns the finding count.
+// interprocedural program passes — over every module package, exactly like
+// `mctlint ./...`, and returns the finding count.
 func runFullLint(tb testing.TB, root string) int {
 	tb.Helper()
 	loader, err := NewLoader(root)
@@ -46,7 +46,7 @@ func BenchmarkLintTree(b *testing.B) {
 }
 
 // TestLintTreeWallClockBudget is the CI ceiling: a full mctlint run
-// (package, interprocedural and concurrency rules, cold caches) must
+// (package and interprocedural rules, cold caches) must
 // finish inside the budget, so a new whole-program pass cannot silently
 // blow up lint time.
 // Override with MCTLINT_BUDGET_SECONDS; the default leaves generous

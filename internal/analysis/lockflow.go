@@ -133,22 +133,10 @@ type lfEnt struct {
 
 type lfFact map[string]lfEnt
 
+// runLockFlow solves every function's lock-effect summary to a fixpoint,
+// then re-runs each function against the solved summaries, reporting the
+// holds that survive to exit.
 func runLockFlow(prog *Program) {
-	lf := &lockFlowState{prog: prog, graph: prog.CallGraph()}
-	lf.sums = lockSummariesOf(prog)
-	for _, fn := range prog.Funcs() {
-		lf.analyze(fn, func(f *FuncInfo) *lockSummary { return lf.sums[f] }, true)
-	}
-}
-
-// lockSummariesOf computes (and caches) every function's lock-effect
-// summary. lockflow reports from them; the guard-domain inference of
-// guards.go reuses them to see critical sections entered through helper
-// lock methods.
-func lockSummariesOf(prog *Program) map[*FuncInfo]*lockSummary {
-	if prog.lockSums != nil {
-		return prog.lockSums
-	}
 	lf := &lockFlowState{prog: prog, graph: prog.CallGraph()}
 	solver := &SummarySolver[*lockSummary]{
 		Graph:  lf.graph,
@@ -158,14 +146,15 @@ func lockSummariesOf(prog *Program) map[*FuncInfo]*lockSummary {
 			return lf.analyze(fn, get, false)
 		},
 	}
-	prog.lockSums = solver.Solve()
-	return prog.lockSums
+	sums := solver.Solve()
+	for _, fn := range prog.Funcs() {
+		lf.analyze(fn, func(f *FuncInfo) *lockSummary { return sums[f] }, true)
+	}
 }
 
 type lockFlowState struct {
 	prog  *Program
 	graph *CallGraph
-	sums  map[*FuncInfo]*lockSummary
 }
 
 // analyze runs the interprocedural may-be-held solve over one function,

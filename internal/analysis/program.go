@@ -101,10 +101,7 @@ type Program struct {
 	seen        map[Diagnostic]bool
 	diags       []Diagnostic
 
-	graph    *CallGraph
-	conc     *Concurrency
-	lockSums map[*FuncInfo]*lockSummary
-	shared   *sharedIndex
+	graph *CallGraph
 }
 
 // NewProgram builds the program view over everything the loader has loaded
@@ -214,11 +211,6 @@ func (prog *Program) LookupFunc(name string) *FuncInfo {
 		}
 	}
 	return nil
-}
-
-// InternalPath reports whether path is inside the module.
-func (prog *Program) InternalPath(path string) bool {
-	return path == prog.ModulePath || strings.HasPrefix(path, prog.ModulePath+"/")
 }
 
 // Reportf records a finding at pos. Findings outside the analyzed packages

@@ -299,6 +299,56 @@ func TestMapObsCounters(t *testing.T) {
 	}
 }
 
+// TestMapObsWithOnDone runs the pool with both optional observers on, so
+// every worker's post-task critical section bumps the counters, observes
+// the timing histograms and calls OnDone. Run under -race (CI's parallel
+// determinism step does) it checks that the observer path adds no
+// unsynchronized shared write: seen is appended without a lock of its own,
+// so an OnDone call moved outside Map's lock is a reported race and a lost
+// append. 40 tasks over 4 workers put 36 of them past the first wave, so
+// the queue-wait histogram is exercised too.
+func TestMapObsWithOnDone(t *testing.T) {
+	const n, workers = 40, 4
+	reg := obs.NewRegistry()
+	var seen []int // no lock of its own: OnDone calls must be serialized
+	_, err := Map(context.Background(), n, Options{
+		Workers: workers,
+		Obs:     reg,
+		OnDone: func(done, total int) {
+			// Read, pause, write: two overlapping calls would lose an
+			// append, so the length check below fails even without -race.
+			prev := seen
+			time.Sleep(20 * time.Microsecond)
+			seen = append(prev, done)
+		},
+	}, func(ctx context.Context, i int) (int, error) {
+		// A short sleep keeps workers overlapping, so one worker's
+		// observer calls run while another is mid-task.
+		time.Sleep(200 * time.Microsecond)
+		return i, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range seen {
+		if d != i+1 {
+			t.Fatalf("OnDone sequence %v not monotone at position %d", seen, i)
+		}
+	}
+	if len(seen) != n {
+		t.Fatalf("OnDone called %d times, want %d", len(seen), n)
+	}
+	if got := reg.Counter("engine.tasks_completed").Value(); got != n {
+		t.Errorf("tasks_completed = %d, want %d", got, n)
+	}
+	if got := reg.VolatileHistogram("engine.task_seconds", taskSecondsBounds).Count(); got != n {
+		t.Errorf("task_seconds observed %d times, want %d", got, n)
+	}
+	if got := reg.VolatileHistogram("engine.queue_wait_seconds", taskSecondsBounds).Count(); got != n-workers {
+		t.Errorf("queue_wait_seconds observed %d times, want %d", got, n-workers)
+	}
+}
+
 // TestMapNoObsNoClock: without a registry the hot loop must not touch the
 // clock or allocate observer state (guarded here only by it not panicking
 // and by code review; the test pins the nil-Obs path's behaviour).

@@ -14,6 +14,8 @@ import (
 type job struct {
 	spec api.JobSpec
 
+	// mu guards status, cancel, cancelled, subs and nextSub. spec never
+	// changes after newJob, and done is closed exactly once (see finish).
 	mu     sync.Mutex
 	status api.JobStatus
 	// cancel aborts the running execution (client cancellation). cancelled
@@ -74,9 +76,10 @@ func (j *job) publish(e api.Event) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	for _, ch := range j.subs {
-		//mctlint:ignore chanmisuse non-blocking fan-out by design: a full subscriber buffer drops the frame instead of stalling the runner
+		// Non-blocking fan-out by design: a full subscriber buffer drops
+		// the frame instead of stalling the runner.
 		select {
-		case ch <- e: //mctlint:ignore chanmisuse receiver lives in the SSE handler (handleEvents), reached through the subscription map
+		case ch <- e: // the receiver is the SSE handler (handleEvents), reached through subs
 		default:
 		}
 	}

@@ -76,6 +76,8 @@ type Server struct {
 	store *store
 	queue *fairQueue
 
+	// mu guards jobs, order and seq (New fills them before any handler or
+	// Run can see the Server).
 	mu    sync.Mutex
 	jobs  map[string]*job
 	order []string
@@ -122,7 +124,8 @@ func New(opt Options) (*Server, error) {
 		j := newJob(r.spec, r.status)
 		switch r.status.State {
 		case api.StateDone, api.StateFailed:
-			//mctlint:ignore chanmisuse one close per job: a terminal-at-load job is never queued, so finish (the other close site) cannot run on it
+			// One close per job: a terminal-at-load job is never queued, so
+			// finish (the other close site) cannot run on it.
 			close(j.done)
 		case api.StateQueued, api.StateRunning:
 			j.status.State = api.StateQueued
