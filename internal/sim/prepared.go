@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"sync"
 
 	"mct/internal/config"
 	"mct/internal/trace"
@@ -18,28 +19,41 @@ const DefaultWarmupAccesses = 60_000
 // active, so no configuration under test gets a head start.
 func warmupConfig() config.Config { return config.Default() }
 
+// windowCap bounds the measurement prefix a Prepared keeps: 1<<15
+// accesses, 512 KiB at 16 B per access, which holds every sweep window in
+// the tree (8k quick, 30k default). Longer windows replay the prefix and
+// stream the rest, so a Prepared never pins memory proportional to its
+// measurement length.
+const windowCap = 1 << 15
+
 // Prepared is a benchmark workload prepared for repeated configuration
 // evaluations: one machine (trace generator, LLC and NVM controller) has
 // been warmed once under a fixed warmup configuration, and every evaluation
 // clones the whole warm machine, switches it to the configuration under
-// test, and streams only the identical measurement window. This is what
+// test, and runs only the identical measurement window. This is what
 // makes brute-force sweeps of thousands of configurations affordable and
 // fair: the warmup — the one cost per-configuration parallelism cannot
 // remove — is paid once per benchmark instead of once per configuration.
 //
-// The measurement trace is never materialized: the warm machine's generator
-// sits exactly at the end of warmup, so each evaluation's clone regenerates
-// the measurement stream from its own cloned generator — the identical
-// stream for every configuration (the trace is a pure function of
-// generator state), in O(StepBatchSize) memory instead of O(measure).
+// The measurement trace is generated once, too. The first Evaluate
+// materializes the window's first min(measure, windowCap) accesses from a
+// clone of the warm generator (which sits exactly at the measurement cut)
+// and keeps that generator, now at the prefix end, for the remainder.
+// Every evaluation replays the shared prefix and, for windows longer than
+// the cap, streams the rest from its own clone of the kept generator. The
+// stream is identical to regenerating the whole window (the trace is a pure
+// function of generator state), memory stays O(windowCap + StepBatchSize)
+// however long the window, and the work stays out of Prepare, whose callers
+// may never evaluate.
 //
-// Concurrency contract: after Prepare returns, a Prepared is immutable —
-// Evaluate only reads the warm machine (via Clone, which never writes to
-// its receiver and shares nothing mutable), and builds all mutable
-// simulation state per call. Any number of goroutines may therefore call
-// Evaluate on one Prepared concurrently, and each evaluation's result
-// depends only on its configuration — never on what other evaluations run
-// beside it or in which order.
+// Concurrency contract: a Prepared is immutable apart from that one-time
+// materialization, which runs under a sync.Once. Evaluate otherwise only
+// reads the warm machine and the shared window (via Clone, which never
+// writes to its receiver and shares nothing mutable), and builds all
+// mutable simulation state per call. Any number of goroutines may
+// therefore call Evaluate on one Prepared concurrently, and each
+// evaluation's result depends only on its configuration — never on what
+// other evaluations run beside it or in which order.
 type Prepared struct {
 	Spec trace.Spec
 	opt  Options
@@ -47,15 +61,18 @@ type Prepared struct {
 	warmup   int
 	nMeasure int
 	warm     *Machine
-	// genState is the generator state at the measurement cut (== the warm
-	// machine's generator position); kept so Trace can rematerialize the
-	// measurement stream on demand without touching the warm machine.
-	genState trace.GeneratorState
+
+	once sync.Once
+	// prefix holds the first min(nMeasure, windowCap) measured accesses;
+	// tail is the generator positioned right after them, nil when the
+	// prefix is the whole window. Both are read-only once built.
+	prefix []trace.Access
+	tail   *trace.Generator
 }
 
 // Prepare warms a machine with warmup accesses of the named benchmark
-// (under warmupConfig); evaluations then stream measure accesses from the
-// warmed position. warmup ≤ 0 uses DefaultWarmupAccesses.
+// (under warmupConfig); evaluations then run the next measure accesses from
+// the warmed position. warmup ≤ 0 uses DefaultWarmupAccesses.
 func Prepare(benchmark string, warmup, measure int, opt Options) (*Prepared, error) {
 	if measure <= 0 {
 		return nil, fmt.Errorf("sim: non-positive measurement length %d", measure)
@@ -84,7 +101,6 @@ func Prepare(benchmark string, warmup, measure int, opt Options) (*Prepared, err
 		warmup:   warmup,
 		nMeasure: measure,
 		warm:     m,
-		genState: m.gen.Snapshot(),
 	}, nil
 }
 
@@ -115,36 +131,53 @@ func PreparedFromMachine(m *Machine, warmup, measure int) (*Prepared, error) {
 		warmup:   warmup,
 		nMeasure: measure,
 		warm:     m,
-		genState: m.gen.Snapshot(),
 	}, nil
 }
 
-// Trace materializes the measurement access stream. Each call regenerates a
-// fresh slice from the measurement-cut generator state, so callers own the
-// result outright: mutating it cannot perturb evaluations (which stream
-// from cloned generator state and never read a shared slice).
+// Trace materializes the whole measurement access stream into a fresh
+// slice, regenerated from a clone of the warm generator, so callers own
+// the result outright: mutating it cannot perturb evaluations or the
+// shared window.
 func (p *Prepared) Trace() []trace.Access {
-	return trace.Collect(trace.FromState(p.genState), p.nMeasure)
+	return trace.Collect(p.warm.gen.Clone(), p.nMeasure)
+}
+
+// materialize builds the shared window (see Prepared); it runs once.
+func (p *Prepared) materialize() {
+	g := p.warm.gen.Clone()
+	p.prefix = trace.Collect(g, min(p.nMeasure, windowCap))
+	if p.nMeasure > len(p.prefix) {
+		p.tail = g
+	}
 }
 
 // Evaluate measures one configuration on the prepared workload by cloning
-// the warm machine and streaming the measurement window from the clone's
-// own generator. It is safe for concurrent use (see the Prepared
-// concurrency contract) and returns the same Metrics for the same
-// configuration no matter how many evaluations run in parallel.
+// the warm machine and replaying the shared measurement window. It is safe
+// for concurrent use (see the Prepared concurrency contract) and returns
+// the same Metrics for the same configuration no matter how many
+// evaluations run in parallel.
 func (p *Prepared) Evaluate(cfg config.Config) (Metrics, error) {
+	p.once.Do(p.materialize)
 	m := p.warm.Clone()
 	if err := m.SetConfig(cfg); err != nil {
 		return Metrics{}, err
 	}
-	return p.measure(m)
+	m.beginWindow()
+	m.StepBatch(p.prefix)
+	if p.tail != nil {
+		m.gen = p.tail.Clone()
+		m.runOwn(p.nMeasure - len(p.prefix))
+	}
+	m.finishRun()
+	return m.windowMetrics(), nil
 }
 
 // EvaluateCold measures one configuration the pre-clone way: build a fresh
-// machine and replay the entire warmup before the measurement window. It
-// must produce byte-identical Metrics to Evaluate — that equivalence is the
-// correctness proof of the whole snapshot contract (enforced by tests) —
-// and exists as the reference path for those tests.
+// machine, replay the entire warmup, and stream the measurement window from
+// the machine's own generator, never reading the shared window. It must
+// produce byte-identical Metrics to Evaluate — that equivalence is the
+// correctness proof of the snapshot contract and of the window replay
+// (enforced by tests) — and exists as the reference path for those tests.
 func (p *Prepared) EvaluateCold(cfg config.Config) (Metrics, error) {
 	m, err := NewMachine(p.Spec, warmupConfig(), p.opt)
 	if err != nil {
@@ -155,15 +188,6 @@ func (p *Prepared) EvaluateCold(cfg config.Config) (Metrics, error) {
 	if err := m.SetConfig(cfg); err != nil {
 		return Metrics{}, err
 	}
-	return p.measure(m)
-}
-
-// measure streams the measurement window on m — whose generator is
-// positioned at the measurement cut — and returns the window metrics, with
-// queued writes drained so their wear and energy are charged. The stream is
-// identical for every configuration because every m starts from the same
-// generator state.
-func (p *Prepared) measure(m *Machine) (Metrics, error) {
 	m.beginWindow()
 	m.runOwn(p.nMeasure)
 	m.finishRun()

@@ -62,3 +62,55 @@ func TestPreparedConcurrentEvaluate(t *testing.T) {
 		}
 	}
 }
+
+// TestPreparedConcurrentFirstEvaluate: goroutines released together make
+// the first Evaluate calls on a fresh Prepared, so they race the one-time
+// window materialization (and, with a window past the cap, the shared tail
+// generator). Every result must equal a serial evaluation on a second
+// Prepared of the same workload.
+func TestPreparedConcurrentFirstEvaluate(t *testing.T) {
+	const n = windowCap + 5_000
+	fresh := func() *Prepared {
+		p, err := Prepare("lbm", 0, n, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	p, ref := fresh(), fresh()
+
+	space := config.NewSpace(config.SpaceOptions{IncludeWearQuota: true, WearQuotaTarget: 8})
+	const goroutines = 8
+	cfgs := make([]config.Config, goroutines)
+	for g := range cfgs {
+		cfgs[g] = space.At(g * space.Len() / goroutines)
+	}
+
+	got := make([]Metrics, goroutines)
+	errs := make([]error, goroutines)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			got[g], errs[g] = p.Evaluate(cfgs[g])
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+
+	for g, cfg := range cfgs {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		want, err := ref.Evaluate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[g], want) {
+			t.Errorf("goroutine %d: concurrent first Evaluate diverged from the serial reference", g)
+		}
+	}
+}

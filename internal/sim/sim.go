@@ -216,7 +216,7 @@ type Machine struct {
 
 // StepBatchSize is the batch granularity of the streaming run loops: large
 // enough to amortize per-batch overhead into noise, small enough that a
-// machine's resident trace memory stays a fixed ~64 KB regardless of run
+// machine's resident trace memory stays a fixed 64 KiB regardless of run
 // length.
 const StepBatchSize = 4096
 

@@ -164,8 +164,9 @@ func RestoreMachine(st MachineState) (*Machine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: checkpoint controller: %w", err)
 	}
-	if len(st.Gen.Spec.Phases) == 0 {
-		return nil, fmt.Errorf("sim: checkpoint generator has no phases")
+	gen, err := trace.FromState(st.Gen)
+	if err != nil {
+		return nil, fmt.Errorf("sim: checkpoint generator: %w", err)
 	}
 	if st.Options.Tiers.DRAMCache != (st.DRAM != nil) {
 		return nil, fmt.Errorf("sim: checkpoint tier composition disagrees with machine options")
@@ -184,7 +185,7 @@ func RestoreMachine(st MachineState) (*Machine, error) {
 	}
 	m := &Machine{
 		opt:            st.Options,
-		gen:            trace.FromState(st.Gen),
+		gen:            gen,
 		llc:            llc,
 		ctrl:           ctrl,
 		mem:            ctrl,

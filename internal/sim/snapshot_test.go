@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"os"
 	"path/filepath"
@@ -172,6 +174,43 @@ func TestRestoreMachineRejectsBadClocks(t *testing.T) {
 	}
 	if _, err := RestoreMachine(m.Snapshot()); err != nil {
 		t.Fatalf("untampered checkpoint rejected: %v", err)
+	}
+}
+
+// TestCorruptGeneratorCheckpointFailsToLoad: a gob checkpoint whose
+// generator state is out of range — a phase index past the spec, a
+// non-positive MPKI — fails LoadCheckpoint with an error. Accepting it
+// would defer a panic to the first step, inside a Prepared's one-time
+// window materialization on a worker.
+func TestCorruptGeneratorCheckpointFailsToLoad(t *testing.T) {
+	p, err := Prepare("lbm", 2000, 1000, quickOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name   string
+		tamper func(st *MachineState)
+	}{
+		{"phase index 99", func(st *MachineState) { st.Gen.PhaseIdx = 99 }},
+		{"zero MPKI", func(st *MachineState) {
+			st.Gen.Spec.Phases = append([]trace.Phase(nil), st.Gen.Spec.Phases...)
+			st.Gen.Spec.Phases[0].MPKI = 0
+		}},
+	} {
+		env := checkpointEnvelope{Magic: checkpointMagic, Version: checkpointVersion, State: p.warm.Snapshot()}
+		tc.tamper(&env.State)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(env); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, "corrupt.ckpt")
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadCheckpoint(path); err == nil {
+			t.Errorf("%s: LoadCheckpoint accepted the checkpoint", tc.name)
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"mct/internal/rng"
@@ -22,13 +23,15 @@ import (
 // consumed by the cache model.
 const LineBytes = 64
 
-// Access is one LLC-level memory access.
+// Access is one LLC-level memory access. The field order packs it into
+// 16 bytes (24 with InstGap first), which sizes every batch buffer and the
+// measurement window a Prepared workload keeps.
 type Access struct {
+	// Addr is the byte address of the access.
+	Addr uint64
 	// InstGap is the number of instructions executed since the previous
 	// access (≥1).
 	InstGap uint32
-	// Addr is the byte address of the access.
-	Addr uint64
 	// Write marks a store (which dirties the line in the LLC).
 	Write bool
 }
@@ -190,15 +193,44 @@ func (g *Generator) Snapshot() GeneratorState {
 }
 
 // FromState rebuilds a generator from a state captured with Snapshot; the
-// rebuilt generator continues the identical stream.
-func FromState(st GeneratorState) *Generator {
+// rebuilt generator continues the identical stream. The state usually
+// comes from a checkpoint file, so it is validated rather than trusted: a
+// phase index outside the spec would panic on the first Next, and a
+// non-positive MPKI or a fraction outside [0,1] would yield garbage gaps.
+// Region sizes need no check: a uint64 byte count over LineBytes is at
+// most 2^58 lines, so Next's int64 line counts cannot overflow.
+func FromState(st GeneratorState) (*Generator, error) {
+	if err := st.Spec.validate(); err != nil {
+		return nil, err
+	}
+	if st.PhaseIdx < 0 || st.PhaseIdx >= len(st.Spec.Phases) {
+		return nil, fmt.Errorf("trace: phase index %d outside spec %q's %d phases", st.PhaseIdx, st.Spec.Name, len(st.Spec.Phases))
+	}
 	g := NewGeneratorAt(st.Spec, rng.NewRand(0), st.AddrBase)
 	g.rnd.SetState(st.RNG)
 	g.phaseIdx = st.PhaseIdx
 	g.phaseInsts = st.PhaseInsts
 	g.coldCursor = st.ColdCursor
 	g.burstPos = st.BurstPos
-	return g
+	return g, nil
+}
+
+// validate checks the phase parameters Next divides by or compares
+// against: at least one phase, a finite positive MPKI, and write and hot
+// fractions in [0,1].
+func (s Spec) validate() error {
+	if len(s.Phases) == 0 {
+		return fmt.Errorf("trace: spec %q has no phases", s.Name)
+	}
+	for i, ph := range s.Phases {
+		if !(ph.MPKI > 0) || math.IsInf(ph.MPKI, 0) {
+			return fmt.Errorf("trace: spec %q phase %d: MPKI %v is not finite and positive", s.Name, i, ph.MPKI)
+		}
+		if !(ph.WriteFrac >= 0 && ph.WriteFrac <= 1) || !(ph.HotFrac >= 0 && ph.HotFrac <= 1) {
+			return fmt.Errorf("trace: spec %q phase %d: WriteFrac %v and HotFrac %v must lie in [0,1]", s.Name, i, ph.WriteFrac, ph.HotFrac)
+		}
+	}
+	return nil
 }
 
 const (

@@ -1,8 +1,11 @@
 package trace
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"mct/internal/rng"
 )
@@ -278,7 +281,7 @@ func TestGeneratorSnapshotRoundTrip(t *testing.T) {
 	}
 	g := NewGeneratorAt(spec, rng.NewRand(17), 1<<34)
 	Collect(g, 1234)
-	r := FromState(g.Snapshot())
+	r := mustFromState(t, g.Snapshot())
 	want := Collect(g, 2000)
 	got := Collect(r, 2000)
 	for i := range want {
@@ -310,10 +313,10 @@ func TestSnapshotAtArbitraryCutPoints(t *testing.T) {
 				g.Next()
 			}
 			st := g.Snapshot()
-			r := FromState(st)
+			r := mustFromState(t, st)
 			// A second rebuild from the same state must also work (states
 			// are values; rebuilding must not consume them).
-			r2 := FromState(st)
+			r2 := mustFromState(t, st)
 			for i := 0; i < lookahead; i++ {
 				want := g.Next()
 				if got := r.Next(); got != want {
@@ -353,7 +356,7 @@ func TestSnapshotCutMidBurst(t *testing.T) {
 		// Cut whenever we are strictly inside a quiet span (odd burst block,
 		// not at a boundary).
 		if g.burstPos > 0 && (g.burstPos/burst)%2 == 1 && g.burstPos%burst == burst/2 {
-			r := FromState(g.Snapshot())
+			r := mustFromState(t, g.Snapshot())
 			if r.burstPos != g.burstPos {
 				t.Fatalf("burst position lost across snapshot: %d vs %d", r.burstPos, g.burstPos)
 			}
@@ -367,4 +370,79 @@ func TestSnapshotCutMidBurst(t *testing.T) {
 		}
 	}
 	t.Fatal("never observed a mid-quiet-span position in 50k accesses")
+}
+
+func mustFromState(t *testing.T, st GeneratorState) *Generator {
+	t.Helper()
+	g, err := FromState(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestAccessIs16Bytes pins the packed layout: Addr first, then InstGap and
+// Write share the second word. A reorder back to InstGap-first pads the
+// struct to 24 bytes and grows every batch buffer and replay window by half.
+func TestAccessIs16Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Access{}); got != 16 {
+		t.Fatalf("trace.Access is %d bytes, want 16", got)
+	}
+}
+
+// TestFromStateRejectsCorruptState: checkpoint-borne generator states that
+// would panic or produce garbage in Next are refused by FromState with an
+// error naming the fault, and every registered benchmark's state passes.
+func TestFromStateRejectsCorruptState(t *testing.T) {
+	for _, name := range Names() {
+		spec, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := FromState(NewGenerator(spec, rng.NewRand(1)).Snapshot()); err != nil {
+			t.Errorf("%s: valid state rejected: %v", name, err)
+		}
+	}
+	spec, err := ByName("ocean")
+	if err != nil {
+		t.Fatal(err)
+	}
+	phase := func(edit func(*Phase)) GeneratorState {
+		st := NewGenerator(spec, rng.NewRand(1)).Snapshot()
+		st.Spec.Phases = append([]Phase(nil), spec.Phases...)
+		edit(&st.Spec.Phases[len(st.Spec.Phases)-1])
+		return st
+	}
+	withIdx := func(i int) GeneratorState {
+		st := NewGenerator(spec, rng.NewRand(1)).Snapshot()
+		st.PhaseIdx = i
+		return st
+	}
+	noPhases := NewGenerator(spec, rng.NewRand(1)).Snapshot()
+	noPhases.Spec.Phases = nil
+	for _, tc := range []struct {
+		name string
+		st   GeneratorState
+		want string
+	}{
+		{"phase index 99", withIdx(99), "phase index"},
+		{"phase index -1", withIdx(-1), "phase index"},
+		{"no phases", noPhases, "no phases"},
+		{"zero MPKI", phase(func(p *Phase) { p.MPKI = 0 }), "MPKI"},
+		{"negative MPKI", phase(func(p *Phase) { p.MPKI = -3 }), "MPKI"},
+		{"NaN MPKI", phase(func(p *Phase) { p.MPKI = math.NaN() }), "MPKI"},
+		{"infinite MPKI", phase(func(p *Phase) { p.MPKI = math.Inf(1) }), "MPKI"},
+		{"WriteFrac above 1", phase(func(p *Phase) { p.WriteFrac = 1.5 }), "WriteFrac"},
+		{"NaN WriteFrac", phase(func(p *Phase) { p.WriteFrac = math.NaN() }), "WriteFrac"},
+		{"negative HotFrac", phase(func(p *Phase) { p.HotFrac = -0.1 }), "HotFrac"},
+	} {
+		g, err := FromState(tc.st)
+		if err == nil || g != nil {
+			t.Errorf("%s: FromState accepted the state", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+	}
 }
