@@ -33,7 +33,8 @@ race:
 # and the bench harness. The batched-step-loop benchmark is the streaming
 # pipeline's allocation gate: its companion test asserts exactly 0
 # allocs/op at steady state. The controller benchmark replays a recorded
-# gups miss stream into a warm NVM controller (ns per controller call). The
+# gups miss stream into a warm NVM controller (ns per controller call); its
+# companion test pins 0 allocs per call on the same stream. The
 # eager-harvest benchmark runs Access + UselessPositions + NextEagerVictim
 # on a warm zeusmp LLC (ns per access); its companion test pins 0 allocs.
 bench-smoke:
@@ -42,6 +43,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'Benchmark(Tiered)?BatchedStepLoop' -benchtime 200000x ./internal/sim
 	$(GO) test -run 'Test(Tiered)?BatchedStepLoopZeroAllocs' -count 1 ./internal/sim
 	$(GO) test -run '^$$' -bench 'BenchmarkControllerBusy' -benchtime 200000x ./internal/nvm
+	$(GO) test -run 'TestControllerBusyZeroAllocs' -count 1 ./internal/nvm
 	$(GO) test -run '^$$' -bench 'BenchmarkEagerHarvest' -benchtime 200000x ./internal/cache
 	$(GO) test -run 'TestEagerHarvestZeroAllocs' -count 1 ./internal/cache
 

@@ -101,3 +101,35 @@ func TestQuotaEagerSetConfigSteadyStateAllocs(t *testing.T) {
 		t.Errorf("quota/eager/SetConfig cycle allocates %.2f objects per %d cycles, want 0", avg, rounds)
 	}
 }
+
+// TestControllerBusyZeroAllocs: the controller calls of a busy gups-like
+// stream (recordBusy's, the one BenchmarkControllerBusy replays: reads,
+// demand and eager writes, cancels and direct eager issues on idle banks)
+// allocate nothing. The recorded stream is replayed round after round,
+// each round shifted past the controller's clock. The per-bank queues are
+// given their bounded capacity up front: a queue otherwise grows the first
+// time it reaches a new depth, which the amortized appends allow and which
+// would make the count depend on how long the test warms up.
+func TestControllerBusyZeroAllocs(t *testing.T) {
+	warm, calls := recordBusy(t, config.StaticBaseline(), 40_000)
+	c := warm.Clone()
+	for i := range c.banks {
+		b := &c.banks[i]
+		// A cancel re-queues a write without the capacity check, so the
+		// demand queues get headroom past WriteQueueCap.
+		b.writes = append(make([]writeReq, 0, c.p.WriteQueueCap+c.p.Banks), b.writes...)
+		b.eager = append(make([]writeReq, 0, c.p.EagerQueueCap), b.eager...)
+	}
+	var shift uint64
+	round := func() {
+		for _, call := range calls {
+			call.now += shift
+			replay(c, call)
+		}
+		shift = c.Now() + 1 - calls[0].now
+	}
+	avg := testing.AllocsPerRun(5, round)
+	if avg != 0 {
+		t.Errorf("controller allocates %.2f objects per %d calls, want exactly 0", avg, len(calls))
+	}
+}

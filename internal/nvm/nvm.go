@@ -17,6 +17,7 @@ package nvm
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"mct/internal/config"
 )
@@ -108,10 +109,22 @@ func DefaultParams() Params {
 	}
 }
 
-// Validate checks parameter sanity.
+// maxBanks bounds the bank count: the controller tracks the banks with
+// queued writes in one 64-bit mask.
+const maxBanks = 64
+
+// Validate checks parameter sanity. The bank count must be a power of two
+// no larger than maxBanks and the row size 0 or a power of two, so that
+// bankOf and rowOf map an address with a shift and a mask.
 func (p Params) Validate() error {
 	if p.Banks <= 0 || p.LinesPerBank == 0 {
 		return fmt.Errorf("nvm: invalid geometry: %d banks, %d lines/bank", p.Banks, p.LinesPerBank)
+	}
+	if p.Banks > maxBanks || p.Banks&(p.Banks-1) != 0 {
+		return fmt.Errorf("nvm: %d banks: want a power of two no larger than %d", p.Banks, maxBanks)
+	}
+	if p.RowBytes&(p.RowBytes-1) != 0 {
+		return fmt.Errorf("nvm: row size %d bytes: want 0 or a power of two", p.RowBytes)
 	}
 	if p.MemCyclesPerSec <= 0 {
 		return fmt.Errorf("nvm: invalid clock %g", p.MemCyclesPerSec)
@@ -238,13 +251,22 @@ type Controller struct {
 	forced    bool
 	nextSlice uint64
 
-	// Event horizon. ev[b] is a lower bound on the earliest time bank b can
-	// issue a write — max(freeAt, head.enq) over its demand queue, and over
-	// its eager queue while no demand write is queued — and nextEvent is a
-	// lower bound on min ev. advanceBanks visits only banks whose bound has
-	// passed. Anything that makes a bank issuable earlier (an enqueue, a
-	// cancel, the demand queue emptying) lowers the bounds; raising freeAt
-	// leaves them stale-low, which is safe.
+	// Address mapping derived from Params: a row is addr >> rowShift, and
+	// a bank is the folded row hash & bankMask.
+	rowShift uint
+	bankMask uint64
+
+	// Event horizon. pend has bit b set while bank b has a demand or eager
+	// write queued (set at every enqueue, cleared by bankEvent once both
+	// queues are empty); sweeps walk only those banks. For a pending bank,
+	// ev[b] is a lower bound on the earliest time it can issue a write —
+	// max(freeAt, head.enq) over its demand queue, and over its eager queue
+	// while no demand write is queued — and nextEvent is a lower bound on
+	// min ev. advanceBanks visits only banks whose bound has passed.
+	// Anything that makes a bank issuable earlier (an enqueue, a cancel,
+	// the demand queue emptying) lowers the bounds; raising freeAt leaves
+	// them stale-low, which is safe.
+	pend      uint64
 	ev        []uint64
 	nextEvent uint64
 	// swept is the latest time at which a sweep covered every bank with
@@ -257,6 +279,10 @@ type Controller struct {
 	// since the last fold into st.WritesByRatio: a fixed counter bump on
 	// the issue path instead of a map write.
 	writesByClass [numClasses]uint64
+	// classes holds each class's ratio, pulse length and wear per write
+	// under the active config, computed once per New/SetConfig instead of
+	// once per issued write.
+	classes [numClasses]writeClassCost
 
 	st Stats
 }
@@ -270,6 +296,13 @@ const (
 	numClasses
 )
 
+// writeClassCost is what issuing one write of a class costs.
+type writeClassCost struct {
+	ratio float64
+	pulse uint64  // write pulse, cycles
+	wear  float64 // line-lifetimes consumed
+}
+
 // New returns a controller for cfg with parameters p.
 func New(cfg config.Config, p Params) (*Controller, error) {
 	if err := p.Validate(); err != nil {
@@ -278,13 +311,19 @@ func New(cfg config.Config, p Params) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Controller{
-		p:      p,
-		cfg:    cfg.Canonical(),
-		banks:  make([]bankState, p.Banks),
-		tokens: make([]uint64, p.MaxConcurrentWrites),
-		ev:     make([]uint64, p.Banks),
+	rowBytes := p.RowBytes
+	if rowBytes == 0 {
+		rowBytes = 1024
 	}
+	c := &Controller{
+		p:        p,
+		banks:    make([]bankState, p.Banks),
+		tokens:   make([]uint64, p.MaxConcurrentWrites),
+		ev:       make([]uint64, p.Banks),
+		rowShift: uint(bits.TrailingZeros64(rowBytes)),
+		bankMask: uint64(p.Banks - 1),
+	}
+	c.setConfig(cfg)
 	c.refreshEvents()
 	c.nextSlice = p.WearQuotaSliceCycles
 	c.st.WearByBank = make([]float64, p.Banks)
@@ -310,11 +349,26 @@ func (c *Controller) SetConfig(cfg config.Config) error {
 	// The class counters are relative to the outgoing ratios.
 	c.foldWrites(c.st.WritesByRatio)
 	c.writesByClass = [numClasses]uint64{}
-	c.cfg = cfg.Canonical()
+	c.setConfig(cfg)
 	if !c.cfg.WearQuota {
 		c.forced = false
 	}
 	return nil
+}
+
+// setConfig installs a validated cfg and its per-class write costs.
+func (c *Controller) setConfig(cfg config.Config) {
+	c.cfg = cfg.Canonical()
+	for class := range c.classes {
+		ratio := c.classRatio(class)
+		c.classes[class] = writeClassCost{ratio: ratio, pulse: c.twp(ratio), wear: c.wearPerWrite(ratio)}
+	}
+}
+
+// EagerPolicy returns whether eager mellow writes are on and their
+// threshold, without copying the whole Config on the per-access path.
+func (c *Controller) EagerPolicy() (on bool, threshold int) {
+	return c.cfg.EagerWritebacks, c.cfg.EagerThreshold
 }
 
 // EagerSpace reports whether the eager queue can accept another entry.
@@ -366,13 +420,9 @@ func (c *Controller) EagerQueueLen() int { return c.eagerQLen }
 
 // rowOf returns the global row index of an address (rows are the
 // interleaving unit: the 16 lines of one 1 KB row live in one bank, so
-// open-page locality works).
+// open-page locality works). RowBytes 0 maps rows of 1 KB.
 func (c *Controller) rowOf(addr uint64) uint64 {
-	rb := c.p.RowBytes
-	if rb == 0 {
-		rb = 1024
-	}
-	return addr / rb
+	return addr >> c.rowShift
 }
 
 // bankOf maps an address to a bank with an XOR-folded hash of its row
@@ -383,7 +433,7 @@ func (c *Controller) rowOf(addr uint64) uint64 {
 func (c *Controller) bankOf(addr uint64) int {
 	row := c.rowOf(addr)
 	h := row ^ (row >> 4) ^ (row >> 8) ^ (row >> 12) ^ (row >> 16)
-	return int(h % uint64(c.p.Banks)) //mctlint:ignore cyclecast remainder is bounded by the bank count
+	return int(h & c.bankMask) //mctlint:ignore cyclecast masked to the bank count
 }
 
 // wearPerWrite returns the line-lifetime fraction consumed by one write at
@@ -458,16 +508,16 @@ func (c *Controller) updateWearQuota(atCycles uint64) {
 
 // advanceBanks issues every write due by t, visiting banks in index order
 // as a sweep over all banks would, but calling advanceBank only on banks
-// whose event bound has passed. A bank with ev[b] > t has nothing it could
-// issue, so skipping it leaves the issue order, bus and power-token timing
-// unchanged; the only trace of the skipped visit is an uncleared op marker,
-// which swept masks.
+// with writes queued (pend) whose event bound has passed. A bank with empty
+// queues or with ev[b] > t has nothing it could issue, so skipping it
+// leaves the issue order, bus and power-token timing unchanged; the only
+// trace of the skipped visit is an uncleared op marker, which swept masks.
 //
 // The exception is a demand-queue pop that empties the queue while eager
 // writes wait: the sweep issues eager writes on every later bank, whose
 // bounds were computed without their eager queues, so from that bank on
-// every bank is visited, and afterwards every bound is recomputed (earlier
-// banks' eager writes become due at the next Advance).
+// every pending bank is visited, and afterwards every bound is recomputed
+// (earlier banks' eager writes become due at the next Advance).
 func (c *Controller) advanceBanks(t uint64) {
 	if c.writeQLen == 0 && c.eagerQLen == 0 {
 		return
@@ -478,7 +528,11 @@ func (c *Controller) advanceBanks(t uint64) {
 	}
 	locked := c.writeQLen > 0
 	next := uint64(math.MaxUint64)
-	for b, e := range c.ev {
+	// The walk reads a copy of pend: advanceBank only pops, so banks
+	// leave the mask during the walk and none join it.
+	for m := c.pend; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		e := c.ev[b]
 		if e <= t || c.eagerUnlocked(locked) {
 			c.advanceBank(b, t)
 			e = c.bankEvent(b)
@@ -503,9 +557,13 @@ func (c *Controller) eagerUnlocked(locked bool) bool {
 
 // bankEvent returns the earliest time bank b can issue, given its queues
 // and the current demand-queue occupancy (MaxUint64 if it has nothing it
-// may issue).
+// may issue). A bank whose queues are both empty leaves pend.
 func (c *Controller) bankEvent(b int) uint64 {
 	bank := &c.banks[b]
+	if len(bank.writes) == 0 && len(bank.eager) == 0 {
+		c.pend &^= 1 << uint(b)
+		return math.MaxUint64
+	}
 	e := uint64(math.MaxUint64)
 	if len(bank.writes) > 0 {
 		e = max64(bank.freeAt, bank.writes[0].enq)
@@ -518,10 +576,12 @@ func (c *Controller) bankEvent(b int) uint64 {
 	return e
 }
 
-// refreshEvents recomputes every bank's bound and the horizon exactly.
+// refreshEvents recomputes every pending bank's bound and the horizon
+// exactly. Banks outside pend have nothing queued; their ev is not read.
 func (c *Controller) refreshEvents() {
 	c.nextEvent = math.MaxUint64
-	for b := range c.ev {
+	for m := c.pend; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
 		c.ev[b] = c.bankEvent(b)
 		if c.ev[b] < c.nextEvent {
 			c.nextEvent = c.ev[b]
@@ -606,22 +666,22 @@ func (c *Controller) advanceBank(b int, t uint64) {
 func (c *Controller) issueWrite(b int, req writeReq, isEager bool) {
 	bank := &c.banks[b]
 	class, cancellable := c.writeClass(b, req, isEager)
-	ratio := c.classRatio(class)
+	cost := &c.classes[class]
+	ratio, pulse := cost.ratio, cost.pulse
 
 	issueAt := max64(bank.freeAt, req.enq)
 	busStart := max64(issueAt, c.busFreeAt)
 	c.busFreeAt = busStart + c.p.TBurst
-	// The write pulse needs a free power token; long (slow) pulses hold
-	// tokens longer, so mellow writes consume more of the write-power
-	// budget.
-	tok := 0
+	// The write pulse needs a free power token (the first one to free
+	// up); long (slow) pulses hold tokens longer, so mellow writes consume
+	// more of the write-power budget.
+	tok, tokFree := 0, c.tokens[0]
 	for i, free := range c.tokens {
-		if free < c.tokens[tok] {
-			tok = i
+		if free < tokFree {
+			tok, tokFree = i, free
 		}
 	}
-	pulseStart := max64(busStart+c.p.TBurst, c.tokens[tok])
-	pulse := c.twp(ratio)
+	pulseStart := max64(busStart+c.p.TBurst, tokFree)
 	done := pulseStart + pulse
 	c.tokens[tok] = done
 	bank.freeAt = done
@@ -632,7 +692,7 @@ func (c *Controller) issueWrite(b int, req writeReq, isEager bool) {
 	// attempt costs a full write of wear (the "extra writes" lifetime
 	// penalty of cancellation, §2) and its rewrite is charged again on
 	// reissue.
-	wear := c.wearPerWrite(ratio)
+	wear := cost.wear
 	c.st.WearByBank[b] += wear
 	c.st.TotalWear += wear
 	c.writesByClass[class]++
@@ -696,6 +756,7 @@ func (c *Controller) Read(addr uint64, now uint64) uint64 {
 		bank.writes = append(bank.writes, writeReq{})
 		copy(bank.writes[1:], bank.writes)
 		bank.writes[0] = req
+		c.pend |= 1 << uint(b)
 		c.writeQLen++
 		c.updateDrainMode()
 		if c.writeQLen > c.st.WriteQueuePeak {
@@ -748,6 +809,7 @@ func (c *Controller) Write(addr uint64, now uint64) uint64 {
 	b := c.bankOf(addr)
 	//mctlint:ignore allochot amortized: bounded queue (WriteQueueCap) reuses its capacity across the run
 	c.banks[b].writes = append(c.banks[b].writes, writeReq{addr: addr, enq: accepted})
+	c.pend |= 1 << uint(b)
 	c.writeQLen++
 	depth := len(c.banks[b].writes)
 	if depth > 16 {
@@ -797,8 +859,22 @@ func (c *Controller) EagerWrite(addr uint64, now uint64) bool {
 		return false
 	}
 	b := c.bankOf(addr)
+	req := writeReq{addr: addr, enq: now, eager: true}
+	if bank := &c.banks[b]; bank.freeAt <= c.now && c.eagerAllowed() && len(bank.writes) == 0 && len(bank.eager) == 0 {
+		// An idle bank with nothing queued and no demand write waiting:
+		// issue at once, as enqueueing and kicking the bank would, without
+		// touching the queue, pend or any bound (no demand queue changes,
+		// so nothing unlocks). A write offered behind the clock may end
+		// its pulse by c.now; the kick's next loop turn cleared that op.
+		c.issueWrite(b, req, true)
+		if bank.freeAt <= c.now {
+			bank.opValid = false
+		}
+		return true
+	}
 	//mctlint:ignore allochot amortized: bounded queue (EagerQueueCap) reuses its capacity across the run
-	c.banks[b].eager = append(c.banks[b].eager, writeReq{addr: addr, enq: now, eager: true})
+	c.banks[b].eager = append(c.banks[b].eager, req)
+	c.pend |= 1 << uint(b)
 	c.eagerQLen++
 	c.kickBank(b)
 	return true

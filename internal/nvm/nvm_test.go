@@ -52,6 +52,32 @@ func TestParamsValidate(t *testing.T) {
 	}
 }
 
+// TestParamsValidateGeometry: bankOf and rowOf shift and mask, so the
+// bank count must be a power of two no larger than the 64-bit pending-bank
+// mask and the row size 0 or a power of two.
+func TestParamsValidateGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		banks    int
+		rowBytes uint64
+		ok       bool
+	}{
+		{1, 1024, true},
+		{16, 1024, true},
+		{32, 1024, true},
+		{64, 1024, true},
+		{16, 0, true},
+		{12, 1024, false},
+		{128, 1024, false},
+		{16, 1000, false},
+	} {
+		p := DefaultParams()
+		p.Banks, p.RowBytes = tc.banks, tc.rowBytes
+		if err := p.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%d banks, %d-byte rows: Validate() = %v, want ok=%v", tc.banks, tc.rowBytes, err, tc.ok)
+		}
+	}
+}
+
 func TestNewRejectsInvalidConfig(t *testing.T) {
 	if _, err := New(config.Config{FastLatency: 9}, DefaultParams()); err == nil {
 		t.Fatal("invalid config must be rejected")
@@ -443,13 +469,16 @@ func TestRandomTrafficInvariants(t *testing.T) {
 	checkDifferential(t, trafficMixes[0], 1500, 25)
 }
 
-// checkInvariants checks a drained controller: queues empty, wear
-// non-negative and conserved (TotalWear = Σ WearByBank), every issued
-// write in the ratio histogram, and a positive lifetime.
+// checkInvariants checks a drained controller: queues empty and no bank
+// pending, wear non-negative and conserved (TotalWear = Σ WearByBank),
+// every issued write in the ratio histogram, and a positive lifetime.
 func checkInvariants(c *Controller) error {
 	st := c.Stats()
 	if c.WriteQueueLen() != 0 || c.EagerQueueLen() != 0 {
 		return fmt.Errorf("drain left %d demand + %d eager writes", c.WriteQueueLen(), c.EagerQueueLen())
+	}
+	if c.pend != 0 {
+		return fmt.Errorf("drained controller still marks banks %#x pending", c.pend)
 	}
 	var sum float64
 	for _, w := range st.WearByBank {

@@ -5,11 +5,14 @@
 // write bumps the WritesByRatio map directly.
 //
 // refController embeds a production Controller for its state and for the
-// pure helpers (geometry, timing, drain watermarks, wear quota); only the
-// methods that decide when and what a bank issues are re-implemented here.
-// The embedded horizon fields (ev, nextEvent, swept) and the per-class
-// write counters are never touched by these methods, so the production
-// Snapshot applied to the reference state yields the pre-horizon bytes.
+// pure helpers (drain watermarks, wear quota, pulse progress); the methods
+// that decide when and what a bank issues are re-implemented here, and so
+// are the address mapping (division, not shift and mask) and the per-issue
+// pulse and wear arithmetic, so a fault in the production helpers cannot
+// hide in both controllers at once. The embedded horizon fields (pend, ev,
+// nextEvent, swept), the per-class write counters and the class cost table
+// are never touched by these methods, so the production Snapshot applied
+// to the reference state yields the pre-horizon bytes.
 package nvm
 
 import (
@@ -33,6 +36,28 @@ func newRef(cfg config.Config, p Params) (*refController, error) {
 		return nil, err
 	}
 	return &refController{c}, nil
+}
+
+func (c *refController) rowOf(addr uint64) uint64 {
+	rb := c.p.RowBytes
+	if rb == 0 {
+		rb = 1024
+	}
+	return addr / rb
+}
+
+func (c *refController) bankOf(addr uint64) int {
+	row := c.rowOf(addr)
+	h := row ^ (row >> 4) ^ (row >> 8) ^ (row >> 12) ^ (row >> 16)
+	return int(h % uint64(c.p.Banks)) //mctlint:ignore cyclecast remainder is bounded by the bank count
+}
+
+func (c *refController) wearPerWrite(ratio float64) float64 {
+	return 1.0 / (c.p.EnduranceBase * c.p.WearCalibration * ratio * ratio)
+}
+
+func (c *refController) twp(ratio float64) uint64 {
+	return uint64(math.Round(float64(c.p.TWP) * ratio))
 }
 
 // Stats returns a snapshot of the counters.
@@ -331,6 +356,15 @@ func bindingQuota() Params {
 	return p
 }
 
+// withBanks returns the small parameters with n banks.
+func withBanks(n int) func() Params {
+	return func() Params {
+		p := smallParams()
+		p.Banks = n
+		return p
+	}
+}
+
 var trafficMixes = []trafficMix{
 	{name: "mixed", params: smallParams, lines: 1 << 14, maxGap: 100, reads: 1, writes: 1, eagers: 1},
 	{name: "cancel-heavy", params: smallParams, lines: 48, maxGap: 12, reads: 6, writes: 3, eagers: 2},
@@ -338,6 +372,12 @@ var trafficMixes = []trafficMix{
 	{name: "eager-heavy", params: smallParams, lines: 256, maxGap: 30, reads: 2, writes: 1, eagers: 6},
 	{name: "skewed", params: tightQueues, lines: 96, maxGap: 20, reads: 4, writes: 4, eagers: 2, skew: true},
 	{name: "quota", params: bindingQuota, lines: 512, maxGap: 40, reads: 2, writes: 4, eagers: 2},
+	// Bank counts other than the default 16: one bank (every write
+	// conflicts), 32 (the multi-core machine) and 64, whose top bank is
+	// bit 63 of the pending-bank mask.
+	{name: "one-bank", params: withBanks(1), lines: 256, maxGap: 40, reads: 2, writes: 2, eagers: 2},
+	{name: "32-banks", params: withBanks(32), lines: 1 << 12, maxGap: 10, reads: 2, writes: 3, eagers: 3, skew: true},
+	{name: "64-banks", params: withBanks(64), lines: 1 << 14, maxGap: 6, reads: 1, writes: 3, eagers: 3},
 }
 
 // memCtl is the call surface shared by Controller and refController.
@@ -580,5 +620,32 @@ func TestReferenceEagerUnlock(t *testing.T) {
 				t.Fatalf("snapshots diverged\n got: %+v\nwant: %+v", a, b)
 			}
 		})
+	}
+}
+
+// TestReferenceEagerDirectIssueBehindClock: an eager write offered far
+// behind the controller's clock onto an idle bank issues at once, and its
+// pulse has already ended by the controller's time, so no cancellable op
+// is left for a later read, as when the write was queued and the bank
+// kicked.
+func TestReferenceEagerDirectIssueBehindClock(t *testing.T) {
+	cfg := config.StaticBaseline() // eager writes issue slow and cancellable
+	c := mustNew(t, cfg, smallParams())
+	r, err := newRef(cfg, smallParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []memCtl{c, r} {
+		m.Advance(1000)
+		if !m.EagerWrite(0, 100) {
+			t.Fatal("eager queue refused a write")
+		}
+		m.Read(0, 150) // behind the clock, while the pulse ran
+	}
+	if err := agree([]memCtl{c, r}, true); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.EagerWrites != 1 || st.CancelledWrites != 0 {
+		t.Fatalf("eager writes %d, cancelled %d; want 1, 0", st.EagerWrites, st.CancelledWrites)
 	}
 }

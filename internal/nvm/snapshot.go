@@ -138,7 +138,7 @@ func reqsFromState(ss []WriteReqState) []writeReq {
 // swept): which skipped banks still carry a completed op's marker depends
 // on the visit schedule, and the bytes must not.
 //
-//mctlint:ignore clonefields ev and nextEvent are derived from the queues and freeAt and recomputed by FromSnapshot
+//mctlint:ignore clonefields pend, ev and nextEvent are derived from the queues and freeAt and recomputed by FromSnapshot
 func (c *Controller) Snapshot() Snapshot {
 	banks := make([]BankSnapshot, len(c.banks))
 	for i := range c.banks {
@@ -179,7 +179,10 @@ func (c *Controller) Snapshot() Snapshot {
 }
 
 // FromSnapshot rebuilds a controller from a state captured with Snapshot.
-// The rebuilt controller continues the identical simulation.
+// The rebuilt controller continues the identical simulation. A snapshot is
+// a trust boundary (checkpoints are read back from disk), so beyond the
+// slice shapes it checks what the controller indexes or counts by: every
+// op's power token is in range, and the queue lengths match the queues.
 func FromSnapshot(s Snapshot) (*Controller, error) {
 	c, err := New(s.Config, s.Params)
 	if err != nil {
@@ -194,6 +197,7 @@ func FromSnapshot(s Snapshot) (*Controller, error) {
 	if len(s.Stats.WearByBank) != s.Params.Banks {
 		return nil, fmt.Errorf("nvm: snapshot wear vector has %d banks, params say %d", len(s.Stats.WearByBank), s.Params.Banks)
 	}
+	var writes, eager int
 	for i := range s.Banks {
 		bs := &s.Banks[i]
 		b := bankState{
@@ -204,6 +208,9 @@ func FromSnapshot(s Snapshot) (*Controller, error) {
 			rowValid: bs.RowValid,
 		}
 		if bs.Op != nil {
+			if bs.Op.Token < 0 || bs.Op.Token >= s.Params.MaxConcurrentWrites {
+				return nil, fmt.Errorf("nvm: snapshot bank %d holds power token %d, params have %d", i, bs.Op.Token, s.Params.MaxConcurrentWrites)
+			}
 			b.op = inflight{
 				req:         reqFromState(bs.Op.Req),
 				pulseStart:  bs.Op.PulseStart,
@@ -215,6 +222,14 @@ func FromSnapshot(s Snapshot) (*Controller, error) {
 			b.opValid = true
 		}
 		c.banks[i] = b
+		writes += len(b.writes)
+		eager += len(b.eager)
+		if len(b.writes) > 0 || len(b.eager) > 0 {
+			c.pend |= 1 << uint(i)
+		}
+	}
+	if s.WriteQLen != writes || s.EagerQLen != eager {
+		return nil, fmt.Errorf("nvm: snapshot queue lengths %d/%d, queues hold %d/%d", s.WriteQLen, s.EagerQLen, writes, eager)
 	}
 	copy(c.tokens, s.Tokens)
 	c.busFreeAt = s.BusFreeAt
@@ -229,7 +244,8 @@ func FromSnapshot(s Snapshot) (*Controller, error) {
 		c.st.WritesByRatio = make(map[float64]uint64)
 	}
 	// Every emitted op is still observable, so a restored controller needs
-	// no sweep history (swept = 0); the horizon is rebuilt from the queues.
+	// no sweep history (swept = 0); pend and the horizon are rebuilt from
+	// the queues.
 	c.refreshEvents()
 	return c, nil
 }

@@ -142,6 +142,51 @@ func TestFromSnapshotValidates(t *testing.T) {
 	}
 }
 
+// TestFromSnapshotRejectsBadTokenAndQueueLengths keeps two inputs that
+// passed the shape checks: an op holding a power token outside the token
+// array, which made Read's cancel path index out of range, and a demand
+// queue length over empty queues, which sent Write through
+// drainUntilSpace's bail-out for an impossible state.
+func TestFromSnapshotRejectsBadTokenAndQueueLengths(t *testing.T) {
+	c := mustNew(t, config.Default(), smallParams())
+	b := c.bankOf(0)
+	// withOp puts a cancellable write pulse holding token tok on line 0's
+	// bank, busy until 1000.
+	withOp := func(s *Snapshot, tok int) {
+		s.Banks[b].Op = &InflightState{Req: WriteReqState{Enq: 10}, PulseStart: 18, Done: 1000, Ratio: 1, Cancellable: true, Token: tok}
+		s.Banks[b].FreeAt = 1000
+	}
+	for _, tc := range []struct {
+		name string
+		mut  func(*Snapshot)
+	}{
+		{"token 99", func(s *Snapshot) { withOp(s, 99) }},
+		{"token -1", func(s *Snapshot) { withOp(s, -1) }},
+		{"WriteQLen 64 over empty queues", func(s *Snapshot) { s.WriteQLen = 64 }},
+		{"EagerQLen 3 over empty queues", func(s *Snapshot) { s.EagerQLen = 3 }},
+		{"WriteQLen short of the queued writes", func(s *Snapshot) {
+			s.Banks[1].Writes = []WriteReqState{{Addr: 1024, Enq: 5}}
+		}},
+	} {
+		s := c.Snapshot()
+		tc.mut(&s)
+		if _, err := FromSnapshot(s); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	// The same op with the last valid token restores, and a read cancels it.
+	s := c.Snapshot()
+	withOp(&s, smallParams().MaxConcurrentWrites-1)
+	r, err := FromSnapshot(s)
+	if err != nil {
+		t.Fatalf("valid op rejected: %v", err)
+	}
+	r.Read(0, 20)
+	if r.Stats().CancelledWrites != 1 || r.WriteQueueLen() != 1 {
+		t.Fatalf("restored op not cancelled: %+v", r.Stats())
+	}
+}
+
 // TestStatsCloneIsDeep: mutating a cloned Stats' slice/map never shows up
 // in the original.
 func TestStatsCloneIsDeep(t *testing.T) {

@@ -182,9 +182,8 @@ func (m *MultiMachine) stepCore() {
 		m.cpuCycles[core] += latCPU * o.ReadStallFactor
 	}
 
-	cfg := m.ctrl.Config()
-	if cfg.EagerWritebacks && m.mem.EagerSpace() {
-		useless := m.llc.UselessPositions(cfg.EagerThreshold)
+	if eager, threshold := m.ctrl.EagerPolicy(); eager && m.mem.EagerSpace() {
+		useless := m.llc.UselessPositions(threshold)
 		if useless > 0 {
 			if addr, ok := m.llc.NextEagerVictim(useless, o.EagerScanSets); ok {
 				m.mem.EagerWrite(addr, uint64(m.cpuCycles[core]/o.CPUCyclesPerMemCycle))

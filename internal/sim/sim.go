@@ -357,9 +357,8 @@ func (m *Machine) step(a trace.Access) {
 
 	// Eager mellow writes: harvest at most one dirty victim per access
 	// when the technique is on and the hierarchy has room (§3.1).
-	cfg := m.ctrl.Config()
-	if cfg.EagerWritebacks && m.mem.EagerSpace() {
-		useless := m.llc.UselessPositions(cfg.EagerThreshold)
+	if eager, threshold := m.ctrl.EagerPolicy(); eager && m.mem.EagerSpace() {
+		useless := m.llc.UselessPositions(threshold)
 		if useless > 0 {
 			if addr, ok := m.llc.NextEagerVictim(useless, o.EagerScanSets); ok {
 				m.mem.EagerWrite(addr, m.memNow())

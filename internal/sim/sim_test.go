@@ -40,6 +40,9 @@ func TestOptionsValidate(t *testing.T) {
 		func(o *Options) { o.ReadStallFactor = 2 },
 		func(o *Options) { o.StoreStallFactor = -1 },
 		func(o *Options) { o.Params.Banks = 0 },
+		func(o *Options) { o.Params.Banks = 12 },      // not a power of two
+		func(o *Options) { o.Params.Banks = 128 },     // over the 64-bank mask width
+		func(o *Options) { o.Params.RowBytes = 1000 }, // not a power of two
 		func(o *Options) { o.Energy.NVMReadEnergy = -1 },
 	}
 	for i, mut := range bad {
