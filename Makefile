@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race bench-smoke metrics-check serve-smoke verify
+.PHONY: all build vet lint test race perfbench-test bench-smoke metrics-check serve-smoke verify
 
 all: verify
 
@@ -26,6 +26,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The benchmark module's own tests, which ./... skips (underscore
+# directory): the golden sweep and MCT digests, mix1 included, and the
+# layer-split guards, the multi-core one among them.
+perfbench-test:
+	cd _perfbench && $(GO) test -count=1 ./...
 
 # Quick end-to-end check that the mctbench binary still runs an experiment
 # and that the warm-clone evaluation micro-benchmark still compiles and runs:
@@ -65,4 +71,4 @@ metrics-check:
 serve-smoke:
 	./scripts/serve_smoke.sh
 
-verify: build vet lint test race bench-smoke serve-smoke
+verify: build vet lint test race perfbench-test bench-smoke serve-smoke

@@ -204,7 +204,8 @@ type Result struct {
 
 // System is the machine abstraction MCT controls: windowed execution plus
 // online reconfiguration. *sim.Machine satisfies it directly; use
-// MultiSystem for *sim.MultiMachine.
+// MultiSystem for *sim.MultiMachine, which its embedded Machine would let
+// through without the CPUCycles rescale.
 type System interface {
 	RunInstructions(n uint64) sim.Metrics
 	SetConfig(cfg config.Config) error
@@ -228,8 +229,7 @@ type MultiSystem struct {
 // (instead of silently switching to a throughput-over-wallclock metric,
 // which is ~Cores× larger and not comparable to single-run geomeans).
 func (a MultiSystem) RunInstructions(n uint64) sim.Metrics {
-	mm := a.MM.RunInstructions(n)
-	m := mm.Metrics
+	m := a.MM.RunInstructions(n)
 	if m.IPC > 0 {
 		m.CPUCycles = float64(m.Instructions) / m.IPC
 	}

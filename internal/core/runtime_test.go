@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"mct/internal/config"
@@ -188,6 +189,13 @@ func TestPhaseDetectionTriggersRelearning(t *testing.T) {
 	}
 }
 
+// TestMultiSystemAdapter pins the adapter's contract: the window is the
+// machine's own, with IPC the per-core geomean and CPUCycles rescaled so
+// Instructions/CPUCycles reproduces it. The adapter exists because
+// *sim.MultiMachine is its own type; neither of these compiles:
+//
+//	mct.NewRuntime(ctx, mm, obj)  // wants *sim.Machine
+//	sim.SaveCheckpoint(path, mm)  // wants *sim.Machine
 func TestMultiSystemAdapter(t *testing.T) {
 	specs, err := trace.MixByName("mix1")
 	if err != nil {
@@ -202,9 +210,20 @@ func TestMultiSystemAdapter(t *testing.T) {
 		t.Fatal("adapter options wrong")
 	}
 	sys.Warmup(50_000)
+	raw := mm.Clone().RunInstructions(100_000)
 	w := sys.RunInstructions(100_000)
 	if w.Instructions == 0 || w.IPC <= 0 {
 		t.Fatalf("adapter run produced %+v", w)
+	}
+	if w.IPC != raw.IPC {
+		t.Fatalf("adapter IPC %v, raw per-core geomean %v", w.IPC, raw.IPC)
+	}
+	if want := float64(w.Instructions) / w.IPC; w.CPUCycles != want {
+		t.Fatalf("adapter CPUCycles %v, want Instructions/IPC = %v", w.CPUCycles, want)
+	}
+	raw.CPUCycles = w.CPUCycles
+	if !reflect.DeepEqual(w, raw) {
+		t.Fatalf("adapter changed more than CPUCycles\nadapter: %+v\nraw:     %+v", w, raw)
 	}
 	if err := sys.SetConfig(config.Default()); err != nil {
 		t.Fatal(err)

@@ -53,7 +53,7 @@ func BenchmarkBatchedStepLoop(b *testing.B) {
 		if rem := b.N - done; k > rem {
 			k = rem
 		}
-		m.gen.Fill(buf[:k])
+		m.cores[0].gen.Fill(buf[:k])
 		m.StepBatch(buf[:k])
 		done += k
 	}
@@ -63,7 +63,9 @@ func BenchmarkBatchedStepLoop(b *testing.B) {
 // allocate nothing at all — not amortized-little, zero. The reusable batch
 // buffer is filled in place and every queue has reached its amortized
 // capacity, so any allocation here is a regression in the streaming hot
-// path (the per-access cost that multi-billion-access runs multiply).
+// path (the per-access cost that multi-billion-access runs multiply). The
+// 4-core mix1 machine's per-access scheduler loop must allocate nothing
+// either.
 func TestBatchedStepLoopZeroAllocs(t *testing.T) {
 	spec, err := trace.ByName("lbm")
 	if err != nil {
@@ -76,11 +78,27 @@ func TestBatchedStepLoopZeroAllocs(t *testing.T) {
 	m.RunAccesses(100_000)
 	buf := m.batchBuf()
 	avg := testing.AllocsPerRun(10, func() {
-		m.gen.Fill(buf)
+		m.cores[0].gen.Fill(buf)
 		m.StepBatch(buf)
 	})
 	if avg != 0 {
 		t.Errorf("steady-state batched step loop allocates %.2f objects per %d-access batch, want exactly 0", avg, len(buf))
+	}
+
+	// The multi-core scheduler loop (least-advanced core steps next, one
+	// access at a time) is held to the same zero.
+	specs, err := trace.MixByName("mix1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mm, err := NewMultiMachine(specs, config.StaticBaseline(), DefaultMultiOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mm.runOwn(400_000)
+	avg = testing.AllocsPerRun(10, func() { mm.runOwn(StepBatchSize) })
+	if avg != 0 {
+		t.Errorf("steady-state 4-core step loop allocates %.2f objects per %d accesses, want exactly 0", avg, StepBatchSize)
 	}
 }
 
@@ -108,7 +126,7 @@ func BenchmarkTieredBatchedStepLoop(b *testing.B) {
 		if rem := b.N - done; k > rem {
 			k = rem
 		}
-		m.gen.Fill(buf[:k])
+		m.cores[0].gen.Fill(buf[:k])
 		m.StepBatch(buf[:k])
 		done += k
 	}
@@ -136,7 +154,7 @@ func TestTieredBatchedStepLoopZeroAllocs(t *testing.T) {
 	}
 	buf := m.batchBuf()
 	avg := testing.AllocsPerRun(10, func() {
-		m.gen.Fill(buf)
+		m.cores[0].gen.Fill(buf)
 		m.StepBatch(buf)
 	})
 	if avg != 0 {

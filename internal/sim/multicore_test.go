@@ -21,24 +21,40 @@ func mustMulti(t *testing.T, mix string, cfg config.Config) *MultiMachine {
 	return mm
 }
 
+// perCoreIPC returns each core's IPC over the current window, 0 for a core
+// that ran no cycles in it.
+func perCoreIPC(m *Machine) []float64 {
+	ipcs := make([]float64, len(m.cores))
+	for i, c := range m.cores {
+		if dC := c.cpuCycles - c.winStartCycles; dC > 0 {
+			ipcs[i] = float64(c.insts-c.winStartInsts) / dC
+		}
+	}
+	return ipcs
+}
+
 func TestMultiOptions(t *testing.T) {
 	o := DefaultMultiOptions()
-	if o.Cores != 4 || o.CacheBytes != 8<<20 || o.Params.Banks != 32 {
+	if o.CacheBytes != 8<<20 || o.Params.Banks != 32 {
 		t.Fatalf("multi options wrong: %+v", o)
 	}
 	if err := o.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	o.Cores = 0
-	if err := o.Validate(); err == nil {
+	if _, err := NewMultiMachine(nil, config.Default(), o); err == nil {
 		t.Fatal("zero cores must fail")
 	}
 }
 
+// TestMultiMachineSpecCount: the core count is the spec count.
 func TestMultiMachineSpecCount(t *testing.T) {
 	specs, _ := trace.MixByName("mix1")
-	if _, err := NewMultiMachine(specs[:2], config.Default(), DefaultMultiOptions()); err == nil {
-		t.Fatal("spec/core mismatch must fail")
+	mm, err := NewMultiMachine(specs[:2], config.Default(), DefaultMultiOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mm.Cores() != 2 {
+		t.Fatalf("%d cores from 2 specs", mm.Cores())
 	}
 }
 
@@ -46,22 +62,23 @@ func TestMultiRunBasics(t *testing.T) {
 	mm := mustMulti(t, "mix1", config.StaticBaseline())
 	mm.Warmup(240_000)
 	w := mm.RunInstructions(400_000)
-	if len(w.PerCoreIPC) != 4 {
-		t.Fatalf("per-core IPCs: %v", w.PerCoreIPC)
+	ipcs := perCoreIPC(mm.Machine)
+	if len(ipcs) != 4 {
+		t.Fatalf("per-core IPCs: %v", ipcs)
 	}
-	for i, ipc := range w.PerCoreIPC {
+	for i, ipc := range ipcs {
 		if ipc <= 0 {
 			t.Fatalf("core %d IPC = %v", i, ipc)
 		}
 	}
-	if got := stats.GeoMean(w.PerCoreIPC); got != w.IPC {
+	if got := stats.GeoMean(ipcs); got != w.IPC {
 		t.Fatalf("IPC %v != geomean %v", w.IPC, got)
 	}
 	if w.Instructions < 400_000 {
 		t.Fatalf("total insts %d < target", w.Instructions)
 	}
 	if w.MemWrites == 0 || w.LifetimeYears >= 1000 {
-		t.Fatalf("shared memory saw no writes: %+v", w.Metrics.Vector())
+		t.Fatalf("shared memory saw no writes: %+v", w.Vector())
 	}
 }
 
@@ -85,7 +102,7 @@ func TestMultiCoresShareMemoryPressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	mm.Warmup(240_000)
-	shared := mm.RunInstructions(800_000)
+	mm.RunInstructions(800_000)
 
 	solo, err := NewMachine(specs[0], config.Default(), DefaultOptions())
 	if err != nil {
@@ -93,9 +110,9 @@ func TestMultiCoresShareMemoryPressure(t *testing.T) {
 	}
 	solo.Warmup(60_000)
 	alone := solo.RunInstructions(200_000)
-	if shared.PerCoreIPC[0] >= alone.IPC {
+	if ipc0 := perCoreIPC(mm.Machine)[0]; ipc0 >= alone.IPC {
 		t.Fatalf("co-running %s should cost IPC: %v shared vs %v alone",
-			specs[0].Name, shared.PerCoreIPC[0], alone.IPC)
+			specs[0].Name, ipc0, alone.IPC)
 	}
 }
 

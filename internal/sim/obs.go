@@ -111,35 +111,3 @@ func (m *Machine) SyncObserver() {
 		m.obsv.publish(m.llc.Stats(), m.ctrl.Stats(), m.dramStats(), false)
 	}
 }
-
-// AttachObserver wires r into the multi-core machine (shared LLC,
-// optional shared DRAM tier and controller; one metric family). Semantics
-// match Machine.AttachObserver.
-func (m *MultiMachine) AttachObserver(r *obs.Registry) {
-	if r == nil {
-		m.obsv = nil
-		return
-	}
-	o := newMachineObs(r, m.llc.Ways(), m.ctrl.WearBudget(), m.dram != nil)
-	o.co.Rebase(m.llc.Stats())
-	o.no.Rebase(m.ctrl.Stats())
-	if o.do != nil {
-		o.do.Rebase(m.dram.Stats())
-	}
-	m.obsv = o
-}
-
-// Observer returns the attached registry, or nil.
-func (m *MultiMachine) Observer() *obs.Registry {
-	if m.obsv == nil {
-		return nil
-	}
-	return m.obsv.reg
-}
-
-// SyncObserver publishes pending stats without ending the window.
-func (m *MultiMachine) SyncObserver() {
-	if m.obsv != nil {
-		m.obsv.publish(m.llc.Stats(), m.ctrl.Stats(), m.dramStats(), false)
-	}
-}

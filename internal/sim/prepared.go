@@ -117,8 +117,12 @@ func (p *Prepared) Checkpoint(path string) error {
 // measuring measure accesses per evaluation. The machine's generator must
 // sit exactly at the measurement cut (where Prepare leaves it); warmup ≤ 0
 // records DefaultWarmupAccesses, which only matters to EvaluateCold's
-// replay. The machine is adopted: the caller must not touch it afterwards.
+// replay. The machine must be single-core, and is adopted: the caller must
+// not touch it afterwards.
 func PreparedFromMachine(m *Machine, warmup, measure int) (*Prepared, error) {
+	if len(m.cores) > 1 {
+		return nil, fmt.Errorf("sim: prepared workloads are single-core; machine has %d cores", len(m.cores))
+	}
 	if measure <= 0 {
 		return nil, fmt.Errorf("sim: non-positive measurement length %d", measure)
 	}
@@ -126,7 +130,7 @@ func PreparedFromMachine(m *Machine, warmup, measure int) (*Prepared, error) {
 		warmup = DefaultWarmupAccesses
 	}
 	return &Prepared{
-		Spec:     m.gen.Spec(),
+		Spec:     m.cores[0].gen.Spec(),
 		opt:      m.opt,
 		warmup:   warmup,
 		nMeasure: measure,
@@ -139,12 +143,12 @@ func PreparedFromMachine(m *Machine, warmup, measure int) (*Prepared, error) {
 // the result outright: mutating it cannot perturb evaluations or the
 // shared window.
 func (p *Prepared) Trace() []trace.Access {
-	return trace.Collect(p.warm.gen.Clone(), p.nMeasure)
+	return trace.Collect(p.warm.cores[0].gen.Clone(), p.nMeasure)
 }
 
 // materialize builds the shared window (see Prepared); it runs once.
 func (p *Prepared) materialize() {
-	g := p.warm.gen.Clone()
+	g := p.warm.cores[0].gen.Clone()
 	p.prefix = trace.Collect(g, min(p.nMeasure, windowCap))
 	if p.nMeasure > len(p.prefix) {
 		p.tail = g
@@ -165,7 +169,7 @@ func (p *Prepared) Evaluate(cfg config.Config) (Metrics, error) {
 	m.beginWindow()
 	m.StepBatch(p.prefix)
 	if p.tail != nil {
-		m.gen = p.tail.Clone()
+		m.cores[0].gen = p.tail.Clone()
 		m.runOwn(p.nMeasure - len(p.prefix))
 	}
 	m.finishRun()
@@ -194,32 +198,13 @@ func (p *Prepared) EvaluateCold(cfg config.Config) (Metrics, error) {
 	return m.windowMetrics(), nil
 }
 
-// Warmup advances the machine by n trace accesses and then resets window
-// accounting — run it once before measuring so the LLC and controller reach
-// steady state. It returns the instructions executed.
+// Warmup advances the machine by n trace accesses (across all cores) and
+// then resets window accounting — run it once before measuring so the LLC
+// and controller reach steady state. It returns the instructions executed.
 func (m *Machine) Warmup(n int) uint64 {
-	before := m.insts
+	before := m.Instructions()
 	m.runOwn(n)
 	m.settleHierarchy()
 	m.beginWindow()
-	return m.insts - before
-}
-
-// Warmup advances every core round-robin for a total of n accesses and
-// resets window accounting.
-func (m *MultiMachine) Warmup(n int) uint64 {
-	var before uint64
-	for _, v := range m.insts {
-		before += v
-	}
-	for i := 0; i < n; i++ {
-		m.stepCore()
-	}
-	m.settleHierarchy()
-	m.beginWindow()
-	var after uint64
-	for _, v := range m.insts {
-		after += v
-	}
-	return after - before
+	return m.Instructions() - before
 }

@@ -16,6 +16,7 @@ import (
 	"mct/internal/hierarchy"
 	"mct/internal/nvm"
 	"mct/internal/rng"
+	"mct/internal/stats"
 	"mct/internal/trace"
 )
 
@@ -175,13 +176,17 @@ type Metrics struct {
 // §4.1.2.
 func (m Metrics) Vector() [3]float64 { return [3]float64{m.IPC, m.LifetimeYears, m.EnergyJ} }
 
-// Machine is a persistent simulated system executing one workload. It
-// supports online reconfiguration (SetConfig) and windowed execution, which
-// is what the MCT runtime drives during sampling and testing periods.
+// Machine is a persistent simulated system. It supports online
+// reconfiguration (SetConfig) and windowed execution, which is what the MCT
+// runtime drives during sampling and testing periods. NewMachine builds the
+// single-program machine (one core); NewMultiMachine the multi-program one
+// (one core per program). Either way the cores share one LLC, optional DRAM
+// tier and NVM controller.
 type Machine struct {
 	opt Options
-	gen *trace.Generator
-	llc *cache.Cache
+	// cores holds each core's private state, one entry per program.
+	cores []coreState
+	llc   *cache.Cache
 	// dram is the optional DRAM cache tier (opt.Tiers.DRAMCache); nil on
 	// the stock NVM-only hierarchy.
 	dram *dram.Cache
@@ -191,15 +196,10 @@ type Machine struct {
 	// drives the hierarchy through this seam only.
 	mem hierarchy.Mem
 
-	cpuCycles float64 // CPU cycles elapsed
-	insts     uint64
-
-	// window bookkeeping
-	winStartCycles float64
-	winStartInsts  uint64
-	winStartStats  nvm.Stats
-	winStartCache  cache.Stats
-	winStartDRAM   dram.Stats
+	// window bookkeeping of the shared tiers (the cores keep their own)
+	winStartStats nvm.Stats
+	winStartCache cache.Stats
+	winStartDRAM  dram.Stats
 
 	// obsv is the optional observer (AttachObserver); nil means no
 	// instrumentation and zero overhead.
@@ -212,6 +212,17 @@ type Machine struct {
 	// state: absent from MachineState, and its contents are meaningless
 	// between runs.
 	batch []trace.Access
+}
+
+// coreState is one core's private state: its program's trace generator,
+// its clock and committed instructions, and both at the start of the
+// current measurement window.
+type coreState struct {
+	gen            *trace.Generator
+	cpuCycles      float64 // CPU cycles elapsed
+	insts          uint64
+	winStartCycles float64
+	winStartInsts  uint64
 }
 
 // StepBatchSize is the batch granularity of the streaming run loops: large
@@ -229,8 +240,14 @@ func (m *Machine) batchBuf() []trace.Access {
 	return m.batch
 }
 
-// NewMachine builds a machine running spec under cfg.
+// NewMachine builds a single-core machine running spec under cfg.
 func NewMachine(spec trace.Spec, cfg config.Config, opt Options) (*Machine, error) {
+	return newMachine(cfg, opt, []*trace.Generator{trace.NewGenerator(spec, rng.NewRand(opt.Seed))})
+}
+
+// newMachine builds a machine with one core per generator over a fresh
+// shared hierarchy.
+func newMachine(cfg config.Config, opt Options, gens []*trace.Generator) (*Machine, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
@@ -243,11 +260,14 @@ func NewMachine(spec trace.Spec, cfg config.Config, opt Options) (*Machine, erro
 		return nil, err
 	}
 	m := &Machine{
-		opt:  opt,
-		gen:  trace.NewGenerator(spec, rng.NewRand(opt.Seed)),
-		llc:  llc,
-		ctrl: ctrl,
-		mem:  ctrl,
+		opt:   opt,
+		cores: make([]coreState, len(gens)),
+		llc:   llc,
+		ctrl:  ctrl,
+		mem:   ctrl,
+	}
+	for i, g := range gens {
+		m.cores[i].gen = g
 	}
 	if opt.Tiers.DRAMCache {
 		d, err := dram.New(opt.dramParams(), ctrl)
@@ -270,11 +290,28 @@ func (m *Machine) Options() Options { return m.opt }
 // SetConfig reconfigures the NVM controller in place.
 func (m *Machine) SetConfig(cfg config.Config) error { return m.ctrl.SetConfig(cfg) }
 
-// Instructions returns total committed instructions.
-func (m *Machine) Instructions() uint64 { return m.insts }
+// Cores returns the core count.
+func (m *Machine) Cores() int { return len(m.cores) }
 
-// CPUCycles returns total elapsed CPU cycles.
-func (m *Machine) CPUCycles() float64 { return m.cpuCycles }
+// Instructions returns total committed instructions, summed over cores.
+func (m *Machine) Instructions() uint64 {
+	var n uint64
+	for i := range m.cores {
+		n += m.cores[i].insts
+	}
+	return n
+}
+
+// CPUCycles returns the elapsed CPU cycles of the most advanced core.
+func (m *Machine) CPUCycles() float64 {
+	var c float64
+	for i := range m.cores {
+		if m.cores[i].cpuCycles > c {
+			c = m.cores[i].cpuCycles
+		}
+	}
+	return c
+}
 
 // Controller exposes the NVM controller (diagnostics and tests).
 func (m *Machine) Controller() *nvm.Controller { return m.ctrl }
@@ -312,46 +349,56 @@ func (m *Machine) dramStats() dram.Stats {
 }
 
 func (m *Machine) beginWindow() {
-	m.winStartCycles = m.cpuCycles
-	m.winStartInsts = m.insts
+	for i := range m.cores {
+		c := &m.cores[i]
+		c.winStartCycles = c.cpuCycles
+		c.winStartInsts = c.insts
+	}
 	m.winStartStats = m.ctrl.Stats()
 	m.winStartCache = m.llc.Stats()
 	m.winStartDRAM = m.dramStats()
 }
 
-func (m *Machine) memNow() uint64 {
-	return uint64(m.cpuCycles / m.opt.CPUCyclesPerMemCycle)
+// memCycle converts a CPU clock to the memory controller's clock.
+func (m *Machine) memCycle(cpuCycles float64) uint64 {
+	return uint64(cpuCycles / m.opt.CPUCyclesPerMemCycle)
 }
 
-// step executes one trace access. It is the simulator's inner loop: the
-// hotpath directive below makes every function it reaches subject to the
-// allochot allocation audit.
+// step executes one trace access on core c. It is the simulator's inner
+// loop: the hotpath directive below makes every function it reaches
+// subject to the allochot allocation audit.
 //
 //mctlint:hotpath
-func (m *Machine) step(a trace.Access) {
+func (m *Machine) step(c *coreState, a trace.Access) {
 	o := &m.opt
-	m.cpuCycles += float64(a.InstGap) * o.BaseCPI
-	m.insts += uint64(a.InstGap)
+	c.cpuCycles += float64(a.InstGap) * o.BaseCPI
+	c.insts += uint64(a.InstGap)
 
 	res := m.llc.Access(a.Addr, a.Write)
 	if res.Hit {
-		m.cpuCycles += o.LLCHitCycles
+		c.cpuCycles += o.LLCHitCycles
+		// Multi-core machines harvest eager victims only after an LLC
+		// miss, unlike §3.1. The mix1 golden digests pin this; dropping
+		// it is a deliberate re-pin (ROADMAP).
+		if len(m.cores) > 1 {
+			return
+		}
 	} else {
-		now := m.memNow()
+		now := m.memCycle(c.cpuCycles)
 		if res.Writeback {
 			accepted := m.mem.Write(res.WritebackAddr, now)
 			if accepted > now {
 				// Write-queue backpressure fully stalls the core.
-				m.cpuCycles += float64(accepted-now) * o.CPUCyclesPerMemCycle
+				c.cpuCycles += float64(accepted-now) * o.CPUCyclesPerMemCycle
 				now = accepted
 			}
 		}
 		done := m.mem.Read(res.FillAddr, now)
 		latCPU := float64(done-now) * o.CPUCyclesPerMemCycle
 		if a.Write {
-			m.cpuCycles += latCPU * o.StoreStallFactor
+			c.cpuCycles += latCPU * o.StoreStallFactor
 		} else {
-			m.cpuCycles += latCPU * o.ReadStallFactor
+			c.cpuCycles += latCPU * o.ReadStallFactor
 		}
 	}
 
@@ -361,35 +408,56 @@ func (m *Machine) step(a trace.Access) {
 		useless := m.llc.UselessPositions(threshold)
 		if useless > 0 {
 			if addr, ok := m.llc.NextEagerVictim(useless, o.EagerScanSets); ok {
-				m.mem.EagerWrite(addr, m.memNow())
+				m.mem.EagerWrite(addr, m.memCycle(c.cpuCycles))
 			}
 		}
 	}
 }
 
-// StepBatch executes a batch of trace accesses. It is the batched inner
-// loop of streaming simulation — together with trace.Source.Fill it forms
-// the steady-state hot path, which must stay allocation-free.
+// stepNext steps the least-advanced core (the first on a tie) by one
+// access from its own generator. Cores thus advance in near-lockstep, so
+// memory contention between programs is captured.
+func (m *Machine) stepNext() {
+	c := &m.cores[0]
+	for i := 1; i < len(m.cores); i++ {
+		if m.cores[i].cpuCycles < c.cpuCycles {
+			c = &m.cores[i]
+		}
+	}
+	m.step(c, c.gen.Next())
+}
+
+// StepBatch executes a batch of trace accesses on core 0, the only core of
+// a single-core machine. It is the batched inner loop of streaming
+// simulation — together with trace.Source.Fill it forms the steady-state
+// hot path, which must stay allocation-free.
 //
 //mctlint:hotpath
 func (m *Machine) StepBatch(batch []trace.Access) {
+	c := &m.cores[0]
 	for i := range batch {
-		m.step(batch[i])
+		m.step(c, batch[i])
 	}
 }
 
-// runOwn streams n accesses from the machine's own generator through the
-// step loop, refilling the reusable batch buffer in place. The access
-// stream is byte-identical to n individual gen.Next/step pairs (the Fill
-// batch-size-invariance contract).
+// runOwn executes n accesses from the cores' own generators. One core
+// streams them through the step loop, refilling the reusable batch buffer
+// in place; the access stream is byte-identical to n individual
+// gen.Next/step pairs (the Fill batch-size-invariance contract). Several
+// cores step one access at a time, least advanced first: a prefetched batch
+// would advance a generator past accesses its core has not run.
 func (m *Machine) runOwn(n int) {
+	if len(m.cores) > 1 {
+		for ; n > 0; n-- {
+			m.stepNext()
+		}
+		return
+	}
+	gen := m.cores[0].gen
 	buf := m.batchBuf()
 	for n > 0 {
-		k := len(buf)
-		if k > n {
-			k = n
-		}
-		m.gen.Fill(buf[:k])
+		k := min(len(buf), n)
+		gen.Fill(buf[:k])
 		m.StepBatch(buf[:k])
 		n -= k
 	}
@@ -416,7 +484,7 @@ func (m *Machine) RunAccesses(n int) Metrics {
 	return m.windowMetrics()
 }
 
-// RunSource streams src to exhaustion through the machine — in reusable
+// RunSource streams src to exhaustion through core 0 — in reusable
 // batches, so memory stays O(StepBatchSize) however long the stream — and
 // returns the metrics of that window.
 func (m *Machine) RunSource(src trace.Source) Metrics {
@@ -430,7 +498,8 @@ func (m *Machine) RunSource(src trace.Source) Metrics {
 // per-access rather than batched: the stop condition depends on each
 // access's instruction gap, and prefetching a batch would advance the
 // generator past the window boundary, perturbing where the next window
-// starts.
+// starts. On a multi-core machine n counts all cores' instructions, so
+// each core contributes in proportion to its speed.
 func (m *Machine) RunInstructions(n uint64) Metrics {
 	m.beginWindow()
 	m.StepInstructions(n)
@@ -446,9 +515,9 @@ func (m *Machine) RunInstructions(n uint64) Metrics {
 // checkpoints — window-start markers ride MachineState — this is what lets
 // a resumed run finish byte-identical to an uninterrupted one.
 func (m *Machine) StepInstructions(n uint64) {
-	target := m.insts + n
-	for m.insts < target {
-		m.step(m.gen.Next())
+	target := m.Instructions() + n
+	for m.Instructions() < target {
+		m.stepNext()
 	}
 }
 
@@ -459,32 +528,54 @@ func (m *Machine) WindowMetrics() Metrics { return m.windowMetrics() }
 // WindowInstructions returns the instructions committed in the current
 // measurement window. A resumed run uses it to compute how many
 // instructions of its target remain.
-func (m *Machine) WindowInstructions() uint64 { return m.insts - m.winStartInsts }
-
-// windowMetrics computes metrics for the current window (since the last
-// beginWindow) without ending it.
-func (m *Machine) windowMetrics() Metrics {
-	st := m.ctrl.Stats()
-	cs := m.llc.Stats()
-	ds := m.dramStats()
-	if m.obsv != nil {
-		m.obsv.publish(cs, st, ds, true)
+func (m *Machine) WindowInstructions() uint64 {
+	var n uint64
+	for i := range m.cores {
+		n += m.cores[i].insts - m.cores[i].winStartInsts
 	}
-	return m.metricsBetween(m.winStartCycles, m.winStartInsts, m.winStartStats, m.winStartCache, m.winStartDRAM, st, cs, ds)
+	return n
 }
 
-func (m *Machine) metricsBetween(c0 float64, i0 uint64, s0 nvm.Stats, llc0 cache.Stats, d0 dram.Stats, s1 nvm.Stats, llc1 cache.Stats, d1 dram.Stats) Metrics {
+// windowMetrics computes metrics for the current window (since the last
+// beginWindow) without ending it. The window's wall clock is the slowest
+// core's cycle delta.
+func (m *Machine) windowMetrics() Metrics {
 	o := &m.opt
-	dCycles := m.cpuCycles - c0
-	dInsts := m.insts - i0
-	seconds := dCycles / o.CPUCyclesPerMemCycle / o.Params.MemCyclesPerSec
+	s0, s1 := m.winStartStats, m.ctrl.Stats()
+	llc1 := m.llc.Stats()
+	d1 := m.dramStats()
+	if m.obsv != nil {
+		m.obsv.publish(llc1, s1, d1, true)
+	}
+	multi := len(m.cores) > 1
 
 	var mt Metrics
-	mt.Instructions = dInsts
-	mt.CPUCycles = dCycles
-	if dCycles > 0 {
-		mt.IPC = float64(dInsts) / dCycles
+	var active []float64 // per-core IPCs of the cores that ran (multi-core)
+	for i := range m.cores {
+		c := &m.cores[i]
+		dC := c.cpuCycles - c.winStartCycles
+		dI := c.insts - c.winStartInsts
+		// Cores that executed nothing in the window (e.g. still recovering
+		// from a long stall that overshot the window) have undefined
+		// performance here, not zero — excluding them keeps the geomean
+		// meaningful for short windows.
+		if multi && dC > 0 {
+			active = append(active, float64(dI)/dC)
+		}
+		if dC > mt.CPUCycles {
+			mt.CPUCycles = dC
+		}
+		mt.Instructions += dI
 	}
+	// Multi-core IPC is the geometric mean of per-core IPCs, the paper's
+	// multi-program measure. One core keeps insts/cycles: GeoMean of one
+	// value is exp(log x), which is not bit-exact.
+	if multi {
+		mt.IPC = stats.GeoMean(active)
+	} else if mt.CPUCycles > 0 {
+		mt.IPC = float64(mt.Instructions) / mt.CPUCycles
+	}
+	seconds := mt.CPUCycles / o.CPUCyclesPerMemCycle / o.Params.MemCyclesPerSec
 	mt.Seconds = seconds
 
 	// Lifetime from the window's per-bank wear deltas.
@@ -509,9 +600,6 @@ func (m *Machine) metricsBetween(c0 float64, i0 uint64, s0 nvm.Stats, llc0 cache
 	}
 
 	dst := diffStats(s0, s1)
-	if rh, rm := dst.RowHits, dst.RowMisses; rh+rm > 0 {
-		mt.RowHitRate = float64(rh) / float64(rh+rm)
-	}
 	mt.MemReads = dst.Reads
 	mt.MemWrites = dst.DemandWrites + dst.EagerWrites
 	mt.EagerWrites = dst.EagerWrites
@@ -521,8 +609,11 @@ func (m *Machine) metricsBetween(c0 float64, i0 uint64, s0 nvm.Stats, llc0 cache
 	mt.FastWrites = dst.FastWrites
 	mt.QueueFullStalls = dst.QueueFullStalls
 
+	// CPU static power scales with core count.
+	em := o.Energy
+	em.CPUStaticPower *= float64(len(m.cores))
 	if m.dram != nil {
-		dd := diffDRAM(d0, d1)
+		dd := diffDRAM(m.winStartDRAM, d1)
 		mt.DRAMHits = dd.Hits
 		mt.DRAMMisses = dd.Misses
 		mt.DRAMWriteHits = dd.WriteHits
@@ -530,15 +621,23 @@ func (m *Machine) metricsBetween(c0 float64, i0 uint64, s0 nvm.Stats, llc0 cache
 		mt.DRAMPromotions = dd.Promotions
 		mt.DRAMWritebacks = dd.Writebacks
 		mt.DRAMHitRate = dd.HitRate()
-		mt.Energy = o.Energy.ComputeTiered(dInsts, seconds, dst, dramReads(dd), dramWrites(dd))
+		mt.Energy = em.ComputeTiered(mt.Instructions, seconds, dst, dramReads(dd), dramWrites(dd))
 	} else {
-		mt.Energy = o.Energy.Compute(dInsts, seconds, dst)
+		mt.Energy = em.Compute(mt.Instructions, seconds, dst)
 	}
 	mt.EnergyJ = mt.Energy.Total()
 	mt.WritesByRatio = dst.WritesByRatio
 
-	hits := llc1.Hits - llc0.Hits
-	total := hits + (llc1.Misses - llc0.Misses)
+	// Multi-core windows report no LLC or row-buffer hit rate. The mix1
+	// golden digests pin this; adding them is a deliberate re-pin.
+	if multi {
+		return mt
+	}
+	if rh, rm := dst.RowHits, dst.RowMisses; rh+rm > 0 {
+		mt.RowHitRate = float64(rh) / float64(rh+rm)
+	}
+	hits := llc1.Hits - m.winStartCache.Hits
+	total := hits + (llc1.Misses - m.winStartCache.Misses)
 	if total > 0 {
 		mt.LLCHitRate = float64(hits) / float64(total)
 	}
@@ -593,11 +692,17 @@ func diffStats(s0, s1 nvm.Stats) nvm.Stats {
 
 // finishRun drains the memory hierarchy — dirty DRAM-tier lines flush to
 // NVM, then queued writes retire — so their wear and energy are charged
-// to the run, advancing the CPU clock if the drain outlasts it.
+// to the run. The drain starts at the most advanced core's clock, and
+// every core's clock catches up to the drain point.
 func (m *Machine) finishRun() {
-	final := m.mem.Drain(m.memNow())
-	if f := float64(final) * m.opt.CPUCyclesPerMemCycle; f > m.cpuCycles {
-		m.cpuCycles = f
+	end := m.CPUCycles()
+	if f := float64(m.mem.Drain(m.memCycle(end))) * m.opt.CPUCyclesPerMemCycle; f > end {
+		end = f
+	}
+	for i := range m.cores {
+		if m.cores[i].cpuCycles < end {
+			m.cores[i].cpuCycles = end
+		}
 	}
 }
 
@@ -612,27 +717,4 @@ func (m *Machine) settleHierarchy() {
 		return
 	}
 	m.finishRun()
-}
-
-// settleHierarchy is the multi-core analog: after the flush, every core's
-// clock catches up to the drain point.
-func (m *MultiMachine) settleHierarchy() {
-	if m.dram == nil {
-		return
-	}
-	var maxCycles float64
-	for _, c := range m.cpuCycles {
-		if c > maxCycles {
-			maxCycles = c
-		}
-	}
-	final := m.mem.Drain(uint64(maxCycles / m.opt.CPUCyclesPerMemCycle))
-	if f := float64(final) * m.opt.CPUCyclesPerMemCycle; f > maxCycles {
-		maxCycles = f
-	}
-	for i := range m.cpuCycles {
-		if m.cpuCycles[i] < maxCycles {
-			m.cpuCycles[i] = maxCycles
-		}
-	}
 }

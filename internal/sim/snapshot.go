@@ -35,7 +35,10 @@ func (m *Machine) Clone() *Machine {
 	// header would share the backing array, a data race under concurrent
 	// Prepared.Evaluate.
 	n.batch = nil
-	n.gen = m.gen.Clone()
+	n.cores = append([]coreState(nil), m.cores...)
+	for i := range n.cores {
+		n.cores[i].gen = m.cores[i].gen.Clone()
+	}
 	n.llc = m.llc.Clone()
 	n.ctrl = m.ctrl.Clone()
 	// Rebuild the tier chain bottom-up onto the cloned controller so the
@@ -48,33 +51,6 @@ func (m *Machine) Clone() *Machine {
 	n.winStartStats = m.winStartStats.Clone()
 	n.winStartCache = m.winStartCache.Clone()
 	n.winStartDRAM = m.winStartDRAM.Clone()
-	if m.obsv != nil {
-		n.obsv = m.obsv.clone()
-	}
-	return &n
-}
-
-// Clone returns an independent deep copy of the multi-core machine: per-core
-// generators and clocks, shared LLC and controller, window bookkeeping.
-func (m *MultiMachine) Clone() *MultiMachine {
-	n := *m
-	n.gens = make([]*trace.Generator, len(m.gens))
-	for i, g := range m.gens {
-		n.gens[i] = g.Clone()
-	}
-	n.llc = m.llc.Clone()
-	n.ctrl = m.ctrl.Clone()
-	n.mem = hierarchy.Mem(n.ctrl)
-	if m.dram != nil {
-		n.dram = m.dram.Clone(n.ctrl)
-		n.mem = n.dram
-	}
-	n.winStartDRAM = m.winStartDRAM.Clone()
-	n.cpuCycles = append([]float64(nil), m.cpuCycles...)
-	n.insts = append([]uint64(nil), m.insts...)
-	n.winStartCycles = append([]float64(nil), m.winStartCycles...)
-	n.winStartInsts = append([]uint64(nil), m.winStartInsts...)
-	n.winStartStats = m.winStartStats.Clone()
 	if m.obsv != nil {
 		n.obsv = m.obsv.clone()
 	}
@@ -112,10 +88,12 @@ type MachineState struct {
 	WinStartDRAM dram.Stats
 }
 
-// Snapshot captures the machine's complete state. Pending window deltas
-// are published first, so the captured registry accounts everything up to
-// the snapshot point and a restored machine (whose publisher baselines are
-// rebased to the restored stats) continues without gaps or double counts.
+// Snapshot captures a single-core machine's complete state (a multi-core
+// machine's core 0 alone; SaveCheckpoint rejects those). Pending window
+// deltas are published first, so the captured registry accounts everything
+// up to the snapshot point and a restored machine (whose publisher
+// baselines are rebased to the restored stats) continues without gaps or
+// double counts.
 //
 //mctlint:ignore clonefields batch is a scratch buffer, not state, and mem is derived wiring (dram or ctrl): a restored machine allocates its own buffer and rewires the seam from the restored tiers
 func (m *Machine) Snapshot() MachineState {
@@ -130,17 +108,18 @@ func (m *Machine) Snapshot() MachineState {
 		s := m.dram.Snapshot()
 		dramState = &s
 	}
+	c := &m.cores[0]
 	return MachineState{
 		Obs:            obsState,
 		DRAM:           dramState,
 		Options:        m.opt,
-		Gen:            m.gen.Snapshot(),
+		Gen:            c.gen.Snapshot(),
 		LLC:            m.llc.Snapshot(),
 		Ctrl:           m.ctrl.Snapshot(),
-		CPUCycles:      m.cpuCycles,
-		Insts:          m.insts,
-		WinStartCycles: m.winStartCycles,
-		WinStartInsts:  m.winStartInsts,
+		CPUCycles:      c.cpuCycles,
+		Insts:          c.insts,
+		WinStartCycles: c.winStartCycles,
+		WinStartInsts:  c.winStartInsts,
 		WinStartStats:  m.winStartStats.Clone(),
 		WinStartCache:  m.winStartCache.Clone(),
 		WinStartDRAM:   m.winStartDRAM.Clone(),
@@ -184,18 +163,20 @@ func RestoreMachine(st MachineState) (*Machine, error) {
 			st.WinStartCycles, st.CPUCycles, st.WinStartInsts, st.Insts)
 	}
 	m := &Machine{
-		opt:            st.Options,
-		gen:            gen,
-		llc:            llc,
-		ctrl:           ctrl,
-		mem:            ctrl,
-		cpuCycles:      st.CPUCycles,
-		insts:          st.Insts,
-		winStartCycles: st.WinStartCycles,
-		winStartInsts:  st.WinStartInsts,
-		winStartStats:  st.WinStartStats.Clone(),
-		winStartCache:  st.WinStartCache.Clone(),
-		winStartDRAM:   st.WinStartDRAM.Clone(),
+		opt: st.Options,
+		cores: []coreState{{
+			gen:            gen,
+			cpuCycles:      st.CPUCycles,
+			insts:          st.Insts,
+			winStartCycles: st.WinStartCycles,
+			winStartInsts:  st.WinStartInsts,
+		}},
+		llc:           llc,
+		ctrl:          ctrl,
+		mem:           ctrl,
+		winStartStats: st.WinStartStats.Clone(),
+		winStartCache: st.WinStartCache.Clone(),
+		winStartDRAM:  st.WinStartDRAM.Clone(),
 	}
 	if st.DRAM != nil {
 		d, err := dram.FromSnapshot(*st.DRAM, ctrl)
@@ -231,7 +212,11 @@ type checkpointEnvelope struct {
 // SaveCheckpoint writes the machine's state to path (gob, versioned). The
 // write is atomic: a temp file in the target directory is renamed over path
 // only after a complete encode, so a crash never leaves a torn checkpoint.
+// The format holds one core, so multi-core machines are rejected.
 func SaveCheckpoint(path string, m *Machine) error {
+	if len(m.cores) > 1 {
+		return fmt.Errorf("sim: checkpoints are single-core only; machine has %d cores", len(m.cores))
+	}
 	var buf bytes.Buffer
 	env := checkpointEnvelope{Magic: checkpointMagic, Version: checkpointVersion, State: m.Snapshot()}
 	if err := gob.NewEncoder(&buf).Encode(env); err != nil {

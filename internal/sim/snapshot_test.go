@@ -253,6 +253,35 @@ func TestCheckpointSaveLoad(t *testing.T) {
 	}
 }
 
+// TestCheckpointRejectsMultiCore: the checkpoint format holds one core, so
+// saving a multi-core machine — directly through its embedded Machine or
+// via a Prepared wrapping one — errors instead of silently writing core 0.
+func TestCheckpointRejectsMultiCore(t *testing.T) {
+	specs, err := trace.MixByName("mix1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mm, err := NewMultiMachine(specs, config.StaticBaseline(), DefaultMultiOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mm.Warmup(1_000)
+	path := filepath.Join(t.TempDir(), "multi.gob")
+	if err := SaveCheckpoint(path, mm.Machine); err == nil {
+		t.Error("SaveCheckpoint accepted a 4-core machine")
+	}
+	p := &Prepared{warm: mm.Machine}
+	if err := p.Checkpoint(path); err == nil {
+		t.Error("Prepared.Checkpoint accepted a 4-core machine")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("rejected checkpoint left a file behind (stat: %v)", err)
+	}
+	if _, err := PreparedFromMachine(mm.Machine, 0, 1_000); err == nil {
+		t.Error("PreparedFromMachine adopted a 4-core machine")
+	}
+}
+
 // TestPreparedWarmColdEquivalence: the warm-clone fast path and the
 // cold-rebuild reference path agree exactly for a spread of configurations
 // — the acceptance criterion of the warm-start sweep refactor.
