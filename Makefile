@@ -14,12 +14,10 @@ vet:
 
 # One full-registry pass over one whole-program load: every error-severity
 # finding fails the build (there is no baseline). The same run writes the
-# CI artifacts: the static call graph and the ranked hot-path allocation
-# worklist. Data races are left to the race detector (make race, and CI's
-# race-full job).
+# ranked hot-path allocation worklist, a CI artifact. Data races are left to
+# the race detector (make race, and CI's race-full job).
 lint:
-	$(GO) run ./cmd/mctlint -graph-json results/callgraph.json \
-		-allochot-json results/allochot.json ./...
+	$(GO) run ./cmd/mctlint -allochot-json results/allochot.json ./...
 
 test:
 	$(GO) test ./...

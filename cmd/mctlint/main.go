@@ -8,23 +8,22 @@
 //
 // Usage:
 //
-//	mctlint ./...                        # whole module
-//	mctlint ./internal/...               # one subtree
-//	mctlint ./internal/sim               # one package
-//	mctlint -rules                       # list rules (severity, scope) and exit
-//	mctlint -only detflow,lockflow ./... # run a subset of the registry
-//	mctlint -skip allochot ./...         # run everything but a subset
-//	mctlint -json ./...                  # machine-readable findings (stable order)
-//	mctlint -graph-json graph.json ./...        # export the static call graph
-//	mctlint -allochot-json allocs.json ./...    # export the hot-path allocation worklist
+//	mctlint ./...                             # whole module
+//	mctlint ./internal/...                    # one subtree
+//	mctlint ./internal/sim                    # one package
+//	mctlint -rules                            # list rules (severity, scope) and exit
+//	mctlint -only maprange,lockflow ./...     # run a subset of the registry
+//	mctlint -skip allochot ./...              # run everything but a subset
+//	mctlint -json ./...                       # machine-readable findings (stable order)
+//	mctlint -allochot-json allocs.json ./...  # export the hot-path allocation worklist
 //
 // Rules are either package-scoped (one pass per package) or
-// program-scoped: the interprocedural rules (detflow, allochot, lockflow,
-// nodeprecated) run over a whole-program view with a static call graph, so
-// a run that selects any of them loads the transitive module dependencies
-// of the requested packages too — findings are still reported only inside
-// the requested packages. Data races are the race detector's job (CI runs
-// go test -race over the whole module), not a lint rule's.
+// program-scoped: the interprocedural rules (allochot, lockflow) run over a
+// whole-program view with a static call graph, so a run that selects any
+// of them loads the transitive module dependencies of the requested
+// packages too — findings are still reported only inside the requested
+// packages. Data races are the race detector's job (CI runs go test -race
+// over the whole module), not a lint rule's.
 //
 // Severity: each rule is "error" or "warn" (see -rules). Every error
 // finding fails the run with exit 1 — there is no accepted-findings
@@ -36,11 +35,9 @@
 // rule), with module-relative forward-slash paths, so the bytes are stable
 // across runs and machines — CI archives them as a build artifact.
 //
-// -graph-json writes the program's static call graph (nodes plus
-// call/dispatch/ref edges) and -allochot-json the ranked hot-path
-// allocation worklist, both in deterministic JSON for CI artifacts. Each
-// implies the whole-program load even when no program-scoped rule is
-// selected.
+// -allochot-json writes the ranked hot-path allocation worklist in
+// deterministic JSON for a CI artifact. It implies the whole-program load
+// even when no program-scoped rule is selected.
 //
 // Suppress a finding with a trailing comment (or one on the line above):
 //
@@ -65,7 +62,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as a stable JSON array")
 	only := flag.String("only", "", "comma-separated rule names to run exclusively")
 	skip := flag.String("skip", "", "comma-separated rule names to skip")
-	graphPath := flag.String("graph-json", "", "write the static call graph as JSON to this path")
 	allocPath := flag.String("allochot-json", "", "write the ranked hot-path allocation worklist as JSON to this path")
 	flag.Parse()
 
@@ -133,22 +129,17 @@ func main() {
 			break
 		}
 	}
-	if interprocedural || *graphPath != "" || *allocPath != "" {
+	if interprocedural || *allocPath != "" {
 		prog := analysis.NewProgram(loader, pkgs)
 		if interprocedural {
 			all = append(all, analysis.RunProgramAnalyzers(prog, selected)...)
 		}
-		if *graphPath != "" {
-			if err := writeArtifact(*graphPath, func() ([]byte, error) {
-				return graphJSON(moduleDir, prog.CallGraph())
-			}); err != nil {
-				fatal(err)
-			}
-		}
 		if *allocPath != "" {
-			if err := writeArtifact(*allocPath, func() ([]byte, error) {
-				return allochotJSON(moduleDir, analysis.AllochotWorklist(prog))
-			}); err != nil {
+			out, err := allochotJSON(moduleDir, analysis.AllochotWorklist(prog))
+			if err == nil {
+				err = writeArtifact(*allocPath, out)
+			}
+			if err != nil {
 				fatal(err)
 			}
 		}
@@ -248,13 +239,9 @@ func countBySeverity(ds []jsonDiagnostic) (errs, warns int) {
 	return errs, warns
 }
 
-// writeArtifact renders and writes one JSON artifact, creating parent
-// directories as needed.
-func writeArtifact(path string, render func() ([]byte, error)) error {
-	out, err := render()
-	if err != nil {
-		return err
-	}
+// writeArtifact writes one JSON artifact, creating parent directories as
+// needed.
+func writeArtifact(path string, out []byte) error {
 	if dir := filepath.Dir(path); dir != "." {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return err

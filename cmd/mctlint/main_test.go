@@ -27,12 +27,12 @@ func TestSelectRulesDefault(t *testing.T) {
 }
 
 func TestSelectRulesOnly(t *testing.T) {
-	got, err := selectRules(analysis.Analyzers(), "detflow, lockflow", "")
+	got, err := selectRules(analysis.Analyzers(), "maprange, lockflow", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if names := ruleNames(got); len(names) != 2 || names[0] != "detflow" || names[1] != "lockflow" {
-		t.Errorf("-only detflow,lockflow selected %v", names)
+	if names := ruleNames(got); len(names) != 2 || names[0] != "maprange" || names[1] != "lockflow" {
+		t.Errorf("-only maprange,lockflow selected %v", names)
 	}
 }
 
@@ -53,23 +53,23 @@ func TestSelectRulesSkip(t *testing.T) {
 }
 
 func TestSelectRulesOnlyAndSkipCompose(t *testing.T) {
-	got, err := selectRules(analysis.Analyzers(), "detflow,allochot,lockflow", "allochot")
+	got, err := selectRules(analysis.Analyzers(), "maprange,allochot,lockflow", "allochot")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if names := ruleNames(got); len(names) != 2 || names[0] != "detflow" || names[1] != "lockflow" {
+	if names := ruleNames(got); len(names) != 2 || names[0] != "maprange" || names[1] != "lockflow" {
 		t.Errorf("composed filters selected %v", names)
 	}
 }
 
 func TestSelectRulesErrors(t *testing.T) {
-	if _, err := selectRules(analysis.Analyzers(), "detfow", ""); err == nil {
+	if _, err := selectRules(analysis.Analyzers(), "maprnge", ""); err == nil {
 		t.Error("typo in -only must error, not silently run nothing")
 	}
 	if _, err := selectRules(analysis.Analyzers(), "", "nosuchrule"); err == nil {
 		t.Error("unknown rule in -skip must error")
 	}
-	if _, err := selectRules(analysis.Analyzers(), "detflow", "detflow"); err == nil {
+	if _, err := selectRules(analysis.Analyzers(), "maprange", "maprange"); err == nil {
 		t.Error("empty selection must error")
 	}
 }
@@ -79,7 +79,7 @@ func TestSeverityStamping(t *testing.T) {
 	if sev["allochot"] != "warn" {
 		t.Errorf("allochot severity = %q, want warn", sev["allochot"])
 	}
-	for _, rule := range []string{"detflow", "lockflow", "norandglobal", "mctlint"} {
+	for _, rule := range []string{"maprange", "lockflow", "norandglobal", "mctlint"} {
 		if sev[rule] != "error" {
 			t.Errorf("%s severity = %q, want error", rule, sev[rule])
 		}
@@ -87,7 +87,7 @@ func TestSeverityStamping(t *testing.T) {
 
 	ds := []jsonDiagnostic{
 		{File: "a.go", Rule: "allochot", Message: "m"},
-		{File: "a.go", Rule: "detflow", Message: "m"},
+		{File: "a.go", Rule: "maprange", Message: "m"},
 	}
 	applySeverities(ds, sev)
 	if ds[0].Severity != "warn" || ds[1].Severity != "error" {

@@ -1,14 +1,16 @@
 // Machine-readable output.
 //
-// The JSON form exists so CI can archive the findings: paths are
-// module-relative with forward slashes and the array is sorted by (file,
-// line, col, rule, message), so the rendered bytes are identical across
+// The JSON forms exist so CI can archive the findings and the hot-path
+// allocation worklist: paths are module-relative with forward slashes, the
+// findings array is sorted by (file, line, col, rule, message) and the
+// worklist arrives pre-ranked, so the rendered bytes are identical across
 // runs, working directories and operating systems.
 package main
 
 import (
 	"encoding/json"
 	"fmt"
+	"go/token"
 	"path/filepath"
 	"sort"
 
@@ -36,12 +38,8 @@ func (d jsonDiagnostic) String() string {
 func toJSONDiagnostics(moduleDir string, diags []analysis.Diagnostic) []jsonDiagnostic {
 	out := make([]jsonDiagnostic, 0, len(diags))
 	for _, d := range diags {
-		file := d.Pos.Filename
-		if rel, err := filepath.Rel(moduleDir, file); err == nil && !filepath.IsAbs(rel) {
-			file = filepath.ToSlash(rel)
-		}
 		out = append(out, jsonDiagnostic{
-			File:    file,
+			File:    relPath(moduleDir, d.Pos),
 			Line:    d.Pos.Line,
 			Col:     d.Pos.Column,
 			Rule:    d.Rule,
@@ -96,4 +94,43 @@ func applySeverities(ds []jsonDiagnostic, sev map[string]string) {
 	for i := range ds {
 		ds[i].Severity = sev[ds[i].Rule]
 	}
+}
+
+// jsonAllocSite is one worklist entry of the hot-path allocation audit.
+type jsonAllocSite struct {
+	Func   string `json:"func"`
+	Kind   string `json:"kind"`
+	InLoop bool   `json:"inLoop"`
+	Depth  int    `json:"depth"`
+	File   string `json:"file"`
+	Line   int    `json:"line"`
+}
+
+// allochotJSON renders the ranked allocation worklist (already sorted by
+// AllochotWorklist: in-loop first, then shallower call depth).
+func allochotJSON(moduleDir string, sites []analysis.AllocSite) ([]byte, error) {
+	if len(sites) == 0 {
+		return []byte("[]\n"), nil
+	}
+	out := make([]jsonAllocSite, 0, len(sites))
+	for _, s := range sites {
+		out = append(out, jsonAllocSite{
+			Func:   s.Func,
+			Kind:   s.Kind,
+			InLoop: s.InLoop,
+			Depth:  s.Depth,
+			File:   relPath(moduleDir, s.Pos),
+			Line:   s.Pos.Line,
+		})
+	}
+	return marshalArtifact(out)
+}
+
+// relPath renders a position's file module-relative with forward slashes,
+// falling back to the raw name for files outside the module.
+func relPath(moduleDir string, pos token.Position) string {
+	if rel, err := filepath.Rel(moduleDir, pos.Filename); err == nil && !filepath.IsAbs(rel) {
+		return filepath.ToSlash(rel)
+	}
+	return pos.Filename
 }

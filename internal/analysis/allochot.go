@@ -26,7 +26,6 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -262,13 +261,4 @@ func isNonConstString(info *types.Info, e *ast.BinaryExpr) bool {
 	}
 	b, ok := tv.Type.Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsString != 0
-}
-
-// FormatAllocSite renders one worklist row for human output.
-func FormatAllocSite(s AllocSite) string {
-	loop := ""
-	if s.InLoop {
-		loop = " loop"
-	}
-	return fmt.Sprintf("%s:%d: %s in %s (depth %d%s)", s.Pos.Filename, s.Pos.Line, s.Kind, s.Func, s.Depth, loop)
 }

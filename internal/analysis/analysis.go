@@ -95,9 +95,11 @@ func (a *Analyzer) Interprocedural() bool { return a.RunProgram != nil }
 // shipped with mctlint. The package-scoped rules come first, syntactic ones
 // before those built on the CFG/dataflow layer of cfg.go and dataflow.go;
 // then the interprocedural rules, built on the call-graph and summary
-// layer of callgraph.go and summaries.go; the last is the program-scoped
-// deprecation gate. Copying a lock by value is go vet's copylocks check
-// and data races are the race detector's, so no rule here repeats them.
+// layer of callgraph.go and summaries.go. Copying a lock by value is go
+// vet's copylocks check and data races are the race detector's, so no rule
+// here repeats them. Determinism of reports, dumps and checkpoints, and the
+// completeness of Clone/Snapshot, are pinned by the golden, worker-count
+// and snapshot round-trip tests rather than by a rule.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		NoRandGlobal,
@@ -105,14 +107,11 @@ func Analyzers() []*Analyzer {
 		UncheckedErr,
 		CycleCast,
 		CtxFirst,
-		CloneFields,
 		MapRange,
 		ObsNames,
 		GoLeak,
-		DetFlow,
 		AllocHot,
 		LockFlow,
-		NoDeprecated,
 	}
 }
 

@@ -75,14 +75,20 @@ func fixtureWants(t *testing.T, dir string) []string {
 // fixture plus whatever module packages it imports.
 func loadFixture(t *testing.T, rule string, analyzers []*Analyzer) []Diagnostic {
 	t.Helper()
+	return loadFixtureAs(t, filepath.Join("testdata", "src", rule), "internal/testdata/"+rule, analyzers)
+}
+
+// loadFixtureAs is loadFixture for a fixture directory type-checked under
+// the module-relative import path rel.
+func loadFixtureAs(t *testing.T, dir, rel string, analyzers []*Analyzer) []Diagnostic {
+	t.Helper()
 	loader, err := NewLoader(moduleRoot(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := filepath.Join("testdata", "src", rule)
-	pkg, err := loader.LoadFixture(dir, loader.ModulePath()+"/internal/testdata/"+rule)
+	pkg, err := loader.LoadFixture(dir, loader.ModulePath()+"/"+rel)
 	if err != nil {
-		t.Fatalf("load fixture %s: %v", rule, err)
+		t.Fatalf("load fixture %s: %v", dir, err)
 	}
 	diags := RunAnalyzers(NewPass(loader, pkg), analyzers)
 	for _, a := range analyzers {
@@ -103,25 +109,43 @@ func loadFixture(t *testing.T, rule string, analyzers []*Analyzer) []Diagnostic 
 func TestAnalyzerFixtures(t *testing.T) {
 	for _, a := range Analyzers() {
 		t.Run(a.Name, func(t *testing.T) {
-			diags := loadFixture(t, a.Name, []*Analyzer{a})
-			var got []string
-			for _, d := range diags {
-				if d.Rule != a.Name {
-					continue
-				}
-				got = append(got, fmt.Sprintf("%s:%d %s",
-					filepath.Base(d.Pos.Filename), d.Pos.Line, d.Rule))
-			}
-			want := fixtureWants(t, filepath.Join("testdata", "src", a.Name))
-			if len(want) == 0 {
-				t.Fatalf("fixture for %s has no want markers", a.Name)
-			}
-			sort.Strings(got)
-			sort.Strings(want)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("findings mismatch for %s\n got: %v\nwant: %v", a.Name, got, want)
-			}
+			matchWants(t, a.Name, filepath.Join("testdata", "src", a.Name),
+				loadFixture(t, a.Name, []*Analyzer{a}))
 		})
+	}
+}
+
+// TestGoLeakInsideEngine runs goleak over a fixture type-checked as an
+// engine package, where the package's own members are tracking evidence: a
+// goroutine that mentions only another package (time.Sleep) or only a
+// local must still be reported, although go/types gives a package name and
+// a local the Pkg they appear in.
+func TestGoLeakInsideEngine(t *testing.T) {
+	dir := filepath.Join("testdata", "src", "goleak", "engine")
+	matchWants(t, "goleak", dir,
+		loadFixtureAs(t, dir, "internal/testdata/goleak/internal/engine", []*Analyzer{GoLeak}))
+}
+
+// matchWants requires rule's findings among diags to sit exactly on the
+// "// want" lines of the fixture in dir.
+func matchWants(t *testing.T, rule, dir string, diags []Diagnostic) {
+	t.Helper()
+	var got []string
+	for _, d := range diags {
+		if d.Rule != rule {
+			continue
+		}
+		got = append(got, fmt.Sprintf("%s:%d %s",
+			filepath.Base(d.Pos.Filename), d.Pos.Line, d.Rule))
+	}
+	want := fixtureWants(t, dir)
+	if len(want) == 0 {
+		t.Fatalf("fixture for %s has no want markers", rule)
+	}
+	sort.Strings(got)
+	sort.Strings(want)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("findings mismatch for %s\n got: %v\nwant: %v", rule, got, want)
 	}
 }
 
@@ -203,9 +227,8 @@ func TestModuleTreeClean(t *testing.T) {
 		}
 	}
 	// The interprocedural rules must hold over the whole tree too: this is
-	// the in-repo proof that the determinism surfaces (report writers,
-	// obs.DumpJSON inputs, checkpoint encoders) are taint-free and that the
-	// hot path carries no unsanctioned allocations.
+	// the in-repo proof that no lock is held past return and that the hot
+	// path carries no unsanctioned allocations.
 	prog := NewProgram(loader, all)
 	for _, d := range RunProgramAnalyzers(prog, Analyzers()) {
 		t.Errorf("unexpected program finding: %s", d)

@@ -43,19 +43,6 @@ const (
 	EdgeRef
 )
 
-// String names the edge kind for exports and messages.
-func (k EdgeKind) String() string {
-	switch k {
-	case EdgeCall:
-		return "call"
-	case EdgeDispatch:
-		return "dispatch"
-	case EdgeRef:
-		return "ref"
-	}
-	return "unknown"
-}
-
 // Edge is one directed call-graph edge.
 type Edge struct {
 	Caller, Callee *FuncInfo
@@ -349,22 +336,6 @@ func (g *CallGraph) SCCs() [][]*FuncInfo {
 		}
 	}
 	return sccs
-}
-
-// InSameSCC reports whether a and b are mutually recursive (share an SCC
-// with more than themselves, or a == b with a self-loop).
-func (g *CallGraph) InSameSCC(a, b *FuncInfo) bool {
-	for _, scc := range g.SCCs() {
-		ina, inb := false, false
-		for _, f := range scc {
-			ina = ina || f == a
-			inb = inb || f == b
-		}
-		if ina || inb {
-			return ina && inb
-		}
-	}
-	return false
 }
 
 // Reachable returns every node reachable from the roots over the given

@@ -51,8 +51,6 @@ func (b *Block) String() string { return fmt.Sprintf("b%d(%s)", b.Index, b.Desc)
 
 // CFG is the control-flow graph of one function body.
 type CFG struct {
-	// Fn is the *ast.FuncDecl or *ast.FuncLit the graph was built from.
-	Fn     ast.Node
 	Blocks []*Block
 	Entry  *Block
 	Exit   *Block
@@ -124,7 +122,7 @@ func NewCFG(fn ast.Node) *CFG {
 		panic(fmt.Sprintf("analysis: NewCFG on %T, want *ast.FuncDecl or *ast.FuncLit", fn))
 	}
 	b := &cfgBuilder{
-		g:      &CFG{Fn: fn, blockOf: map[ast.Node]*Block{}},
+		g:      &CFG{blockOf: map[ast.Node]*Block{}},
 		labels: map[string]*labelInfo{},
 	}
 	b.g.Entry = b.newBlock("entry")

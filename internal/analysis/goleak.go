@@ -20,8 +20,9 @@ import (
 //   - a value of type context.Context (the goroutine can observe
 //     cancellation),
 //   - a sync.WaitGroup or one of its methods (someone waits for it),
-//   - anything from mct/internal/engine (the pool already enforces the
-//     contract).
+//   - anything mct/internal/engine declares: a package-level function,
+//     type or variable, or a field or method (the pool already enforces
+//     the contract).
 var GoLeak = &Analyzer{
 	Name: "goleak",
 	Doc:  "every `go` statement must be tied to a context.Context, sync.WaitGroup, or engine primitive",
@@ -73,13 +74,22 @@ func goroutineTracked(pass *Pass, g *ast.GoStmt) bool {
 			tracked = true
 			return false
 		}
-		if p := obj.Pkg(); p != nil && isEnginePkg(p.Path()) {
+		if p := obj.Pkg(); p != nil && isEnginePkg(p.Path()) && declaredByPkg(obj) {
 			tracked = true
 			return false
 		}
 		return true
 	})
 	return tracked
+}
+
+// declaredByPkg reports whether obj is a member of its package: declared
+// at package scope, or a field or method (which have no scope). A package
+// name lives in a file scope and a local in a function scope, and their
+// Pkg is merely the package they appear in — inside the engine package,
+// `time` in time.Sleep or a local counter is no engine primitive.
+func declaredByPkg(obj types.Object) bool {
+	return obj.Parent() == nil || obj.Parent() == obj.Pkg().Scope()
 }
 
 // isTrackingType reports whether t (possibly behind a pointer) is

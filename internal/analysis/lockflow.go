@@ -161,7 +161,7 @@ type lockFlowState struct {
 // returning its lock summary and (when report is set) reporting holds that
 // survive to exit.
 func (lf *lockFlowState) analyze(fn *FuncInfo, get func(*FuncInfo) *lockSummary, report bool) *lockSummary {
-	params := detParams(fn)
+	params := sigParams(fn)
 	sum := newLockSummary(len(params))
 	info := fn.Pkg.Info
 
@@ -239,6 +239,26 @@ func (lf *lockFlowState) analyze(fn *FuncInfo, get func(*FuncInfo) *lockSummary,
 		}
 	}
 	return sum
+}
+
+// sigParams returns the receiver (if any) followed by the parameters — the
+// index space lock summaries use.
+func sigParams(fn *FuncInfo) []*types.Var {
+	sig := fn.Type()
+	var out []*types.Var
+	if r := sig.Recv(); r != nil {
+		out = append(out, r)
+	}
+	for i := 0; i < sig.Params().Len(); i++ {
+		out = append(out, sig.Params().At(i))
+	}
+	return out
+}
+
+// shortFuncName trims the module-path noise off a FuncInfo name for
+// messages.
+func shortFuncName(name string) string {
+	return name[strings.LastIndexByte(name, '/')+1:]
 }
 
 // hasLockActivity is the cheap pre-scan: does the body contain a sync lock

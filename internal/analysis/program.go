@@ -15,11 +15,10 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // FuncInfo is one function body in the program: a declared function or
-// method (Decl/Obj set) or a function literal (Lit/Encl set).
+// method (Decl/Obj set) or a function literal (Lit set).
 type FuncInfo struct {
 	// Pkg is the package holding the body.
 	Pkg *Package
@@ -30,9 +29,6 @@ type FuncInfo struct {
 	Obj *types.Func
 	// Lit is the literal, nil for declarations.
 	Lit *ast.FuncLit
-	// Encl is the function enclosing a literal (nil for declarations and
-	// for literals in package-scope initializers).
-	Encl *FuncInfo
 	// Name is a stable printable identifier: the type-checker's FullName
 	// for declarations ("mct/internal/sim.Prepare",
 	// "(*mct/internal/nvm.Controller).Read"), the enclosing name plus
@@ -168,7 +164,7 @@ func (prog *Program) indexFile(p *Package, file *ast.File) {
 			ast.Inspect(x.Body, func(m ast.Node) bool { return m == x.Body || walk(m, fi) })
 			return false
 		case *ast.FuncLit:
-			fi := &FuncInfo{Pkg: p, Lit: x, Encl: encl}
+			fi := &FuncInfo{Pkg: p, Lit: x}
 			if encl != nil {
 				litCount[encl]++
 				fi.Name = fmt.Sprintf("%s$%d", encl.Name, litCount[encl])
@@ -235,15 +231,4 @@ func (prog *Program) takeDiagnostics() []Diagnostic {
 	out := prog.diags
 	prog.diags = nil
 	return out
-}
-
-// Position renders a short file:line location for messages (base name only:
-// messages must stay stable even when the tree moves).
-func (prog *Program) Position(pos token.Pos) string {
-	p := prog.Fset.Position(pos)
-	name := p.Filename
-	if i := strings.LastIndexByte(name, '/'); i >= 0 {
-		name = name[i+1:]
-	}
-	return fmt.Sprintf("%s:%d", name, p.Line)
 }

@@ -33,9 +33,6 @@ type SummarySolver[S any] struct {
 	Compute func(fn *FuncInfo, get func(*FuncInfo) S) S
 	// Equal reports summary equality, the SCC fixpoint test.
 	Equal func(a, b S) bool
-	// MaxRounds caps fixpoint iterations per SCC (0 means an internal
-	// default generous enough for any monotone client).
-	MaxRounds int
 }
 
 // Solve computes every node's summary.
@@ -49,10 +46,9 @@ func (s *SummarySolver[S]) Solve() map[*FuncInfo]S {
 	}
 	for _, scc := range s.Graph.SCCs() {
 		recursive := len(scc) > 1 || s.selfLoop(scc[0])
-		rounds := s.MaxRounds
-		if rounds <= 0 {
-			rounds = 8 + 2*len(scc)
-		}
+		// The round cap is generous for any monotone client; it only bounds
+		// a non-monotone one.
+		rounds := 8 + 2*len(scc)
 		for r := 0; r < rounds; r++ {
 			changed := false
 			for _, fn := range scc {

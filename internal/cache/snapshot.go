@@ -33,7 +33,8 @@ type Snapshot struct {
 // lane and the per-set masks are re-interleaved into LineState records, so
 // the serialized format is independent of the in-memory layout.
 //
-//mctlint:ignore clonefields wayMask, setMask and setShift are derived from the geometry and recomputed by New on restore
+// wayMask, setMask and setShift are not captured: they derive from the
+// geometry and New recomputes them on restore.
 func (c *Cache) Snapshot() Snapshot {
 	lines := make([]LineState, len(c.tags))
 	for i, tag := range c.tags {

@@ -40,7 +40,9 @@ type Snapshot struct {
 // in-memory SoA lanes are re-interleaved into LineState records, so the
 // serialized format is layout-independent.
 //
-//mctlint:ignore clonefields setCount, ways, setMask, setShift and hotMask are derived from Params and recomputed by New on restore; next is external wiring supplied by the caller of FromSnapshot
+// setCount, ways, setMask, setShift and hotMask are not captured: they
+// derive from Params and New recomputes them on restore. next is external
+// wiring supplied by the caller of FromSnapshot.
 func (d *Cache) Snapshot() Snapshot {
 	lines := make([]LineState, len(d.tags))
 	for i, tag := range d.tags {

@@ -269,9 +269,10 @@ func ModelComparison(ctx context.Context, sampleCounts []int, trials int, opt Op
 	}
 	// Render first. The report must be byte-identical across runs and
 	// hosts, so the wall-clock overhead measurement below runs after the
-	// tables are built and its values never enter them (detflow guards this
-	// ordering): overheads live in the result's FitMS field and the
-	// progress stream instead of Table 7's stable render.
+	// tables are built and its values never enter them
+	// (TestModelComparisonReportDeterminism guards this ordering):
+	// overheads live in the result's FitMS field and the progress stream
+	// instead of Table 7's stable render.
 	rep := &Report{ID: "fig2"}
 	t7 := Table{Title: "Table 7: predictor comparison", Header: []string{"predictor", "offline data", "online data"}}
 	yn := func(b bool) string {

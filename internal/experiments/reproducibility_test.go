@@ -249,10 +249,9 @@ func TestSweepKeyIncludesSimOptions(t *testing.T) {
 
 // TestModelComparisonReportDeterminism renders fig2 (the model-comparison
 // table that used to embed a wall-clock overhead column) twice and asserts
-// byte-identical reports. This is the regression guard for the detflow
-// finding that moved the fit/predict timing off the stable tables and onto
-// the progress stream: before that fix fig2 could never have a
-// byte-identity test at all.
+// byte-identical reports. This is the regression guard for the move of the
+// fit/predict timing off the stable tables and onto the progress stream:
+// before that move fig2 could never have a byte-identity test at all.
 func TestModelComparisonReportDeterminism(t *testing.T) {
 	t.Setenv(cacheEnv, "")
 	defer ResetSweepCache()

@@ -138,7 +138,8 @@ func reqsFromState(ss []WriteReqState) []writeReq {
 // swept): which skipped banks still carry a completed op's marker depends
 // on the visit schedule, and the bytes must not.
 //
-//mctlint:ignore clonefields pend, ev and nextEvent are derived from the queues and freeAt and recomputed by FromSnapshot
+// pend, ev and nextEvent are not captured: they derive from the queues and
+// freeAt, and FromSnapshot recomputes them.
 func (c *Controller) Snapshot() Snapshot {
 	banks := make([]BankSnapshot, len(c.banks))
 	for i := range c.banks {

@@ -395,7 +395,8 @@ func FromState(s State) (*Registry, error) {
 		if !nameRe.MatchString(name) {
 			return nil, fmt.Errorf("obs: state gauge name %q invalid", name)
 		}
-		//mctlint:ignore detflow one Set per distinct gauge key; restore iteration order cannot change final values
+		// One Set per distinct gauge key: the map's iteration order cannot
+		// change the restored values.
 		r.getOrCreate(name, kindGauge, vol[name], nil).gauge.Set(v)
 	}
 	for name, hs := range s.Histograms {

@@ -110,7 +110,8 @@ func fromSource(src *Source) *Rand {
 // the original produce the identical remaining sequence, and draws on one
 // never affect the other.
 //
-//mctlint:ignore clonefields the embedded *rand.Rand is rebuilt by fromSource around the cloned source
+// The embedded *rand.Rand is not copied: fromSource rebuilds it around the
+// cloned source.
 func (r *Rand) Clone() *Rand {
 	return fromSource(r.src.Clone())
 }

@@ -95,7 +95,9 @@ type MachineState struct {
 // baselines are rebased to the restored stats) continues without gaps or
 // double counts.
 //
-//mctlint:ignore clonefields batch is a scratch buffer, not state, and mem is derived wiring (dram or ctrl): a restored machine allocates its own buffer and rewires the seam from the restored tiers
+// batch and mem are not captured: batch is a scratch buffer, not state,
+// and mem is derived wiring (dram or ctrl), so a restored machine
+// allocates its own buffer and rewires the seam from the restored tiers.
 func (m *Machine) Snapshot() MachineState {
 	var obsState *obs.State
 	if m.obsv != nil {

@@ -179,7 +179,8 @@ type GeneratorState struct {
 
 // Snapshot captures the generator's complete state.
 //
-//mctlint:ignore clonefields gapForPhase/meanGap are a derived memo recomputed by Next on first use (FromState builds with gapForPhase=-1)
+// gapForPhase and meanGap are not captured: they are a derived memo that
+// Next recomputes on first use (FromState builds with gapForPhase=-1).
 func (g *Generator) Snapshot() GeneratorState {
 	return GeneratorState{
 		Spec:       g.spec,
