@@ -12,12 +12,12 @@ build:
 vet:
 	$(GO) vet ./...
 
-# One full-registry pass over one whole-program load: every error-severity
-# finding fails the build (there is no baseline). The same run writes the
-# ranked hot-path allocation worklist, a CI artifact. Data races are left to
-# the race detector (make race, and CI's race-full job).
+# One full-registry pass, one package at a time: every finding fails the
+# build (there is no baseline). Data races are left to the race detector
+# (make race, and CI's race-full job), hot-path allocations to the
+# zero-alloc tests.
 lint:
-	$(GO) run ./cmd/mctlint -allochot-json results/allochot.json ./...
+	$(GO) run ./cmd/mctlint ./...
 
 test:
 	$(GO) test ./...

@@ -1,43 +1,30 @@
 // Command mctlint runs the simulator-aware static analyzers of
-// internal/analysis over the module and reports findings as
+// internal/analysis over the module, one pass per type-checked package,
+// and reports findings as
 //
 //	file:line: [rule] message
 //
-// exiting non-zero when anything error-severity is found. It is
-// dependency-free (stdlib go/ast + go/types only).
+// exiting 1 when anything is found. It is dependency-free (stdlib go/ast
+// + go/types only).
 //
 // Usage:
 //
-//	mctlint ./...                             # whole module
-//	mctlint ./internal/...                    # one subtree
-//	mctlint ./internal/sim                    # one package
-//	mctlint -rules                            # list rules (severity, scope) and exit
-//	mctlint -only maprange,lockflow ./...     # run a subset of the registry
-//	mctlint -skip allochot ./...              # run everything but a subset
-//	mctlint -json ./...                       # machine-readable findings (stable order)
-//	mctlint -allochot-json allocs.json ./...  # export the hot-path allocation worklist
+//	mctlint ./...                           # whole module
+//	mctlint ./internal/...                  # one subtree
+//	mctlint ./internal/sim                  # one package
+//	mctlint -rules                          # list rules and exit
+//	mctlint -only maprange,goleak ./...     # run a subset of the registry
+//	mctlint -skip cyclecast ./...           # run everything but a subset
+//	mctlint -json ./...                     # machine-readable findings (stable order)
 //
-// Rules are either package-scoped (one pass per package) or
-// program-scoped: the interprocedural rules (allochot, lockflow) run over a
-// whole-program view with a static call graph, so a run that selects any
-// of them loads the transitive module dependencies of the requested
-// packages too — findings are still reported only inside the requested
-// packages. Data races are the race detector's job (CI runs go test -race
-// over the whole module), not a lint rule's.
-//
-// Severity: each rule is "error" or "warn" (see -rules). Every error
-// finding fails the run with exit 1 — there is no accepted-findings
-// baseline; a finding is fixed or suppressed at its line with a reason.
-// Warn findings (audit-class, e.g. allochot's allocation worklist) are
-// printed and exported but do not affect the exit code.
+// Every finding fails the run: there is no accepted-findings baseline; a
+// finding is fixed or suppressed at its line with a reason. Data races are
+// the race detector's job (CI runs go test -race over the whole module),
+// hot-path allocations the zero-alloc tests', not a lint rule's.
 //
 // -json emits the findings as a JSON array sorted by (file, line, col,
 // rule), with module-relative forward-slash paths, so the bytes are stable
 // across runs and machines — CI archives them as a build artifact.
-//
-// -allochot-json writes the ranked hot-path allocation worklist in
-// deterministic JSON for a CI artifact. It implies the whole-program load
-// even when no program-scoped rule is selected.
 //
 // Suppress a finding with a trailing comment (or one on the line above):
 //
@@ -58,11 +45,10 @@ import (
 )
 
 func main() {
-	rules := flag.Bool("rules", false, "list rules (name, severity, scope, doc) and exit")
+	rules := flag.Bool("rules", false, "list rules (name, doc) and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as a stable JSON array")
 	only := flag.String("only", "", "comma-separated rule names to run exclusively")
 	skip := flag.String("skip", "", "comma-separated rule names to skip")
-	allocPath := flag.String("allochot-json", "", "write the ranked hot-path allocation worklist as JSON to this path")
 	flag.Parse()
 
 	selected, err := selectRules(analysis.Analyzers(), *only, *skip)
@@ -72,11 +58,7 @@ func main() {
 
 	if *rules {
 		for _, a := range selected {
-			scope := "package"
-			if a.Interprocedural() {
-				scope = "program"
-			}
-			fmt.Printf("%-14s %-5s %-8s %s\n", a.Name, a.EffectiveSeverity(), scope, a.Doc)
+			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
 		}
 		return
 	}
@@ -111,43 +93,15 @@ func main() {
 	}
 
 	var all []analysis.Diagnostic
-	var pkgs []*analysis.Package
 	for _, path := range paths {
 		pkg, err := loader.Load(path)
 		if err != nil {
 			fatal(err)
 		}
-		pkgs = append(pkgs, pkg)
-		pass := analysis.NewPass(loader, pkg)
-		all = append(all, analysis.RunAnalyzers(pass, selected)...)
-	}
-
-	interprocedural := false
-	for _, a := range selected {
-		if a.Interprocedural() {
-			interprocedural = true
-			break
-		}
-	}
-	if interprocedural || *allocPath != "" {
-		prog := analysis.NewProgram(loader, pkgs)
-		if interprocedural {
-			all = append(all, analysis.RunProgramAnalyzers(prog, selected)...)
-		}
-		if *allocPath != "" {
-			out, err := allochotJSON(moduleDir, analysis.AllochotWorklist(prog))
-			if err == nil {
-				err = writeArtifact(*allocPath, out)
-			}
-			if err != nil {
-				fatal(err)
-			}
-		}
+		all = append(all, analysis.RunAnalyzers(analysis.NewPass(loader, pkg), selected)...)
 	}
 
 	findings := toJSONDiagnostics(moduleDir, all)
-	applySeverities(findings, severityByRule(analysis.Analyzers()))
-
 	if *jsonOut {
 		out, err := renderJSON(findings)
 		if err != nil {
@@ -159,12 +113,8 @@ func main() {
 			fmt.Println(d)
 		}
 	}
-	errs, warns := countBySeverity(findings)
-	if warns > 0 {
-		fmt.Fprintf(os.Stderr, "mctlint: %d warning(s)\n", warns)
-	}
-	if errs > 0 {
-		fmt.Fprintf(os.Stderr, "mctlint: %d finding(s)\n", errs)
+	if len(findings) > 0 {
+		fmt.Fprintf(os.Stderr, "mctlint: %d finding(s)\n", len(findings))
 		os.Exit(1)
 	}
 }
@@ -216,38 +166,6 @@ func selectRules(all []*analysis.Analyzer, only, skip string) ([]*analysis.Analy
 		return nil, fmt.Errorf("rule selection left nothing to run")
 	}
 	return out, nil
-}
-
-// severityByRule maps every registry rule (plus the reserved "mctlint"
-// directive-error rule) to its effective severity.
-func severityByRule(all []*analysis.Analyzer) map[string]string {
-	out := map[string]string{"mctlint": "error"}
-	for _, a := range all {
-		out[a.Name] = a.EffectiveSeverity()
-	}
-	return out
-}
-
-func countBySeverity(ds []jsonDiagnostic) (errs, warns int) {
-	for _, d := range ds {
-		if d.Severity == "warn" {
-			warns++
-		} else {
-			errs++
-		}
-	}
-	return errs, warns
-}
-
-// writeArtifact writes one JSON artifact, creating parent directories as
-// needed.
-func writeArtifact(path string, out []byte) error {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	return os.WriteFile(path, out, 0o644)
 }
 
 // resolvePattern maps a ./dir or ./dir/... argument to import paths.

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"strings"
 	"testing"
 
 	"mct/internal/analysis"
@@ -27,37 +26,37 @@ func TestSelectRulesDefault(t *testing.T) {
 }
 
 func TestSelectRulesOnly(t *testing.T) {
-	got, err := selectRules(analysis.Analyzers(), "maprange, lockflow", "")
+	got, err := selectRules(analysis.Analyzers(), "maprange, goleak", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if names := ruleNames(got); len(names) != 2 || names[0] != "maprange" || names[1] != "lockflow" {
-		t.Errorf("-only maprange,lockflow selected %v", names)
+	if names := ruleNames(got); len(names) != 2 || names[0] != "maprange" || names[1] != "goleak" {
+		t.Errorf("-only maprange,goleak selected %v", names)
 	}
 }
 
 func TestSelectRulesSkip(t *testing.T) {
 	all := analysis.Analyzers()
-	got, err := selectRules(all, "", "allochot")
+	got, err := selectRules(all, "", "cyclecast")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(all)-1 {
-		t.Errorf("-skip allochot selected %d rules, want %d", len(got), len(all)-1)
+		t.Errorf("-skip cyclecast selected %d rules, want %d", len(got), len(all)-1)
 	}
 	for _, a := range got {
-		if a.Name == "allochot" {
-			t.Error("allochot survived -skip allochot")
+		if a.Name == "cyclecast" {
+			t.Error("cyclecast survived -skip cyclecast")
 		}
 	}
 }
 
 func TestSelectRulesOnlyAndSkipCompose(t *testing.T) {
-	got, err := selectRules(analysis.Analyzers(), "maprange,allochot,lockflow", "allochot")
+	got, err := selectRules(analysis.Analyzers(), "maprange,cyclecast,goleak", "cyclecast")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if names := ruleNames(got); len(names) != 2 || names[0] != "maprange" || names[1] != "lockflow" {
+	if names := ruleNames(got); len(names) != 2 || names[0] != "maprange" || names[1] != "goleak" {
 		t.Errorf("composed filters selected %v", names)
 	}
 }
@@ -71,58 +70,5 @@ func TestSelectRulesErrors(t *testing.T) {
 	}
 	if _, err := selectRules(analysis.Analyzers(), "maprange", "maprange"); err == nil {
 		t.Error("empty selection must error")
-	}
-}
-
-func TestSeverityStamping(t *testing.T) {
-	sev := severityByRule(analysis.Analyzers())
-	if sev["allochot"] != "warn" {
-		t.Errorf("allochot severity = %q, want warn", sev["allochot"])
-	}
-	for _, rule := range []string{"maprange", "lockflow", "norandglobal", "mctlint"} {
-		if sev[rule] != "error" {
-			t.Errorf("%s severity = %q, want error", rule, sev[rule])
-		}
-	}
-
-	ds := []jsonDiagnostic{
-		{File: "a.go", Rule: "allochot", Message: "m"},
-		{File: "a.go", Rule: "maprange", Message: "m"},
-	}
-	applySeverities(ds, sev)
-	if ds[0].Severity != "warn" || ds[1].Severity != "error" {
-		t.Errorf("stamped severities = %q, %q", ds[0].Severity, ds[1].Severity)
-	}
-	errs, warns := countBySeverity(ds)
-	if errs != 1 || warns != 1 {
-		t.Errorf("countBySeverity = (%d, %d), want (1, 1)", errs, warns)
-	}
-}
-
-// TestArtifactRendering exercises the JSON exports over an empty worklist
-// and a synthetic one: valid JSON, newline-terminated, rank order kept.
-func TestArtifactRendering(t *testing.T) {
-	out, err := allochotJSON("/m", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(out) != "[]\n" {
-		t.Errorf("empty worklist = %q, want []\\n", out)
-	}
-
-	sites := []analysis.AllocSite{
-		{Func: "mct/internal/sim.step", Kind: "append", InLoop: true, Depth: 0},
-		{Func: "mct/internal/nvm.helper", Kind: "make", InLoop: false, Depth: 2},
-	}
-	out, err = allochotJSON("/m", sites)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := string(out)
-	if !strings.HasSuffix(s, "\n") {
-		t.Error("worklist JSON not newline-terminated")
-	}
-	if i, j := strings.Index(s, "sim.step"), strings.Index(s, "nvm.helper"); i < 0 || j < 0 || i > j {
-		t.Errorf("worklist order not preserved in render:\n%s", s)
 	}
 }

@@ -1,9 +1,8 @@
 // Machine-readable output.
 //
-// The JSON forms exist so CI can archive the findings and the hot-path
-// allocation worklist: paths are module-relative with forward slashes, the
-// findings array is sorted by (file, line, col, rule, message) and the
-// worklist arrives pre-ranked, so the rendered bytes are identical across
+// The JSON form exists so CI can archive the findings: paths are
+// module-relative with forward slashes and the array is sorted by (file,
+// line, col, rule, message), so the rendered bytes are identical across
 // runs, working directories and operating systems.
 package main
 
@@ -24,8 +23,6 @@ type jsonDiagnostic struct {
 	Col     int    `json:"col"`
 	Rule    string `json:"rule"`
 	Message string `json:"message"`
-	// Severity is derived from the rule ("error" or "warn").
-	Severity string `json:"severity,omitempty"`
 }
 
 // String renders the finding in the driver's classic text format.
@@ -69,61 +66,18 @@ func sortJSONDiagnostics(ds []jsonDiagnostic) {
 	})
 }
 
-// renderJSON marshals findings as an indented JSON array terminated by a
-// newline. An empty set renders as "[]" so the artifact is always valid
-// JSON.
+// renderJSON marshals findings as a two-space indented JSON array
+// terminated by a newline. An empty set renders as "[]" so the artifact is
+// always valid JSON.
 func renderJSON(ds []jsonDiagnostic) ([]byte, error) {
 	if len(ds) == 0 {
 		return []byte("[]\n"), nil
 	}
-	return marshalArtifact(ds)
-}
-
-// marshalArtifact marshals v as two-space indented JSON terminated by a
-// newline: the byte form of every JSON output the driver writes.
-func marshalArtifact(v any) ([]byte, error) {
-	b, err := json.MarshalIndent(v, "", "  ")
+	b, err := json.MarshalIndent(ds, "", "  ")
 	if err != nil {
 		return nil, err
 	}
 	return append(b, '\n'), nil
-}
-
-// applySeverities stamps each finding with its rule's severity.
-func applySeverities(ds []jsonDiagnostic, sev map[string]string) {
-	for i := range ds {
-		ds[i].Severity = sev[ds[i].Rule]
-	}
-}
-
-// jsonAllocSite is one worklist entry of the hot-path allocation audit.
-type jsonAllocSite struct {
-	Func   string `json:"func"`
-	Kind   string `json:"kind"`
-	InLoop bool   `json:"inLoop"`
-	Depth  int    `json:"depth"`
-	File   string `json:"file"`
-	Line   int    `json:"line"`
-}
-
-// allochotJSON renders the ranked allocation worklist (already sorted by
-// AllochotWorklist: in-loop first, then shallower call depth).
-func allochotJSON(moduleDir string, sites []analysis.AllocSite) ([]byte, error) {
-	if len(sites) == 0 {
-		return []byte("[]\n"), nil
-	}
-	out := make([]jsonAllocSite, 0, len(sites))
-	for _, s := range sites {
-		out = append(out, jsonAllocSite{
-			Func:   s.Func,
-			Kind:   s.Kind,
-			InLoop: s.InLoop,
-			Depth:  s.Depth,
-			File:   relPath(moduleDir, s.Pos),
-			Line:   s.Pos.Line,
-		})
-	}
-	return marshalArtifact(out)
 }
 
 // relPath renders a position's file module-relative with forward slashes,

@@ -2,9 +2,7 @@ package main
 
 import (
 	"bytes"
-	"fmt"
 	"go/token"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -77,58 +75,5 @@ func TestToJSONDiagnosticsModuleRelative(t *testing.T) {
 	}
 	if ds[0].File != "internal/sim/sim.go" {
 		t.Errorf("path %q not module-relative slash form", ds[0].File)
-	}
-}
-
-// TestDedupeOverlapEndToEnd drives the full registry over a snippet that
-// leaks one lock acquired twice — through a helper and then directly — and
-// pins that the leak is reported exactly once, at its first acquisition.
-func TestDedupeOverlapEndToEnd(t *testing.T) {
-	dir := t.TempDir()
-	src := `package overlap
-
-import "sync"
-
-type store struct {
-	mu sync.Mutex
-	n  int
-}
-
-func (s *store) lockIt() { s.mu.Lock() }
-
-func leak(s *store) {
-	s.lockIt()
-	s.mu.Lock()
-	s.n++
-}
-`
-	if err := os.WriteFile(filepath.Join(dir, "overlap.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	moduleDir, err := findModuleRoot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader, err := analysis.NewLoader(moduleDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := loader.LoadFixture(dir, loader.ModulePath()+"/internal/testdata/overlap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	selected := analysis.Analyzers()
-	all := analysis.RunAnalyzers(analysis.NewPass(loader, pkg), selected)
-	prog := analysis.NewProgram(loader, []*analysis.Package{pkg})
-	all = append(all, analysis.RunProgramAnalyzers(prog, selected)...)
-
-	var inLeak []string
-	for _, d := range toJSONDiagnostics(moduleDir, all) {
-		if d.Line == 13 || d.Line == 14 { // s.lockIt(); s.mu.Lock()
-			inLeak = append(inLeak, fmt.Sprintf("%d:%s", d.Line, d.Rule))
-		}
-	}
-	if len(inLeak) != 1 || inLeak[0] != "13:lockflow" {
-		t.Errorf("leak findings = %v, want exactly [13:lockflow]", inLeak)
 	}
 }

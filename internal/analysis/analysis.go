@@ -59,47 +59,24 @@ func (p *Pass) Reportf(pos token.Pos, rule, format string, args ...any) {
 	})
 }
 
-// Analyzer is one lint rule. A rule is either package-scoped (Run set:
-// invoked once per type-checked package) or program-scoped (RunProgram set:
-// invoked once over a whole-program view with a call graph — see
-// program.go). Exactly one of the two should be set.
+// Analyzer is one lint rule, invoked once per type-checked package.
 type Analyzer struct {
 	// Name is the rule identifier used in output and ignore directives.
 	Name string
 	// Doc is a one-line description for the driver's -rules listing.
 	Doc string
-	// Severity classifies findings for drivers and humans: "error" (default
-	// when empty — violates a correctness invariant) or "warn" (audit-class:
-	// worth a look, not necessarily a bug).
-	Severity string
 	// Run inspects one package and reports findings via pass.Reportf.
 	Run func(pass *Pass)
-	// RunProgram inspects the whole program and reports findings via
-	// prog.Reportf.
-	RunProgram func(prog *Program)
 }
-
-// EffectiveSeverity returns the rule's severity, defaulting to "error".
-func (a *Analyzer) EffectiveSeverity() string {
-	if a.Severity == "" {
-		return "error"
-	}
-	return a.Severity
-}
-
-// Interprocedural reports whether the rule is program-scoped (built on the
-// call-graph/summary layer rather than a single package pass).
-func (a *Analyzer) Interprocedural() bool { return a.RunProgram != nil }
 
 // Analyzers returns the default registry: every simulator-aware rule
-// shipped with mctlint. The package-scoped rules come first, syntactic ones
-// before those built on the CFG/dataflow layer of cfg.go and dataflow.go;
-// then the interprocedural rules, built on the call-graph and summary
-// layer of callgraph.go and summaries.go. Copying a lock by value is go
-// vet's copylocks check and data races are the race detector's, so no rule
-// here repeats them. Determinism of reports, dumps and checkpoints, and the
-// completeness of Clone/Snapshot, are pinned by the golden, worker-count
-// and snapshot round-trip tests rather than by a rule.
+// shipped with mctlint, the syntactic ones first, then those built on the
+// control-flow graphs of cfg.go. Copying a lock by value is go vet's
+// copylocks check and data races are the race detector's, so no rule here
+// repeats them. Determinism of reports, dumps and checkpoints, the
+// completeness of Clone/Snapshot, hot-path allocations and lock release
+// are pinned by the golden, worker-count, snapshot round-trip, zero-alloc
+// and engine/queue/registry tests rather than by a rule.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		NoRandGlobal,
@@ -110,57 +87,51 @@ func Analyzers() []*Analyzer {
 		MapRange,
 		ObsNames,
 		GoLeak,
-		AllocHot,
-		LockFlow,
 	}
-}
-
-// ignoreDirective is one parsed //mctlint:ignore comment.
-type ignoreDirective struct {
-	rule   string
-	reason string
-	line   int
-	pos    token.Pos
 }
 
 const ignorePrefix = "mctlint:ignore"
 
-// parseIgnores extracts the ignore directives of a file. Malformed
-// directives (missing rule or reason) suppress nothing; when bad is non-nil
-// it is called with their positions, and with those of well-formed
-// directives naming a rule outside the full registry, so the package pass
-// can report them under the reserved rule name "mctlint". The registry
-// check ignores any -only/-skip selection: a directive for a rule that
-// exists but is not running is still live.
-func parseIgnores(fset *token.FileSet, file *ast.File, bad func(pos token.Pos, msg string)) []ignoreDirective {
-	var out []ignoreDirective
-	for _, cg := range file.Comments {
-		for _, c := range cg.List {
-			text := strings.TrimPrefix(c.Text, "//")
-			text = strings.TrimSpace(text)
-			if !strings.HasPrefix(text, ignorePrefix) {
-				continue
-			}
-			rest := strings.TrimSpace(strings.TrimPrefix(text, ignorePrefix))
-			fields := strings.Fields(rest)
-			if len(fields) < 2 {
-				if bad != nil {
-					bad(c.Pos(), "malformed ignore directive: want //mctlint:ignore <rule> <reason>")
+// suppressKey identifies one (file, line, rule) suppression slot.
+type suppressKey struct {
+	file string
+	line int
+	rule string
+}
+
+// suppressions collects the suppression slots of the package's ignore
+// directives: a directive on line L suppresses matching findings on L and
+// L+1 (trailing comment or comment-above placement). A malformed directive
+// (missing rule or reason) suppresses nothing; it, and a well-formed one
+// naming a rule outside the full registry, is reported under the reserved
+// rule name "mctlint". The registry check ignores any -only/-skip
+// selection: a directive for a rule that exists but is not running is
+// still live.
+func suppressions(pass *Pass) map[suppressKey]bool {
+	suppressed := map[suppressKey]bool{}
+	for _, f := range pass.Files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+				rest, ok := strings.CutPrefix(text, ignorePrefix)
+				if !ok {
+					continue
 				}
-				continue
+				fields := strings.Fields(rest)
+				if len(fields) < 2 {
+					pass.Reportf(c.Pos(), "mctlint", "malformed ignore directive: want //mctlint:ignore <rule> <reason>")
+					continue
+				}
+				if !registered(fields[0]) {
+					pass.Reportf(c.Pos(), "mctlint", "ignore directive names unknown rule %q (see mctlint -rules)", fields[0])
+				}
+				pos := pass.Fset.Position(c.Pos())
+				suppressed[suppressKey{pos.Filename, pos.Line, fields[0]}] = true
+				suppressed[suppressKey{pos.Filename, pos.Line + 1, fields[0]}] = true
 			}
-			if bad != nil && !registered(fields[0]) {
-				bad(c.Pos(), fmt.Sprintf("ignore directive names unknown rule %q (see mctlint -rules)", fields[0]))
-			}
-			out = append(out, ignoreDirective{
-				rule:   fields[0],
-				reason: strings.Join(fields[1:], " "),
-				line:   fset.Position(c.Pos()).Line,
-				pos:    c.Pos(),
-			})
 		}
 	}
-	return out
+	return suppressed
 }
 
 // registered reports whether rule names an analyzer of the full registry.
@@ -171,42 +142,6 @@ func registered(rule string) bool {
 		}
 	}
 	return false
-}
-
-// suppressKey identifies one (file, line, rule) suppression slot.
-type suppressKey struct {
-	file string
-	line int
-	rule string
-}
-
-// suppressionIndex collects the suppression slots of files: a directive on
-// line L suppresses matching findings on L and L+1 (trailing comment or
-// comment-above placement).
-func suppressionIndex(fset *token.FileSet, files []*ast.File, bad func(pos token.Pos, msg string)) map[suppressKey]bool {
-	suppressed := map[suppressKey]bool{}
-	for _, f := range files {
-		fname := fset.Position(f.Pos()).Filename
-		for _, d := range parseIgnores(fset, f, bad) {
-			suppressed[suppressKey{fname, d.line, d.rule}] = true
-			suppressed[suppressKey{fname, d.line + 1, d.rule}] = true
-		}
-	}
-	return suppressed
-}
-
-// applySuppression filters findings through the suppression index and
-// returns the survivors sorted by position.
-func applySuppression(diags []Diagnostic, suppressed map[suppressKey]bool) []Diagnostic {
-	var out []Diagnostic
-	for _, d := range diags {
-		if d.Rule != "mctlint" && suppressed[suppressKey{d.Pos.Filename, d.Pos.Line, d.Rule}] {
-			continue
-		}
-		out = append(out, d)
-	}
-	sortDiagnostics(out)
-	return out
 }
 
 func sortDiagnostics(out []Diagnostic) {
@@ -228,37 +163,21 @@ func sortDiagnostics(out []Diagnostic) {
 	})
 }
 
-// RunAnalyzers runs every package-scoped analyzer over the package, applies
+// RunAnalyzers runs every analyzer over the package, applies
 // ignore directives, and returns the surviving findings sorted by position,
 // plus one "mctlint" finding per malformed or unknown-rule directive.
-// Program-scoped analyzers in the list are skipped (see
-// RunProgramAnalyzers).
 func RunAnalyzers(pass *Pass, analyzers []*Analyzer) []Diagnostic {
 	for _, a := range analyzers {
-		if a.Run != nil {
-			a.Run(pass)
+		a.Run(pass)
+	}
+	suppressed := suppressions(pass)
+	var out []Diagnostic
+	for _, d := range pass.diags {
+		if d.Rule != "mctlint" && suppressed[suppressKey{d.Pos.Filename, d.Pos.Line, d.Rule}] {
+			continue
 		}
+		out = append(out, d)
 	}
-	suppressed := suppressionIndex(pass.Fset, pass.Files, func(pos token.Pos, msg string) {
-		pass.Reportf(pos, "mctlint", "%s", msg)
-	})
-	return applySuppression(pass.diags, suppressed)
-}
-
-// RunProgramAnalyzers runs every program-scoped analyzer over the program,
-// applies ignore directives of the analyzed packages, and returns the
-// surviving findings sorted by position. Bad directives are not re-reported
-// here: the package pass over the same files already owns that diagnostic.
-func RunProgramAnalyzers(prog *Program, analyzers []*Analyzer) []Diagnostic {
-	for _, a := range analyzers {
-		if a.RunProgram != nil {
-			a.RunProgram(prog)
-		}
-	}
-	var files []*ast.File
-	for _, p := range prog.Analyze {
-		files = append(files, p.Files...)
-	}
-	suppressed := suppressionIndex(prog.Fset, files, nil)
-	return applySuppression(prog.takeDiagnostics(), suppressed)
+	sortDiagnostics(out)
+	return out
 }

@@ -70,9 +70,7 @@ func fixtureWants(t *testing.T, dir string) []string {
 
 // loadFixture type-checks testdata/src/<rule> under an internal/ import path
 // (so internal-scoped rules apply) and returns the surviving findings of the
-// analyzers given. Package-scoped analyzers run over the fixture package
-// alone; program-scoped analyzers run over a whole-program view of the
-// fixture plus whatever module packages it imports.
+// analyzers given.
 func loadFixture(t *testing.T, rule string, analyzers []*Analyzer) []Diagnostic {
 	t.Helper()
 	return loadFixtureAs(t, filepath.Join("testdata", "src", rule), "internal/testdata/"+rule, analyzers)
@@ -90,16 +88,7 @@ func loadFixtureAs(t *testing.T, dir, rel string, analyzers []*Analyzer) []Diagn
 	if err != nil {
 		t.Fatalf("load fixture %s: %v", dir, err)
 	}
-	diags := RunAnalyzers(NewPass(loader, pkg), analyzers)
-	for _, a := range analyzers {
-		if a.Interprocedural() {
-			prog := NewProgram(loader, []*Package{pkg})
-			diags = append(diags, RunProgramAnalyzers(prog, analyzers)...)
-			sortDiagnostics(diags)
-			break
-		}
-	}
-	return diags
+	return RunAnalyzers(NewPass(loader, pkg), analyzers)
 }
 
 // TestAnalyzerFixtures asserts, for every registered rule, that the rule
@@ -215,22 +204,13 @@ func TestModuleTreeClean(t *testing.T) {
 			t.Errorf("default walk misses %s; the linter would not lint itself", self)
 		}
 	}
-	var all []*Package
 	for _, p := range paths {
 		pkg, err := loader.Load(p)
 		if err != nil {
 			t.Fatalf("load %s: %v", p, err)
 		}
-		all = append(all, pkg)
 		for _, d := range RunAnalyzers(NewPass(loader, pkg), Analyzers()) {
 			t.Errorf("unexpected finding: %s", d)
 		}
-	}
-	// The interprocedural rules must hold over the whole tree too: this is
-	// the in-repo proof that no lock is held past return and that the hot
-	// path carries no unsanctioned allocations.
-	prog := NewProgram(loader, all)
-	for _, d := range RunProgramAnalyzers(prog, Analyzers()) {
-		t.Errorf("unexpected program finding: %s", d)
 	}
 }

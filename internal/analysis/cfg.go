@@ -1,12 +1,10 @@
 // Intra-procedural control-flow graphs over go/ast function bodies.
 //
 // The syntactic analyzers of this package catch single-statement hazards;
-// the remaining bug classes that threaten the simulator's determinism are
-// flow-shaped (a lock released on some paths only, an allocation repeated
-// per loop iteration, map-iteration order leaking into a report). Those
-// need a CFG. NewCFG builds one per function from pure syntax — no type
-// information — so it is cheap, and the dataflow layer (dataflow.go) runs
-// client transfer functions over it to a fixpoint.
+// map-iteration order leaking into a report is flow-shaped (does a sort
+// run between the loop and the output?), so maprange needs a CFG, and
+// obsnames walks the same per-function bodies. NewCFG builds one per
+// function from pure syntax — no type information — so it is cheap.
 //
 // Shape of the graph:
 //
@@ -22,9 +20,7 @@
 //   - Function literals are opaque: a FuncLit appearing in an expression is
 //     part of that expression's node, and its body gets its own CFG via
 //     ForEachFunc. Control flow never crosses a function boundary.
-//   - defer is an ordinary node (its arguments are evaluated in sequence);
-//     clients that care where the deferred call runs (lockflow) handle the
-//     DeferStmt themselves.
+//   - defer is an ordinary node (its arguments are evaluated in sequence).
 package analysis
 
 import (
@@ -44,7 +40,6 @@ type Block struct {
 	// statements and controlling expressions of compound statements.
 	Nodes []ast.Node
 	Succs []*Block
-	Preds []*Block
 }
 
 func (b *Block) String() string { return fmt.Sprintf("b%d(%s)", b.Index, b.Desc) }
@@ -96,18 +91,6 @@ func (g *CFG) ReachableFrom(b *Block) map[*Block]bool {
 	return seen
 }
 
-// InLoop reports whether b lies on a cycle: whether b is reachable from one
-// of its own successors. An allocation in such a block executes an
-// unbounded number of times.
-func (g *CFG) InLoop(b *Block) bool {
-	for _, s := range b.Succs {
-		if g.ReachableFrom(s)[b] {
-			return true
-		}
-	}
-	return false
-}
-
 // NewCFG builds the control-flow graph of fn, which must be an
 // *ast.FuncDecl or *ast.FuncLit. A declaration without a body (external
 // linkage) yields the minimal entry→exit graph.
@@ -132,7 +115,7 @@ func NewCFG(fn ast.Node) *CFG {
 		b.stmtList(body.List)
 	}
 	b.jump(b.g.Exit) // fall off the end
-	b.wirePreds()
+	b.dedupeSuccs()
 	return b.g
 }
 
@@ -527,9 +510,8 @@ func isTerminatingCall(call *ast.CallExpr) bool {
 	return false
 }
 
-// wirePreds fills in predecessor lists (and dedupes duplicate edges) once
-// construction is done.
-func (b *cfgBuilder) wirePreds() {
+// dedupeSuccs drops duplicate edges once construction is done.
+func (b *cfgBuilder) dedupeSuccs() {
 	for _, blk := range b.g.Blocks {
 		seen := map[*Block]bool{}
 		uniq := blk.Succs[:0]
@@ -540,10 +522,5 @@ func (b *cfgBuilder) wirePreds() {
 			}
 		}
 		blk.Succs = uniq
-	}
-	for _, blk := range b.g.Blocks {
-		for _, s := range blk.Succs {
-			s.Preds = append(s.Preds, blk)
-		}
 	}
 }

@@ -7,9 +7,8 @@ import (
 	"time"
 )
 
-// runFullLint runs the full registry — package passes plus the
-// interprocedural program passes — over every module package, exactly like
-// `mctlint ./...`, and returns the finding count.
+// runFullLint runs the full registry over every module package, exactly
+// like `mctlint ./...`, and returns the finding count.
 func runFullLint(tb testing.TB, root string) int {
 	tb.Helper()
 	loader, err := NewLoader(root)
@@ -20,23 +19,19 @@ func runFullLint(tb testing.TB, root string) int {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	var all []*Package
 	n := 0
 	for _, p := range paths {
 		pkg, err := loader.Load(p)
 		if err != nil {
 			tb.Fatalf("load %s: %v", p, err)
 		}
-		all = append(all, pkg)
 		n += len(RunAnalyzers(NewPass(loader, pkg), Analyzers()))
 	}
-	prog := NewProgram(loader, all)
-	n += len(RunProgramAnalyzers(prog, Analyzers()))
 	return n
 }
 
 // BenchmarkLintTree measures one full-registry pass over the module: the
-// number to watch when adding whole-program analyses.
+// number to watch when adding a rule.
 func BenchmarkLintTree(b *testing.B) {
 	root := moduleRoot(b)
 	b.ReportAllocs()
@@ -45,9 +40,8 @@ func BenchmarkLintTree(b *testing.B) {
 	}
 }
 
-// TestLintTreeWallClockBudget is the CI ceiling: a full mctlint run
-// (package and interprocedural rules, cold caches) must
-// finish inside the budget, so a new whole-program pass cannot silently
+// TestLintTreeWallClockBudget is the CI ceiling: a full mctlint run (cold
+// caches) must finish inside the budget, so a new rule cannot silently
 // blow up lint time.
 // Override with MCTLINT_BUDGET_SECONDS; the default leaves generous
 // headroom over the observed single-digit-second runtime.

@@ -17,7 +17,6 @@ import (
 // Package is one loaded, type-checked package.
 type Package struct {
 	Path  string
-	Dir   string
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
@@ -161,7 +160,7 @@ func (l *Loader) loadDirAs(dir, path string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analysis: typecheck %s: %w", path, err)
 	}
-	return &Package{Path: path, Dir: dir, Files: files, Types: tpkg, Info: info}, nil
+	return &Package{Path: path, Files: files, Types: tpkg, Info: info}, nil
 }
 
 // LoadFixture loads a standalone fixture directory under the given import
@@ -221,19 +220,6 @@ func (l *Loader) PackageDirs(root string) ([]string, error) {
 // Load loads (and caches) the package at the given module-internal import
 // path.
 func (l *Loader) Load(path string) (*Package, error) { return l.load(path) }
-
-// Loaded returns every module-internal package the loader has type-checked
-// so far (requested packages and their transitive module dependencies),
-// sorted by import path. Fixture packages loaded with LoadFixture are not
-// cached and therefore not included.
-func (l *Loader) Loaded() []*Package {
-	out := make([]*Package, 0, len(l.pkgs))
-	for _, p := range l.pkgs {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	return out
-}
 
 // NewPass builds an analysis Pass for a loaded package.
 func NewPass(l *Loader, p *Package) *Pass {

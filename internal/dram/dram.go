@@ -350,8 +350,6 @@ func (d *Cache) fill(addr, now uint64, dirty bool) uint64 {
 // Read services a demand fill (hierarchy.Mem). Hits cost HitLatency;
 // misses touch the page counter, promote on hot pages, and forward to
 // the tier below for the data either way.
-//
-//mctlint:hotpath
 func (d *Cache) Read(addr, now uint64) uint64 {
 	if d.probe(addr, false) {
 		d.st.Hits++
@@ -367,8 +365,6 @@ func (d *Cache) Read(addr, now uint64) uint64 {
 // Write accepts an LLC dirty writeback (hierarchy.Mem). Resident lines
 // absorb it (the NVM write is elided until eviction); hot-page misses
 // write-allocate; cold misses forward to the tier below.
-//
-//mctlint:hotpath
 func (d *Cache) Write(addr, now uint64) uint64 {
 	if d.probe(addr, true) {
 		d.st.WriteHits++
@@ -386,8 +382,6 @@ func (d *Cache) Write(addr, now uint64) uint64 {
 // data down); otherwise the offer forwards to the tier below. Eager
 // offers do not heat pages: harvested victims are by definition lines the
 // LLC considers useless.
-//
-//mctlint:hotpath
 func (d *Cache) EagerWrite(addr, now uint64) bool {
 	if d.probe(addr, true) {
 		d.st.EagerAbsorbed++

@@ -14,8 +14,8 @@
 //   - Determinism: identical call sequences produce identical state and
 //     return values; no wall-clock, no map iteration on any result path.
 //   - Hot path: Read/Write/EagerWrite/Drain run once per LLC miss in the
-//     streaming inner loop and must not allocate at steady state (the
-//     allochot audit and TestBatchedStepLoopZeroAllocs enforce this).
+//     streaming inner loop and must not allocate at steady state
+//     (TestBatchedStepLoopZeroAllocs and its tiered twin enforce this).
 //   - Snapshot: tiers carry Clone (deep copy, shares nothing mutable)
 //     and a gob-serializable snapshot form so machines embedding them
 //     keep the Clone/Snapshot/Restore contract.

@@ -1,8 +1,9 @@
-// Regression tests for the hot-path allocation fixes the allochot audit
-// drove: the in-flight op is held by value (no per-issue *inflight), and a
-// cancellation re-queues the write by shifting the existing queue storage
-// in place (no per-cancel slice rebuild). Once the queues are warm, the
-// controller's issue/read/cancel cycle allocates nothing.
+// Allocation gates of the controller's hot path: the in-flight op is held
+// by value (no per-issue *inflight), a cancellation re-queues the write by
+// shifting the existing queue storage in place (no per-cancel slice
+// rebuild), and a full write queue stalls without allocating. Once the
+// queues are warm, the controller's issue/read/cancel/backpressure cycle
+// allocates nothing.
 package nvm
 
 import (
@@ -131,5 +132,38 @@ func TestControllerBusyZeroAllocs(t *testing.T) {
 	avg := testing.AllocsPerRun(5, round)
 	if avg != 0 {
 		t.Errorf("controller allocates %.2f objects per %d calls, want exactly 0", avg, len(calls))
+	}
+}
+
+// TestQueueFullBackpressureZeroAllocs: a flood of demand writes to one
+// bank, issued with no time between them, keeps the write queue full, so
+// every Write stalls in drainUntilSpace (backpressure) until the bank
+// issues a queued write, then enqueues behind it. The stall loop
+// allocates nothing. The bank's queue gets its bounded capacity up front,
+// as in TestControllerBusyZeroAllocs.
+func TestQueueFullBackpressureZeroAllocs(t *testing.T) {
+	c := mustNew(t, config.StaticBaseline(), smallParams())
+	c.banks[0].writes = make([]writeReq, 0, c.p.WriteQueueCap)
+	now, addr := uint64(100), uint64(0)
+	flood := func(n int) {
+		for i := 0; i < n; i++ {
+			for c.bankOf(addr) != 0 {
+				addr += 64
+			}
+			now = c.Write(addr, now)
+			addr += 64
+		}
+	}
+	flood(2 * c.p.WriteQueueCap) // fill the queue and reach the stall regime
+
+	const rounds = 200
+	stalls := c.Stats().QueueFullStalls
+	avg := testing.AllocsPerRun(5, func() { flood(rounds) })
+	// AllocsPerRun makes one warm-up call before the five it measures.
+	if got, want := c.Stats().QueueFullStalls-stalls, uint64(6*rounds); got != want {
+		t.Fatalf("%d of %d flooded writes hit a full queue; the gate must stall on every one", got, want)
+	}
+	if avg != 0 {
+		t.Errorf("queue-full backpressure allocates %.2f objects per %d stalled writes, want exactly 0", avg, rounds)
 	}
 }

@@ -752,7 +752,7 @@ func (c *Controller) Read(addr uint64, now uint64) uint64 {
 		req := op.req
 		req.cancels++
 		req.enq = now
-		//mctlint:ignore allochot amortized: grows the existing queue capacity, no per-cancel rebuild
+		// Amortized: grows the existing queue capacity, no per-cancel rebuild.
 		bank.writes = append(bank.writes, writeReq{})
 		copy(bank.writes[1:], bank.writes)
 		bank.writes[0] = req
@@ -807,7 +807,7 @@ func (c *Controller) Write(addr uint64, now uint64) uint64 {
 		accepted = c.drainUntilSpace(now)
 	}
 	b := c.bankOf(addr)
-	//mctlint:ignore allochot amortized: bounded queue (WriteQueueCap) reuses its capacity across the run
+	// Amortized: the bounded queue (WriteQueueCap) reuses its capacity across the run.
 	c.banks[b].writes = append(c.banks[b].writes, writeReq{addr: addr, enq: accepted})
 	c.pend |= 1 << uint(b)
 	c.writeQLen++
@@ -872,7 +872,7 @@ func (c *Controller) EagerWrite(addr uint64, now uint64) bool {
 		}
 		return true
 	}
-	//mctlint:ignore allochot amortized: bounded queue (EagerQueueCap) reuses its capacity across the run
+	// Amortized: the bounded queue (EagerQueueCap) reuses its capacity across the run.
 	c.banks[b].eager = append(c.banks[b].eager, req)
 	c.pend |= 1 << uint(b)
 	c.eagerQLen++

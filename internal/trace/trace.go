@@ -242,8 +242,6 @@ const (
 // Next produces the next access in the stream. Callers that consume whole
 // batches should prefer Fill, which amortizes the call overhead; the two
 // produce the identical stream (Fill is a loop over the same core).
-//
-//mctlint:hotpath
 func (g *Generator) Next() Access {
 	ph := &g.spec.Phases[g.phaseIdx]
 
@@ -320,9 +318,8 @@ func (g *Generator) Next() Access {
 // stream into dst and returns len(dst) (a generator never exhausts). The
 // stream is exactly the one repeated Next calls produce, at any batch size —
 // the batch-size-invariance contract the streaming simulator relies on.
-// Hot-path root: the batched inner loop of streaming simulation.
-//
-//mctlint:hotpath
+// It is the batched inner loop of streaming simulation, held to zero
+// allocations by TestFillPhaseSwitchZeroAllocs.
 func (g *Generator) Fill(dst []Access) int {
 	for i := range dst {
 		dst[i] = g.Next()
