@@ -74,12 +74,12 @@ func main() {
 	}
 }
 
-// summary streams n accesses of src and prints aggregate intensity, write
+// summary streams n accesses of g and prints aggregate intensity, write
 // mix, instruction count, and the footprint at both migration
 // granularities: unique 64 B lines (LLC) and unique 4 KiB pages — the
 // granularity the DRAM tier's hot-page promotion policy tracks, so
 // lines/pages hints how much a page-grained migration can coalesce.
-func summary(name string, src trace.Source, n int, buf []trace.Access) {
+func summary(name string, g *trace.Generator, n int, buf []trace.Access) {
 	const pageBytes = 4096
 	var insts uint64
 	var writes int
@@ -87,7 +87,7 @@ func summary(name string, src trace.Source, n int, buf []trace.Access) {
 	pages := map[uint64]struct{}{}
 	for done := 0; done < n; {
 		k := min(len(buf), n-done)
-		src.Fill(buf[:k])
+		g.Fill(buf[:k])
 		for _, a := range buf[:k] {
 			insts += uint64(a.InstGap)
 			if a.Write {
@@ -105,11 +105,4 @@ func summary(name string, src trace.Source, n int, buf []trace.Access) {
 		float64(insts)/1e6,
 		len(lines),
 		len(pages))
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

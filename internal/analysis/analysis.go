@@ -34,11 +34,6 @@ type Diagnostic struct {
 	Message string
 }
 
-// String renders the finding in the driver's output format.
-func (d Diagnostic) String() string {
-	return fmt.Sprintf("%s:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Rule, d.Message)
-}
-
 // Pass carries one type-checked package through the analyzers.
 type Pass struct {
 	Fset    *token.FileSet

@@ -3,7 +3,6 @@ package analysis
 import (
 	"bufio"
 	"fmt"
-	"go/token"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -84,7 +83,7 @@ func loadFixtureAs(t *testing.T, dir, rel string, analyzers []*Analyzer) []Diagn
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := loader.LoadFixture(dir, loader.ModulePath()+"/"+rel)
+	pkg, err := loader.loadDirAs(dir, loader.ModulePath()+"/"+rel)
 	if err != nil {
 		t.Fatalf("load fixture %s: %v", dir, err)
 	}
@@ -158,18 +157,6 @@ func TestMalformedIgnoreReported(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("directive findings mismatch\n got: %v\nwant: %v", got, want)
-	}
-}
-
-func TestDiagnosticString(t *testing.T) {
-	d := Diagnostic{
-		Pos:     token.Position{Filename: "internal/sim/sim.go", Line: 42},
-		Rule:    "floateq",
-		Message: "== on float64 operands",
-	}
-	const want = "internal/sim/sim.go:42: [floateq] == on float64 operands"
-	if got := d.String(); got != want {
-		t.Errorf("String() = %q, want %q", got, want)
 	}
 }
 

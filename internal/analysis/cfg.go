@@ -42,8 +42,6 @@ type Block struct {
 	Succs []*Block
 }
 
-func (b *Block) String() string { return fmt.Sprintf("b%d(%s)", b.Index, b.Desc) }
-
 // CFG is the control-flow graph of one function body.
 type CFG struct {
 	Blocks []*Block

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -350,3 +351,6 @@ func TestBlockContaining(t *testing.T) {
 		t.Errorf("BlockContaining(%v) = %v, want %v", pos, got, then)
 	}
 }
+
+// String names a block in test failure messages.
+func (b *Block) String() string { return fmt.Sprintf("b%d(%s)", b.Index, b.Desc) }

@@ -163,13 +163,6 @@ func (l *Loader) loadDirAs(dir, path string) (*Package, error) {
 	return &Package{Path: path, Files: files, Types: tpkg, Info: info}, nil
 }
 
-// LoadFixture loads a standalone fixture directory under the given import
-// path (tests use paths like "mct/internal/testdata/<rule>" so rules scoped
-// to internal/ apply).
-func (l *Loader) LoadFixture(dir, path string) (*Package, error) {
-	return l.loadDirAs(dir, path)
-}
-
 // PackageDirs returns the import paths of every package under root (a
 // directory inside the module), skipping testdata, hidden and underscore
 // directories.

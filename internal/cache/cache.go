@@ -112,23 +112,11 @@ func (c *Cache) Name() string { return "llc" }
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
 
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.setCount }
-
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats {
 	s := c.stats
 	s.HitsByPos = append([]uint64(nil), c.stats.HitsByPos...)
 	return s
-}
-
-// ResetStats clears the counters (the cache contents are preserved).
-func (c *Cache) ResetStats() {
-	hist := c.stats.HitsByPos
-	for i := range hist {
-		hist[i] = 0
-	}
-	c.stats = Stats{HitsByPos: hist}
 }
 
 func (c *Cache) locate(addr uint64) (setIdx int, tag uint64) {
@@ -286,15 +274,5 @@ func (c *Cache) Clone() *Cache {
 	}
 	n.stats = c.stats
 	n.stats.HitsByPos = append([]uint64(nil), c.stats.HitsByPos...)
-	return n
-}
-
-// DirtyLines counts the dirty lines currently resident (test/diagnostic
-// helper).
-func (c *Cache) DirtyLines() int {
-	n := 0
-	for _, m := range c.dirty {
-		n += bits.OnesCount64(m)
-	}
 	return n
 }

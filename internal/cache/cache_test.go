@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -26,12 +27,12 @@ func TestNewErrors(t *testing.T) {
 		}
 	}
 	c := mustNew(t, 64*64*4, 4)
-	if c.Ways() != 4 || c.Sets() != 64 {
-		t.Fatalf("geometry wrong: %d ways, %d sets", c.Ways(), c.Sets())
+	if c.Ways() != 4 || c.setCount != 64 {
+		t.Fatalf("geometry wrong: %d ways, %d sets", c.Ways(), c.setCount)
 	}
 	c = mustNew(t, 2*maxWays*64, maxWays)
-	if c.Ways() != maxWays || c.Sets() != 2 {
-		t.Fatalf("geometry wrong: %d ways, %d sets", c.Ways(), c.Sets())
+	if c.Ways() != maxWays || c.setCount != 2 {
+		t.Fatalf("geometry wrong: %d ways, %d sets", c.Ways(), c.setCount)
 	}
 }
 
@@ -218,21 +219,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	c := mustNew(t, 4*64, 4)
-	c.Access(0, true)
-	c.Access(0, false)
-	c.ResetStats()
-	st := c.Stats()
-	if st.Hits != 0 || st.Misses != 0 || st.HitsByPos[0] != 0 {
-		t.Fatalf("ResetStats left counters: %+v", st)
-	}
-	// Contents preserved.
-	if r := c.Access(0, false); !r.Hit {
-		t.Fatal("ResetStats must preserve contents")
-	}
-}
-
 // Property: counters are consistent with the access stream, and writebacks
 // never exceed misses.
 func TestCounterConsistency(t *testing.T) {
@@ -297,4 +283,14 @@ func TestWritebackAddressMapsToSameSet(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// DirtyLines counts the dirty lines currently resident (an observation helper
+// for tests).
+func (c *Cache) DirtyLines() int {
+	n := 0
+	for _, m := range c.dirty {
+		n += bits.OnesCount64(m)
+	}
+	return n
 }

@@ -56,15 +56,6 @@ func (c *refCache) Stats() Stats {
 	return s
 }
 
-// ResetStats clears the counters (the cache contents are preserved).
-func (c *refCache) ResetStats() {
-	hist := c.stats.HitsByPos
-	for i := range hist {
-		hist[i] = 0
-	}
-	c.stats = Stats{HitsByPos: hist}
-}
-
 func (c *refCache) locate(addr uint64) (setIdx int, tag uint64) {
 	lineAddr := addr / LineBytes
 	return int(lineAddr & c.setMask), lineAddr >> c.setShift
@@ -374,9 +365,6 @@ func runDifferential(seed int64, geo [2]int, mix trafficMix, ops int) error {
 			if r, err = refFromSnapshot(rs); err != nil {
 				return fmt.Errorf("op %d: reference restore: %v", i, err)
 			}
-		case 2:
-			c.ResetStats()
-			r.ResetStats()
 		}
 		if i%97 == 0 {
 			if err := agree(c, r); err != nil {
@@ -390,8 +378,8 @@ func runDifferential(seed int64, geo [2]int, mix trafficMix, ops int) error {
 // TestDifferentialAgainstReference: for every geometry and traffic mix, and
 // random eager-scan arguments including the clamped edges, the bitmask
 // cache returns the same value from every call as the byte-lane reference,
-// leaves the eager cursor in the same place, and survives Clone, a gob
-// checkpoint round trip and ResetStats in step with it.
+// leaves the eager cursor in the same place, and survives Clone and a gob
+// checkpoint round trip in step with it.
 func TestDifferentialAgainstReference(t *testing.T) {
 	for _, geo := range geometries {
 		for _, mix := range trafficMixes {

@@ -176,10 +176,6 @@ func b2f(v bool) float64 {
 	return 0
 }
 
-// VectorLen is the dimensionality of the full configuration encoding
-// (§4.1.1, Eq. 1).
-const VectorLen = 10
-
 // Vector returns the 10-dimensional encoding of §4.1.1:
 //
 //	[bank_aware, bank_aware_threshold, eager_writebacks, eager_threshold,
@@ -206,10 +202,6 @@ func VectorNames() []string {
 		"fast_cancellation", "slow_cancellation",
 	}
 }
-
-// CompressedLen is the dimensionality of the manually compressed feature
-// encoding of §4.4.
-const CompressedLen = 5
 
 // Compressed returns the 5-feature encoding of §4.4, in which each
 // technique's usage flag and aggressiveness parameter are merged:

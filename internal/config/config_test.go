@@ -97,15 +97,15 @@ func TestVectorEncoding(t *testing.T) {
 	}
 	want := []float64{1, 1, 1, 32, 0, 0, 1.5, 3.0, 0, 1}
 	got := c.Vector()
-	if len(got) != VectorLen {
-		t.Fatalf("vector length %d, want %d", len(got), VectorLen)
+	if len(got) != 10 {
+		t.Fatalf("vector length %d, want %d", len(got), 10)
 	}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("vector[%d] = %v, want %v (%v)", i, got[i], want[i], got)
 		}
 	}
-	if len(VectorNames()) != VectorLen {
+	if len(VectorNames()) != 10 {
 		t.Fatal("VectorNames length mismatch")
 	}
 }
@@ -124,7 +124,7 @@ func TestCompressedEncoding(t *testing.T) {
 			t.Fatalf("compressed[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
-	if len(CompressedNames()) != CompressedLen {
+	if len(CompressedNames()) != 5 {
 		t.Fatal("CompressedNames length mismatch")
 	}
 	// Eager threshold 32 is the most eager level (§3.1).

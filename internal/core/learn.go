@@ -13,16 +13,15 @@ import (
 // a configuration differs from the baseline, and predictions are
 // denormalized by the baseline's measured behaviour.
 type TradeoffModel struct {
-	modelName string
-	preds     [3]ml.Predictor
-	baseline  [3]float64
-	fitted    bool
+	preds    [3]ml.Predictor
+	baseline [3]float64
+	fitted   bool
 }
 
 // NewTradeoffModel constructs the three predictors for a model family name
 // (see ml.New for the accepted names).
 func NewTradeoffModel(modelName string) (*TradeoffModel, error) {
-	tm := &TradeoffModel{modelName: modelName}
+	tm := &TradeoffModel{}
 	for i := range tm.preds {
 		p, err := ml.New(modelName)
 		if err != nil {
@@ -35,12 +34,9 @@ func NewTradeoffModel(modelName string) (*TradeoffModel, error) {
 
 // NewTradeoffModelWith wraps three caller-supplied predictors (used to plug
 // in offline or hierarchical-Bayes models, which need offline data).
-func NewTradeoffModelWith(name string, ipc, lifetime, energy ml.Predictor) *TradeoffModel {
-	return &TradeoffModel{modelName: name, preds: [3]ml.Predictor{ipc, lifetime, energy}}
+func NewTradeoffModelWith(ipc, lifetime, energy ml.Predictor) *TradeoffModel {
+	return &TradeoffModel{preds: [3]ml.Predictor{ipc, lifetime, energy}}
 }
-
-// Name returns the model family name.
-func (tm *TradeoffModel) Name() string { return tm.modelName }
 
 // Fit trains the three predictors on sample configurations and their
 // measured metrics, normalizing every target to the baseline metrics.
@@ -97,6 +93,3 @@ func (tm *TradeoffModel) PredictAll(space *config.Space) [][3]float64 {
 	}
 	return out
 }
-
-// Fitted reports whether Fit has succeeded.
-func (tm *TradeoffModel) Fitted() bool { return tm.fitted }

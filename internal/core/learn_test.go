@@ -17,7 +17,7 @@ func TestTradeoffModelFitPredict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tm.Name() != "gboost" || tm.Fitted() {
+	if tm.fitted {
 		t.Fatal("fresh model state wrong")
 	}
 
@@ -38,7 +38,7 @@ func TestTradeoffModelFitPredict(t *testing.T) {
 	if err := tm.Fit(samples, measured, baseline); err != nil {
 		t.Fatal(err)
 	}
-	if !tm.Fitted() {
+	if !tm.fitted {
 		t.Fatal("model must be fitted")
 	}
 

@@ -274,7 +274,7 @@ func New(machine System, obj Objective, opt Options) (*Runtime, error) {
 				return nil, err
 			}
 		}
-		tm = NewTradeoffModelWith("custom", preds[0], preds[1], preds[2])
+		tm = NewTradeoffModelWith(preds[0], preds[1], preds[2])
 	} else if tm, err = NewTradeoffModel(opt.Model); err != nil {
 		return nil, err
 	}

@@ -231,17 +231,8 @@ func log2(n int) int {
 // Name identifies the tier (hierarchy.Tier).
 func (d *Cache) Name() string { return "dram" }
 
-// Params returns the construction parameters.
-func (d *Cache) Params() Params { return d.p }
-
-// Next returns the tier below.
-func (d *Cache) Next() hierarchy.Mem { return d.next }
-
 // Stats returns a snapshot of the counters.
 func (d *Cache) Stats() Stats { return d.st }
-
-// PromoteThreshold returns the live promotion threshold.
-func (d *Cache) PromoteThreshold() int { return d.promote }
 
 // SetPromoteThreshold adjusts the promotion knob on a live tier; cached
 // lines and page counters are preserved (online reconfiguration, like
@@ -413,29 +404,4 @@ func (d *Cache) Drain(now uint64) uint64 {
 		}
 	}
 	return d.next.Drain(now)
-}
-
-// DirtyLines counts resident dirty lines (test/diagnostic helper).
-func (d *Cache) DirtyLines() int {
-	n := 0
-	const valadirty = metaValid | metaDirty
-	for _, m := range d.meta {
-		if m&valadirty == valadirty {
-			n++
-		}
-	}
-	return n
-}
-
-// Contains reports whether addr's line is resident (test helper; does not
-// touch LRU order or stats).
-func (d *Cache) Contains(addr uint64) bool {
-	setIdx, tag := d.locate(addr)
-	base := setIdx * d.ways
-	for pos := 0; pos < d.ways; pos++ {
-		if d.meta[base+pos]&metaValid != 0 && d.tags[base+pos] == tag {
-			return true
-		}
-	}
-	return false
 }

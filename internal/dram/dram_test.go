@@ -378,8 +378,8 @@ func TestSetPromoteThresholdBounds(t *testing.T) {
 	if err := d.SetPromoteThreshold(MaxPromoteThreshold + 1); err == nil {
 		t.Error("oversized threshold accepted")
 	}
-	if err := d.SetPromoteThreshold(8); err != nil || d.PromoteThreshold() != 8 {
-		t.Errorf("legal threshold rejected: %v (now %d)", err, d.PromoteThreshold())
+	if err := d.SetPromoteThreshold(8); err != nil || d.promote != 8 {
+		t.Errorf("legal threshold rejected: %v (now %d)", err, d.promote)
 	}
 }
 
@@ -411,4 +411,30 @@ func TestHitRateWindows(t *testing.T) {
 	if cum := w1.HitRate(); cum == delta.HitRate() {
 		t.Errorf("cumulative rate %v accidentally equals windowed rate; test lost its power", cum)
 	}
+}
+
+// DirtyLines counts resident dirty lines (an observation helper for
+// tests).
+func (d *Cache) DirtyLines() int {
+	n := 0
+	const valadirty = metaValid | metaDirty
+	for _, m := range d.meta {
+		if m&valadirty == valadirty {
+			n++
+		}
+	}
+	return n
+}
+
+// Contains reports whether addr's line is resident (an observation helper
+// for tests; it touches neither LRU order nor stats).
+func (d *Cache) Contains(addr uint64) bool {
+	setIdx, tag := d.locate(addr)
+	base := setIdx * d.ways
+	for pos := 0; pos < d.ways; pos++ {
+		if d.meta[base+pos]&metaValid != 0 && d.tags[base+pos] == tag {
+			return true
+		}
+	}
+	return false
 }

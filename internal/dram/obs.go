@@ -43,9 +43,6 @@ func NewObs(r *obs.Registry) *Obs {
 	}
 }
 
-// Registry returns the registry this publisher feeds.
-func (o *Obs) Registry() *obs.Registry { return o.reg }
-
 // Rebase sets the delta baseline to s without publishing, so activity
 // before s is never accounted.
 func (o *Obs) Rebase(s Stats) { o.last = s }

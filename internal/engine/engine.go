@@ -20,7 +20,7 @@
 //   - Context cancellation: cancelling ctx stops the pool promptly (no new
 //     tasks start; Map returns ctx.Err()).
 //   - Structured progress: completion counts stream through an optional
-//     callback, serialized and monotone, feeding Event sinks.
+//     callback, serialized and monotone, feeding obs.TraceSink sinks.
 //   - Deterministic metrics: with Options.Obs set, the engine's counters
 //     (map calls, tasks completed) land in the stable dump — they depend
 //     only on the work, not the schedule — while wall-clock signals (task
@@ -30,7 +30,6 @@ package engine
 
 import (
 	"context"
-	"io"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -39,22 +38,6 @@ import (
 
 	"mct/internal/obs"
 )
-
-// Event is the engine's progress notification, now shared with the whole
-// observability layer: it is an alias of obs.Event, so progress events and
-// runtime decision traces flow through one observer type.
-type Event = obs.Event
-
-// Sink consumes progress events (alias of obs.TraceSink). Sinks must be
-// safe for concurrent use: parallel tasks emit from many goroutines.
-type Sink = obs.TraceSink
-
-// TextAdapter returns a Sink that writes each event's preformatted Text
-// line to w — the drop-in replacement for the former `Progress io.Writer`
-// option, reproducing its line output byte-for-byte. Events without Text
-// are dropped; writes are serialized so interleaved emitters never tear
-// lines. It is obs.TextSink under its historical engine name.
-func TextAdapter(w io.Writer) Sink { return obs.TextSink(w) }
 
 // taskSecondsBounds bucket per-task wall durations (volatile instrument).
 var taskSecondsBounds = []float64{0.001, 0.01, 0.1, 1, 10, 100}

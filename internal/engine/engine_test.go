@@ -258,18 +258,6 @@ func TestMapEmpty(t *testing.T) {
 	}
 }
 
-func TestTextAdapter(t *testing.T) {
-	var buf bytes.Buffer
-	sink := TextAdapter(&buf)
-	sink(Event{Scope: "sweep", Item: "lbm", Done: 500, Total: 4060, Text: "  sweep lbm: 500/4060 configs"})
-	sink(Event{Scope: "sweep", Done: 1, Total: 10}) // no Text: dropped
-	sink(Event{Text: "fig1: sweeping lbm"})
-	want := "  sweep lbm: 500/4060 configs\nfig1: sweeping lbm\n"
-	if got := buf.String(); got != want {
-		t.Errorf("TextAdapter output:\n%q\nwant:\n%q", got, want)
-	}
-}
-
 // TestMapObsCounters: with a registry attached, Map publishes the
 // deterministic engine counters — identical at any worker count — while the
 // wall-clock instruments stay out of the stable dump.

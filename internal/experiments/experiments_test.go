@@ -370,16 +370,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestAverage3(t *testing.T) {
-	got := Average3([][3]float64{{1, 2, 3}, {3, 4, 5}})
-	if got != [3]float64{2, 3, 4} {
-		t.Fatalf("Average3 = %v", got)
-	}
-	if Average3(nil) != [3]float64{} {
-		t.Fatal("empty Average3 must be zero")
-	}
-}
-
 func TestNormalizationAblation(t *testing.T) {
 	opt := tinyOptions()
 	opt.Benchmarks = []string{"lbm"}

@@ -227,31 +227,3 @@ func FeatureVsRandomSampling(ctx context.Context, opt Options) ([]SamplingAccura
 	rep := &Report{ID: "fig4b", Tables: []Table{tbl}}
 	return results, rep, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Average3 is a helper returning the mean of a [3]float64 slice column
-// across results (used by reports and tests).
-func Average3(vals [][3]float64) [3]float64 {
-	var out [3]float64
-	if len(vals) == 0 {
-		return out
-	}
-	for _, v := range vals {
-		for i := 0; i < 3; i++ {
-			out[i] += v[i]
-		}
-	}
-	for i := 0; i < 3; i++ {
-		out[i] /= float64(len(vals))
-	}
-	return out
-}
-
-// geoMeanOf is a small convenience for gain aggregation.
-func geoMeanOf(xs []float64) float64 { return stats.GeoMean(xs) }

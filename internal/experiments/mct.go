@@ -8,6 +8,7 @@ import (
 	"mct/internal/core"
 	"mct/internal/ml"
 	"mct/internal/sim"
+	"mct/internal/stats"
 	"mct/internal/trace"
 )
 
@@ -182,9 +183,9 @@ func MCTComparison(ctx context.Context, models []string, totalInsts uint64, opt 
 	}
 
 	// Geomean summary row.
-	sumRow := []string{"GEOMEAN", "", f3(geoMeanOf(idealIPCRatio)), "", "", "", f3(geoMeanOf(idealEnergyRatio))}
+	sumRow := []string{"GEOMEAN", "", f3(stats.GeoMean(idealIPCRatio)), "", "", "", f3(stats.GeoMean(idealEnergyRatio))}
 	for _, mn := range models {
-		sumRow = append(sumRow, f3(geoMeanOf(gains[mn])), "", f3(geoMeanOf(energies[mn])))
+		sumRow = append(sumRow, f3(stats.GeoMean(gains[mn])), "", f3(stats.GeoMean(energies[mn])))
 	}
 	fig7.Rows = append(fig7.Rows, sumRow)
 
@@ -193,8 +194,8 @@ func MCTComparison(ctx context.Context, models []string, totalInsts uint64, opt 
 		rep.Notes = append(rep.Notes, fmt.Sprintf(
 			"MCT(%s): %+.2f%% IPC, %+.2f%% energy vs static; %.2f%% of ideal IPC, %+.2f%% energy vs ideal",
 			mn,
-			100*(geoMeanOf(gains[mn])-1), 100*(geoMeanOf(energies[mn])-1),
-			100*geoMeanOf(ofIdealIPC[mn]), 100*(geoMeanOf(ofIdealEnergy[mn])-1)))
+			100*(stats.GeoMean(gains[mn])-1), 100*(stats.GeoMean(energies[mn])-1),
+			100*stats.GeoMean(ofIdealIPC[mn]), 100*(stats.GeoMean(ofIdealEnergy[mn])-1)))
 	}
 	return results, rep, nil
 }
@@ -317,13 +318,13 @@ func SamplingOverhead(ctx context.Context, alphas []float64, totalInsts uint64, 
 		sEn = append(sEn, r.SamplingEnergyRatio)
 		tEn = append(tEn, r.TestingEnergyRatio)
 	}
-	tblA.AddRow("GEOMEAN", f3(geoMeanOf(sIPC)), f3(geoMeanOf(tIPC)), f3(geoMeanOf(sEn)), f3(geoMeanOf(tEn)))
+	tblA.AddRow("GEOMEAN", f3(stats.GeoMean(sIPC)), f3(stats.GeoMean(tIPC)), f3(stats.GeoMean(sEn)), f3(stats.GeoMean(tEn)))
 
 	tblB := Table{Title: "Figure 9b: extrapolated totals vs testing:sampling ratio α (Equation 4)", Header: []string{"alpha", "ipc_total", "energy_total"}}
 	for _, a := range alphas {
 		tblB.AddRow(fmt.Sprintf("%g", a),
-			f3(ExtrapolateIPC(geoMeanOf(sIPC), geoMeanOf(tIPC), a)),
-			f3(ExtrapolateIPC(geoMeanOf(sEn), geoMeanOf(tEn), a)))
+			f3(ExtrapolateIPC(stats.GeoMean(sIPC), stats.GeoMean(tIPC), a)),
+			f3(ExtrapolateIPC(stats.GeoMean(sEn), stats.GeoMean(tEn), a)))
 	}
 	rep := &Report{ID: "fig9", Tables: []Table{tblA, tblB}}
 	return results, rep, nil

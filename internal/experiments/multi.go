@@ -9,6 +9,7 @@ import (
 	"mct/internal/engine"
 	"mct/internal/ml"
 	"mct/internal/sim"
+	"mct/internal/stats"
 	"mct/internal/trace"
 )
 
@@ -114,7 +115,7 @@ func MultiProgram(ctx context.Context, mixes []string, totalInsts uint64, opt Op
 			f3(r.Default.IPC/r.Static.IPC), f3(r.MCT.IPC/r.Static.IPC),
 			f2(r.Default.LifetimeYears), f2(r.Static.LifetimeYears), f2(r.MCT.LifetimeYears))
 	}
-	fig10.AddRow("GEOMEAN", "", f3(geoMeanOf(ipcRatios)), "", "", "")
+	fig10.AddRow("GEOMEAN", "", f3(stats.GeoMean(ipcRatios)), "", "", "")
 
 	rep := &Report{ID: "fig10", Tables: []Table{t11, fig10}}
 	return results, rep, nil

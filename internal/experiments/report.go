@@ -11,7 +11,7 @@ import (
 	"io"
 	"strings"
 
-	"mct/internal/engine"
+	"mct/internal/obs"
 )
 
 // Table is a printable experiment artifact.
@@ -88,6 +88,6 @@ func f4(v float64) string { return fmt.Sprintf("%.4f", v) }
 // Scope names the experiment, item the benchmark/mix being processed.
 func emitf(opt Options, scope, item, format string, args ...any) {
 	if opt.Events != nil {
-		opt.Events(engine.Event{Scope: scope, Item: item, Text: fmt.Sprintf(format, args...)})
+		opt.Events(obs.Event{Scope: scope, Item: item, Text: fmt.Sprintf(format, args...)})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -204,6 +205,11 @@ func TestRunSweepCancellation(t *testing.T) {
 	}
 	if len(s2.Indices) != len(s.Indices) {
 		t.Fatalf("disk-cache round trip changed sweep size: %d != %d", len(s2.Indices), len(s.Indices))
+	}
+	// Losslessly: every metric of every configuration, the per-bank wear
+	// and the write-ratio histogram included.
+	if !reflect.DeepEqual(s2, s) {
+		t.Errorf("disk-cache round trip changed the sweep:\nbaseline %+v\nvs       %+v", s2.Baseline, s.Baseline)
 	}
 }
 

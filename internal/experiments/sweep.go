@@ -35,8 +35,8 @@ type Options struct {
 	// runtime.GOMAXPROCS(0). Results are deterministic at any value.
 	Workers int
 	// Events, when non-nil, receives structured progress events. Use
-	// engine.TextAdapter to recover the former plain-text progress lines.
-	Events engine.Sink
+	// obs.TextSink to recover the former plain-text progress lines.
+	Events obs.TraceSink
 	// Obs, when non-nil, receives the engine's metric family from every
 	// evaluation fan-out (plus experiments.sweeps_computed). Only
 	// schedule-independent counters land in the stable dump, so sweep
@@ -174,17 +174,7 @@ func computeSweep(ctx context.Context, benchmark string, includeWQ bool, key swe
 	space := config.NewSpace(config.SpaceOptions{IncludeWearQuota: includeWQ, WearQuotaTarget: opt.LifetimeTarget})
 
 	// Optional cross-process disk cache (MCT_SWEEP_CACHE).
-	if dto := loadSweepFromDisk(key, space.Len()); dto != nil {
-		s := &Sweep{
-			Benchmark: benchmark,
-			Space:     space,
-			Indices:   dto.Indices,
-			Baseline:  fromDTO(dto.Baseline),
-			Default:   fromDTO(dto.Default),
-		}
-		for _, m := range dto.Metrics {
-			s.Metrics = append(s.Metrics, fromDTO(m))
-		}
+	if s := loadSweepFromDisk(key, space); s != nil {
 		return s, nil
 	}
 
@@ -215,7 +205,7 @@ func computeSweep(ctx context.Context, benchmark string, includeWQ bool, key swe
 			// serial loop; OnDone counts are monotone at any worker count,
 			// so the emitted lines are byte-identical.
 			if done%500 == 0 {
-				events(engine.Event{
+				events(obs.Event{
 					Scope: "sweep", Item: benchmark, Done: done, Total: total,
 					Text: fmt.Sprintf("  sweep %s: %d/%d configs", benchmark, done, total),
 				})
@@ -255,8 +245,9 @@ func baselineAt(target float64) config.Config {
 	return b
 }
 
-// ResetSweepCache clears the in-process sweep cache (tests). In-flight
-// computations finish against their old entries and are not re-cached.
+// ResetSweepCache clears the in-process sweep cache; the daemon calls it
+// after every experiment job. In-flight computations finish against their
+// old entries and are not re-cached.
 func ResetSweepCache() {
 	sweepMu.Lock()
 	sweepCache = map[sweepKey]*sweepEntry{}

@@ -56,13 +56,6 @@ func (m *Dense) Set(i, j int, v float64) { m.data[i*m.cols+j] = v }
 // Row returns a view (not a copy) of row i.
 func (m *Dense) Row(i int) []float64 { return m.data[i*m.cols : (i+1)*m.cols] }
 
-// Clone returns a deep copy of the matrix.
-func (m *Dense) Clone() *Dense {
-	c := NewDense(m.rows, m.cols)
-	copy(c.data, m.data)
-	return c
-}
-
 // T returns the transpose as a new matrix.
 func (m *Dense) T() *Dense {
 	t := NewDense(m.cols, m.rows)
@@ -290,15 +283,6 @@ func Dot(a, b []float64) float64 {
 		s += v * b[i]
 	}
 	return s
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
 }
 
 // AddScaled computes dst += alpha*src in place.

@@ -41,11 +41,6 @@ func TestAtSetRow(t *testing.T) {
 	if m.At(1, 0) != 7 {
 		t.Fatal("Row must be a view, not a copy")
 	}
-	c := m.Clone()
-	c.Set(0, 0, 9)
-	if m.At(0, 0) == 9 {
-		t.Fatal("Clone must not alias")
-	}
 }
 
 func TestTranspose(t *testing.T) {
@@ -265,9 +260,6 @@ func TestSolveRidgeHandlesCollinear(t *testing.T) {
 func TestDotNormAddScaled(t *testing.T) {
 	if Dot([]float64{1, 2, 3}, []float64{4, 5, 6}) != 32 {
 		t.Fatal("Dot wrong")
-	}
-	if !almostEq(Norm2([]float64{3, 4}), 5, 1e-12) {
-		t.Fatal("Norm2 wrong")
 	}
 	dst := []float64{1, 1}
 	AddScaled(dst, 2, []float64{3, 4})

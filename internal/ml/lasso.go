@@ -149,15 +149,3 @@ func (l *Lasso) Coefficients() (w []float64, bias float64) {
 	}
 	return append([]float64(nil), l.w...), l.bias
 }
-
-// SelectedFeatures returns the indices of features with non-zero
-// coefficients, i.e. the features lasso selected.
-func (l *Lasso) SelectedFeatures() []int {
-	var idx []int
-	for j, v := range l.w {
-		if v != 0 {
-			idx = append(idx, j)
-		}
-	}
-	return idx
-}

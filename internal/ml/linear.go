@@ -87,13 +87,3 @@ func (l *Linear) Predict(x []float64) float64 {
 	z := l.std.Apply(x)
 	return l.bias + mat.Dot(l.w, z)
 }
-
-// Coefficients returns the fitted weights on standardized features (useful
-// for feature-importance rankings) and the intercept. It returns nil before
-// fitting.
-func (l *Linear) Coefficients() (w []float64, bias float64) {
-	if !l.fitted {
-		return nil, 0
-	}
-	return append([]float64(nil), l.w...), l.bias
-}

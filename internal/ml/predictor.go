@@ -58,12 +58,6 @@ const (
 	NameHBayes         = "hbayes"
 )
 
-// OnlineModelNames lists the online predictors compared in Table 7/Figure 2
-// (those that can be constructed without offline data).
-func OnlineModelNames() []string {
-	return []string{NameLinear, NameLinearLasso, NameQuadratic, NameQuadraticLasso, NameGBoost}
-}
-
 // New constructs a predictor by model name with the defaults used in the
 // experiments. Offline and hierarchical-Bayes predictors need offline data
 // and have dedicated constructors (NewOffline, NewHierarchicalBayes).

@@ -376,9 +376,6 @@ func (c *Controller) EagerPolicy() (on bool, threshold int) {
 // harvesting marks the line clean.
 func (c *Controller) EagerSpace() bool { return c.eagerQLen < c.p.EagerQueueCap }
 
-// Params returns the controller's memory parameters.
-func (c *Controller) Params() Params { return c.p }
-
 // Stats returns a snapshot of the counters. It does not mutate the
 // controller, so a shared warm controller may be read concurrently.
 func (c *Controller) Stats() Stats {
@@ -408,15 +405,6 @@ func (c *Controller) foldWrites(byRatio map[float64]uint64) {
 		}
 	}
 }
-
-// Now returns the controller's high-water-mark time in memory cycles.
-func (c *Controller) Now() uint64 { return c.now }
-
-// WriteQueueLen returns the current demand write queue occupancy.
-func (c *Controller) WriteQueueLen() int { return c.writeQLen }
-
-// EagerQueueLen returns the current eager queue occupancy.
-func (c *Controller) EagerQueueLen() int { return c.eagerQLen }
 
 // rowOf returns the global row index of an address (rows are the
 // interleaving unit: the 16 lines of one 1 KB row live in one bank, so
@@ -448,26 +436,24 @@ func (c *Controller) twp(ratio float64) uint64 {
 
 // bankWearBudget is the total wear a bank tolerates before the memory is
 // considered worn out, under the wear-leveling efficiency assumption.
-func (c *Controller) bankWearBudget() float64 {
-	return float64(c.p.LinesPerBank) * c.p.WearLevelEff
+func (p Params) bankWearBudget() float64 {
+	return float64(p.LinesPerBank) * p.WearLevelEff
 }
 
 // WearBudget exposes the per-bank wear budget so observers can normalize
 // wear distributions against end-of-life.
-func (c *Controller) WearBudget() float64 { return c.bankWearBudget() }
+func (c *Controller) WearBudget() float64 { return c.p.bankWearBudget() }
 
 // LifetimeYears projects the memory lifetime assuming the observed wear
 // rate continues ("the system will cyclically execute the current workload
-// until the main memory wears out", §6.1). elapsedCycles is the simulated
-// duration. Lifetimes are capped at 1000 years to keep zero-write runs
-// finite.
-func (c *Controller) LifetimeYears(elapsedCycles uint64) float64 {
-	maxWear := c.st.MaxBankWear()
-	if maxWear <= 0 || elapsedCycles == 0 {
+// until the main memory wears out", §6.1): seconds of simulated time wore
+// the most-worn bank by maxWear. Lifetimes are capped at 1000 years to keep
+// zero-write runs finite.
+func (p Params) LifetimeYears(seconds, maxWear float64) float64 {
+	if maxWear <= 0 || seconds <= 0 {
 		return 1000
 	}
-	seconds := float64(elapsedCycles) / c.p.MemCyclesPerSec
-	years := seconds * c.bankWearBudget() / maxWear / SecondsPerYear
+	years := seconds * p.bankWearBudget() / maxWear / SecondsPerYear
 	if years > 1000 {
 		return 1000
 	}
@@ -499,7 +485,7 @@ func (c *Controller) Advance(t uint64) {
 func (c *Controller) updateWearQuota(atCycles uint64) {
 	c.st.TotalSlices++
 	targetCycles := c.cfg.WearQuotaTarget * SecondsPerYear * c.p.MemCyclesPerSec
-	allowance := float64(atCycles) / targetCycles * c.bankWearBudget()
+	allowance := float64(atCycles) / targetCycles * c.p.bankWearBudget()
 	c.forced = c.st.MaxBankWear() >= allowance
 	if c.forced {
 		c.st.ForcedSlices++

@@ -265,15 +265,21 @@ func TestLifetimeScalesWithWriteRate(t *testing.T) {
 	elapsed := uint64(100 * 1000)
 	a.Drain(elapsed)
 	b.Drain(elapsed)
-	la, lb := a.LifetimeYears(elapsed), b.LifetimeYears(elapsed)
+	la, lb := lifetimeAt(a, elapsed), lifetimeAt(b, elapsed)
 	if la <= lb {
 		t.Fatalf("lifetime must fall with write rate: %v vs %v", la, lb)
 	}
 }
 
+// lifetimeAt projects c's lifetime from its wear after elapsedCycles memory
+// cycles, as the simulator's window metrics do.
+func lifetimeAt(c *Controller, elapsedCycles uint64) float64 {
+	return c.p.LifetimeYears(float64(elapsedCycles)/c.p.MemCyclesPerSec, c.st.MaxBankWear())
+}
+
 func TestLifetimeNoWrites(t *testing.T) {
 	c := mustNew(t, config.Default(), smallParams())
-	if got := c.LifetimeYears(1000); got != 1000 {
+	if got := lifetimeAt(c, 1000); got != 1000 {
 		t.Fatalf("zero-write lifetime = %v, want cap 1000", got)
 	}
 }
@@ -387,7 +393,7 @@ func TestWearQuotaImprovesLifetime(t *testing.T) {
 			c.Write(uint64(i%512)*64, now)
 		}
 		end := c.Drain(now + 1000)
-		return c.LifetimeYears(end)
+		return lifetimeAt(c, end)
 	}
 	without := run(false)
 	with := run(true)
@@ -497,8 +503,17 @@ func checkInvariants(c *Controller) error {
 	if byRatio != st.DemandWrites+st.EagerWrites {
 		return fmt.Errorf("ratio histogram holds %d writes, issued %d", byRatio, st.DemandWrites+st.EagerWrites)
 	}
-	if c.LifetimeYears(c.Now()) <= 0 {
+	if lifetimeAt(c, c.Now()) <= 0 {
 		return fmt.Errorf("non-positive lifetime")
 	}
 	return nil
 }
+
+// Now returns the controller's high-water-mark time in memory cycles.
+func (c *Controller) Now() uint64 { return c.now }
+
+// WriteQueueLen returns the current demand write queue occupancy.
+func (c *Controller) WriteQueueLen() int { return c.writeQLen }
+
+// EagerQueueLen returns the current eager queue occupancy.
+func (c *Controller) EagerQueueLen() int { return c.eagerQLen }

@@ -87,9 +87,6 @@ func NewObs(r *obs.Registry, wearBudget float64) *Obs {
 	}
 }
 
-// Registry returns the registry this publisher feeds.
-func (o *Obs) Registry() *obs.Registry { return o.reg }
-
 // Rebase sets the delta baseline to s without publishing.
 func (o *Obs) Rebase(s Stats) { o.last = s }
 

@@ -27,12 +27,6 @@ type Options struct {
 	Threshold float64
 }
 
-// DefaultOptions returns the paper's parameters: I = 1M instructions,
-// 100·I / 1000·I windows, threshold 15.
-func DefaultOptions() Options {
-	return Options{IntervalInsts: 1_000_000, ShortWindows: 100, LongWindows: 1000, Threshold: 15}
-}
-
 // Validate checks option sanity.
 func (o Options) Validate() error {
 	if o.IntervalInsts == 0 {
@@ -61,12 +55,6 @@ func New(opt Options) *Detector {
 	}
 	return &Detector{opt: opt, hist: make([]float64, 0, opt.LongWindows)}
 }
-
-// Options returns the detector's configuration.
-func (d *Detector) Options() Options { return d.opt }
-
-// HistoryLen returns the number of intervals currently in the history.
-func (d *Detector) HistoryLen() int { return len(d.hist) }
 
 // Observe folds in the memory-request count of the latest interval and
 // returns the current t-score and whether a new phase was declared. On a

@@ -10,7 +10,7 @@ func opts() Options {
 }
 
 func TestValidate(t *testing.T) {
-	if err := DefaultOptions().Validate(); err != nil {
+	if err := opts().Validate(); err != nil {
 		t.Fatal(err)
 	}
 	bad := []Options{
@@ -64,8 +64,8 @@ func TestStepChangeDetected(t *testing.T) {
 		t.Fatal("10x workload shift not detected")
 	}
 	// After detection the history is cleared.
-	if d.HistoryLen() != 0 {
-		t.Fatalf("history not cleared: %d", d.HistoryLen())
+	if len(d.hist) != 0 {
+		t.Fatalf("history not cleared: %d", len(d.hist))
 	}
 }
 
@@ -103,8 +103,8 @@ func TestHistoryBounded(t *testing.T) {
 	for i := 0; i < 3*o.LongWindows; i++ {
 		d.Observe(50 + rng.NormFloat64())
 	}
-	if d.HistoryLen() > o.LongWindows {
-		t.Fatalf("history %d exceeds cap %d", d.HistoryLen(), o.LongWindows)
+	if len(d.hist) > o.LongWindows {
+		t.Fatalf("history %d exceeds cap %d", len(d.hist), o.LongWindows)
 	}
 }
 
@@ -114,10 +114,10 @@ func TestReset(t *testing.T) {
 		d.Observe(10)
 	}
 	d.Reset()
-	if d.HistoryLen() != 0 {
+	if len(d.hist) != 0 {
 		t.Fatal("Reset must clear history")
 	}
-	if d.Options() != opts() {
-		t.Fatal("Options accessor wrong")
+	if d.opt != opts() {
+		t.Fatal("Reset must keep the options")
 	}
 }

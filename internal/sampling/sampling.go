@@ -115,9 +115,3 @@ func BuildSchedule(totalInsts, unitInsts uint64, n int) (Schedule, error) {
 	}
 	return Schedule{UnitInsts: unitInsts, Rounds: rounds}, nil
 }
-
-// TotalInsts returns the instruction cost of running the schedule over n
-// samples.
-func (s Schedule) TotalInsts(n int) uint64 {
-	return s.UnitInsts * uint64(s.Rounds) * uint64(n)
-}

@@ -90,8 +90,8 @@ func TestBuildSchedule(t *testing.T) {
 	if sched.Rounds != 10 || sched.UnitInsts != 10_000 {
 		t.Fatalf("schedule = %+v", sched)
 	}
-	if sched.TotalInsts(10) != 1_000_000 {
-		t.Fatalf("TotalInsts = %d", sched.TotalInsts(10))
+	if total := sched.UnitInsts * uint64(sched.Rounds) * 10; total != 1_000_000 {
+		t.Fatalf("schedule over 10 samples costs %d insts, want the whole budget", total)
 	}
 	// Budget smaller than one round still yields one round.
 	sched, err = BuildSchedule(1000, 10_000, 10)

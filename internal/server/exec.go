@@ -29,6 +29,7 @@ import (
 	"os"
 
 	"mct/api"
+	"mct/internal/atomicfile"
 	"mct/internal/config"
 	"mct/internal/engine"
 	"mct/internal/experiments"
@@ -278,7 +279,7 @@ func execSweep(ctx context.Context, spec api.JobSpec, opt ExecOptions) ([]byte, 
 			done = append(done, api.FromMetrics(m))
 		}
 		if ck := opt.Checkpoints; ck != nil {
-			if err := writeFileAtomic(ck.partialPath(), api.Encode(sweepPartial{V: api.Version, Metrics: done})); err != nil {
+			if err := atomicfile.Write(ck.partialPath(), api.Encode(sweepPartial{V: api.Version, Metrics: done})); err != nil {
 				return nil, err
 			}
 		}
@@ -301,8 +302,12 @@ func execSweep(ctx context.Context, spec api.JobSpec, opt ExecOptions) ([]byte, 
 // execExperiment regenerates one paper table/figure. Resume granularity is
 // the sweep disk cache (MCT_SWEEP_CACHE): completed sweeps reload from disk
 // on a rerun, so only unfinished sweep work repeats. The daemon points the
-// cache at its state directory for exactly this reason.
+// cache at its state directory for exactly this reason, which also carries
+// sweeps from one job to the next: the in-process sweep cache is dropped
+// when the job returns, so a long-lived daemon does not hold every sweep
+// its jobs ever touched.
 func execExperiment(ctx context.Context, spec api.JobSpec, opt ExecOptions) ([]byte, error) {
+	defer experiments.ResetSweepCache()
 	eopt := experiments.DefaultOptions()
 	rp := experiments.DefaultRunParams()
 	if spec.Quick {

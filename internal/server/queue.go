@@ -125,10 +125,3 @@ func (q *fairQueue) remove(id string) bool {
 	}
 	return false
 }
-
-// depth returns the total queued backlog.
-func (q *fairQueue) depth() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.queued
-}

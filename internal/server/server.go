@@ -150,9 +150,6 @@ func New(opt Options) (*Server, error) {
 	return s, nil
 }
 
-// Registry returns the registry backing /metrics.
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
 // Run drives the queue until ctx is cancelled: pop the next job in client
 // rotation, execute it with checkpointing, persist the outcome. One job
 // runs at a time. On ctx cancellation mid-job the job's state stays

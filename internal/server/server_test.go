@@ -14,6 +14,8 @@ import (
 
 	"mct/api"
 	"mct/internal/config"
+	"mct/internal/experiments"
+	"mct/internal/obs"
 )
 
 func evalSpec(insts uint64) api.JobSpec {
@@ -723,5 +725,35 @@ func TestCLIDaemonParity(t *testing.T) {
 	}
 	if !bytes.Equal(cli, daemon) {
 		t.Fatal("daemon artifact differs from CLI Execute for the same spec")
+	}
+}
+
+// depth returns the total queued backlog.
+func (q *fairQueue) depth() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.queued
+}
+
+// TestExperimentJobDropsSweepCache: an experiment job's in-process sweeps
+// do not outlive the job, so a daemon's memory does not grow with every
+// distinct sweep key its jobs touch. Without a disk cache, a second
+// identical job recomputes exactly the sweeps the first one computed.
+func TestExperimentJobDropsSweepCache(t *testing.T) {
+	t.Setenv("MCT_SWEEP_CACHE", "")
+	experiments.ResetSweepCache()
+	spec := api.JobSpec{V: api.Version, Kind: api.KindExperiment, Experiment: "table4", Quick: true}
+	reg := obs.NewRegistry()
+	computed := reg.Counter("experiments.sweeps_computed")
+	var rises [2]uint64
+	for i := range rises {
+		before := computed.Value()
+		if _, err := Execute(context.Background(), spec, ExecOptions{Obs: reg}); err != nil {
+			t.Fatal(err)
+		}
+		rises[i] = computed.Value() - before
+	}
+	if rises[0] == 0 || rises[1] != rises[0] {
+		t.Errorf("sweeps computed per job = %v, want the same non-zero count on both runs", rises)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"mct/api"
+	"mct/internal/atomicfile"
 )
 
 // store is the daemon's durable state: one directory per job under
@@ -39,15 +40,15 @@ func (st *store) createJob(id string, spec api.JobSpec) error {
 	if err := os.MkdirAll(st.jobDir(id), 0o755); err != nil {
 		return err
 	}
-	return writeFileAtomic(filepath.Join(st.jobDir(id), "spec.json"), api.Encode(spec))
+	return atomicfile.Write(filepath.Join(st.jobDir(id), "spec.json"), api.Encode(spec))
 }
 
 func (st *store) writeStatus(status api.JobStatus) error {
-	return writeFileAtomic(filepath.Join(st.jobDir(status.ID), "status.json"), api.Encode(status))
+	return atomicfile.Write(filepath.Join(st.jobDir(status.ID), "status.json"), api.Encode(status))
 }
 
 func (st *store) writeArtifact(id string, artifact []byte) error {
-	return writeFileAtomic(filepath.Join(st.jobDir(id), "artifact.json"), artifact)
+	return atomicfile.Write(filepath.Join(st.jobDir(id), "artifact.json"), artifact)
 }
 
 func (st *store) readArtifact(id string) ([]byte, error) {
@@ -113,28 +114,3 @@ func nextID(records []jobRecord) int {
 }
 
 func jobID(n int) string { return fmt.Sprintf("j%06d", n) }
-
-// writeFileAtomic writes data to path via a temp file and rename, so
-// readers — including a restarted server — never observe a torn file.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()     //mctlint:ignore uncheckederr the write error is the one worth reporting
-		os.Remove(name) //mctlint:ignore uncheckederr the write error is the one worth reporting
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name) //mctlint:ignore uncheckederr the close error is the one worth reporting
-		return err
-	}
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name) //mctlint:ignore uncheckederr the rename error is the one worth reporting
-		return err
-	}
-	return nil
-}

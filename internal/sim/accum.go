@@ -83,15 +83,7 @@ func (a *Accum) Metrics() Metrics {
 			maxWear = w
 		}
 	}
-	budget := float64(a.opt.Params.LinesPerBank) * a.opt.Params.WearLevelEff
-	if maxWear <= 0 || a.seconds <= 0 {
-		mt.LifetimeYears = 1000
-	} else {
-		mt.LifetimeYears = a.seconds * budget / maxWear / nvm.SecondsPerYear
-		if mt.LifetimeYears > 1000 {
-			mt.LifetimeYears = 1000
-		}
-	}
+	mt.LifetimeYears = a.opt.Params.LifetimeYears(a.seconds, maxWear)
 	mt.WearByBankDelta = append([]float64(nil), a.wearByBank...)
 
 	mt.MemReads = a.memReads

@@ -64,7 +64,7 @@ func TestTraceIsTheMeasurementStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.beginWindow()
-	m.runSource(trace.NewReplay(p.Trace()))
+	m.StepBatch(p.Trace())
 	m.finishRun()
 	replayed := m.windowMetrics()
 
@@ -73,10 +73,11 @@ func TestTraceIsTheMeasurementStream(t *testing.T) {
 	}
 }
 
-// TestRunSourceMatchesRunAccesses: stepping a machine from a streamed
-// source — the generator itself or a replay of its materialized slice —
-// equals stepping an identical machine from its own generator.
-func TestRunSourceMatchesRunAccesses(t *testing.T) {
+// TestStepBatchMatchesRunAccesses: stepping a machine through StepBatch
+// over a materialized slice of its stream equals stepping an identical
+// machine from its own generator. Evaluate's shared-prefix replay relies on
+// this equivalence.
+func TestStepBatchMatchesRunAccesses(t *testing.T) {
 	const n = 30_000
 	cancel := config.Default()
 	cancel.FastCancellation = true
@@ -101,15 +102,14 @@ func TestRunSourceMatchesRunAccesses(t *testing.T) {
 				}
 				return step(m)
 			}
-			gen := func() *trace.Generator { return trace.NewGenerator(spec, rng.NewRand(opt.Seed)) }
 			own := run(func(m *Machine) Metrics { return m.RunAccesses(n) })
-			streamed := run(func(m *Machine) Metrics { return m.RunSource(trace.Limit(gen(), n)) })
-			replayed := run(func(m *Machine) Metrics { return m.RunSource(trace.NewReplay(trace.Collect(gen(), n))) })
-			if !reflect.DeepEqual(own, streamed) {
-				t.Errorf("RunSource over the generator diverged from RunAccesses:\n%+v\nvs\n%+v", streamed, own)
-			}
+			replayed := run(func(m *Machine) Metrics {
+				m.beginWindow()
+				m.StepBatch(trace.Collect(trace.NewGenerator(spec, rng.NewRand(opt.Seed)), n))
+				return m.windowMetrics()
+			})
 			if !reflect.DeepEqual(own, replayed) {
-				t.Errorf("RunSource over the materialized stream diverged from RunAccesses:\n%+v\nvs\n%+v", replayed, own)
+				t.Errorf("StepBatch over the materialized stream diverged from RunAccesses:\n%+v\nvs\n%+v", replayed, own)
 			}
 		})
 	}

@@ -426,7 +426,7 @@ func (m *Machine) stepNext() {
 
 // StepBatch executes a batch of trace accesses on core 0, the only core of
 // a single-core machine. It is the batched inner loop of streaming
-// simulation — together with trace.Source.Fill it forms the steady-state
+// simulation — together with trace.Generator.Fill it forms the steady-state
 // hot path, which must stay allocation-free.
 func (m *Machine) StepBatch(batch []trace.Access) {
 	c := &m.cores[0]
@@ -458,33 +458,11 @@ func (m *Machine) runOwn(n int) {
 	}
 }
 
-// runSource streams src to exhaustion through the step loop via the
-// reusable batch buffer.
-func (m *Machine) runSource(src trace.Source) {
-	buf := m.batchBuf()
-	for {
-		k := src.Fill(buf)
-		if k == 0 {
-			return
-		}
-		m.StepBatch(buf[:k])
-	}
-}
-
 // RunAccesses executes n trace accesses and returns the metrics of that
 // window.
 func (m *Machine) RunAccesses(n int) Metrics {
 	m.beginWindow()
 	m.runOwn(n)
-	return m.windowMetrics()
-}
-
-// RunSource streams src to exhaustion through core 0 — in reusable
-// batches, so memory stays O(StepBatchSize) however long the stream — and
-// returns the metrics of that window.
-func (m *Machine) RunSource(src trace.Source) Metrics {
-	m.beginWindow()
-	m.runSource(src)
 	return m.windowMetrics()
 }
 
@@ -584,15 +562,7 @@ func (m *Machine) windowMetrics() Metrics {
 		}
 	}
 	mt.WearByBankDelta = wearDelta
-	budget := float64(o.Params.LinesPerBank) * o.Params.WearLevelEff
-	if maxWear <= 0 || seconds <= 0 {
-		mt.LifetimeYears = 1000
-	} else {
-		mt.LifetimeYears = seconds * budget / maxWear / nvm.SecondsPerYear
-		if mt.LifetimeYears > 1000 {
-			mt.LifetimeYears = 1000
-		}
-	}
+	mt.LifetimeYears = o.Params.LifetimeYears(seconds, maxWear)
 
 	dst := diffStats(s0, s1)
 	mt.MemReads = dst.Reads

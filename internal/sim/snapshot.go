@@ -17,6 +17,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"mct/internal/atomicfile"
 	"mct/internal/cache"
 	"mct/internal/dram"
 	"mct/internal/hierarchy"
@@ -224,23 +225,10 @@ func SaveCheckpoint(path string, m *Machine) error {
 	if err := gob.NewEncoder(&buf).Encode(env); err != nil {
 		return fmt.Errorf("sim: encode checkpoint: %w", err)
 	}
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dir, ".checkpoint-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) //mctlint:ignore uncheckederr best-effort cleanup; after a successful rename the temp path no longer exists
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close() //mctlint:ignore uncheckederr the write error is the one worth reporting; the temp file is removed either way
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return atomicfile.Write(path, buf.Bytes())
 }
 
 // LoadCheckpoint rebuilds a machine from a checkpoint written by

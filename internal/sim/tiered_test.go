@@ -81,7 +81,9 @@ func TestTieredCloneNilsScratchBuffer(t *testing.T) {
 	if cl.mem != hierarchy.Mem(cl.dram) {
 		t.Error("clone's memory seam not rewired to its own DRAM tier")
 	}
-	if cl.dram.Next() != hierarchy.Mem(cl.ctrl) {
+	parent, own := m.ctrl.Stats(), cl.ctrl.Stats()
+	cl.RunAccesses(10_000)
+	if !reflect.DeepEqual(m.ctrl.Stats(), parent) || reflect.DeepEqual(cl.ctrl.Stats(), own) {
 		t.Error("clone's DRAM tier not rewired onto the clone's controller")
 	}
 }

@@ -1,5 +1,5 @@
 // Package stats provides the statistical primitives used across MCT:
-// summary statistics, Welch's t-test (the phase detector's core), the
+// mean and variance, Welch's t-test (the phase detector's core), the
 // coefficient of determination (the paper's accuracy metric, Eq. 3), and
 // geometric means (used for cross-benchmark aggregation).
 package stats
@@ -37,45 +37,6 @@ func Variance(xs []float64) float64 {
 	}
 	return s / float64(n-1)
 }
-
-// StdDev returns the unbiased sample standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Summary holds streaming first- and second-moment statistics.
-// The zero value is an empty summary ready to use.
-type Summary struct {
-	n    int
-	mean float64
-	m2   float64 // sum of squared deviations (Welford)
-}
-
-// Add folds x into the summary.
-func (s *Summary) Add(x float64) {
-	s.n++
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
-}
-
-// N returns the number of observations.
-func (s *Summary) N() int { return s.n }
-
-// Mean returns the running mean.
-func (s *Summary) Mean() float64 { return s.mean }
-
-// Variance returns the unbiased running variance.
-func (s *Summary) Variance() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n-1)
-}
-
-// StdDev returns the unbiased running standard deviation.
-func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
-
-// Reset returns the summary to its empty state.
-func (s *Summary) Reset() { *s = Summary{} }
 
 // TScore returns the absolute Welch's t statistic for the difference of the
 // means of two samples given their means, variances and sizes. It returns 0
@@ -140,46 +101,4 @@ func GeoMean(xs []float64) float64 {
 		logSum += math.Log(x)
 	}
 	return math.Exp(logSum / float64(len(xs)))
-}
-
-// MinMax returns the minimum and maximum of xs. It panics on an empty slice.
-func MinMax(xs []float64) (lo, hi float64) {
-	if len(xs) == 0 {
-		panic("stats: MinMax of empty slice")
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
-}
-
-// ArgMax returns the index of the largest element of xs, or -1 if empty.
-func ArgMax(xs []float64) int {
-	best := -1
-	bestV := math.Inf(-1)
-	for i, x := range xs {
-		if x > bestV {
-			best, bestV = i, x
-		}
-	}
-	return best
-}
-
-// MeanAbsErr returns the mean absolute error between pred and truth.
-// Slices must have equal length; it returns 0 for empty input.
-func MeanAbsErr(pred, truth []float64) float64 {
-	if len(pred) != len(truth) || len(pred) == 0 {
-		return 0
-	}
-	var s float64
-	for i, p := range pred {
-		s += math.Abs(p - truth[i])
-	}
-	return s / float64(len(pred))
 }

@@ -20,37 +20,6 @@ func TestMeanVariance(t *testing.T) {
 	}
 }
 
-// Property: the streaming Summary matches the batch statistics.
-func TestSummaryMatchesBatch(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(100)
-		xs := make([]float64, n)
-		var s Summary
-		for i := range xs {
-			xs[i] = rng.NormFloat64() * 100
-			s.Add(xs[i])
-		}
-		return s.N() == n &&
-			math.Abs(s.Mean()-Mean(xs)) < 1e-9 &&
-			math.Abs(s.Variance()-Variance(xs)) < 1e-6 &&
-			math.Abs(s.StdDev()-StdDev(xs)) < 1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSummaryReset(t *testing.T) {
-	var s Summary
-	s.Add(1)
-	s.Add(2)
-	s.Reset()
-	if s.N() != 0 || s.Mean() != 0 || s.Variance() != 0 {
-		t.Fatal("Reset must clear the summary")
-	}
-}
-
 func TestTScore(t *testing.T) {
 	// Identical samples: score 0.
 	if got := TScore(5, 1, 10, 5, 1, 10); got != 0 {
@@ -129,33 +98,5 @@ func TestGeoMean(t *testing.T) {
 	// Non-positive values degrade gracefully (no NaN).
 	if v := GeoMean([]float64{1, 0}); math.IsNaN(v) {
 		t.Fatal("geomean with zero must not be NaN")
-	}
-}
-
-func TestMinMaxArgMax(t *testing.T) {
-	lo, hi := MinMax([]float64{3, -1, 7, 2})
-	if lo != -1 || hi != 7 {
-		t.Fatalf("MinMax = %v,%v", lo, hi)
-	}
-	if ArgMax([]float64{3, -1, 7, 2}) != 2 {
-		t.Fatal("ArgMax wrong")
-	}
-	if ArgMax(nil) != -1 {
-		t.Fatal("ArgMax(nil) must be -1")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MinMax of empty must panic")
-		}
-	}()
-	MinMax(nil)
-}
-
-func TestMeanAbsErr(t *testing.T) {
-	if got := MeanAbsErr([]float64{1, 2}, []float64{2, 4}); got != 1.5 {
-		t.Fatalf("MeanAbsErr = %v, want 1.5", got)
-	}
-	if MeanAbsErr(nil, nil) != 0 || MeanAbsErr([]float64{1}, []float64{1, 2}) != 0 {
-		t.Fatal("degenerate inputs must return 0")
 	}
 }

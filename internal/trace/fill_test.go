@@ -72,92 +72,6 @@ func TestFillMatchesNextInterleaved(t *testing.T) {
 	}
 }
 
-func TestReplay(t *testing.T) {
-	spec, err := ByName("lbm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := Collect(NewGenerator(spec, rng.NewRand(3)), 100)
-	r := NewReplay(tr)
-	if r.Remaining() != 100 {
-		t.Fatalf("fresh replay has %d remaining, want 100", r.Remaining())
-	}
-
-	buf := make([]Access, 33)
-	var got []Access
-	for {
-		n := r.Fill(buf)
-		if n == 0 {
-			break
-		}
-		got = append(got, buf[:n]...)
-	}
-	if len(got) != len(tr) {
-		t.Fatalf("replay yielded %d accesses, want %d", len(got), len(tr))
-	}
-	for i := range tr {
-		if got[i] != tr[i] {
-			t.Fatalf("replay diverged at %d", i)
-		}
-	}
-	if r.Remaining() != 0 {
-		t.Fatalf("exhausted replay has %d remaining", r.Remaining())
-	}
-	if n := r.Fill(buf); n != 0 {
-		t.Fatalf("exhausted replay filled %d", n)
-	}
-	r.Reset()
-	if r.Remaining() != 100 {
-		t.Fatalf("reset replay has %d remaining, want 100", r.Remaining())
-	}
-	if n := r.Fill(buf); n != 33 || buf[0] != tr[0] {
-		t.Fatalf("reset replay restarts wrong: n=%d first=%+v", n, buf[0])
-	}
-}
-
-// TestLimit: a Limit view exhausts after exactly n accesses and leaves the
-// underlying source positioned to continue.
-func TestLimit(t *testing.T) {
-	spec, err := ByName("gups")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := NewGenerator(spec, rng.NewRand(9))
-	want := Collect(ref, 150)
-
-	g := NewGenerator(spec, rng.NewRand(9))
-	lim := Limit(g, 100)
-	buf := make([]Access, 64)
-	var got []Access
-	for {
-		n := lim.Fill(buf)
-		if n == 0 {
-			break
-		}
-		got = append(got, buf[:n]...)
-	}
-	if len(got) != 100 {
-		t.Fatalf("Limit(100) yielded %d accesses", len(got))
-	}
-	// The generator continues where the bounded view stopped.
-	g.Fill(buf[:50])
-	got = append(got, buf[:50]...)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("stream diverged at %d after a bounded read", i)
-		}
-	}
-
-	if n := Limit(g, -3).Fill(buf); n != 0 {
-		t.Fatalf("negative limit filled %d", n)
-	}
-	// Limit over an exhausting source stops at the source's end.
-	short := Limit(NewReplay(want[:10]), 100)
-	if n := short.Fill(buf); n != 10 {
-		t.Fatalf("limit over a 10-access replay filled %d", n)
-	}
-}
-
 // TestFillPhaseSwitchZeroAllocs: generating the stream allocates nothing,
 // phase switches included. The spec's three phases last a few thousand
 // instructions each and between them use every pattern, the hot region

@@ -314,8 +314,8 @@ func (g *Generator) Next() Access {
 	return Access{InstGap: instGap, Addr: g.addrBase + addr&^uint64(LineBytes-1), Write: write}
 }
 
-// Fill implements Source: it writes the next len(dst) accesses of the
-// stream into dst and returns len(dst) (a generator never exhausts). The
+// Fill writes the next len(dst) accesses of the stream into dst and
+// returns len(dst) (a generator never exhausts). The
 // stream is exactly the one repeated Next calls produce, at any batch size —
 // the batch-size-invariance contract the streaming simulator relies on.
 // It is the batched inner loop of streaming simulation, held to zero
@@ -334,16 +334,6 @@ func Collect(g *Generator, n int) []Access {
 	out := make([]Access, n)
 	g.Fill(out)
 	return out
-}
-
-// Materialize builds a trace of n accesses for the named benchmark drawing
-// from the injected source. It returns an error for unknown benchmarks.
-func Materialize(name string, n int, r *rng.Rand) ([]Access, error) {
-	spec, err := ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	return Collect(NewGenerator(spec, r), n), nil
 }
 
 // Names returns the registered benchmark names in sorted order.

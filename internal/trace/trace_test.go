@@ -212,16 +212,6 @@ func TestSequentialWalksLines(t *testing.T) {
 	}
 }
 
-func TestMaterialize(t *testing.T) {
-	tr, err := Materialize("stream", 100, rng.NewRand(1))
-	if err != nil || len(tr) != 100 {
-		t.Fatalf("Materialize: %v, %d accesses", err, len(tr))
-	}
-	if _, err := Materialize("nope", 10, rng.NewRand(1)); err == nil {
-		t.Fatal("unknown benchmark must error")
-	}
-}
-
 func TestNewGeneratorPanicsOnEmptySpec(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -36,9 +36,6 @@ func New(n, psi int) *StartGap {
 	return &StartGap{n: n, psi: psi, gap: n, wear: make([]uint64, n+1)}
 }
 
-// Lines returns the logical region size.
-func (s *StartGap) Lines() int { return s.n }
-
 // GapMoves returns how many gap movements (overhead writes) occurred.
 func (s *StartGap) GapMoves() uint64 { return s.moves }
 
@@ -84,11 +81,6 @@ func (s *StartGap) moveGap() {
 	// Copy line at gap-1 into the gap slot: that physical slot is written.
 	s.wear[s.gap]++
 	s.gap--
-}
-
-// Wear returns a copy of the per-physical-line write counts.
-func (s *StartGap) Wear() []uint64 {
-	return append([]uint64(nil), s.wear...)
 }
 
 // MaxWear returns the most-written physical line's count.

@@ -19,9 +19,9 @@ func TestMapBijective(t *testing.T) {
 	s := New(16, 4)
 	for step := 0; step < 200; step++ {
 		seen := map[int]bool{}
-		for la := 0; la < s.Lines(); la++ {
+		for la := 0; la < s.n; la++ {
 			pa := s.Map(la)
-			if pa < 0 || pa > s.Lines() {
+			if pa < 0 || pa > s.n {
 				t.Fatalf("PA %d out of range", pa)
 			}
 			if pa == s.gap {
@@ -32,7 +32,7 @@ func TestMapBijective(t *testing.T) {
 			}
 			seen[pa] = true
 		}
-		s.OnWrite(step % s.Lines())
+		s.OnWrite(step % s.n)
 	}
 }
 
@@ -125,7 +125,7 @@ func TestWearConservation(t *testing.T) {
 			}
 		}
 		var total uint64
-		for _, w := range s.Wear() {
+		for _, w := range s.wear {
 			total += w
 		}
 		return total == uint64(demand)+copies

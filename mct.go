@@ -47,6 +47,7 @@ import (
 	"mct/internal/engine"
 	"mct/internal/experiments"
 	"mct/internal/hierarchy"
+	"mct/internal/obs"
 	"mct/internal/sim"
 	"mct/internal/trace"
 )
@@ -332,7 +333,7 @@ type (
 // TextProgress returns a sink that renders trace events as plain text
 // lines on w — the same lines the drivers printed before events existed.
 // Pass it via WithTraceSink.
-func TextProgress(w io.Writer) TraceSink { return engine.TextAdapter(w) }
+func TextProgress(w io.Writer) TraceSink { return obs.TextSink(w) }
 
 // Experiments lists the reproducible table/figure identifiers.
 func Experiments() []string { return experiments.IDs() }
