@@ -50,6 +50,13 @@ func main() {
 		dramTh  = flag.Int("dram-promote", 0, "DRAM hot-page promotion threshold (0 = tier default; requires -dram)")
 	)
 	flag.Parse()
+	// The tier composition rides in the simulator options, so every
+	// machine of the invocation is built on the same hierarchy, and
+	// sweep-cache entries stay distinct per composition.
+	tiers := config.TierConfig{DRAMCache: *dram, DRAMPromoteThreshold: *dramTh}
+	if err := checkFlags(*stride, *acc, *workers, tiers); err != nil {
+		fail("flags", err)
+	}
 
 	if *list {
 		for _, id := range mct.Experiments() {
@@ -76,13 +83,7 @@ func main() {
 	if *benches != "" {
 		opt.Benchmarks = strings.Split(*benches, ",")
 	}
-	if *dramTh != 0 && !*dram {
-		fail("flags", errors.New("-dram-promote requires -dram"))
-	}
-	// The tier composition rides in the simulator options, so every
-	// machine of the invocation is built on the same hierarchy, and
-	// sweep-cache entries stay distinct per composition.
-	opt.Sim.Tiers = config.TierConfig{DRAMCache: *dram, DRAMPromoteThreshold: *dramTh}
+	opt.Sim.Tiers = tiers
 	opt.Workers = *workers
 	if !*quiet {
 		opt.Events = mct.TextProgress(os.Stderr)
@@ -140,6 +141,21 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "metrics dump written to %s\n", *metrics)
 	}
+}
+
+// checkFlags rejects flag values that would otherwise be ignored: a
+// negative -stride, -accesses or -workers reads as the default, and a
+// bad -dram-promote would only fail once an experiment builds a machine.
+func checkFlags(stride, accesses, workers int, tiers config.TierConfig) error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"stride", stride}, {"accesses", accesses}, {"workers", workers}} {
+		if f.v < 0 {
+			return fmt.Errorf("-%s %d: want 0 (the default) or a positive count", f.name, f.v)
+		}
+	}
+	return tiers.Validate()
 }
 
 // writeFileMkdir writes data to path, creating the parent directory.

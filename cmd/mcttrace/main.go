@@ -30,6 +30,10 @@ func main() {
 		seed     = flag.Int64("seed", 1, "generator seed")
 	)
 	flag.Parse()
+	if err := checkFlags(*accesses, *windows); err != nil {
+		fmt.Fprintln(os.Stderr, "mcttrace:", err)
+		os.Exit(1)
+	}
 
 	buf := make([]trace.Access, batchSize)
 
@@ -72,6 +76,18 @@ func main() {
 		mpki := float64(n) / float64(insts) * 1000
 		fmt.Printf("%-8d %10d %8.2f %8.3f\n", w, insts, mpki, float64(writes)/float64(n))
 	}
+}
+
+// checkFlags rejects counts the profile cannot use: zero windows divide by
+// zero, negative ones never finish, and zero accesses print NaN rows.
+func checkFlags(accesses, windows int) error {
+	if accesses <= 0 {
+		return fmt.Errorf("-accesses %d: want a positive count", accesses)
+	}
+	if windows <= 0 {
+		return fmt.Errorf("-windows %d: want a positive count", windows)
+	}
+	return nil
 }
 
 // summary streams n accesses of g and prints aggregate intensity, write

@@ -54,6 +54,24 @@ func (p *Pass) Reportf(pos token.Pos, rule, format string, args ...any) {
 	})
 }
 
+// ForEachFunc visits every function with a body in file — declarations and
+// literals, in source order. Literals nested inside another function are
+// visited separately, so a rule that skips FuncLit nodes while walking body
+// sees each statement under exactly one function.
+func ForEachFunc(file *ast.File, visit func(fn ast.Node, body *ast.BlockStmt)) {
+	ast.Inspect(file, func(n ast.Node) bool {
+		switch f := n.(type) {
+		case *ast.FuncDecl:
+			if f.Body != nil {
+				visit(f, f.Body)
+			}
+		case *ast.FuncLit:
+			visit(f, f.Body)
+		}
+		return true
+	})
+}
+
 // Analyzer is one lint rule, invoked once per type-checked package.
 type Analyzer struct {
 	// Name is the rule identifier used in output and ignore directives.
@@ -65,13 +83,14 @@ type Analyzer struct {
 }
 
 // Analyzers returns the default registry: every simulator-aware rule
-// shipped with mctlint, the syntactic ones first, then those built on the
-// control-flow graphs of cfg.go. Copying a lock by value is go vet's
-// copylocks check and data races are the race detector's, so no rule here
-// repeats them. Determinism of reports, dumps and checkpoints, the
-// completeness of Clone/Snapshot, hot-path allocations and lock release
-// are pinned by the golden, worker-count, snapshot round-trip, zero-alloc
-// and engine/queue/registry tests rather than by a rule.
+// shipped with mctlint. maprange and obsnames walk whole function bodies
+// (ForEachFunc); the others match single statements or declarations.
+// Copying a lock by value is go vet's copylocks check and data races are
+// the race detector's, so no rule here repeats them. Determinism of
+// reports, dumps and checkpoints, the completeness of Clone/Snapshot,
+// hot-path allocations and lock release are pinned by the golden,
+// worker-count, snapshot round-trip, zero-alloc and engine/queue/registry
+// tests rather than by a rule.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		NoRandGlobal,

@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"os"
-	"strconv"
 	"testing"
 	"time"
 )
@@ -42,21 +40,13 @@ func BenchmarkLintTree(b *testing.B) {
 
 // TestLintTreeWallClockBudget is the CI ceiling: a full mctlint run (cold
 // caches) must finish inside the budget, so a new rule cannot silently
-// blow up lint time.
-// Override with MCTLINT_BUDGET_SECONDS; the default leaves generous
-// headroom over the observed single-digit-second runtime.
+// blow up lint time. The budget leaves generous headroom over the observed
+// single-digit-second runtime.
 func TestLintTreeWallClockBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock budget check skipped in -short")
 	}
-	budget := 120 * time.Second
-	if s := os.Getenv("MCTLINT_BUDGET_SECONDS"); s != "" {
-		secs, err := strconv.Atoi(s)
-		if err != nil || secs <= 0 {
-			t.Fatalf("MCTLINT_BUDGET_SECONDS=%q: want a positive integer", s)
-		}
-		budget = time.Duration(secs) * time.Second
-	}
+	const budget = 120 * time.Second
 	start := time.Now()
 	runFullLint(t, moduleRoot(t))
 	elapsed := time.Since(start)

@@ -16,16 +16,18 @@ import (
 // A range over a map is fine when its effects are order-insensitive
 // (copying into another map, counting with integers) or when it only
 // collects keys/values into a slice that is sorted before use — the
-// canonical fix. The analyzer recognizes that idiom with the CFG: an
-// accumulation is exempt when the collecting slice reaches a sort.* or
-// slices.Sort* call in a block reachable from the loop.
+// canonical fix. The analyzer recognizes that idiom by source order: an
+// accumulation is exempt when the collecting slice is passed to a sort.* or
+// slices.* call in the same function body, placed after the range statement
+// starts (inside the loop body or after it). A sort in dead code after a
+// return counts too; go vet's unreachable check reports that code.
 var MapRange = &Analyzer{
 	Name: "maprange",
 	Doc:  "no map iteration whose order reaches output or an order-sensitive accumulation; sort keys first",
 	Run: func(pass *Pass) {
 		for _, f := range pass.Files {
-			ForEachFunc(f, func(fn ast.Node, body *ast.BlockStmt, g *CFG) {
-				runMapRange(pass, body, g)
+			ForEachFunc(f, func(fn ast.Node, body *ast.BlockStmt) {
+				runMapRange(pass, body)
 			})
 		}
 	},
@@ -49,7 +51,7 @@ var outputMethods = map[string]bool{
 	"AddRow": true, "Note": true,
 }
 
-func runMapRange(pass *Pass, body *ast.BlockStmt, g *CFG) {
+func runMapRange(pass *Pass, body *ast.BlockStmt) {
 	// Find the map ranges of this function only; nested literals get their
 	// own visit.
 	var ranges []*ast.RangeStmt
@@ -67,7 +69,7 @@ func runMapRange(pass *Pass, body *ast.BlockStmt, g *CFG) {
 		return true
 	})
 	for _, r := range ranges {
-		checkMapRange(pass, body, g, r)
+		checkMapRange(pass, body, r)
 	}
 }
 
@@ -100,7 +102,7 @@ func rootIdent(e ast.Expr) *ast.Ident {
 	}
 }
 
-func checkMapRange(pass *Pass, fnBody *ast.BlockStmt, g *CFG, r *ast.RangeStmt) {
+func checkMapRange(pass *Pass, fnBody *ast.BlockStmt, r *ast.RangeStmt) {
 	// Taint starts at the loop variables and spreads through assignments
 	// inside the body, so `s := m[k]; buf.WriteString(s)` is caught too.
 	taint := map[types.Object]bool{}
@@ -245,30 +247,27 @@ func checkMapRange(pass *Pass, fnBody *ast.BlockStmt, g *CFG, r *ast.RangeStmt) 
 
 	// Sorted-slice exemption: an accumulation is the first half of the
 	// canonical collect-then-sort idiom when the slice flows into a sort
-	// call in a block reachable from this loop.
+	// call placed after this loop starts.
 	for _, a := range accums {
-		if !sortReaches(pass, fnBody, g, r, a.obj) {
+		if !sortedAfter(pass, fnBody, r, a.obj) {
 			pass.Reportf(a.pos, "maprange",
 				"map iteration appends to %s in random order and %s is never sorted; sort it before use", a.what, a.what)
 		}
 	}
 }
 
-// sortReaches reports whether obj is passed to a sort.* or slices.* call
-// located in a block reachable from the range's head block.
-func sortReaches(pass *Pass, fnBody *ast.BlockStmt, g *CFG, r *ast.RangeStmt, obj types.Object) bool {
-	head := g.BlockOf(r)
-	var reach map[*Block]bool
-	if head != nil {
-		reach = g.ReachableFrom(head)
-	}
+// sortedAfter reports whether obj is passed to a sort.* or slices.* call
+// in fnBody that starts after the range statement does. A sort before the
+// loop, even one a surrounding loop runs again, does not order this
+// range's appends.
+func sortedAfter(pass *Pass, fnBody *ast.BlockStmt, r *ast.RangeStmt, obj types.Object) bool {
 	found := false
 	ast.Inspect(fnBody, func(n ast.Node) bool {
 		if found {
 			return false
 		}
 		call, ok := n.(*ast.CallExpr)
-		if !ok {
+		if !ok || call.Pos() <= r.Pos() {
 			return true
 		}
 		sel, ok := call.Fun.(*ast.SelectorExpr)
@@ -282,27 +281,15 @@ func sortReaches(pass *Pass, fnBody *ast.BlockStmt, g *CFG, r *ast.RangeStmt, ob
 		if p := fn.Pkg().Path(); p != "sort" && p != "slices" {
 			return true
 		}
-		mentions := false
 		for _, a := range call.Args {
 			ast.Inspect(a, func(x ast.Node) bool {
 				if id, ok := x.(*ast.Ident); ok && objOf(pass.Info, id) == obj {
-					mentions = true
+					found = true
 				}
-				return !mentions
+				return !found
 			})
 		}
-		if !mentions {
-			return true
-		}
-		if reach != nil {
-			if b := g.BlockContaining(call.Pos()); b != nil && !reach[b] {
-				// The sort happens on a path that cannot follow the loop
-				// (e.g. an earlier return); it does not fix this range.
-				return true
-			}
-		}
-		found = true
-		return false
+		return !found
 	})
 	return found
 }

@@ -29,7 +29,7 @@ var ObsNames = &Analyzer{
 	Doc:  "metric names must be literal [a-z0-9_.]+ strings, registered once per function",
 	Run: func(pass *Pass) {
 		for _, f := range pass.Files {
-			ForEachFunc(f, func(fn ast.Node, body *ast.BlockStmt, g *CFG) {
+			ForEachFunc(f, func(fn ast.Node, body *ast.BlockStmt) {
 				runObsNames(pass, body)
 			})
 		}

@@ -46,13 +46,63 @@ func collectWithoutSort(m map[string]int) []string {
 }
 
 // collectThenSort is the canonical fix: the collected keys flow into a
-// sort call reachable from the loop, so the range is clean.
+// sort call after the loop, so the range is clean.
 func collectThenSort(m map[string]int) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	return keys
+}
+
+// sortBeforeLoop sorts the slice before the range appends to it, so the
+// appended keys stay in map order.
+func sortBeforeLoop(m map[string]int) []string {
+	keys := []string{"default"}
+	sort.Strings(keys)
+	for k := range m {
+		keys = append(keys, k) // want maprange
+	}
+	return keys
+}
+
+// sortInsideLoop re-sorts after every append: the sort starts after the
+// range does, so the range is clean.
+func sortInsideLoop(m map[string]int) []string {
+	var keys []string
+	for k := range m {
+		keys = append(keys, k)
+		sort.Strings(keys)
+	}
+	return keys
+}
+
+// sortAfterLoopInIf sorts after the loop on one branch only; the exemption
+// asks where the sort sits, not whether every path runs it.
+func sortAfterLoopInIf(m map[string]int, ordered bool) []string {
+	var keys []string
+	for k := range m {
+		keys = append(keys, k)
+	}
+	if ordered {
+		sort.Strings(keys)
+	}
+	return keys
+}
+
+// sortBeforeRangeInOuterLoop sorts at the top of an enclosing loop. The
+// outer loop's next turn runs that sort after the inner range, but the last
+// map's keys are returned unsorted, so the sort must come after the range
+// in the source to count.
+func sortBeforeRangeInOuterLoop(ms []map[string]int) []string {
+	var keys []string
+	for _, m := range ms {
+		sort.Strings(keys)
+		for k := range m {
+			keys = append(keys, k) // want maprange
+		}
+	}
 	return keys
 }
 

@@ -10,7 +10,6 @@ import (
 	"mct/internal/rng"
 	"mct/internal/sim"
 	"mct/internal/stats"
-	"mct/internal/trace"
 )
 
 // NormalizationAblationResult holds one benchmark's raw-vs-normalized
@@ -117,31 +116,10 @@ func SettleAblation(ctx context.Context, benchmarks []string, totalInsts uint64,
 		Header: []string{"benchmark", "ipc_settle", "ipc_none", "life_settle", "life_none"},
 	}
 	for _, bench := range benchmarks {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		spec, err := trace.ByName(bench)
-		if err != nil {
-			return nil, nil, err
-		}
 		run := func(frac float64) (sim.Metrics, error) {
-			simOpt := opt.Sim
-			simOpt.Seed = opt.Seed
-			m, err := sim.NewMachine(spec, config.StaticBaseline(), simOpt)
-			if err != nil {
-				return sim.Metrics{}, err
-			}
-			ro := runtimeOptionsFor(ml.NameGBoost, totalInsts, opt.Seed)
-			ro.SampleSettleFrac = frac
-			rt, err := core.New(m, core.Default(opt.LifetimeTarget), ro)
-			if err != nil {
-				return sim.Metrics{}, err
-			}
-			res, err := rt.Run(totalInsts)
-			if err != nil {
-				return sim.Metrics{}, err
-			}
-			return res.Testing, nil
+			out, err := runMCT(ctx, bench, ml.NameGBoost, core.Default(opt.LifetimeTarget), totalInsts, opt,
+				func(ro *core.Options) { ro.SampleSettleFrac = frac })
+			return out.Testing, err
 		}
 		with, err := run(0.2)
 		if err != nil {

@@ -73,9 +73,10 @@ func runtimeOptionsFor(model string, totalInsts uint64, seed int64) core.Options
 }
 
 // runMCT executes MCT with the given model on a fresh machine and returns
-// the outcome. The run itself is one indivisible simulation; ctx is checked
-// before it starts.
-func runMCT(ctx context.Context, bench, model string, obj core.Objective, totalInsts uint64, opt Options) (MCTRunOutcome, error) {
+// the outcome. A non-nil override adjusts the runtime options (an
+// ablation's one changed field) before the runtime is built. The run itself
+// is one indivisible simulation; ctx is checked before it starts.
+func runMCT(ctx context.Context, bench, model string, obj core.Objective, totalInsts uint64, opt Options, override func(*core.Options)) (MCTRunOutcome, error) {
 	if err := ctx.Err(); err != nil {
 		return MCTRunOutcome{}, err
 	}
@@ -90,6 +91,9 @@ func runMCT(ctx context.Context, bench, model string, obj core.Objective, totalI
 		return MCTRunOutcome{}, err
 	}
 	ro := runtimeOptionsFor(model, totalInsts, opt.Seed)
+	if override != nil {
+		override(&ro)
+	}
 	rt, err := core.New(m, obj, ro)
 	if err != nil {
 		return MCTRunOutcome{}, err
@@ -153,7 +157,7 @@ func MCTComparison(ctx context.Context, models []string, totalInsts uint64, opt 
 			MCT:         map[string]MCTRunOutcome{},
 		}
 		for _, mn := range models {
-			out, err := runMCT(ctx, bench, mn, obj, totalInsts, opt)
+			out, err := runMCT(ctx, bench, mn, obj, totalInsts, opt, nil)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -235,7 +239,7 @@ func LifetimeSensitivity(ctx context.Context, benchmarks []string, targets []flo
 			pos, _ := sw.Ideal(obj)
 			tOpt := opt
 			tOpt.LifetimeTarget = t
-			out, err := runMCT(ctx, bench, ml.NameGBoost, obj, totalInsts, tOpt)
+			out, err := runMCT(ctx, bench, ml.NameGBoost, obj, totalInsts, tOpt, nil)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -296,7 +300,7 @@ func SamplingOverhead(ctx context.Context, alphas []float64, totalInsts uint64, 
 		if err != nil {
 			return nil, nil, err
 		}
-		out, err := runMCT(ctx, bench, ml.NameGBoost, obj, totalInsts, opt)
+		out, err := runMCT(ctx, bench, ml.NameGBoost, obj, totalInsts, opt, nil)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -10,7 +10,6 @@ import (
 	"mct/internal/rng"
 	"mct/internal/sim"
 	"mct/internal/stats"
-	"mct/internal/trace"
 )
 
 // WearQuotaAblationResult holds the Figure 3 data for one benchmark: gboost
@@ -125,31 +124,12 @@ func WearQuotaLearning(ctx context.Context, benchmarks []string, totalInsts uint
 		Header: []string{"benchmark", "ipc_excl", "ipc_incl", "life_excl", "life_incl", "en_excl", "en_incl"},
 	}
 	for _, bench := range benchmarks {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		spec, err := trace.ByName(bench)
-		if err != nil {
-			return nil, nil, err
-		}
 		run := func(includeWQ bool) (sim.Metrics, error) {
-			simOpt := opt.Sim
-			simOpt.Seed = opt.Seed
-			m, err := sim.NewMachine(spec, config.StaticBaseline(), simOpt)
-			if err != nil {
-				return sim.Metrics{}, err
-			}
-			ro := runtimeOptionsFor("gboost", totalInsts, opt.Seed)
-			ro.Space = config.SpaceOptions{IncludeWearQuota: includeWQ, WearQuotaTarget: opt.LifetimeTarget}
-			rt, err := core.New(m, core.Default(opt.LifetimeTarget), ro)
-			if err != nil {
-				return sim.Metrics{}, err
-			}
-			res, err := rt.Run(totalInsts)
-			if err != nil {
-				return sim.Metrics{}, err
-			}
-			return res.Testing, nil
+			out, err := runMCT(ctx, bench, ml.NameGBoost, core.Default(opt.LifetimeTarget), totalInsts, opt,
+				func(ro *core.Options) {
+					ro.Space = config.SpaceOptions{IncludeWearQuota: includeWQ, WearQuotaTarget: opt.LifetimeTarget}
+				})
+			return out.Testing, err
 		}
 		excl, err := run(false)
 		if err != nil {
