@@ -72,4 +72,4 @@ metrics-check:
 serve-smoke:
 	./scripts/serve_smoke.sh
 
-verify: build vet lint test race perfbench-test bench-smoke serve-smoke
+verify: build vet lint test race perfbench-test bench-smoke metrics-check serve-smoke

@@ -365,7 +365,7 @@ func BenchmarkGBoostFit(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		gb := ml.NewGBoost(ml.DefaultGBoostOptions())
+		gb := ml.NewGBoost()
 		if err := gb.Fit(X, y); err != nil {
 			b.Fatal(err)
 		}
@@ -402,7 +402,7 @@ func BenchmarkPredictSpace(b *testing.B) {
 		X[i] = c.Vector()
 		y[i] = c.FastLatency
 	}
-	gb := ml.NewGBoost(ml.DefaultGBoostOptions())
+	gb := ml.NewGBoost()
 	if err := gb.Fit(X, y); err != nil {
 		b.Fatal(err)
 	}

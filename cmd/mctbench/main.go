@@ -89,15 +89,7 @@ func main() {
 		opt.Events = mct.TextProgress(os.Stderr)
 	}
 
-	rp := mct.DefaultExperimentRunParams()
-	if *insts > 0 {
-		rp.TotalInsts = *insts
-	}
-	if *quick {
-		rp.TotalInsts = 8_000_000
-		rp.SampleCounts = []int{10, 20, 40, 77, 120}
-		rp.Trials = 2
-	}
+	rp := runParams(*quick, *insts)
 
 	ids := []string{*expID}
 	if *expID == "all" {
@@ -156,6 +148,19 @@ func checkFlags(stride, accesses, workers int, tiers config.TierConfig) error {
 		}
 	}
 	return tiers.Validate()
+}
+
+// runParams resolves the experiment scales: the -quick or default preset,
+// then an -insts override on top of either.
+func runParams(quick bool, insts uint64) mct.ExperimentRunParams {
+	rp := mct.DefaultExperimentRunParams()
+	if quick {
+		rp = mct.QuickExperimentRunParams()
+	}
+	if insts > 0 {
+		rp.TotalInsts = insts
+	}
+	return rp
 }
 
 // writeFileMkdir writes data to path, creating the parent directory.

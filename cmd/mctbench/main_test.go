@@ -1,8 +1,10 @@
 package main
 
 import (
+	"reflect"
 	"testing"
 
+	"mct"
 	"mct/internal/config"
 )
 
@@ -24,6 +26,29 @@ func TestCheckFlags(t *testing.T) {
 		err := checkFlags(tc.stride, tc.accesses, tc.workers, tc.tiers)
 		if (err == nil) != tc.ok {
 			t.Errorf("%s: checkFlags = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
+func TestRunParams(t *testing.T) {
+	def, quick := mct.DefaultExperimentRunParams(), mct.QuickExperimentRunParams()
+	withInsts := func(rp mct.ExperimentRunParams, n uint64) mct.ExperimentRunParams {
+		rp.TotalInsts = n
+		return rp
+	}
+	for _, tc := range []struct {
+		name  string
+		quick bool
+		insts uint64
+		want  mct.ExperimentRunParams
+	}{
+		{"default", false, 0, def},
+		{"default -insts", false, 3_000_000, withInsts(def, 3_000_000)},
+		{"quick", true, 0, quick},
+		{"quick -insts", true, 3_000_000, withInsts(quick, 3_000_000)},
+	} {
+		if got := runParams(tc.quick, tc.insts); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: runParams = %+v, want %+v", tc.name, got, tc.want)
 		}
 	}
 }

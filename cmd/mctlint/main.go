@@ -13,8 +13,6 @@
 //	mctlint ./internal/...                  # one subtree
 //	mctlint ./internal/sim                  # one package
 //	mctlint -rules                          # list rules and exit
-//	mctlint -only maprange,goleak ./...     # run a subset of the registry
-//	mctlint -skip cyclecast ./...           # run everything but a subset
 //	mctlint -json ./...                     # machine-readable findings (stable order)
 //
 // Every finding fails the run: there is no accepted-findings baseline; a
@@ -47,17 +45,11 @@ import (
 func main() {
 	rules := flag.Bool("rules", false, "list rules (name, doc) and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as a stable JSON array")
-	only := flag.String("only", "", "comma-separated rule names to run exclusively")
-	skip := flag.String("skip", "", "comma-separated rule names to skip")
 	flag.Parse()
 
-	selected, err := selectRules(analysis.Analyzers(), *only, *skip)
-	if err != nil {
-		fatal(err)
-	}
-
+	analyzers := analysis.Analyzers()
 	if *rules {
-		for _, a := range selected {
+		for _, a := range analyzers {
 			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
 		}
 		return
@@ -98,7 +90,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		all = append(all, analysis.RunAnalyzers(analysis.NewPass(loader, pkg), selected)...)
+		all = append(all, analysis.RunAnalyzers(analysis.NewPass(loader, pkg), analyzers)...)
 	}
 
 	findings := toJSONDiagnostics(moduleDir, all)
@@ -117,55 +109,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mctlint: %d finding(s)\n", len(findings))
 		os.Exit(1)
 	}
-}
-
-// selectRules filters the registry through -only and -skip (comma-separated
-// rule names). Unknown names are an error: a typo must not silently run
-// nothing.
-func selectRules(all []*analysis.Analyzer, only, skip string) ([]*analysis.Analyzer, error) {
-	byName := map[string]*analysis.Analyzer{}
-	for _, a := range all {
-		byName[a.Name] = a
-	}
-	parse := func(flagName, csv string) (map[string]bool, error) {
-		if csv == "" {
-			return nil, nil
-		}
-		set := map[string]bool{}
-		for _, n := range strings.Split(csv, ",") {
-			n = strings.TrimSpace(n)
-			if n == "" {
-				continue
-			}
-			if byName[n] == nil {
-				return nil, fmt.Errorf("-%s: unknown rule %q (see -rules)", flagName, n)
-			}
-			set[n] = true
-		}
-		return set, nil
-	}
-	onlySet, err := parse("only", only)
-	if err != nil {
-		return nil, err
-	}
-	skipSet, err := parse("skip", skip)
-	if err != nil {
-		return nil, err
-	}
-	var out []*analysis.Analyzer
-	for _, a := range all {
-		if onlySet != nil && !onlySet[a.Name] {
-			continue
-		}
-		if skipSet[a.Name] {
-			continue
-		}
-		out = append(out, a)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("rule selection left nothing to run")
-	}
-	return out, nil
 }
 
 // resolvePattern maps a ./dir or ./dir/... argument to import paths.

@@ -52,13 +52,8 @@ func main() {
 		os.Exit(1)
 	}
 	g := trace.NewGenerator(spec, rng.NewRand(*seed))
-	per := *accesses / *windows
-	if per == 0 {
-		per = *accesses
-	}
 	fmt.Printf("%-8s %10s %8s %8s\n", "window", "insts", "MPKI", "wr-frac")
-	for w, done := 0, 0; done < *accesses; w++ {
-		n := min(per, *accesses-done)
+	for w, n := range windowSizes(*accesses, *windows) {
 		var insts uint64
 		writes := 0
 		for rem := n; rem > 0; {
@@ -72,7 +67,6 @@ func main() {
 			}
 			rem -= k
 		}
-		done += n
 		mpki := float64(n) / float64(insts) * 1000
 		fmt.Printf("%-8d %10d %8.2f %8.3f\n", w, insts, mpki, float64(writes)/float64(n))
 	}
@@ -88,6 +82,22 @@ func checkFlags(accesses, windows int) error {
 		return fmt.Errorf("-windows %d: want a positive count", windows)
 	}
 	return nil
+}
+
+// windowSizes splits accesses into the profile's windows: windows equal
+// windows with the remainder folded into the last, or a single window when
+// there are fewer accesses than windows.
+func windowSizes(accesses, windows int) []int {
+	per := accesses / windows
+	if per == 0 {
+		return []int{accesses}
+	}
+	sizes := make([]int, windows)
+	for i := range sizes {
+		sizes[i] = per
+	}
+	sizes[windows-1] += accesses % windows
+	return sizes
 }
 
 // summary streams n accesses of g and prints aggregate intensity, write

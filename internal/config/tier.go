@@ -33,15 +33,6 @@ func (t TierConfig) Validate() error {
 	return nil
 }
 
-// Canonical zeroes the threshold when the tier is disabled, so equal
-// hierarchies compare equal.
-func (t TierConfig) Canonical() TierConfig {
-	if !t.DRAMCache {
-		t.DRAMPromoteThreshold = 0
-	}
-	return t
-}
-
 // Vector encodes the tier composition as model features: [dram_cache,
 // dram_promote_threshold]. Appended to Config.Vector by callers fitting
 // models over the extended (hierarchy-aware) tradeoff space; the base

@@ -77,10 +77,6 @@ type Options struct {
 	EnablePhaseDetection bool
 	Phase                phase.Options
 
-	// WearQuotaFixup adds wear quota at the objective's lifetime floor to
-	// the chosen configuration (§5.3). Strongly recommended.
-	WearQuotaFixup bool
-
 	// WarmupAccesses warms the system (LLC fill) before the first
 	// learning cycle; 0 skips warmup. Warmup instructions do not count
 	// against the Run budget.
@@ -129,7 +125,6 @@ func DefaultOptions() Options {
 			LongWindows:   400,
 			Threshold:     15,
 		},
-		WearQuotaFixup: true,
 		WarmupAccesses: 60_000,
 		Seed:           42,
 	}
@@ -495,11 +490,9 @@ func (r *Runtime) runPhase(phaseNo int, budget uint64, overall, samplingAll, tes
 			chosen = r.space.At(idx)
 			// 4. Wear-quota fixup (§5.3): guarantee the lifetime floor
 			// even under prediction error.
-			if r.opt.WearQuotaFixup {
-				if lt := r.obj.MinLifetime(); lt > 0 {
-					chosen.WearQuota = true
-					chosen.WearQuotaTarget = lt
-				}
+			if lt := r.obj.MinLifetime(); lt > 0 {
+				chosen.WearQuota = true
+				chosen.WearQuotaTarget = lt
 			}
 		}
 	}

@@ -66,8 +66,7 @@ func newEngineObs(r *obs.Registry) *engineObs {
 // Options configures one Map call.
 type Options struct {
 	// Workers bounds concurrent task executions; 0 (or negative) means
-	// runtime.GOMAXPROCS(0). Workers=1 degenerates to the serial loop the
-	// engine replaced, executing tasks in input order.
+	// runtime.GOMAXPROCS(0). With one worker, tasks run in input order.
 	Workers int
 
 	// OnDone, when non-nil, observes completion counts after each
@@ -111,34 +110,6 @@ func Map[T any](ctx context.Context, n int, opt Options, fn func(ctx context.Con
 	}
 	out := make([]T, n)
 
-	if w <= 1 {
-		// Serial fast path: identical execution order (and identical
-		// floating-point accumulation order in callers) to the loops the
-		// engine replaced.
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			var start time.Time
-			if eo != nil {
-				start = time.Now()
-			}
-			v, err := fn(ctx, i)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-			if eo != nil {
-				eo.tasks.Inc()
-				eo.taskSecs.Observe(time.Since(start).Seconds())
-			}
-			if opt.OnDone != nil {
-				opt.OnDone(i+1, n)
-			}
-		}
-		return out, nil
-	}
-
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
@@ -148,7 +119,12 @@ func Map[T any](ctx context.Context, n int, opt Options, fn func(ctx context.Con
 		errIdx   = -1
 		firstErr error
 	)
-	poolStart := time.Now()
+	// The clock is read only for the volatile timing instruments: a run
+	// without a registry never touches it.
+	var poolStart time.Time
+	if eo != nil {
+		poolStart = time.Now()
+	}
 	var wg sync.WaitGroup
 	wg.Add(w)
 	for k := 0; k < w; k++ {
@@ -166,12 +142,15 @@ func Map[T any](ctx context.Context, n int, opt Options, fn func(ctx context.Con
 					if i >= n || ctx.Err() != nil {
 						return
 					}
-					start := time.Now()
-					if eo != nil && i >= w {
-						// Tasks beyond the first wave waited for a free
-						// worker; their start delay since pool launch is
-						// the queue-wait signal (volatile only).
-						eo.queueSecs.Observe(start.Sub(poolStart).Seconds())
+					var start time.Time
+					if eo != nil {
+						start = time.Now()
+						if i >= w {
+							// Tasks beyond the first wave waited for a
+							// free worker; their start delay since pool
+							// launch is the queue-wait signal.
+							eo.queueSecs.Observe(start.Sub(poolStart).Seconds())
+						}
 					}
 					v, err := fn(ctx, i)
 					if err != nil {

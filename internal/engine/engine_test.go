@@ -121,7 +121,7 @@ func TestMapSerialErrorShortCircuits(t *testing.T) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
 	if calls != 4 {
-		t.Errorf("serial path ran %d tasks after the error at index 3, want exactly 4", calls)
+		t.Errorf("one worker ran %d tasks after the error at index 3, want exactly 4", calls)
 	}
 }
 
@@ -341,9 +341,11 @@ func TestMapObsWithOnDone(t *testing.T) {
 // clock or allocate observer state (guarded here only by it not panicking
 // and by code review; the test pins the nil-Obs path's behaviour).
 func TestMapNoObsNoClock(t *testing.T) {
-	out, err := Map(context.Background(), 3, Options{Workers: 1},
-		func(ctx context.Context, i int) (int, error) { return i * i, nil })
-	if err != nil || len(out) != 3 || out[2] != 4 {
-		t.Fatalf("out=%v err=%v", out, err)
+	for _, workers := range []int{1, 2} {
+		out, err := Map(context.Background(), 3, Options{Workers: workers},
+			func(ctx context.Context, i int) (int, error) { return i * i, nil })
+		if err != nil || len(out) != 3 || out[2] != 4 {
+			t.Fatalf("workers=%d: out=%v err=%v", workers, out, err)
+		}
 	}
 }

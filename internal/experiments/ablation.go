@@ -9,7 +9,6 @@ import (
 	"mct/internal/ml"
 	"mct/internal/rng"
 	"mct/internal/sim"
-	"mct/internal/stats"
 )
 
 // NormalizationAblationResult holds one benchmark's raw-vs-normalized
@@ -40,6 +39,7 @@ func NormalizationAblation(ctx context.Context, samples, trials int, opt Options
 		Title:  "Ablation (§4.4): quadratic-lasso R² with baseline-normalized vs raw targets",
 		Header: []string{"benchmark", "ipc_norm", "ipc_raw", "life_norm", "life_raw", "en_norm", "en_raw"},
 	}
+	newLasso := func() (ml.Predictor, error) { return ml.NewQuadraticLasso(ml.DefaultLassoLambda), nil }
 	for _, bench := range opt.Benchmarks {
 		sw, err := RunSweep(ctx, bench, false, opt)
 		if err != nil {
@@ -50,34 +50,9 @@ func NormalizationAblation(ctx context.Context, samples, trials int, opt Options
 		rng := rng.Derive(opt.Seed, 31)
 		for t := 0; t < 3; t++ {
 			for variant := 0; variant < 2; variant++ {
-				truth := sw.Targets(core.Metric(t), variant == 0)
-				var acc float64
-				for trial := 0; trial < trials; trial++ {
-					n := samples
-					if n > len(X) {
-						n = len(X)
-					}
-					perm := rng.Perm(len(X))[:n]
-					trX := make([][]float64, n)
-					trY := make([]float64, n)
-					inTrain := map[int]bool{}
-					for i, p := range perm {
-						trX[i], trY[i] = X[p], truth[p]
-						inTrain[p] = true
-					}
-					lasso := ml.NewQuadraticLasso(ml.DefaultLassoLambda)
-					if err := lasso.Fit(trX, trY); err != nil {
-						return nil, nil, err
-					}
-					var pred, want []float64
-					for i := range X {
-						if inTrain[i] {
-							continue
-						}
-						pred = append(pred, lasso.Predict(X[i]))
-						want = append(want, truth[i])
-					}
-					acc += stats.R2(pred, want) / float64(trials)
+				acc, err := meanHeldOutR2(newLasso, X, sw.Targets(core.Metric(t), variant == 0), samples, trials, rng)
+				if err != nil {
+					return nil, nil, err
 				}
 				if variant == 0 {
 					r.Normalized[t] = acc

@@ -96,7 +96,7 @@ func RetentionExtension(ctx context.Context, benchmarks []string, lifetimeTarget
 		}
 		predAll := make([][3]float64, len(space))
 		for t := 0; t < 3; t++ {
-			gb := ml.NewGBoost(ml.DefaultGBoostOptions())
+			gb := ml.NewGBoost()
 			if err := gb.Fit(X, ys[t]); err != nil {
 				return nil, nil, err
 			}

@@ -3,15 +3,12 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math"
-	"sort"
 
 	"mct/internal/config"
 	"mct/internal/core"
 	"mct/internal/ml"
 	"mct/internal/rng"
 	"mct/internal/sampling"
-	"mct/internal/stats"
 )
 
 // compressedRows returns the 5-feature (§4.4) encodings of a sweep.
@@ -59,25 +56,15 @@ func TopQuadraticFeatures(ctx context.Context, metric core.Metric, topN int, opt
 			return nil, nil, err
 		}
 		w, _ := lasso.Coefficients()
-		type scored struct {
-			j int
-			v float64
-		}
-		var s []scored
-		for j, v := range w {
-			if v != 0 {
-				s = append(s, scored{j, v})
-			}
-		}
-		sort.Slice(s, func(a, b int) bool { return math.Abs(s[a].v) > math.Abs(s[b].v) })
 		r := TopFeaturesResult{Benchmark: bench, Metric: metric}
-		for k := 0; k < topN && k < len(s); k++ {
-			r.Top = append(r.Top, RankedFeature{Name: names[s[k].j], Weight: s[k].v})
+		ranked := rankCoefficients(w, nil)
+		for k, j := range ranked[:min(topN, len(ranked))] {
+			r.Top = append(r.Top, RankedFeature{Name: names[j], Weight: w[j]})
 			sign := "+"
-			if s[k].v < 0 {
+			if w[j] < 0 {
 				sign = "-"
 			}
-			tbl.AddRow(bench, fmt.Sprintf("%d", k+1), sign+names[s[k].j], f4(s[k].v))
+			tbl.AddRow(bench, fmt.Sprintf("%d", k+1), sign+names[j], f4(w[j]))
 		}
 		results = append(results, r)
 	}
@@ -192,30 +179,15 @@ func FeatureVsRandomSampling(ctx context.Context, opt Options) ([]SamplingAccura
 		r := SamplingAccuracyResult{Benchmark: bench, Samples: len(fbPos)}
 		for t := 0; t < 3; t++ {
 			truth := sw.Targets(core.Metric(t), true)
-			eval := func(train []int) float64 {
-				gb := ml.NewGBoost(ml.DefaultGBoostOptions())
-				trX := make([][]float64, len(train))
-				trY := make([]float64, len(train))
-				inTrain := map[int]bool{}
-				for i, p := range train {
-					trX[i], trY[i] = X[p], truth[p]
-					inTrain[p] = true
-				}
-				if err := gb.Fit(trX, trY); err != nil {
-					return 0
-				}
-				var pred, want []float64
-				for i := range X {
-					if inTrain[i] {
-						continue
-					}
-					pred = append(pred, gb.Predict(X[i]))
-					want = append(want, truth[i])
-				}
-				return stats.R2(pred, want)
+			fb, err := heldOutR2(ml.NewGBoost(), X, truth, fbPos)
+			if err != nil {
+				return nil, nil, err
 			}
-			r.FeatureBased[t] = eval(fbPos)
-			r.Random[t] = eval(rndPos[:min(len(rndPos), len(fbPos))])
+			rnd, err := heldOutR2(ml.NewGBoost(), X, truth, rndPos[:min(len(rndPos), len(fbPos))])
+			if err != nil {
+				return nil, nil, err
+			}
+			r.FeatureBased[t], r.Random[t] = fb, rnd
 		}
 		results = append(results, r)
 		tbl.AddRow(bench, fmt.Sprintf("%d", r.Samples),

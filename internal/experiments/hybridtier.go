@@ -3,8 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math"
-	"sort"
+	"strings"
 
 	"mct/internal/config"
 	"mct/internal/core"
@@ -136,19 +135,9 @@ func HybridTier(ctx context.Context, opt Options) ([]HybridTierResult, *Report, 
 		return nil, nil, err
 	}
 	w, _ := lasso.Coefficients()
-	type scored struct {
-		j int
-		v float64
-	}
-	var tierFeats []scored
-	for j, v := range w {
-		if v != 0 && isTierFeature(names[j]) {
-			tierFeats = append(tierFeats, scored{j, v})
-		}
-	}
-	sort.Slice(tierFeats, func(a, b int) bool { return math.Abs(tierFeats[a].v) > math.Abs(tierFeats[b].v) })
-	for k := 0; k < 5 && k < len(tierFeats); k++ {
-		learned.AddRow(fmt.Sprintf("%d", k+1), names[tierFeats[k].j], f4(tierFeats[k].v))
+	tierFeats := rankCoefficients(w, func(j int) bool { return isTierFeature(names[j]) })
+	for k, j := range tierFeats[:min(5, len(tierFeats))] {
+		learned.AddRow(fmt.Sprintf("%d", k+1), names[j], f4(w[j]))
 	}
 	if len(tierFeats) == 0 {
 		learned.AddRow("-", "(no tier feature selected at this lambda)", "-")
@@ -165,10 +154,8 @@ func HybridTier(ctx context.Context, opt Options) ([]HybridTierResult, *Report, 
 // the hierarchy knobs.
 func isTierFeature(name string) bool {
 	for _, tn := range config.TierVectorNames() {
-		for i := 0; i+len(tn) <= len(name); i++ {
-			if name[i:i+len(tn)] == tn {
-				return true
-			}
+		if strings.Contains(name, tn) {
+			return true
 		}
 	}
 	return false

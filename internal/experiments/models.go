@@ -10,7 +10,6 @@ import (
 	"mct/internal/engine"
 	"mct/internal/ml"
 	"mct/internal/rng"
-	"mct/internal/stats"
 )
 
 // ModelComparisonResult holds the Figure 2 / Table 7 data.
@@ -36,6 +35,19 @@ func modelComparisonModels() []string {
 		ml.NameQuadratic, ml.NameQuadraticLasso,
 		ml.NameGBoost, ml.NameHBayes,
 	}
+}
+
+// zeroAcc returns zeroed per-model, per-metric accuracy rows of length k.
+func zeroAcc(models []string, k int) map[string][3][]float64 {
+	acc := make(map[string][3][]float64, len(models))
+	for _, m := range models {
+		var a [3][]float64
+		for t := range a {
+			a[t] = make([]float64, k)
+		}
+		acc[m] = a
+	}
+	return acc
 }
 
 // hbTaskRows bounds the offline rows per task fed to the hierarchical
@@ -82,7 +94,7 @@ func ModelComparison(ctx context.Context, sampleCounts []int, trials int, opt Op
 	res := &ModelComparisonResult{
 		SampleCounts: sampleCounts,
 		Models:       models,
-		Acc:          map[string][3][]float64{},
+		Acc:          zeroAcc(models, len(sampleCounts)),
 		FitMS:        map[string]float64{},
 		NeedsOffline: map[string]bool{
 			ml.NameOffline: true, ml.NameHBayes: true,
@@ -93,27 +105,13 @@ func ModelComparison(ctx context.Context, sampleCounts []int, trials int, opt Op
 			ml.NameGBoost: true, ml.NameHBayes: true,
 		},
 	}
-	for _, m := range models {
-		var acc [3][]float64
-		for t := range acc {
-			acc[t] = make([]float64, len(sampleCounts))
+	// newModel builds one predictor for bench's metric. The offline and
+	// hierarchical Bayesian models train leave-one-out on every other
+	// benchmark's sweep; the hbayes prior subsamples those rows from rng.
+	newModel := func(mname, bench string, metric core.Metric, rng *rand.Rand) (ml.Predictor, error) {
+		if mname != ml.NameOffline && mname != ml.NameHBayes {
+			return ml.New(mname)
 		}
-		res.Acc[m] = acc
-	}
-
-	// offlineTables[bench][metric] is a leave-one-out offline predictor.
-	buildOffline := func(bench string, metric core.Metric) *ml.Offline {
-		var ds []ml.Dataset
-		for _, other := range opt.Benchmarks {
-			if other == bench {
-				continue
-			}
-			sw := sweeps[other]
-			ds = append(ds, ml.Dataset{X: sw.Vectors(), Y: sw.Targets(metric, true)})
-		}
-		return ml.NewOffline(ds)
-	}
-	buildHBayes := func(bench string, metric core.Metric, rng *rand.Rand) (*ml.HBayes, error) {
 		var ds []ml.Dataset
 		for _, other := range opt.Benchmarks {
 			if other == bench {
@@ -121,7 +119,7 @@ func ModelComparison(ctx context.Context, sampleCounts []int, trials int, opt Op
 			}
 			sw := sweeps[other]
 			X, Y := sw.Vectors(), sw.Targets(metric, true)
-			if len(X) > hbTaskRows {
+			if mname == ml.NameHBayes && len(X) > hbTaskRows {
 				perm := rng.Perm(len(X))[:hbTaskRows]
 				xs := make([][]float64, hbTaskRows)
 				ys := make([]float64, hbTaskRows)
@@ -131,6 +129,9 @@ func ModelComparison(ctx context.Context, sampleCounts []int, trials int, opt Op
 				X, Y = xs, ys
 			}
 			ds = append(ds, ml.Dataset{X: X, Y: Y})
+		}
+		if mname == ml.NameOffline {
+			return ml.NewOffline(ds), nil
 		}
 		return ml.NewHierarchicalBayes(ds, 10)
 	}
@@ -143,14 +144,7 @@ func ModelComparison(ctx context.Context, sampleCounts []int, trials int, opt Op
 	partials, err := engine.Map(ctx, len(opt.Benchmarks), engine.Options{Workers: opt.Workers, Obs: opt.Obs},
 		func(ctx context.Context, bi int) (map[string][3][]float64, error) {
 			bench := opt.Benchmarks[bi]
-			part := make(map[string][3][]float64, len(models))
-			for _, m := range models {
-				var acc [3][]float64
-				for t := range acc {
-					acc[t] = make([]float64, len(sampleCounts))
-				}
-				part[m] = acc
-			}
+			part := zeroAcc(models, len(sampleCounts))
 
 			sw := sweeps[bench]
 			X := sw.Vectors()
@@ -173,51 +167,19 @@ func ModelComparison(ctx context.Context, sampleCounts []int, trials int, opt Op
 					n = 2
 				}
 				for trial := 0; trial < trials; trial++ {
-					perm := rng.Perm(len(X))
-					trainIdx := perm[:n]
-					trX := make([][]float64, n)
-					for i, p := range trainIdx {
-						trX[i] = X[p]
-					}
-					inTrain := make(map[int]bool, n)
-					for _, p := range trainIdx {
-						inTrain[p] = true
-					}
-
+					train := rng.Perm(len(X))[:n]
 					for _, mname := range models {
+						acc := part[mname]
 						for t := 0; t < 3; t++ {
-							metric := core.Metric(t)
-							trY := make([]float64, n)
-							for i, p := range trainIdx {
-								trY[i] = truth[t][p]
-							}
-							var p ml.Predictor
-							var err error
-							switch mname {
-							case ml.NameOffline:
-								p = buildOffline(bench, metric)
-							case ml.NameHBayes:
-								p, err = buildHBayes(bench, metric, rng)
-							default:
-								p, err = ml.New(mname)
-							}
+							p, err := newModel(mname, bench, core.Metric(t), rng)
 							if err != nil {
 								return nil, fmt.Errorf("experiments: %s: %w", mname, err)
 							}
-							if err := p.Fit(trX, trY); err != nil {
+							r2, err := heldOutR2(p, X, truth[t], train)
+							if err != nil {
 								return nil, fmt.Errorf("experiments: fit %s on %s: %w", mname, bench, err)
 							}
-							var pred, want []float64
-							for i := range X {
-								if inTrain[i] {
-									continue
-								}
-								pred = append(pred, p.Predict(X[i]))
-								want = append(want, truth[t][i])
-							}
-							acc := part[mname]
-							acc[t][ci] += stats.R2(pred, want) / float64(trials)
-							part[mname] = acc
+							acc[t][ci] += r2 / float64(trials)
 						}
 					}
 				}
@@ -237,7 +199,6 @@ func ModelComparison(ctx context.Context, sampleCounts []int, trials int, opt Op
 					acc[t][i] += p[t][i]
 				}
 			}
-			res.Acc[mname] = acc
 		}
 	}
 	for _, mname := range models {
@@ -247,7 +208,6 @@ func ModelComparison(ctx context.Context, sampleCounts []int, trials int, opt Op
 				acc[t][i] /= nb
 			}
 		}
-		res.Acc[mname] = acc
 	}
 
 	// Measured computation overheads at the 77-sample point on the first
@@ -308,22 +268,11 @@ func ModelComparison(ctx context.Context, sampleCounts []int, trials int, opt Op
 	// Measure fit+predict overhead at the 77-sample operating point, after
 	// every table is rendered.
 	for _, mname := range models {
-		var p ml.Predictor
-		var err error
-		switch mname {
-		case ml.NameOffline:
-			p = buildOffline(bench, core.MetricIPC)
-		case ml.NameHBayes:
-			// Prior training is offline; only the online cost measured
-			// below counts toward the overhead figure.
-			p, err = buildHBayes(bench, core.MetricIPC, rng)
-			if err != nil {
-				return nil, nil, err
-			}
-		default:
-			if p, err = ml.New(mname); err != nil {
-				return nil, nil, err
-			}
+		// Prior training is offline; only the online cost measured below
+		// counts toward the overhead figure.
+		p, err := newModel(mname, bench, core.MetricIPC, rng)
+		if err != nil {
+			return nil, nil, err
 		}
 		start := time.Now()
 		if err := p.Fit(trX, trY); err != nil {

@@ -28,6 +28,15 @@ func DefaultRunParams() RunParams {
 	}
 }
 
+// QuickRunParams returns the reduced scales that go with QuickOptions.
+func QuickRunParams() RunParams {
+	return RunParams{
+		TotalInsts:   8_000_000,
+		SampleCounts: []int{10, 20, 40, 77, 120},
+		Trials:       2,
+	}
+}
+
 // fig6PhaseOptions scales the paper's detector (I=1M, 100/1000 windows) to
 // the simulator's trace lengths while keeping the ratios' spirit: dramatic
 // phases must dominate the short window.

@@ -9,7 +9,6 @@ import (
 	"mct/internal/ml"
 	"mct/internal/rng"
 	"mct/internal/sim"
-	"mct/internal/stats"
 )
 
 // WearQuotaAblationResult holds the Figure 3 data for one benchmark: gboost
@@ -39,6 +38,7 @@ func WearQuotaAblation(ctx context.Context, samples, trials int, opt Options) ([
 		Header: []string{"benchmark", "ipc_excl", "ipc_incl", "life_excl", "life_incl", "en_excl", "en_incl"},
 	}
 
+	newGBoost := func() (ml.Predictor, error) { return ml.NewGBoost(), nil }
 	for _, bench := range opt.Benchmarks {
 		emitf(opt, "fig3", bench, "fig3: %s", bench)
 		swNo, err := RunSweep(ctx, bench, false, opt)
@@ -57,34 +57,9 @@ func WearQuotaAblation(ctx context.Context, samples, trials int, opt Options) ([
 			X := sw.Vectors()
 			rng := rng.Derive(opt.Seed, int64(variant))
 			for t := 0; t < 3; t++ {
-				truth := sw.Targets(core.Metric(t), true)
-				var acc float64
-				for trial := 0; trial < trials; trial++ {
-					n := samples
-					if n > len(X) {
-						n = len(X)
-					}
-					perm := rng.Perm(len(X))[:n]
-					trX := make([][]float64, n)
-					trY := make([]float64, n)
-					inTrain := map[int]bool{}
-					for i, p := range perm {
-						trX[i], trY[i] = X[p], truth[p]
-						inTrain[p] = true
-					}
-					gb := ml.NewGBoost(ml.DefaultGBoostOptions())
-					if err := gb.Fit(trX, trY); err != nil {
-						return nil, nil, err
-					}
-					var pred, want []float64
-					for i := range X {
-						if inTrain[i] {
-							continue
-						}
-						pred = append(pred, gb.Predict(X[i]))
-						want = append(want, truth[i])
-					}
-					acc += stats.R2(pred, want) / float64(trials)
+				acc, err := meanHeldOutR2(newGBoost, X, sw.Targets(core.Metric(t), true), samples, trials, rng)
+				if err != nil {
+					return nil, nil, err
 				}
 				if variant == 0 {
 					r.ExcludeWQ[t] = acc

@@ -1,61 +1,31 @@
 package ml
 
-import (
-	"math/rand"
+import "mct/internal/rng"
 
-	"mct/internal/rng"
+// Gradient-boosting hyperparameters of MCT's predictor.
+const (
+	gbTrees     = 150 // boosting rounds
+	gbDepth     = 3   // max tree depth
+	gbShrinkage = 0.1 // learning rate
+	gbSubsample = 0.8 // stochastic row subsampling fraction (Friedman 2002)
+	gbMinLeaf   = 2
+	// gbSeed seeds the subsampling stream each Fit derives afresh, so
+	// refits on the same data reproduce identical ensembles.
+	gbSeed = 7
 )
-
-// GBoostOptions configures the gradient-boosting ensemble.
-type GBoostOptions struct {
-	Trees     int     // number of boosting rounds
-	Depth     int     // max tree depth
-	Shrinkage float64 // learning rate
-	Subsample float64 // stochastic row subsampling fraction (Friedman 2002)
-	MinLeaf   int
-	// Rand, when non-nil, is the injected subsampling source; otherwise
-	// each Fit derives a fresh deterministic stream from Seed, so refits
-	// with identical options reproduce identical ensembles.
-	Rand *rand.Rand
-	Seed int64
-}
-
-// DefaultGBoostOptions returns the configuration used by MCT's gradient
-// boosting predictor.
-func DefaultGBoostOptions() GBoostOptions {
-	return GBoostOptions{Trees: 150, Depth: 3, Shrinkage: 0.1, Subsample: 0.8, MinLeaf: 2, Seed: 7}
-}
 
 // GBoost is stochastic gradient boosting with least-squares loss over
 // regression trees (§4.3: "a state-of-art boosting algorithm for learning
 // regression models"). For squared loss, each round fits a tree to the
 // current residuals.
 type GBoost struct {
-	opt    GBoostOptions
 	trees  []*regTree
 	bias   float64
 	fitted bool
 }
 
 // NewGBoost returns a gradient-boosting predictor.
-func NewGBoost(opt GBoostOptions) *GBoost {
-	if opt.Trees <= 0 {
-		opt.Trees = 100
-	}
-	if opt.Depth <= 0 {
-		opt.Depth = 3
-	}
-	if opt.Shrinkage <= 0 || opt.Shrinkage > 1 {
-		opt.Shrinkage = 0.1
-	}
-	if opt.Subsample <= 0 || opt.Subsample > 1 {
-		opt.Subsample = 1
-	}
-	if opt.MinLeaf <= 0 {
-		opt.MinLeaf = 1
-	}
-	return &GBoost{opt: opt}
-}
+func NewGBoost() *GBoost { return &GBoost{} }
 
 // Name implements Predictor.
 func (g *GBoost) Name() string { return NameGBoost }
@@ -66,10 +36,7 @@ func (g *GBoost) Fit(X [][]float64, y []float64) error {
 		return err
 	}
 	n := len(X)
-	r := g.opt.Rand
-	if r == nil {
-		r = rng.New(g.opt.Seed)
-	}
+	r := rng.New(gbSeed)
 
 	var bias float64
 	for _, v := range y {
@@ -82,19 +49,19 @@ func (g *GBoost) Fit(X [][]float64, y []float64) error {
 		resid[i] = v - bias
 	}
 
-	topt := treeOptions{maxDepth: g.opt.Depth, minLeaf: g.opt.MinLeaf}
-	trees := make([]*regTree, 0, g.opt.Trees)
+	topt := treeOptions{maxDepth: gbDepth, minLeaf: gbMinLeaf}
+	trees := make([]*regTree, 0, gbTrees)
 	all := make([]int, n)
 	for i := range all {
 		all[i] = i
 	}
 
-	sampleSize := int(g.opt.Subsample * float64(n))
+	sampleSize := int(gbSubsample * float64(n))
 	if sampleSize < 2 {
 		sampleSize = n
 	}
 
-	for round := 0; round < g.opt.Trees; round++ {
+	for round := 0; round < gbTrees; round++ {
 		idx := all
 		if sampleSize < n {
 			perm := r.Perm(n)
@@ -103,7 +70,7 @@ func (g *GBoost) Fit(X [][]float64, y []float64) error {
 		t := fitTree(X, resid, idx, topt, 0)
 		trees = append(trees, t)
 		for i := 0; i < n; i++ {
-			resid[i] -= g.opt.Shrinkage * t.predict(X[i])
+			resid[i] -= gbShrinkage * t.predict(X[i])
 		}
 	}
 	g.trees = trees
@@ -119,7 +86,7 @@ func (g *GBoost) Predict(x []float64) float64 {
 	}
 	s := g.bias
 	for _, t := range g.trees {
-		s += g.opt.Shrinkage * t.predict(x)
+		s += gbShrinkage * t.predict(x)
 	}
 	return s
 }

@@ -182,7 +182,7 @@ func TestGBoostFitsNonlinear(t *testing.T) {
 	}
 	X, y := synth(rng, 200, 4, f, 0)
 	tx, ty := testSet(rng, 100, 4, f)
-	gb := NewGBoost(DefaultGBoostOptions())
+	gb := NewGBoost()
 	lin := NewLinear(0)
 	if err := gb.Fit(X, y); err != nil {
 		t.Fatal(err)
@@ -203,8 +203,8 @@ func TestGBoostDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	f := func(x []float64) float64 { return x[0] * x[1] }
 	X, y := synth(rng, 80, 3, f, 0.1)
-	a := NewGBoost(DefaultGBoostOptions())
-	b := NewGBoost(DefaultGBoostOptions())
+	a := NewGBoost()
+	b := NewGBoost()
 	if err := a.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
@@ -217,15 +217,8 @@ func TestGBoostDeterministic(t *testing.T) {
 	}
 }
 
-func TestGBoostOptionClamping(t *testing.T) {
-	g := NewGBoost(GBoostOptions{Trees: -1, Depth: 0, Shrinkage: 2, Subsample: -1, MinLeaf: 0})
-	if g.opt.Trees <= 0 || g.opt.Depth <= 0 || g.opt.Shrinkage <= 0 || g.opt.Shrinkage > 1 || g.opt.Subsample != 1 || g.opt.MinLeaf <= 0 {
-		t.Fatalf("options not clamped: %+v", g.opt)
-	}
-}
-
 func TestPredictBeforeFit(t *testing.T) {
-	for _, p := range []Predictor{NewLinear(0), NewLinearLasso(0.1), NewQuadratic(0), NewQuadraticLasso(0.1), NewGBoost(DefaultGBoostOptions())} {
+	for _, p := range []Predictor{NewLinear(0), NewLinearLasso(0.1), NewQuadratic(0), NewQuadraticLasso(0.1), NewGBoost()} {
 		if got := p.Predict([]float64{1, 2, 3}); got != 0 {
 			t.Errorf("%s unfitted Predict = %v, want 0", p.Name(), got)
 		}

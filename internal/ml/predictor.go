@@ -72,7 +72,7 @@ func New(name string) (Predictor, error) {
 	case NameQuadraticLasso:
 		return NewQuadraticLasso(DefaultLassoLambda), nil
 	case NameGBoost:
-		return NewGBoost(DefaultGBoostOptions()), nil
+		return NewGBoost(), nil
 	default:
 		return nil, fmt.Errorf("ml: unknown model %q", name)
 	}

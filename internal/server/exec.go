@@ -311,10 +311,7 @@ func execExperiment(ctx context.Context, spec api.JobSpec, opt ExecOptions) ([]b
 	eopt := experiments.DefaultOptions()
 	rp := experiments.DefaultRunParams()
 	if spec.Quick {
-		eopt = experiments.QuickOptions()
-		rp.TotalInsts = 8_000_000
-		rp.SampleCounts = []int{10, 20, 40, 77, 120}
-		rp.Trials = 2
+		eopt, rp = experiments.QuickOptions(), experiments.QuickRunParams()
 	}
 	eopt.Sim = simOptions(spec)
 	eopt.Workers = opt.Workers

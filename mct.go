@@ -386,3 +386,7 @@ func QuickExperimentOptions() ExperimentOptions { return experiments.QuickOption
 
 // DefaultExperimentRunParams returns the standard experiment scales.
 func DefaultExperimentRunParams() ExperimentRunParams { return experiments.DefaultRunParams() }
+
+// QuickExperimentRunParams returns the reduced scales that go with
+// QuickExperimentOptions.
+func QuickExperimentRunParams() ExperimentRunParams { return experiments.QuickRunParams() }
