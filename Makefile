@@ -35,20 +35,21 @@ perfbench-test:
 	cd _perfbench && $(GO) test -count=1 ./...
 
 # Quick end-to-end check that the mctbench binary still runs an experiment
-# and that the warm-clone evaluation micro-benchmark still compiles and runs:
-# the parallel-determinism tests exercise the engine, this exercises the CLI
-# and the bench harness. The batched-step-loop benchmark is the streaming
-# pipeline's allocation gate: its companion test asserts exactly 0
-# allocs/op at steady state. The controller benchmark replays a recorded
+# and that the warm-clone and batched evaluation micro-benchmarks still
+# compile and run: the parallel-determinism tests exercise the engine, this
+# exercises the CLI and the bench harness. The batched-step-loop benchmark
+# is the streaming pipeline's allocation gate: its companion tests assert
+# exactly 0 allocs/op at steady state, with one lane and with a lane per
+# configuration of a full batch. The controller benchmark replays a recorded
 # gups miss stream into a warm NVM controller (ns per controller call); its
 # companion test pins 0 allocs per call on the same stream. The
 # eager-harvest benchmark runs Access + UselessPositions + NextEagerVictim
 # on a warm zeusmp LLC (ns per access); its companion test pins 0 allocs.
 bench-smoke:
 	$(GO) run ./cmd/mctbench -experiment space -quick -quiet
-	$(GO) test -run '^$$' -bench 'BenchmarkEvaluateWarmClone' -benchtime 5x .
+	$(GO) test -run '^$$' -bench 'BenchmarkEvaluate(WarmClone|Batch)$$' -benchtime 5x .
 	$(GO) test -run '^$$' -bench 'Benchmark(Tiered)?BatchedStepLoop' -benchtime 200000x ./internal/sim
-	$(GO) test -run 'Test(Tiered)?BatchedStepLoopZeroAllocs' -count 1 ./internal/sim
+	$(GO) test -run 'Test(Tiered)?BatchedStepLoopZeroAllocs|TestLaneFanOutZeroAllocs' -count 1 ./internal/sim
 	$(GO) test -run '^$$' -bench 'BenchmarkControllerBusy' -benchtime 200000x ./internal/nvm
 	$(GO) test -run 'TestControllerBusyZeroAllocs' -count 1 ./internal/nvm
 	$(GO) test -run '^$$' -bench 'BenchmarkEagerHarvest' -benchtime 200000x ./internal/cache

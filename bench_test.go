@@ -431,6 +431,29 @@ func BenchmarkEvaluateWarmClone(b *testing.B) {
 	}
 }
 
+// BenchmarkEvaluateBatch measures sim.MaxBatch configuration evaluations
+// stepped together: one fork of the shared warmed machine and one LLC tag
+// pass fan out to a lane per configuration. Divide its time per op by
+// sim.MaxBatch to compare with BenchmarkEvaluateWarmClone;
+// sim.TestLaneFanOutZeroAllocs holds the fan-out loop at 0 allocs/op.
+func BenchmarkEvaluateBatch(b *testing.B) {
+	p, err := sim.Prepare("lbm", 0, 10_000, sim.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	space := mct.NewSpace(mct.SpaceOptions{})
+	cfgs := make([]mct.Config, sim.MaxBatch)
+	for k := range cfgs {
+		cfgs[k] = space.At(k * space.Len() / len(cfgs))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.EvaluateBatch(cfgs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func geo(xs []float64) float64 { return stats.GeoMean(xs) }
 
 func mctPhaseOptions() phase.Options {

@@ -11,12 +11,13 @@
 // lines resident in those positions.
 //
 // Layout: the tag lane is one flat []uint64 indexed set*ways+pos, each set
-// ordered MRU..LRU. Valid and dirty state is two per-set bit masks over LRU
-// stack positions, valid[set] and dirty[set]: bit p stands for the line at
-// position p (0 = MRU), so associativity is capped at 64. The probe and the
-// LRU shift touch the tag lane plus two words of mask arithmetic, and the
-// eager-victim test of a set is one masked load: the victim is the lowest
-// dirty position among the uselessN least-recently-used ones.
+// ordered MRU..LRU. Valid and dirty state is per-set bit masks over LRU
+// stack positions, valid[set] and, per lane k, dirty[set*lanes+k]: bit p
+// stands for the line at position p (0 = MRU), so associativity is capped
+// at 64. The probe and the LRU shift touch the tag lane plus a word of mask
+// arithmetic per mask, and the eager-victim test of a set is one masked
+// load: the victim is the lowest dirty position among the uselessN
+// least-recently-used ones.
 package cache
 
 import (
@@ -43,13 +44,26 @@ type Stats struct {
 
 // Cache is a set-associative write-back LLC. It is not safe for concurrent
 // use.
+//
+// A cache carries one or more lanes. Tags, valid masks, LRU order and the
+// hit histogram evolve the same way whatever a configuration does with the
+// lines' data, so they are shared; a lane holds what depends on the
+// configuration: the dirty masks (an eager harvest cleans lines), the eager
+// cursor and the writeback counters. New builds one lane; Fork copies lane
+// 0 into k lanes that then step in lockstep: Access steps the shared state
+// and settles lane 0, then each further lane Settles the same access.
+// NextEagerVictim and Stats are lane 0's LaneEagerVictim and LaneStats.
 type Cache struct {
 	// tags[set*ways+pos] is the tag of the line at LRU stack position pos
-	// of that set (0 = MRU). Bit pos of valid[set] and dirty[set] is that
-	// line's state; dirty implies valid.
-	tags     []uint64
-	valid    []uint64
-	dirty    []uint64
+	// of that set (0 = MRU). Bit pos of valid[set] is that line's state.
+	tags  []uint64
+	valid []uint64
+	// dirty[set*len(lanes)+k] is lane k's dirty mask of set: set-major,
+	// lane-minor, so the fan-out of one access to up to 8 lanes touches one
+	// 64-byte line. Dirty implies valid.
+	dirty []uint64
+	lanes []lane
+
 	setCount int
 	ways     int
 	// wayMask has the low ways bits set: the positions a set mask can use.
@@ -59,11 +73,23 @@ type Cache struct {
 	// locate/reconstruct pair shifts by a constant instead of recounting
 	// bits.
 	setShift uint
-	stats    Stats
 
+	hits, misses uint64
+	hitsByPos    []uint64
+
+	// last is the outcome of the latest Access, which each further lane's
+	// Settle applies.
+	last probe
+}
+
+// lane is the configuration-dependent state of one lane besides its dirty
+// masks.
+type lane struct {
 	// eagerCursor remembers where the eager-victim scan left off so
 	// repeated scans cover the whole cache round-robin.
 	eagerCursor int
+	writebacks  uint64
+	eagerWrites uint64
 }
 
 // ValidateGeometry reports whether New accepts a cache of sizeBytes
@@ -91,18 +117,18 @@ func New(sizeBytes, ways int) (*Cache, error) {
 		return nil, err
 	}
 	setCount := sizeBytes / LineBytes / ways
-	c := &Cache{
-		tags:     make([]uint64, setCount*ways),
-		valid:    make([]uint64, setCount),
-		dirty:    make([]uint64, setCount),
-		setCount: setCount,
-		ways:     ways,
-		wayMask:  ^uint64(0) >> (maxWays - ways),
-		setMask:  uint64(setCount - 1),
-		setShift: uint(log2(setCount)),
-	}
-	c.stats.HitsByPos = make([]uint64, ways)
-	return c, nil
+	return &Cache{
+		tags:      make([]uint64, setCount*ways),
+		valid:     make([]uint64, setCount),
+		dirty:     make([]uint64, setCount),
+		lanes:     make([]lane, 1),
+		setCount:  setCount,
+		ways:      ways,
+		wayMask:   ^uint64(0) >> (maxWays - ways),
+		setMask:   uint64(setCount - 1),
+		setShift:  uint(log2(setCount)),
+		hitsByPos: make([]uint64, ways),
+	}, nil
 }
 
 // Name identifies the cache as the front tier of the memory hierarchy
@@ -112,11 +138,19 @@ func (c *Cache) Name() string { return "llc" }
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
 
-// Stats returns a snapshot of the counters.
-func (c *Cache) Stats() Stats {
-	s := c.stats
-	s.HitsByPos = append([]uint64(nil), c.stats.HitsByPos...)
-	return s
+// Stats returns a snapshot of lane 0's counters.
+func (c *Cache) Stats() Stats { return c.LaneStats(0) }
+
+// LaneStats returns a snapshot of lane k's counters; the hit and miss
+// counts and the histogram are shared by every lane.
+func (c *Cache) LaneStats(k int) Stats {
+	return Stats{
+		Hits:        c.hits,
+		Misses:      c.misses,
+		Writebacks:  c.lanes[k].writebacks,
+		EagerWrites: c.lanes[k].eagerWrites,
+		HitsByPos:   append([]uint64(nil), c.hitsByPos...),
+	}
 }
 
 func (c *Cache) locate(addr uint64) (setIdx int, tag uint64) {
@@ -144,51 +178,94 @@ type Result struct {
 	WritebackAddr uint64
 }
 
+// probe is the lane-independent outcome of the last Access, kept for the
+// further lanes' Settle calls.
+type probe struct {
+	set int
+	pos uint // hit position, or the LRU position on a miss
+	hit bool
+	// evict is the victim's position bit on a miss that evicts a valid
+	// line, else 0: a lane whose dirty mask has it writes the victim back.
+	evict uint64
+	// fillAddr and victimAddr are the line addresses of the miss fill and
+	// of the line leaving the LRU position, rebuilt before the tag shift.
+	fillAddr, victimAddr uint64
+}
+
+// lruShift moves position pos of a set mask to MRU: positions 0..pos-1
+// shift down one, positions above pos stay, and bit 0 becomes mru. On a
+// miss (pos = ways-1) the LRU bit falls off the set.
+func lruShift(m uint64, pos uint, mru uint64) uint64 {
+	below := uint64(1)<<pos - 1
+	return m&^(below<<1|1) | (m&below)<<1 | mru
+}
+
 // Access performs a load (write=false) or store (write=true) at addr and
 // returns what the memory system must do: nothing (hit), a fill (read
-// miss), and possibly a dirty writeback (victim eviction). It is on the
-// simulator's per-access hot path: the probe walks the set's tag lane
-// against its valid mask, and the LRU shift moves the tags with one copy
-// and each mask with a few shifts.
+// miss), and possibly a dirty writeback (victim eviction). It moves the
+// line to MRU in the shared state — the tag lane, the valid mask and the
+// hit counters — and settles the access on lane 0, whose Result it
+// returns; every further lane must Settle the access before the next one.
+// It is on the simulator's per-access hot path: the probe walks the set's
+// tag lane against its valid mask, and the LRU shift moves the tags with
+// one copy and each mask with a few shifts.
 func (c *Cache) Access(addr uint64, write bool) Result {
 	setIdx, tag := c.locate(addr)
 	base := setIdx * c.ways
 	tags := c.tags[base : base+c.ways]
-	valid, dirty := c.valid[setIdx], c.dirty[setIdx]
-	var bit uint64
-	if write {
-		bit = 1
-	}
+	valid := c.valid[setIdx]
+	p := &c.last
+	p.set = setIdx
 
-	for pos := range tags {
-		if tags[pos] == tag && valid>>pos&1 != 0 {
-			c.stats.Hits++
-			c.stats.HitsByPos[pos]++
-			// Move to MRU: positions 0..pos-1 shift down one, position pos
-			// lands at 0, positions above pos stay.
-			below := uint64(1)<<pos - 1
-			keep := ^(uint64(2)<<pos - 1)
-			c.valid[setIdx] = valid&keep | (valid&below)<<1 | 1
-			c.dirty[setIdx] = dirty&keep | (dirty&below)<<1 | bit | dirty>>pos&1
+	for i := range tags {
+		if tags[i] == tag && valid>>i&1 != 0 {
+			pos := uint(i)
+			p.pos, p.hit = pos, true
+			c.hits++
+			c.hitsByPos[pos]++
+			c.valid[setIdx] = lruShift(valid, pos, 1)
 			copy(tags[1:pos+1], tags[:pos])
 			tags[0] = tag
-			return Result{Hit: true}
+			return c.Settle(0, write)
 		}
 	}
 
 	// Miss: evict LRU (last position), fill at MRU.
-	c.stats.Misses++
-	res := Result{FillAddr: addr &^ uint64(LineBytes-1)}
-	last := c.ways - 1
-	if (valid&dirty)>>last&1 != 0 {
-		c.stats.Writebacks++
-		res.Writeback = true
-		res.WritebackAddr = c.reconstruct(setIdx, tags[last])
-	}
+	last := uint(c.ways - 1)
+	c.misses++
+	p.pos, p.hit = last, false
+	p.evict = valid & (1 << last)
+	p.fillAddr = addr &^ uint64(LineBytes-1)
+	p.victimAddr = c.reconstruct(setIdx, tags[last])
+	c.valid[setIdx] = lruShift(valid, last, 1)
 	copy(tags[1:], tags[:last])
 	tags[0] = tag
-	c.valid[setIdx] = (valid<<1 | 1) & c.wayMask
-	c.dirty[setIdx] = (dirty<<1 | bit) & c.wayMask
+	return c.Settle(0, write)
+}
+
+// Settle applies the last Access to lane k: its dirty mask follows the
+// LRU shift (a store dirties the line at MRU), and on a miss the victim is
+// written back if the lane holds it dirty. Access settles lane 0 itself.
+func (c *Cache) Settle(k int, write bool) Result {
+	p := &c.last
+	d := &c.dirty[p.set*len(c.lanes)+k]
+	dirty := *d
+	var mru uint64
+	if write {
+		mru = 1
+	}
+	if p.hit {
+		// The line keeps its dirty bit as it moves to MRU.
+		*d = lruShift(dirty, p.pos, mru|dirty>>p.pos&1)
+		return Result{Hit: true}
+	}
+	*d = lruShift(dirty, p.pos, mru)
+	res := Result{FillAddr: p.fillAddr}
+	if dirty&p.evict != 0 {
+		c.lanes[k].writebacks++
+		res.Writeback = true
+		res.WritebackAddr = p.victimAddr
+	}
 	return res
 }
 
@@ -208,7 +285,7 @@ func (c *Cache) UselessPositions(eagerThreshold int) int {
 	if eagerThreshold <= 0 {
 		return 0
 	}
-	total := c.stats.Hits // == ΣHitsByPos, kept so by Access and FromSnapshot
+	total := c.hits // == ΣhitsByPos, kept so by Access and FromSnapshot
 	if total == 0 {
 		return c.ways
 	}
@@ -217,7 +294,7 @@ func (c *Cache) UselessPositions(eagerThreshold int) int {
 	protected := 0
 	for pos := 0; pos < c.ways; pos++ {
 		protected++
-		cum += c.stats.HitsByPos[pos]
+		cum += c.hitsByPos[pos]
 		if float64(cum) >= need {
 			break
 		}
@@ -232,8 +309,14 @@ func (c *Cache) UselessPositions(eagerThreshold int) int {
 // the eager write wasted wear, as in the paper), and its address is
 // returned; the cursor stops one past that set. Each set costs one load of
 // its dirty mask: the victim is the lowest dirty position in range, the one
-// nearest the MRU end.
+// nearest the MRU end. It is LaneEagerVictim on lane 0.
 func (c *Cache) NextEagerVictim(uselessN, maxSets int) (addr uint64, ok bool) {
+	return c.LaneEagerVictim(0, uselessN, maxSets)
+}
+
+// LaneEagerVictim is NextEagerVictim on lane k: its dirty masks and
+// cursor, and the shared tags as they stand now.
+func (c *Cache) LaneEagerVictim(k, uselessN, maxSets int) (addr uint64, ok bool) {
 	if uselessN <= 0 {
 		return 0, false
 	}
@@ -244,35 +327,50 @@ func (c *Cache) NextEagerVictim(uselessN, maxSets int) (addr uint64, ok bool) {
 		maxSets = c.setCount
 	}
 	useMask := c.wayMask &^ (c.wayMask >> uselessN)
+	l := &c.lanes[k]
+	nl, last := len(c.lanes), c.setCount-1
+	dirty := c.dirty
+	setIdx := l.eagerCursor
 	for scanned := 0; scanned < maxSets; scanned++ {
-		setIdx := c.eagerCursor
-		c.eagerCursor = (setIdx + 1) & (c.setCount - 1)
-		if m := c.dirty[setIdx] & useMask; m != 0 {
+		i := setIdx*nl + k
+		setIdx = (setIdx + 1) & last
+		if m := dirty[i] & useMask; m != 0 {
 			pos := bits.TrailingZeros64(m)
-			c.dirty[setIdx] &^= 1 << pos
-			c.stats.EagerWrites++
-			return c.reconstruct(setIdx, c.tags[setIdx*c.ways+pos]), true
+			dirty[i] &^= 1 << pos
+			l.eagerWrites++
+			l.eagerCursor = setIdx
+			set := (setIdx - 1) & last
+			return c.reconstruct(set, c.tags[set*c.ways+pos]), true
 		}
 	}
+	l.eagerCursor = setIdx
 	return 0, false
 }
 
-// Clone returns a deep copy of the cache — contents, statistics and scan
-// cursor. Cloning a warmed cache lets many configuration evaluations share
-// one warmup (cache state does not depend on the NVM configuration).
-func (c *Cache) Clone() *Cache {
-	n := &Cache{
-		tags:        append([]uint64(nil), c.tags...),
-		valid:       append([]uint64(nil), c.valid...),
-		dirty:       append([]uint64(nil), c.dirty...),
-		setCount:    c.setCount,
-		ways:        c.ways,
-		wayMask:     c.wayMask,
-		setMask:     c.setMask,
-		setShift:    c.setShift,
-		eagerCursor: c.eagerCursor,
+// Clone returns a deep copy of a one-lane cache — contents, statistics and
+// scan cursor. Cloning a warmed cache lets many configuration evaluations
+// share one warmup (cache state does not depend on the NVM configuration).
+// It is Fork(1): of a cache with several lanes it keeps lane 0.
+func (c *Cache) Clone() *Cache { return c.Fork(1) }
+
+// Fork returns a deep copy of the shared state with k lanes, each a copy
+// of lane 0 (its dirty masks, cursor and counters).
+func (c *Cache) Fork(k int) *Cache {
+	n := *c
+	n.tags = append([]uint64(nil), c.tags...)
+	n.valid = append([]uint64(nil), c.valid...)
+	n.hitsByPos = append([]uint64(nil), c.hitsByPos...)
+	n.lanes = make([]lane, k)
+	n.dirty = make([]uint64, c.setCount*k)
+	nl := len(c.lanes)
+	for i := range n.lanes {
+		n.lanes[i] = c.lanes[0]
 	}
-	n.stats = c.stats
-	n.stats.HitsByPos = append([]uint64(nil), c.stats.HitsByPos...)
-	return n
+	for s := 0; s < c.setCount; s++ {
+		d := c.dirty[s*nl]
+		for i := 0; i < k; i++ {
+			n.dirty[s*k+i] = d
+		}
+	}
+	return &n
 }

@@ -246,6 +246,18 @@ var trafficMixes = []trafficMix{
 	{"write-heavy-cold", 3, 0.5, 0.8},
 }
 
+// access draws the next address and store flag of the mix on a cache of
+// capacity lines.
+func (mix trafficMix) access(rng *rand.Rand, capacity int) (addr uint64, write bool) {
+	lines := int(mix.footprint*float64(capacity)) + 1
+	line := rng.Intn(lines)
+	if rng.Float64() < mix.hotFrac {
+		line = rng.Intn(lines/8 + 1)
+	}
+	addr = uint64(line)*LineBytes + uint64(rng.Intn(LineBytes))
+	return addr, rng.Float64() < mix.writeFrac
+}
+
 // geometries are {ways, sets} pairs covering direct-mapped, a single set,
 // the simulator's 16-way LLC shape and the 64-way mask limit.
 var geometries = [][2]int{{1, 64}, {2, 32}, {4, 1}, {4, 16}, {16, 8}, {64, 4}, {64, 1}}
@@ -259,8 +271,8 @@ func agree(c *Cache, r *refCache) error {
 	if cd, rd := c.DirtyLines(), r.DirtyLines(); cd != rd {
 		return fmt.Errorf("dirty lines %d, reference %d", cd, rd)
 	}
-	if c.eagerCursor != r.eagerCursor {
-		return fmt.Errorf("eager cursor %d, reference %d", c.eagerCursor, r.eagerCursor)
+	if c.lanes[0].eagerCursor != r.eagerCursor {
+		return fmt.Errorf("eager cursor %d, reference %d", c.lanes[0].eagerCursor, r.eagerCursor)
 	}
 	if cs, rs := c.Snapshot(), r.Snapshot(); !reflect.DeepEqual(cs, rs) {
 		return fmt.Errorf("snapshots diverged")
@@ -294,15 +306,8 @@ func runDifferential(seed int64, geo [2]int, mix trafficMix, ops int) error {
 		return err
 	}
 	rng := rand.New(rand.NewSource(seed))
-	lines := int(mix.footprint*float64(ways*sets)) + 1
-	hot := lines/8 + 1
 	for i := 0; i < ops; i++ {
-		line := rng.Intn(lines)
-		if rng.Float64() < mix.hotFrac {
-			line = rng.Intn(hot)
-		}
-		addr := uint64(line)*LineBytes + uint64(rng.Intn(LineBytes))
-		write := rng.Float64() < mix.writeFrac
+		addr, write := mix.access(rng, ways*sets)
 		if got, want := c.Access(addr, write), r.Access(addr, write); got != want {
 			return fmt.Errorf("op %d: Access(%#x, %t) = %+v, reference %+v", i, addr, write, got, want)
 		}
@@ -327,8 +332,8 @@ func runDifferential(seed int64, geo [2]int, mix trafficMix, ops int) error {
 			if ga != wa || gok != wok {
 				return fmt.Errorf("op %d: NextEagerVictim(%d, %d) = (%#x, %t), reference (%#x, %t)", i, u, maxSets, ga, gok, wa, wok)
 			}
-			if c.eagerCursor != r.eagerCursor {
-				return fmt.Errorf("op %d: NextEagerVictim(%d, %d) left cursor at %d, reference %d", i, u, maxSets, c.eagerCursor, r.eagerCursor)
+			if c.lanes[0].eagerCursor != r.eagerCursor {
+				return fmt.Errorf("op %d: NextEagerVictim(%d, %d) left cursor at %d, reference %d", i, u, maxSets, c.lanes[0].eagerCursor, r.eagerCursor)
 			}
 		}
 
@@ -422,8 +427,8 @@ func TestReferenceVictimIsLowestUselessPosition(t *testing.T) {
 		if !gok || ga != want*LineBytes || ga != wa || gok != wok {
 			t.Fatalf("victim (%#x, %t), reference (%#x, %t), want line %d", ga, gok, wa, wok, want)
 		}
-		if c.eagerCursor != 0 || r.eagerCursor != 0 {
-			t.Fatalf("cursor %d, reference %d, want 0 (one past set 1)", c.eagerCursor, r.eagerCursor)
+		if c.lanes[0].eagerCursor != 0 || r.eagerCursor != 0 {
+			t.Fatalf("cursor %d, reference %d, want 0 (one past set 1)", c.lanes[0].eagerCursor, r.eagerCursor)
 		}
 	}
 	if _, ok := c.NextEagerVictim(3, 0); ok {

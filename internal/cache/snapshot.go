@@ -29,9 +29,10 @@ type Snapshot struct {
 	Stats       Stats
 }
 
-// Snapshot captures the cache's complete state for checkpointing. The tag
-// lane and the per-set masks are re-interleaved into LineState records, so
-// the serialized format is independent of the in-memory layout.
+// Snapshot captures the cache's complete state for checkpointing, lane 0's
+// for a cache with several lanes. The tag lane and the per-set masks are
+// re-interleaved into LineState records, so the serialized format is
+// independent of the in-memory layout.
 //
 // wayMask, setMask and setShift are not captured: they derive from the
 // geometry and New recomputes them on restore.
@@ -39,16 +40,14 @@ func (c *Cache) Snapshot() Snapshot {
 	lines := make([]LineState, len(c.tags))
 	for i, tag := range c.tags {
 		set, pos := i/c.ways, i%c.ways
-		lines[i] = LineState{Tag: tag, Valid: c.valid[set]>>pos&1 != 0, Dirty: c.dirty[set]>>pos&1 != 0}
+		lines[i] = LineState{Tag: tag, Valid: c.valid[set]>>pos&1 != 0, Dirty: c.dirty[set*len(c.lanes)]>>pos&1 != 0}
 	}
-	st := c.stats
-	st.HitsByPos = append([]uint64(nil), c.stats.HitsByPos...)
 	return Snapshot{
 		SizeBytes:   c.setCount * c.ways * LineBytes,
 		Ways:        c.ways,
 		Lines:       lines,
-		EagerCursor: c.eagerCursor,
-		Stats:       st,
+		EagerCursor: c.lanes[0].eagerCursor,
+		Stats:       c.Stats(),
 	}
 }
 
@@ -90,8 +89,8 @@ func FromSnapshot(s Snapshot) (*Cache, error) {
 			c.dirty[set] |= 1 << pos
 		}
 	}
-	c.eagerCursor = s.EagerCursor
-	c.stats = s.Stats
-	c.stats.HitsByPos = append([]uint64(nil), s.Stats.HitsByPos...)
+	c.lanes[0] = lane{eagerCursor: s.EagerCursor, writebacks: s.Stats.Writebacks, eagerWrites: s.Stats.EagerWrites}
+	c.hits, c.misses = s.Stats.Hits, s.Stats.Misses
+	copy(c.hitsByPos, s.Stats.HitsByPos)
 	return c, nil
 }

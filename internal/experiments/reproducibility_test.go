@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"mct/internal/obs"
 )
 
 // TestRunSweepConcurrent hammers RunSweep from goroutines racing on the same
@@ -57,6 +59,36 @@ func TestRunSweepConcurrent(t *testing.T) {
 		if len(s.Indices) == 0 || len(s.Indices) != len(s.Metrics) {
 			t.Fatalf("worker %d: malformed sweep: %d indices, %d metrics",
 				i, len(s.Indices), len(s.Metrics))
+		}
+	}
+}
+
+// TestSweepEventsWorkerInvariant: a sweep's progress events count
+// configurations, not the engine's batch tasks. A stride-1 sweep crosses
+// 500 four times, and the event stream — every 500th configuration, the
+// text the serial loop printed — is byte-identical at 1, 2 and 4 workers,
+// however the batches complete.
+func TestSweepEventsWorkerInvariant(t *testing.T) {
+	t.Setenv(cacheEnv, "")
+	defer ResetSweepCache()
+	eventsAt := func(workers int) string {
+		ResetSweepCache()
+		opt := tinyOptions()
+		opt.Stride = 1
+		opt.Accesses = 200
+		opt.Workers = workers
+		var buf bytes.Buffer
+		opt.Events = obs.TextSink(&buf)
+		if _, err := RunSweep(context.Background(), "lbm", false, opt); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	want := "  sweep lbm: 500/2030 configs\n  sweep lbm: 1000/2030 configs\n" +
+		"  sweep lbm: 1500/2030 configs\n  sweep lbm: 2000/2030 configs\n"
+	for _, w := range []int{1, 2, 4} {
+		if got := eventsAt(w); got != want {
+			t.Errorf("workers=%d: events\n%s\nwant\n%s", w, got, want)
 		}
 	}
 }

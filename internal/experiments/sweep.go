@@ -194,6 +194,14 @@ func computeSweep(ctx context.Context, benchmark string, includeWQ bool, key swe
 		indices = append(indices, i)
 	}
 
+	// The baseline and default measurements ride the same fan-out as the
+	// swept configurations, as its last two entries.
+	cfgs := make([]config.Config, 0, len(indices)+2)
+	for _, i := range indices {
+		cfgs = append(cfgs, space.At(i))
+	}
+	cfgs = append(cfgs, baselineAt(opt.LifetimeTarget), config.Default())
+
 	eopt := engine.Options{Workers: opt.Workers, Obs: opt.Obs}
 	if opt.Obs != nil {
 		opt.Obs.Counter("experiments.sweeps_computed").Inc()
@@ -201,10 +209,10 @@ func computeSweep(ctx context.Context, benchmark string, includeWQ bool, key swe
 	if opt.Events != nil {
 		events, total := opt.Events, len(indices)
 		eopt.OnDone = func(done, _ int) {
-			// Same thinning (every 500 completions) and text as the old
-			// serial loop; OnDone counts are monotone at any worker count,
-			// so the emitted lines are byte-identical.
-			if done%500 == 0 {
+			// Every 500th configuration, counted in order across batch
+			// completions at any worker count; the two extra entries only
+			// lift the count past total, where nothing is emitted.
+			if done%500 == 0 && done <= total {
 				events(obs.Event{
 					Scope: "sweep", Item: benchmark, Done: done, Total: total,
 					Text: fmt.Sprintf("  sweep %s: %d/%d configs", benchmark, done, total),
@@ -212,24 +220,14 @@ func computeSweep(ctx context.Context, benchmark string, includeWQ bool, key swe
 			}
 		}
 	}
-	metrics, err := engine.Map(ctx, len(indices), eopt, func(ctx context.Context, k int) (sim.Metrics, error) {
-		m, err := prep.Evaluate(space.At(indices[k]))
-		if err != nil {
-			return sim.Metrics{}, fmt.Errorf("experiments: sweep %s config %d: %w", benchmark, indices[k], err)
-		}
-		return m, nil
-	})
+	metrics, err := prep.EvaluateAll(ctx, cfgs, eopt)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiments: sweep %s: %w", benchmark, err)
 	}
 
-	s := &Sweep{Benchmark: benchmark, Space: space, Indices: indices, Metrics: metrics}
-	if s.Baseline, err = prep.Evaluate(baselineAt(opt.LifetimeTarget)); err != nil {
-		return nil, err
-	}
-	if s.Default, err = prep.Evaluate(config.Default()); err != nil {
-		return nil, err
-	}
+	n := len(indices)
+	s := &Sweep{Benchmark: benchmark, Space: space, Indices: indices, Metrics: metrics[:n:n],
+		Baseline: metrics[n], Default: metrics[n+1]}
 
 	storeSweepToDisk(key, s)
 	return s, nil

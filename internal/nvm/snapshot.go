@@ -179,11 +179,40 @@ func (c *Controller) Snapshot() Snapshot {
 	}
 }
 
+// checkReq rejects a write no run can produce: a cancel count outside
+// [0, maxCancels] (a write stops being cancellable at the limit), an eager
+// queue entry without the eager flag, or an eager write on the demand
+// queue that was never cancelled (only a cancelled eager write is requeued
+// there). queue is "demand", "eager" or "" for an in-flight op.
+func checkReq(r WriteReqState, queue string, maxCancels int) error {
+	switch {
+	case r.Cancels < 0 || r.Cancels > maxCancels:
+		return fmt.Errorf("cancelled %d times, the limit is %d", r.Cancels, maxCancels)
+	case queue == "eager" && !r.Eager:
+		return fmt.Errorf("eager queue entry is not an eager write")
+	case queue == "demand" && r.Eager && r.Cancels == 0:
+		return fmt.Errorf("demand queue entry is an eager write that was never cancelled")
+	}
+	return nil
+}
+
+// checkQueue applies checkReq to every entry of one bank's queue.
+func checkQueue(bank int, queue string, rs []WriteReqState, maxCancels int) error {
+	for j, r := range rs {
+		if err := checkReq(r, queue, maxCancels); err != nil {
+			return fmt.Errorf("nvm: snapshot bank %d %s queue entry %d: %w", bank, queue, j, err)
+		}
+	}
+	return nil
+}
+
 // FromSnapshot rebuilds a controller from a state captured with Snapshot.
 // The rebuilt controller continues the identical simulation. A snapshot is
 // a trust boundary (checkpoints are read back from disk), so beyond the
 // slice shapes it checks what the controller indexes or counts by: every
 // op's power token is in range, and the queue lengths match the queues.
+// It also rejects queue entries and ops no run can produce (checkReq, and
+// a pulse that ends before it starts).
 func FromSnapshot(s Snapshot) (*Controller, error) {
 	c, err := New(s.Config, s.Params)
 	if err != nil {
@@ -208,9 +237,21 @@ func FromSnapshot(s Snapshot) (*Controller, error) {
 			openRow:  bs.OpenRow,
 			rowValid: bs.RowValid,
 		}
+		if err := checkQueue(i, "demand", bs.Writes, s.Params.MaxCancellations); err != nil {
+			return nil, err
+		}
+		if err := checkQueue(i, "eager", bs.Eager, s.Params.MaxCancellations); err != nil {
+			return nil, err
+		}
 		if bs.Op != nil {
 			if bs.Op.Token < 0 || bs.Op.Token >= s.Params.MaxConcurrentWrites {
 				return nil, fmt.Errorf("nvm: snapshot bank %d holds power token %d, params have %d", i, bs.Op.Token, s.Params.MaxConcurrentWrites)
+			}
+			if err := checkReq(bs.Op.Req, "", s.Params.MaxCancellations); err != nil {
+				return nil, fmt.Errorf("nvm: snapshot bank %d in-flight op: %w", i, err)
+			}
+			if bs.Op.PulseStart > bs.Op.Done {
+				return nil, fmt.Errorf("nvm: snapshot bank %d in-flight op starts at %d, after it ends at %d", i, bs.Op.PulseStart, bs.Op.Done)
 			}
 			b.op = inflight{
 				req:         reqFromState(bs.Op.Req),

@@ -187,6 +187,56 @@ func TestFromSnapshotRejectsBadTokenAndQueueLengths(t *testing.T) {
 	}
 }
 
+// TestFromSnapshotRejectsImpossibleQueues: queue entries and in-flight ops
+// no run can produce are rejected, one case each, while the cancelled
+// eager write a Read requeues onto the demand queue restores.
+func TestFromSnapshotRejectsImpossibleQueues(t *testing.T) {
+	c := mustNew(t, config.Default(), smallParams())
+	b := c.bankOf(0)
+	limit := smallParams().MaxCancellations
+	// queue puts one request on line 0's bank's demand or eager queue.
+	queue := func(eagerQ bool, r WriteReqState) func(*Snapshot) {
+		return func(s *Snapshot) {
+			if eagerQ {
+				s.Banks[b].Eager = []WriteReqState{r}
+				s.EagerQLen = 1
+			} else {
+				s.Banks[b].Writes = []WriteReqState{r}
+				s.WriteQLen = 1
+			}
+		}
+	}
+	// op puts a write pulse from start to done on line 0's bank.
+	op := func(r WriteReqState, start, done uint64) func(*Snapshot) {
+		return func(s *Snapshot) {
+			s.Banks[b].Op = &InflightState{Req: r, PulseStart: start, Done: done, Ratio: 1, Cancellable: true}
+			s.Banks[b].FreeAt = done
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		mut  func(*Snapshot)
+		ok   bool
+	}{
+		{"demand write cancelled past the limit", queue(false, WriteReqState{Enq: 5, Cancels: limit + 1}), false},
+		{"eager write cancelled past the limit", queue(true, WriteReqState{Enq: 5, Cancels: limit + 1, Eager: true}), false},
+		{"in-flight op cancelled past the limit", op(WriteReqState{Enq: 5, Cancels: limit + 1}, 10, 1000), false},
+		{"negative cancel count", queue(false, WriteReqState{Enq: 5, Cancels: -1}), false},
+		{"eager queue entry without the eager flag", queue(true, WriteReqState{Enq: 5}), false},
+		{"uncancelled eager write on the demand queue", queue(false, WriteReqState{Enq: 5, Eager: true}), false},
+		{"in-flight pulse ends before it starts", op(WriteReqState{Enq: 5}, 1000, 10), false},
+		{"cancelled eager write on the demand queue", queue(false, WriteReqState{Enq: 5, Cancels: limit, Eager: true}), true},
+		{"eager write at the cancel limit", queue(true, WriteReqState{Enq: 5, Cancels: limit, Eager: true}), true},
+		{"in-flight op at the cancel limit", op(WriteReqState{Enq: 5, Cancels: limit}, 10, 1000), true},
+	} {
+		s := c.Snapshot()
+		tc.mut(&s)
+		if _, err := FromSnapshot(s); (err == nil) != tc.ok {
+			t.Errorf("%s: FromSnapshot error %v, want ok=%t", tc.name, err, tc.ok)
+		}
+	}
+}
+
 // TestStatsCloneIsDeep: mutating a cloned Stats' slice/map never shows up
 // in the original.
 func TestStatsCloneIsDeep(t *testing.T) {

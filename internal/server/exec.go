@@ -268,10 +268,11 @@ func execSweep(ctx context.Context, spec api.JobSpec, opt ExecOptions) ([]byte, 
 		if end > len(indices) {
 			end = len(indices)
 		}
-		ms, err := engine.Map(ctx, end-start, engine.Options{Workers: opt.Workers, Obs: opt.Obs},
-			func(ctx context.Context, i int) (sim.Metrics, error) {
-				return prep.Evaluate(space.At(indices[start+i]))
-			})
+		cfgs := make([]config.Config, end-start)
+		for i := range cfgs {
+			cfgs[i] = space.At(indices[start+i])
+		}
+		ms, err := prep.EvaluateAll(ctx, cfgs, engine.Options{Workers: opt.Workers, Obs: opt.Obs})
 		if err != nil {
 			return nil, err
 		}

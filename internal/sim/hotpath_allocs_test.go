@@ -49,7 +49,7 @@ func BenchmarkBatchedStepLoop(b *testing.B) {
 		if rem := b.N - done; k > rem {
 			k = rem
 		}
-		m.cores[0].gen.Fill(buf[:k])
+		m.gens[0].Fill(buf[:k])
 		m.StepBatch(buf[:k])
 		done += k
 	}
@@ -74,7 +74,7 @@ func TestBatchedStepLoopZeroAllocs(t *testing.T) {
 	m.RunAccesses(100_000)
 	buf := m.batchBuf()
 	avg := testing.AllocsPerRun(10, func() {
-		m.cores[0].gen.Fill(buf)
+		m.gens[0].Fill(buf)
 		m.StepBatch(buf)
 	})
 	if avg != 0 {
@@ -122,7 +122,7 @@ func BenchmarkTieredBatchedStepLoop(b *testing.B) {
 		if rem := b.N - done; k > rem {
 			k = rem
 		}
-		m.cores[0].gen.Fill(buf[:k])
+		m.gens[0].Fill(buf[:k])
 		m.StepBatch(buf[:k])
 		done += k
 	}
@@ -150,7 +150,7 @@ func TestTieredBatchedStepLoopZeroAllocs(t *testing.T) {
 	}
 	buf := m.batchBuf()
 	avg := testing.AllocsPerRun(10, func() {
-		m.cores[0].gen.Fill(buf)
+		m.gens[0].Fill(buf)
 		m.StepBatch(buf)
 	})
 	if avg != 0 {

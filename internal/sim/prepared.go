@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
 	"mct/internal/config"
+	"mct/internal/engine"
 	"mct/internal/trace"
 )
 
@@ -29,31 +31,33 @@ const windowCap = 1 << 15
 // Prepared is a benchmark workload prepared for repeated configuration
 // evaluations: one machine (trace generator, LLC and NVM controller) has
 // been warmed once under a fixed warmup configuration, and every evaluation
-// clones the whole warm machine, switches it to the configuration under
-// test, and runs only the identical measurement window. This is what
-// makes brute-force sweeps of thousands of configurations affordable and
-// fair: the warmup — the one cost per-configuration parallelism cannot
-// remove — is paid once per benchmark instead of once per configuration.
+// forks the whole warm machine into one lane per configuration under test
+// (see EvaluateBatch) and runs only the identical measurement window. This
+// is what makes brute-force sweeps of thousands of configurations
+// affordable and fair: the warmup — the one cost per-configuration
+// parallelism cannot remove — is paid once per benchmark instead of once
+// per configuration.
 //
-// The measurement trace is generated once, too. The first Evaluate
+// The measurement trace is generated once, too. The first evaluation
 // materializes the window's first min(measure, windowCap) accesses from a
 // clone of the warm generator (which sits exactly at the measurement cut)
 // and keeps that generator, now at the prefix end, for the remainder.
-// Every evaluation replays the shared prefix and, for windows longer than
-// the cap, streams the rest from its own clone of the kept generator. The
+// Every batch replays the shared prefix and, for windows longer than the
+// cap, streams the rest from its own clone of the kept generator. The
 // stream is identical to regenerating the whole window (the trace is a pure
 // function of generator state), memory stays O(windowCap + StepBatchSize)
 // however long the window, and the work stays out of Prepare, whose callers
 // may never evaluate.
 //
 // Concurrency contract: a Prepared is immutable apart from that one-time
-// materialization, which runs under a sync.Once. Evaluate otherwise only
-// reads the warm machine and the shared window (via Clone, which never
+// materialization, which runs under a sync.Once. An evaluation otherwise
+// only reads the warm machine and the shared window (via fork, which never
 // writes to its receiver and shares nothing mutable), and builds all
 // mutable simulation state per call. Any number of goroutines may
-// therefore call Evaluate on one Prepared concurrently, and each
-// evaluation's result depends only on its configuration — never on what
-// other evaluations run beside it or in which order.
+// therefore call Evaluate, EvaluateBatch and EvaluateAll on one Prepared
+// concurrently, and each configuration's result depends only on that
+// configuration — never on what else is in its batch, what runs beside it
+// or in which order.
 type Prepared struct {
 	Spec trace.Spec
 	opt  Options
@@ -130,7 +134,7 @@ func PreparedFromMachine(m *Machine, warmup, measure int) (*Prepared, error) {
 		warmup = DefaultWarmupAccesses
 	}
 	return &Prepared{
-		Spec:     m.cores[0].gen.Spec(),
+		Spec:     m.gens[0].Spec(),
 		opt:      m.opt,
 		warmup:   warmup,
 		nMeasure: measure,
@@ -143,37 +147,119 @@ func PreparedFromMachine(m *Machine, warmup, measure int) (*Prepared, error) {
 // the result outright: mutating it cannot perturb evaluations or the
 // shared window.
 func (p *Prepared) Trace() []trace.Access {
-	return trace.Collect(p.warm.cores[0].gen.Clone(), p.nMeasure)
+	return trace.Collect(p.warm.gens[0].Clone(), p.nMeasure)
 }
 
 // materialize builds the shared window (see Prepared); it runs once.
 func (p *Prepared) materialize() {
-	g := p.warm.cores[0].gen.Clone()
+	g := p.warm.gens[0].Clone()
 	p.prefix = trace.Collect(g, min(p.nMeasure, windowCap))
 	if p.nMeasure > len(p.prefix) {
 		p.tail = g
 	}
 }
 
-// Evaluate measures one configuration on the prepared workload by cloning
-// the warm machine and replaying the shared measurement window. It is safe
-// for concurrent use (see the Prepared concurrency contract) and returns
-// the same Metrics for the same configuration no matter how many
-// evaluations run in parallel.
+// Evaluate measures one configuration on the prepared workload: it is
+// EvaluateBatch of that configuration alone. It is safe for concurrent use
+// (see the Prepared concurrency contract) and returns the same Metrics for
+// the same configuration no matter how many evaluations run in parallel.
 func (p *Prepared) Evaluate(cfg config.Config) (Metrics, error) {
-	p.once.Do(p.materialize)
-	m := p.warm.Clone()
-	if err := m.SetConfig(cfg); err != nil {
+	ms, err := p.EvaluateBatch([]config.Config{cfg})
+	if err != nil {
 		return Metrics{}, err
+	}
+	return ms[0], nil
+}
+
+// EvaluateBatch measures several configurations on the prepared workload in
+// one pass over the shared measurement window. It forks the warm machine
+// into one lane per configuration: the LLC's tags, valid masks, LRU order
+// and hit histogram evolve the same way under every configuration of a
+// single-core window, so each access probes them once, and every lane
+// settles it on its own dirty masks, eager cursor, core clock, DRAM tier
+// and controller. A window longer than the shared prefix streams its tail
+// once for the whole batch. Metrics[k] is identical to what Evaluate
+// returns for cfgs[k], whatever else is in the batch; the first
+// configuration the controller rejects fails the whole batch. Keep
+// batches to MaxBatch configurations: the per-lane state of more stops
+// fitting in cache.
+func (p *Prepared) EvaluateBatch(cfgs []config.Config) ([]Metrics, error) {
+	if len(cfgs) == 0 {
+		return nil, nil
+	}
+	p.once.Do(p.materialize)
+	m := p.warm.fork(len(cfgs))
+	for k, cfg := range cfgs {
+		if err := m.lanes[k].ctrl.SetConfig(cfg); err != nil {
+			return nil, err
+		}
 	}
 	m.beginWindow()
 	m.StepBatch(p.prefix)
 	if p.tail != nil {
-		m.cores[0].gen = p.tail.Clone()
+		m.gens[0] = p.tail.Clone()
 		m.runOwn(p.nMeasure - len(p.prefix))
 	}
 	m.finishRun()
-	return m.windowMetrics(), nil
+	out := make([]Metrics, len(cfgs))
+	for k, l := range m.lanes {
+		out[k] = m.laneMetrics(l)
+	}
+	return out, nil
+}
+
+// MaxBatch caps the configurations EvaluateAll steps together. Up to 8
+// lanes keep one set's dirty masks in one 64-byte line; far more lanes'
+// dirty arrays and controllers stop fitting in cache and the per-access
+// fan-out slows down.
+const MaxBatch = 8
+
+// batchStarts partitions n configurations into consecutive batches and
+// returns each batch's first index, then n. The split is guided: a batch
+// takes min(MaxBatch, ⌈remaining/4⌉), so the tail shrinks to single
+// configurations that keep every worker busy to the end. It depends on n
+// alone — never on the worker count or timing — so batched results and
+// engine counters are the same at any worker count.
+func batchStarts(n int) []int {
+	starts := []int{0}
+	for i := 0; i < n; {
+		i += min(MaxBatch, (n-i+3)/4)
+		starts = append(starts, i)
+	}
+	return starts
+}
+
+// EvaluateAll measures every configuration of cfgs, in EvaluateBatch
+// batches fanned out over engine.Map (opt.Workers, opt.Obs: the engine's
+// tasks are batches), and returns the results in input order. opt.OnDone,
+// when set, counts configurations: as each batch completes it observes
+// the next done = 1, 2, …, len(cfgs) in order, serialized.
+func (p *Prepared) EvaluateAll(ctx context.Context, cfgs []config.Config, opt engine.Options) ([]Metrics, error) {
+	starts := batchStarts(len(cfgs))
+	onDone := opt.OnDone
+	opt.OnDone = nil
+	var mu sync.Mutex
+	done := 0
+	batches, err := engine.Map(ctx, len(starts)-1, opt, func(ctx context.Context, b int) ([]Metrics, error) {
+		ms, err := p.EvaluateBatch(cfgs[starts[b]:starts[b+1]])
+		if err == nil && onDone != nil {
+			mu.Lock()
+			for range ms {
+				done++
+				onDone(done, len(cfgs))
+			}
+			mu.Unlock()
+		}
+		return ms, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	var out []Metrics
+	for _, ms := range batches {
+		out = append(out, ms...)
+	}
+	return out, nil
 }
 
 // EvaluateCold measures one configuration the pre-clone way: build a fresh

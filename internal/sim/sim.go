@@ -182,24 +182,25 @@ func (m Metrics) Vector() [3]float64 { return [3]float64{m.IPC, m.LifetimeYears,
 // single-program machine (one core); NewMultiMachine the multi-program one
 // (one core per program). Either way the cores share one LLC, optional DRAM
 // tier and NVM controller.
+//
+// Inside Prepared.EvaluateBatch a single-core machine carries one lane per
+// configuration: the LLC's shared state steps once per access and every
+// lane (clock, dirty masks, DRAM tier, controller) settles it. A machine
+// anywhere else has the one lane it embeds.
 type Machine struct {
 	opt Options
-	// cores holds each core's private state, one entry per program.
-	cores []coreState
-	llc   *cache.Cache
-	// dram is the optional DRAM cache tier (opt.Tiers.DRAMCache); nil on
-	// the stock NVM-only hierarchy.
-	dram *dram.Cache
-	ctrl *nvm.Controller
-	// mem is the topmost memory-side tier the LLC's misses flow into: the
-	// DRAM tier when present, otherwise the controller. The step loop
-	// drives the hierarchy through this seam only.
-	mem hierarchy.Mem
+	// gens holds each core's trace generator, one per program.
+	gens []*trace.Generator
+	llc  *cache.Cache
+	// lane is the machine's own configuration-dependent state, lane 0 of
+	// the LLC.
+	lane
+	// lanes lists every lane step fans an access out to, in LLC lane
+	// order: &m.lane first.
+	lanes []*lane
 
-	// window bookkeeping of the shared tiers (the cores keep their own)
-	winStartStats nvm.Stats
+	// window bookkeeping of the LLC (the lanes keep their own)
 	winStartCache cache.Stats
-	winStartDRAM  dram.Stats
 
 	// obsv is the optional observer (AttachObserver); nil means no
 	// instrumentation and zero overhead.
@@ -214,11 +215,30 @@ type Machine struct {
 	batch []trace.Access
 }
 
-// coreState is one core's private state: its program's trace generator,
-// its clock and committed instructions, and both at the start of the
-// current measurement window.
+// lane is the state of a machine that depends on its configuration: the
+// cores' clocks, the memory tiers behind the LLC, their window bookkeeping,
+// and (inside the LLC) the dirty masks, eager cursor and writeback
+// counters.
+type lane struct {
+	// cores holds each core's clock, one entry per program.
+	cores []coreState
+	// dram is the optional DRAM cache tier (opt.Tiers.DRAMCache); nil on
+	// the stock NVM-only hierarchy.
+	dram *dram.Cache
+	ctrl *nvm.Controller
+	// mem is the topmost memory-side tier the LLC's misses flow into: the
+	// DRAM tier when present, otherwise the controller. The step loop
+	// drives the hierarchy through this seam only.
+	mem hierarchy.Mem
+
+	// window bookkeeping of the memory tiers (the cores keep their own)
+	winStartStats nvm.Stats
+	winStartDRAM  dram.Stats
+}
+
+// coreState is one core's clock and committed instructions, and both at
+// the start of the current measurement window.
 type coreState struct {
-	gen            *trace.Generator
 	cpuCycles      float64 // CPU cycles elapsed
 	insts          uint64
 	winStartCycles float64
@@ -260,15 +280,12 @@ func newMachine(cfg config.Config, opt Options, gens []*trace.Generator) (*Machi
 		return nil, err
 	}
 	m := &Machine{
-		opt:   opt,
-		cores: make([]coreState, len(gens)),
-		llc:   llc,
-		ctrl:  ctrl,
-		mem:   ctrl,
+		opt:  opt,
+		gens: gens,
+		llc:  llc,
+		lane: lane{cores: make([]coreState, len(gens)), ctrl: ctrl, mem: ctrl},
 	}
-	for i, g := range gens {
-		m.cores[i].gen = g
-	}
+	m.lanes = []*lane{&m.lane}
 	if opt.Tiers.DRAMCache {
 		d, err := dram.New(opt.dramParams(), ctrl)
 		if err != nil {
@@ -303,11 +320,13 @@ func (m *Machine) Instructions() uint64 {
 }
 
 // CPUCycles returns the elapsed CPU cycles of the most advanced core.
-func (m *Machine) CPUCycles() float64 {
+func (m *Machine) CPUCycles() float64 { return m.lane.cpuCycles() }
+
+func (l *lane) cpuCycles() float64 {
 	var c float64
-	for i := range m.cores {
-		if m.cores[i].cpuCycles > c {
-			c = m.cores[i].cpuCycles
+	for i := range l.cores {
+		if l.cores[i].cpuCycles > c {
+			c = l.cores[i].cpuCycles
 		}
 	}
 	return c
@@ -341,22 +360,24 @@ func (m *Machine) SetPromoteThreshold(n int) error {
 }
 
 // dramStats returns the DRAM tier's counters, zero on NVM-only machines.
-func (m *Machine) dramStats() dram.Stats {
-	if m.dram == nil {
+func (l *lane) dramStats() dram.Stats {
+	if l.dram == nil {
 		return dram.Stats{}
 	}
-	return m.dram.Stats()
+	return l.dram.Stats()
 }
 
 func (m *Machine) beginWindow() {
-	for i := range m.cores {
-		c := &m.cores[i]
-		c.winStartCycles = c.cpuCycles
-		c.winStartInsts = c.insts
+	for _, l := range m.lanes {
+		for i := range l.cores {
+			c := &l.cores[i]
+			c.winStartCycles = c.cpuCycles
+			c.winStartInsts = c.insts
+		}
+		l.winStartStats = l.ctrl.Stats()
+		l.winStartDRAM = l.dramStats()
 	}
-	m.winStartStats = m.ctrl.Stats()
 	m.winStartCache = m.llc.Stats()
-	m.winStartDRAM = m.dramStats()
 }
 
 // memCycle converts a CPU clock to the memory controller's clock.
@@ -364,48 +385,57 @@ func (m *Machine) memCycle(cpuCycles float64) uint64 {
 	return uint64(cpuCycles / m.opt.CPUCyclesPerMemCycle)
 }
 
-// step executes one trace access on core c. It is the simulator's inner
-// loop, held to zero allocations by TestBatchedStepLoopZeroAllocs.
-func (m *Machine) step(c *coreState, a trace.Access) {
+// step executes one trace access on core ci: the LLC's shared state steps
+// once, then every lane settles the access on its own clock, dirty masks
+// and memory tiers. It is the simulator's inner loop, held to zero
+// allocations by TestBatchedStepLoopZeroAllocs.
+func (m *Machine) step(ci int, a trace.Access) {
 	o := &m.opt
-	c.cpuCycles += float64(a.InstGap) * o.BaseCPI
-	c.insts += uint64(a.InstGap)
-
+	gap := float64(a.InstGap) * o.BaseCPI
 	res := m.llc.Access(a.Addr, a.Write)
-	if res.Hit {
-		c.cpuCycles += o.LLCHitCycles
-		// Multi-core machines harvest eager victims only after an LLC
-		// miss, unlike §3.1. The mix1 golden digests pin this; dropping
-		// it is a deliberate re-pin (ROADMAP).
-		if len(m.cores) > 1 {
-			return
+	for k, l := range m.lanes {
+		c := &l.cores[ci]
+		c.cpuCycles += gap
+		c.insts += uint64(a.InstGap)
+
+		if k > 0 {
+			res = m.llc.Settle(k, a.Write)
 		}
-	} else {
-		now := m.memCycle(c.cpuCycles)
-		if res.Writeback {
-			accepted := m.mem.Write(res.WritebackAddr, now)
-			if accepted > now {
-				// Write-queue backpressure fully stalls the core.
-				c.cpuCycles += float64(accepted-now) * o.CPUCyclesPerMemCycle
-				now = accepted
+		if res.Hit {
+			c.cpuCycles += o.LLCHitCycles
+			// Multi-core machines harvest eager victims only after an LLC
+			// miss, unlike §3.1. The mix1 golden digests pin this; dropping
+			// it is a deliberate re-pin (ROADMAP).
+			if len(l.cores) > 1 {
+				continue
+			}
+		} else {
+			now := m.memCycle(c.cpuCycles)
+			if res.Writeback {
+				accepted := l.mem.Write(res.WritebackAddr, now)
+				if accepted > now {
+					// Write-queue backpressure fully stalls the core.
+					c.cpuCycles += float64(accepted-now) * o.CPUCyclesPerMemCycle
+					now = accepted
+				}
+			}
+			done := l.mem.Read(res.FillAddr, now)
+			latCPU := float64(done-now) * o.CPUCyclesPerMemCycle
+			if a.Write {
+				c.cpuCycles += latCPU * o.StoreStallFactor
+			} else {
+				c.cpuCycles += latCPU * o.ReadStallFactor
 			}
 		}
-		done := m.mem.Read(res.FillAddr, now)
-		latCPU := float64(done-now) * o.CPUCyclesPerMemCycle
-		if a.Write {
-			c.cpuCycles += latCPU * o.StoreStallFactor
-		} else {
-			c.cpuCycles += latCPU * o.ReadStallFactor
-		}
-	}
 
-	// Eager mellow writes: harvest at most one dirty victim per access
-	// when the technique is on and the hierarchy has room (§3.1).
-	if eager, threshold := m.ctrl.EagerPolicy(); eager && m.mem.EagerSpace() {
-		useless := m.llc.UselessPositions(threshold)
-		if useless > 0 {
-			if addr, ok := m.llc.NextEagerVictim(useless, o.EagerScanSets); ok {
-				m.mem.EagerWrite(addr, m.memCycle(c.cpuCycles))
+		// Eager mellow writes: harvest at most one dirty victim per access
+		// when the technique is on and the hierarchy has room (§3.1).
+		if eager, threshold := l.ctrl.EagerPolicy(); eager && l.mem.EagerSpace() {
+			useless := m.llc.UselessPositions(threshold)
+			if useless > 0 {
+				if addr, ok := m.llc.LaneEagerVictim(k, useless, o.EagerScanSets); ok {
+					l.mem.EagerWrite(addr, m.memCycle(c.cpuCycles))
+				}
 			}
 		}
 	}
@@ -413,15 +443,16 @@ func (m *Machine) step(c *coreState, a trace.Access) {
 
 // stepNext steps the least-advanced core (the first on a tie) by one
 // access from its own generator. Cores thus advance in near-lockstep, so
-// memory contention between programs is captured.
+// memory contention between programs is captured. Only a one-lane machine
+// has several cores.
 func (m *Machine) stepNext() {
-	c := &m.cores[0]
+	ci := 0
 	for i := 1; i < len(m.cores); i++ {
-		if m.cores[i].cpuCycles < c.cpuCycles {
-			c = &m.cores[i]
+		if m.cores[i].cpuCycles < m.cores[ci].cpuCycles {
+			ci = i
 		}
 	}
-	m.step(c, c.gen.Next())
+	m.step(ci, m.gens[ci].Next())
 }
 
 // StepBatch executes a batch of trace accesses on core 0, the only core of
@@ -429,9 +460,8 @@ func (m *Machine) stepNext() {
 // simulation — together with trace.Generator.Fill it forms the steady-state
 // hot path, which must stay allocation-free.
 func (m *Machine) StepBatch(batch []trace.Access) {
-	c := &m.cores[0]
 	for i := range batch {
-		m.step(c, batch[i])
+		m.step(0, batch[i])
 	}
 }
 
@@ -448,7 +478,7 @@ func (m *Machine) runOwn(n int) {
 		}
 		return
 	}
-	gen := m.cores[0].gen
+	gen := m.gens[0]
 	buf := m.batchBuf()
 	for n > 0 {
 		k := min(len(buf), n)
@@ -509,23 +539,26 @@ func (m *Machine) WindowInstructions() uint64 {
 	return n
 }
 
-// windowMetrics computes metrics for the current window (since the last
-// beginWindow) without ending it. The window's wall clock is the slowest
-// core's cycle delta.
-func (m *Machine) windowMetrics() Metrics {
+// windowMetrics computes lane 0's metrics for the current window (since
+// the last beginWindow) without ending it.
+func (m *Machine) windowMetrics() Metrics { return m.laneMetrics(&m.lane) }
+
+// laneMetrics computes lane l's metrics for the current window. The
+// window's wall clock is the slowest core's cycle delta.
+func (m *Machine) laneMetrics(l *lane) Metrics {
 	o := &m.opt
-	s0, s1 := m.winStartStats, m.ctrl.Stats()
+	s0, s1 := l.winStartStats, l.ctrl.Stats()
 	llc1 := m.llc.Stats()
-	d1 := m.dramStats()
+	d1 := l.dramStats()
 	if m.obsv != nil {
 		m.obsv.publish(llc1, s1, d1, true)
 	}
-	multi := len(m.cores) > 1
+	multi := len(l.cores) > 1
 
 	var mt Metrics
 	var active []float64 // per-core IPCs of the cores that ran (multi-core)
-	for i := range m.cores {
-		c := &m.cores[i]
+	for i := range l.cores {
+		c := &l.cores[i]
 		dC := c.cpuCycles - c.winStartCycles
 		dI := c.insts - c.winStartInsts
 		// Cores that executed nothing in the window (e.g. still recovering
@@ -576,9 +609,9 @@ func (m *Machine) windowMetrics() Metrics {
 
 	// CPU static power scales with core count.
 	em := o.Energy
-	em.CPUStaticPower *= float64(len(m.cores))
-	if m.dram != nil {
-		dd := diffDRAM(m.winStartDRAM, d1)
+	em.CPUStaticPower *= float64(len(l.cores))
+	if l.dram != nil {
+		dd := diffDRAM(l.winStartDRAM, d1)
 		mt.DRAMHits = dd.Hits
 		mt.DRAMMisses = dd.Misses
 		mt.DRAMWriteHits = dd.WriteHits
@@ -655,18 +688,20 @@ func diffStats(s0, s1 nvm.Stats) nvm.Stats {
 	return d
 }
 
-// finishRun drains the memory hierarchy — dirty DRAM-tier lines flush to
-// NVM, then queued writes retire — so their wear and energy are charged
-// to the run. The drain starts at the most advanced core's clock, and
-// every core's clock catches up to the drain point.
+// finishRun drains every lane's memory hierarchy — dirty DRAM-tier lines
+// flush to NVM, then queued writes retire — so their wear and energy are
+// charged to the run. A lane's drain starts at its most advanced core's
+// clock, and every core's clock catches up to the drain point.
 func (m *Machine) finishRun() {
-	end := m.CPUCycles()
-	if f := float64(m.mem.Drain(m.memCycle(end))) * m.opt.CPUCyclesPerMemCycle; f > end {
-		end = f
-	}
-	for i := range m.cores {
-		if m.cores[i].cpuCycles < end {
-			m.cores[i].cpuCycles = end
+	for _, l := range m.lanes {
+		end := l.cpuCycles()
+		if f := float64(l.mem.Drain(m.memCycle(end))) * m.opt.CPUCyclesPerMemCycle; f > end {
+			end = f
+		}
+		for i := range l.cores {
+			if l.cores[i].cpuCycles < end {
+				l.cores[i].cpuCycles = end
+			}
 		}
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"mct/internal/atomicfile"
 	"mct/internal/cache"
 	"mct/internal/dram"
-	"mct/internal/hierarchy"
 	"mct/internal/nvm"
 	"mct/internal/obs"
 	"mct/internal/trace"
@@ -30,32 +29,54 @@ import (
 // identical simulation from the current point, and stepping one never
 // perturbs the other. Options are pure values and copy by assignment.
 func (m *Machine) Clone() *Machine {
-	n := *m
-	// The scratch batch buffer is per-machine: dropping it here makes the
-	// clone allocate its own on first streaming run. Copying the slice
-	// header would share the backing array, a data race under concurrent
-	// Prepared.Evaluate.
-	n.batch = nil
-	n.cores = append([]coreState(nil), m.cores...)
-	for i := range n.cores {
-		n.cores[i].gen = m.cores[i].gen.Clone()
-	}
-	n.llc = m.llc.Clone()
-	n.ctrl = m.ctrl.Clone()
-	// Rebuild the tier chain bottom-up onto the cloned controller so the
-	// clone's mem seam points into its own hierarchy, not the parent's.
-	n.mem = hierarchy.Mem(n.ctrl)
-	if m.dram != nil {
-		n.dram = m.dram.Clone(n.ctrl)
-		n.mem = n.dram
-	}
-	n.winStartStats = m.winStartStats.Clone()
-	n.winStartCache = m.winStartCache.Clone()
-	n.winStartDRAM = m.winStartDRAM.Clone()
+	n := m.fork(1)
 	if m.obsv != nil {
 		n.obsv = m.obsv.clone()
 	}
-	return &n
+	return n
+}
+
+// fork returns a deep copy of the machine without its observer, whose k
+// lanes each start as a copy of lane 0. The scratch batch buffer is
+// per-machine and not copied: the fork allocates its own on first
+// streaming run, since a shared backing array would race under concurrent
+// Prepared evaluations.
+func (m *Machine) fork(k int) *Machine {
+	n := &Machine{
+		opt:           m.opt,
+		gens:          make([]*trace.Generator, len(m.gens)),
+		llc:           m.llc.Fork(k),
+		lane:          m.lane.clone(),
+		lanes:         make([]*lane, k),
+		winStartCache: m.winStartCache.Clone(),
+	}
+	for i, g := range m.gens {
+		n.gens[i] = g.Clone()
+	}
+	n.lanes[0] = &n.lane
+	rest := make([]lane, k-1)
+	for i := range rest {
+		rest[i] = m.lane.clone()
+		n.lanes[i+1] = &rest[i]
+	}
+	return n
+}
+
+// clone deep-copies the lane, rebuilding its tier chain bottom-up onto the
+// cloned controller so its mem seam points into its own hierarchy.
+func (l *lane) clone() lane {
+	n := lane{
+		cores:         append([]coreState(nil), l.cores...),
+		ctrl:          l.ctrl.Clone(),
+		winStartStats: l.winStartStats.Clone(),
+		winStartDRAM:  l.winStartDRAM.Clone(),
+	}
+	n.mem = n.ctrl
+	if l.dram != nil {
+		n.dram = l.dram.Clone(n.ctrl)
+		n.mem = n.dram
+	}
+	return n
 }
 
 // MachineState is the complete serializable state of a Machine, the payload
@@ -116,7 +137,7 @@ func (m *Machine) Snapshot() MachineState {
 		Obs:            obsState,
 		DRAM:           dramState,
 		Options:        m.opt,
-		Gen:            c.gen.Snapshot(),
+		Gen:            m.gens[0].Snapshot(),
 		LLC:            m.llc.Snapshot(),
 		Ctrl:           m.ctrl.Snapshot(),
 		CPUCycles:      c.cpuCycles,
@@ -166,21 +187,24 @@ func RestoreMachine(st MachineState) (*Machine, error) {
 			st.WinStartCycles, st.CPUCycles, st.WinStartInsts, st.Insts)
 	}
 	m := &Machine{
-		opt: st.Options,
-		cores: []coreState{{
-			gen:            gen,
-			cpuCycles:      st.CPUCycles,
-			insts:          st.Insts,
-			winStartCycles: st.WinStartCycles,
-			winStartInsts:  st.WinStartInsts,
-		}},
-		llc:           llc,
-		ctrl:          ctrl,
-		mem:           ctrl,
-		winStartStats: st.WinStartStats.Clone(),
+		opt:  st.Options,
+		gens: []*trace.Generator{gen},
+		llc:  llc,
+		lane: lane{
+			cores: []coreState{{
+				cpuCycles:      st.CPUCycles,
+				insts:          st.Insts,
+				winStartCycles: st.WinStartCycles,
+				winStartInsts:  st.WinStartInsts,
+			}},
+			ctrl:          ctrl,
+			mem:           ctrl,
+			winStartStats: st.WinStartStats.Clone(),
+			winStartDRAM:  st.WinStartDRAM.Clone(),
+		},
 		winStartCache: st.WinStartCache.Clone(),
-		winStartDRAM:  st.WinStartDRAM.Clone(),
 	}
+	m.lanes = []*lane{&m.lane}
 	if st.DRAM != nil {
 		d, err := dram.FromSnapshot(*st.DRAM, ctrl)
 		if err != nil {

@@ -314,10 +314,7 @@ func EvaluateMany(ctx context.Context, benchmark string, nAccesses int, cfgs []C
 	if err != nil {
 		return nil, err
 	}
-	return engine.Map(ctx, len(cfgs), engine.Options{Workers: c.workers, Obs: c.reg},
-		func(ctx context.Context, i int) (Metrics, error) {
-			return p.Evaluate(cfgs[i])
-		})
+	return p.EvaluateAll(ctx, cfgs, engine.Options{Workers: c.workers, Obs: c.reg})
 }
 
 // Experiment types.
