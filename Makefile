@@ -45,8 +45,12 @@ perfbench-test:
 # companion test pins 0 allocs per call on the same stream. The
 # eager-harvest benchmark runs Access + UselessPositions + NextEagerVictim
 # on a warm zeusmp LLC (ns per access); its companion test pins 0 allocs.
+# The sweep-cache round trip runs table4 twice over one -sweep-cache
+# directory: the second run must load its sweep from disk and print a
+# byte-identical report.
 bench-smoke:
 	$(GO) run ./cmd/mctbench -experiment space -quick -quiet
+	./scripts/sweep_cache_smoke.sh
 	$(GO) test -run '^$$' -bench 'BenchmarkEvaluate(WarmClone|Batch)$$' -benchtime 5x .
 	$(GO) test -run '^$$' -bench 'Benchmark(Tiered)?BatchedStepLoop' -benchtime 200000x ./internal/sim
 	$(GO) test -run 'Test(Tiered)?BatchedStepLoopZeroAllocs|TestLaneFanOutZeroAllocs' -count 1 ./internal/sim

@@ -9,11 +9,14 @@
 //	mctbench -experiment fig1 -workers 8   # bound sweep parallelism
 //	mctbench -list                         # list experiment IDs
 //	mctbench -experiment fig1 -quick -metrics-out results/BENCH_metrics.json
+//	mctbench -experiment all -quick -sweep-cache ~/.cache/mct  # reuse sweeps across runs
 //
-// Ctrl-C cancels gracefully: the current experiment aborts promptly, and
-// sweeps that already completed stay valid in the MCT_SWEEP_CACHE disk
-// cache (entries are written atomically, only after a sweep finishes), so
-// a rerun picks up where the caches left off.
+// One sweep cache spans the invocation, so experiments that share a sweep
+// compute it once. -sweep-cache DIR adds a disk layer that later
+// invocations reuse. Ctrl-C cancels gracefully: the current experiment
+// aborts promptly, and sweeps that already completed stay valid in the
+// -sweep-cache directory (entries are written atomically, only after a
+// sweep finishes), so a rerun picks up where the cache left off.
 package main
 
 import (
@@ -31,6 +34,7 @@ import (
 
 	"mct"
 	"mct/internal/config"
+	"mct/internal/experiments"
 )
 
 func main() {
@@ -48,6 +52,7 @@ func main() {
 		metrics = flag.String("metrics-out", "", "write a sorted JSON metrics dump of the experiment runs to this file")
 		dram    = flag.Bool("dram", false, "run experiments on the hybrid hierarchy: DRAM cache tier between LLC and NVM")
 		dramTh  = flag.Int("dram-promote", 0, "DRAM hot-page promotion threshold (0 = tier default; requires -dram)")
+		sweeps  = flag.String("sweep-cache", "", "directory of a disk sweep cache shared across invocations (default: in memory only)")
 	)
 	flag.Parse()
 	// The tier composition rides in the simulator options, so every
@@ -85,6 +90,7 @@ func main() {
 	}
 	opt.Sim.Tiers = tiers
 	opt.Workers = *workers
+	opt.Sweeps = experiments.NewSweepCache(*sweeps)
 	if !*quiet {
 		opt.Events = mct.TextProgress(os.Stderr)
 	}
@@ -174,11 +180,11 @@ func writeFileMkdir(path string, data []byte) error {
 }
 
 // fail reports an experiment error and exits. Interruption (ctrl-C) is
-// reported distinctly — completed sweeps remain cached on disk — and uses
-// the conventional 130 exit status.
+// reported distinctly — completed sweeps remain in a -sweep-cache
+// directory — and uses the conventional 130 exit status.
 func fail(id string, err error) {
 	if errors.Is(err, context.Canceled) {
-		fmt.Fprintf(os.Stderr, "mctbench: %s interrupted; completed sweeps remain cached\n", id)
+		fmt.Fprintf(os.Stderr, "mctbench: %s interrupted; completed sweeps remain in any -sweep-cache directory\n", id)
 		os.Exit(130)
 	}
 	fmt.Fprintf(os.Stderr, "mctbench: %s: %v\n", id, err)

@@ -61,13 +61,6 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// Point the experiments sweep cache into the state directory unless the
-	// operator chose one: completed sweeps then survive restarts, which is
-	// what gives experiment jobs their resume granularity.
-	if os.Getenv("MCT_SWEEP_CACHE") == "" {
-		os.Setenv("MCT_SWEEP_CACHE", filepath.Join(*state, "sweepcache"))
-	}
-
 	srv, err := server.New(server.Options{
 		StateDir:     *state,
 		Workers:      *workers,

@@ -234,6 +234,20 @@ func TestSpaceIndexOf(t *testing.T) {
 	}
 }
 
+func TestSpaceStrided(t *testing.T) {
+	s := NewSpace(SpaceOptions{}) // 2030 configurations
+	for _, tc := range []struct{ stride, n, last int }{
+		{-3, s.Len(), s.Len() - 1}, {0, s.Len(), s.Len() - 1}, {1, s.Len(), s.Len() - 1},
+		{23, 89, 2024}, {2030, 1, 0}, {5000, 1, 0},
+	} {
+		idx := s.Strided(tc.stride)
+		if len(idx) != tc.n || idx[0] != 0 || idx[len(idx)-1] != tc.last {
+			t.Errorf("Strided(%d): %d indices, last %d; want %d, last %d",
+				tc.stride, len(idx), idx[len(idx)-1], tc.n, tc.last)
+		}
+	}
+}
+
 func TestSpaceFilterAndDistinct(t *testing.T) {
 	s := NewSpace(SpaceOptions{})
 	idx := s.Filter(func(c Config) bool { return c.FastLatency == 1.0 })

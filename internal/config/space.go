@@ -144,6 +144,18 @@ func (s *Space) IndexOf(c Config) (int, bool) {
 	return i, ok
 }
 
+// Strided returns every stride-th index of the space, ascending from 0 — the
+// configurations a strided brute-force sweep evaluates. A stride below 1
+// means 1 (the full space).
+func (s *Space) Strided(stride int) []int {
+	stride = max(stride, 1)
+	idx := make([]int, 0, (len(s.configs)+stride-1)/stride)
+	for i := 0; i < len(s.configs); i += stride {
+		idx = append(idx, i)
+	}
+	return idx
+}
+
 // Filter returns the indices of configurations satisfying keep, in order.
 func (s *Space) Filter(keep func(Config) bool) []int {
 	var idx []int

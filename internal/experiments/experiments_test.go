@@ -10,6 +10,11 @@ import (
 	"mct/internal/ml"
 )
 
+// testSweeps is the sweep cache the package's tests share through
+// tinyOptions, so a sweep several tests need is computed once. Tests that
+// need cold computations set Sweeps to nil or to a cache of their own.
+var testSweeps = NewSweepCache("")
+
 // tinyOptions keeps integration tests fast: two benchmarks, a heavily
 // strided space and short traces.
 func tinyOptions() Options {
@@ -17,14 +22,15 @@ func tinyOptions() Options {
 	o.Benchmarks = []string{"lbm", "stream"}
 	o.Accesses = 6_000
 	o.Stride = 67
+	o.Sweeps = testSweeps
 	return o
 }
 
 const tinyInsts = 2_500_000
 
 func TestRunSweepCachesAndShapes(t *testing.T) {
-	ResetSweepCache()
 	opt := tinyOptions()
+	opt.Sweeps = NewSweepCache("")
 	s1, err := RunSweep(context.Background(), "lbm", false, opt)
 	if err != nil {
 		t.Fatal(err)

@@ -21,8 +21,8 @@ const goldenReportFile = "testdata/golden_fig1_quick.txt"
 
 func renderFig1(t *testing.T, workers int) string {
 	t.Helper()
-	ResetSweepCache()
 	o := tinyOptions()
+	o.Sweeps = nil // cold: Run builds a fresh cache for the call
 	o.Workers = workers
 	rp := DefaultRunParams()
 	rp.Trials = 1
@@ -36,9 +36,6 @@ func renderFig1(t *testing.T, workers int) string {
 }
 
 func TestDefaultReportGolden(t *testing.T) {
-	t.Setenv(cacheEnv, "")
-	defer ResetSweepCache()
-
 	w1 := renderFig1(t, 1)
 	w4 := renderFig1(t, 4)
 	if w1 != w4 {

@@ -47,7 +47,11 @@ func fig6PhaseOptions() phase.Options {
 // Run executes one experiment by ID and returns its report. Valid IDs are
 // listed by IDs(). Cancelling ctx aborts the experiment with ctx.Err();
 // opt.Workers bounds the parallelism of its sweeps and driver fan-out.
+// A nil opt.Sweeps gets one in-memory SweepCache for this call.
 func Run(ctx context.Context, id string, opt Options, rp RunParams) (*Report, error) {
+	if opt.Sweeps == nil {
+		opt.Sweeps = NewSweepCache("")
+	}
 	switch id {
 	case "space":
 		return SpaceSummary(opt), nil

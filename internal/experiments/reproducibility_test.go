@@ -19,10 +19,8 @@ import (
 // locking; the pointer-identity assertions prove single-flight behavior
 // (concurrent callers of one key share one computation).
 func TestRunSweepConcurrent(t *testing.T) {
-	t.Setenv(cacheEnv, "")
-	ResetSweepCache()
-	defer ResetSweepCache()
 	opt := tinyOptions()
+	opt.Sweeps = NewSweepCache("")
 
 	benches := []string{"lbm", "stream"}
 	const perBench = 4
@@ -69,11 +67,9 @@ func TestRunSweepConcurrent(t *testing.T) {
 // text the serial loop printed — is byte-identical at 1, 2 and 4 workers,
 // however the batches complete.
 func TestSweepEventsWorkerInvariant(t *testing.T) {
-	t.Setenv(cacheEnv, "")
-	defer ResetSweepCache()
 	eventsAt := func(workers int) string {
-		ResetSweepCache()
 		opt := tinyOptions()
+		opt.Sweeps = nil // every worker count computes
 		opt.Stride = 1
 		opt.Accesses = 200
 		opt.Workers = workers
@@ -98,14 +94,12 @@ func TestSweepEventsWorkerInvariant(t *testing.T) {
 // reports are byte-identical — the regression guard for the tree-wide rule
 // that every random draw derives from the seed flags.
 func TestExperimentReportDeterminism(t *testing.T) {
-	t.Setenv(cacheEnv, "")
-	defer ResetSweepCache()
 	opt := tinyOptions()
+	opt.Sweeps = nil // cold: Run builds a fresh cache per call
 	rp := DefaultRunParams()
 	rp.Trials = 1
 
 	render := func() string {
-		ResetSweepCache()
 		rep, err := Run(context.Background(), "fig4b", opt, rp)
 		if err != nil {
 			t.Fatal(err)
@@ -129,14 +123,12 @@ func TestExperimentReportDeterminism(t *testing.T) {
 // caches and asserts byte-identical reports — the engine's central
 // guarantee: parallelism changes only wall-clock, never results.
 func TestParallelDeterminismAcrossWorkers(t *testing.T) {
-	t.Setenv(cacheEnv, "")
-	defer ResetSweepCache()
 	opt := tinyOptions()
+	opt.Sweeps = nil // cold: Run builds a fresh cache per call
 	rp := DefaultRunParams()
 	rp.Trials = 1
 
 	render := func(workers int) string {
-		ResetSweepCache()
 		o := opt
 		o.Workers = workers
 		rep, err := Run(context.Background(), "fig1", o, rp)
@@ -173,15 +165,13 @@ func TestParallelDeterminismAcrossWorkers(t *testing.T) {
 // so a byte-identical report at Workers=1 and Workers=4 pins the fix
 // end-to-end.
 func TestEnergyPathParallelDeterminism(t *testing.T) {
-	t.Setenv(cacheEnv, "")
-	defer ResetSweepCache()
 	opt := tinyOptions()
+	opt.Sweeps = nil // cold: Run builds a fresh cache per call
 	opt.Benchmarks = []string{"lbm"}
 	rp := DefaultRunParams()
 	rp.Trials = 1
 
 	render := func(workers int) string {
-		ResetSweepCache()
 		o := opt
 		o.Workers = workers
 		rep, err := Run(context.Background(), "fig3", o, rp)
@@ -203,15 +193,13 @@ func TestEnergyPathParallelDeterminism(t *testing.T) {
 }
 
 // TestRunSweepCancellation checks the cancellation contract: a cancelled
-// context aborts a sweep with ctx.Err(), and both caches stay consistent —
-// an immediate retry with a live context succeeds and writes the disk-cache
-// entry only then.
+// context aborts a sweep with ctx.Err(), and both layers of the cache stay
+// consistent — an immediate retry with a live context succeeds and writes
+// the disk entry only then.
 func TestRunSweepCancellation(t *testing.T) {
 	dir := t.TempDir()
-	t.Setenv(cacheEnv, dir)
-	ResetSweepCache()
-	defer ResetSweepCache()
 	opt := tinyOptions()
+	opt.Sweeps = NewSweepCache(dir)
 	opt.Workers = 2
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -229,11 +217,16 @@ func TestRunSweepCancellation(t *testing.T) {
 		t.Fatalf("retry produced malformed sweep: %d indices, %d metrics", len(s.Indices), len(s.Metrics))
 	}
 
-	// And the disk cache written by the successful retry round-trips.
-	ResetSweepCache()
+	// And the disk entry written by the successful retry round-trips: a
+	// new cache over the same directory loads it instead of computing.
+	opt.Sweeps = NewSweepCache(dir)
+	opt.Obs = obs.NewRegistry()
 	s2, err := RunSweep(context.Background(), "lbm", false, opt)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := sweepsComputed(opt.Obs); n != 0 {
+		t.Fatalf("disk hit computed %d sweeps, want 0", n)
 	}
 	if len(s2.Indices) != len(s.Indices) {
 		t.Fatalf("disk-cache round trip changed sweep size: %d != %d", len(s2.Indices), len(s.Indices))
@@ -250,10 +243,6 @@ func TestRunSweepCancellation(t *testing.T) {
 // must produce distinct cache keys and distinct sweeps — before the fix
 // they silently shared one cached sweep.
 func TestSweepKeyIncludesSimOptions(t *testing.T) {
-	t.Setenv(cacheEnv, "")
-	ResetSweepCache()
-	defer ResetSweepCache()
-
 	a := tinyOptions()
 	b := tinyOptions()
 	b.Sim.CacheBytes = a.Sim.CacheBytes / 2
@@ -291,15 +280,13 @@ func TestSweepKeyIncludesSimOptions(t *testing.T) {
 // fit/predict timing off the stable tables and onto the progress stream:
 // before that move fig2 could never have a byte-identity test at all.
 func TestModelComparisonReportDeterminism(t *testing.T) {
-	t.Setenv(cacheEnv, "")
-	defer ResetSweepCache()
 	opt := tinyOptions()
+	opt.Sweeps = nil // cold: Run builds a fresh cache per call
 	rp := DefaultRunParams()
 	rp.Trials = 1
 	rp.SampleCounts = []int{40}
 
 	render := func() string {
-		ResetSweepCache()
 		rep, err := Run(context.Background(), "fig2", opt, rp)
 		if err != nil {
 			t.Fatal(err)

@@ -3,8 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
-	"sync"
 
 	"mct/internal/config"
 	"mct/internal/core"
@@ -42,6 +40,12 @@ type Options struct {
 	// schedule-independent counters land in the stable dump, so sweep
 	// dumps stay byte-identical at any worker count.
 	Obs *obs.Registry
+	// Sweeps, when non-nil, is the cache RunSweep goes through; its owner
+	// decides its lifetime and whether it has a disk layer. Nil computes
+	// every sweep afresh, except that Run gives a nil Sweeps one in-memory
+	// cache for the call, so one experiment still computes a repeated
+	// sweep once.
+	Sweeps *SweepCache
 }
 
 // DefaultOptions returns full-fidelity settings (full space, all
@@ -82,99 +86,30 @@ type Sweep struct {
 	Default  sim.Metrics
 }
 
-// sweepKey identifies a cached sweep. Besides the sweep-shape parameters it
-// carries a digest of the full sim.Options: two callers with different
-// simulated systems (cache geometry, timing, energy model, …) must never
-// share a cached sweep.
-type sweepKey struct {
-	bench    string
-	accesses int
-	stride   int
-	wq       bool
-	target   float64
-	seed     int64
-	sim      uint64
-}
-
-// simDigest hashes every sim.Options field into a cache-key component.
-// Seed is normalized out because the key carries it separately (Options.Seed
-// overwrites it before Prepare). The digest covers nested value structs
-// (nvm.Params, energy.Model) via their printed representation.
-func simDigest(o sim.Options) uint64 {
-	o.Seed = 0
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v", o)
-	return h.Sum64()
-}
-
-// sweepKeyFor builds the cache key RunSweep uses (exported to tests via the
-// package boundary).
-func sweepKeyFor(benchmark string, includeWQ bool, opt Options) sweepKey {
-	return sweepKey{
-		bench:    benchmark,
-		accesses: opt.Accesses,
-		stride:   opt.Stride,
-		wq:       includeWQ,
-		target:   opt.LifetimeTarget,
-		seed:     opt.Seed,
-		sim:      simDigest(opt.Sim),
-	}
-}
-
-// sweepEntry is one single-flight cache slot: the first caller of a key runs
-// the computation inside once; concurrent callers of the same key block on
-// once and then share the identical *Sweep.
-type sweepEntry struct {
-	once sync.Once
-	s    *Sweep
-	err  error
-}
-
-var (
-	sweepMu    sync.Mutex
-	sweepCache = map[sweepKey]*sweepEntry{}
-)
-
 // RunSweep evaluates the configuration space (wear quota included when
-// includeWQ) on one benchmark, caching results in-process so experiments
-// sharing a sweep don't recompute it. It is safe for concurrent use:
-// callers racing on the same key share a single computation. Configurations
-// are evaluated on a bounded worker pool (opt.Workers); results are
-// identical at any worker count. Cancelling ctx aborts the computation with
-// ctx.Err() and leaves both caches consistent — the failed in-process entry
-// is dropped (a retry recomputes) and nothing partial reaches the disk
-// cache (it is written atomically, only on success).
+// includeWQ) on one benchmark. With opt.Sweeps set it goes through that
+// cache, so experiments sharing a sweep don't recompute it; with nil
+// Sweeps it computes every time. It is safe for concurrent use: callers
+// racing on the same key of one cache share a single computation.
+// Configurations are evaluated on a bounded worker pool (opt.Workers);
+// results are identical at any worker count. Cancelling ctx aborts the
+// computation with ctx.Err() and leaves the cache consistent — the failed
+// in-memory entry is dropped (a retry recomputes) and nothing partial
+// reaches the disk layer (it is written atomically, only on success).
 func RunSweep(ctx context.Context, benchmark string, includeWQ bool, opt Options) (*Sweep, error) {
 	key := sweepKeyFor(benchmark, includeWQ, opt)
-	sweepMu.Lock()
-	e, ok := sweepCache[key]
-	if !ok {
-		e = &sweepEntry{}
-		sweepCache[key] = e
+	compute := func() (*Sweep, error) { return computeSweep(ctx, benchmark, includeWQ, key, opt) }
+	if opt.Sweeps == nil {
+		return compute()
 	}
-	sweepMu.Unlock()
-
-	e.once.Do(func() { e.s, e.err = computeSweep(ctx, benchmark, includeWQ, key, opt) })
-	if e.err != nil {
-		// Don't cache failures: drop the entry (if it is still ours) so a
-		// later call can retry. This is also what keeps the in-process
-		// cache consistent across cancellation.
-		sweepMu.Lock()
-		if sweepCache[key] == e {
-			delete(sweepCache, key)
-		}
-		sweepMu.Unlock()
-	}
-	return e.s, e.err
+	return opt.Sweeps.get(key, compute)
 }
 
-// computeSweep produces the sweep for key: from the optional disk cache if
+// computeSweep produces the sweep for key: from the cache's disk layer if
 // present, otherwise by brute-force evaluation on a worker pool.
 func computeSweep(ctx context.Context, benchmark string, includeWQ bool, key sweepKey, opt Options) (*Sweep, error) {
 	space := config.NewSpace(config.SpaceOptions{IncludeWearQuota: includeWQ, WearQuotaTarget: opt.LifetimeTarget})
-
-	// Optional cross-process disk cache (MCT_SWEEP_CACHE).
-	if s := loadSweepFromDisk(key, space); s != nil {
+	if s := opt.Sweeps.load(key, space); s != nil {
 		return s, nil
 	}
 
@@ -185,14 +120,7 @@ func computeSweep(ctx context.Context, benchmark string, includeWQ bool, key swe
 		return nil, err
 	}
 
-	stride := opt.Stride
-	if stride < 1 {
-		stride = 1
-	}
-	indices := make([]int, 0, (space.Len()+stride-1)/stride)
-	for i := 0; i < space.Len(); i += stride {
-		indices = append(indices, i)
-	}
+	indices := space.Strided(opt.Stride)
 
 	// The baseline and default measurements ride the same fan-out as the
 	// swept configurations, as its last two entries.
@@ -229,7 +157,7 @@ func computeSweep(ctx context.Context, benchmark string, includeWQ bool, key swe
 	s := &Sweep{Benchmark: benchmark, Space: space, Indices: indices, Metrics: metrics[:n:n],
 		Baseline: metrics[n], Default: metrics[n+1]}
 
-	storeSweepToDisk(key, s)
+	opt.Sweeps.store(key, s)
 	return s, nil
 }
 
@@ -241,15 +169,6 @@ func baselineAt(target float64) config.Config {
 		b.WearQuotaTarget = target
 	}
 	return b
-}
-
-// ResetSweepCache clears the in-process sweep cache; the daemon calls it
-// after every experiment job. In-flight computations finish against their
-// old entries and are not re-cached.
-func ResetSweepCache() {
-	sweepMu.Lock()
-	sweepCache = map[sweepKey]*sweepEntry{}
-	sweepMu.Unlock()
 }
 
 // Vectors returns the 10-dim encodings of the evaluated configurations.

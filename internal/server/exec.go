@@ -50,10 +50,13 @@ const (
 
 // Checkpoints names the directory where Execute persists resumable state
 // for one job: a machine checkpoint (machine.ckpt) and, for sweeps, the
-// completed prefix of results (partial.json). Nil Checkpoints in
-// ExecOptions disables persistence entirely — the CLI's synchronous mode.
+// completed prefix of results (partial.json). SweepDir, when set, is the
+// disk layer of an experiment job's sweep cache, which jobs may share.
+// Nil Checkpoints in ExecOptions disables persistence entirely — the CLI's
+// synchronous mode.
 type Checkpoints struct {
-	Dir string
+	Dir      string
+	SweepDir string
 }
 
 func (c *Checkpoints) machinePath() string { return c.Dir + "/machine.ckpt" }
@@ -215,15 +218,9 @@ type sweepPartial struct {
 // the engine worker pool and results keep enumeration order at any worker
 // count.
 func execSweep(ctx context.Context, spec api.JobSpec, opt ExecOptions) ([]byte, error) {
-	stride := spec.Stride
-	if stride < 1 {
-		stride = 1
-	}
+	stride := max(spec.Stride, 1)
 	space := config.NewSpace(config.SpaceOptions{})
-	var indices []int
-	for i := 0; i < space.Len(); i += stride {
-		indices = append(indices, i)
-	}
+	indices := space.Strided(stride)
 
 	var done []api.Metrics
 	var prep *sim.Prepared
@@ -301,14 +298,13 @@ func execSweep(ctx context.Context, spec api.JobSpec, opt ExecOptions) ([]byte, 
 }
 
 // execExperiment regenerates one paper table/figure. Resume granularity is
-// the sweep disk cache (MCT_SWEEP_CACHE): completed sweeps reload from disk
-// on a rerun, so only unfinished sweep work repeats. The daemon points the
-// cache at its state directory for exactly this reason, which also carries
-// sweeps from one job to the next: the in-process sweep cache is dropped
-// when the job returns, so a long-lived daemon does not hold every sweep
-// its jobs ever touched.
+// the sweep cache's disk layer (Checkpoints.SweepDir): completed sweeps
+// reload from disk on a rerun, so only unfinished sweep work repeats, and
+// the daemon's jobs share completed sweeps through it. Each call owns its
+// cache, so its in-memory sweeps go when the job returns and a long-lived
+// daemon does not hold every sweep its jobs ever touched. Without
+// Checkpoints, experiments.Run keeps the sweeps in memory for the call.
 func execExperiment(ctx context.Context, spec api.JobSpec, opt ExecOptions) ([]byte, error) {
-	defer experiments.ResetSweepCache()
 	eopt := experiments.DefaultOptions()
 	rp := experiments.DefaultRunParams()
 	if spec.Quick {
@@ -318,6 +314,9 @@ func execExperiment(ctx context.Context, spec api.JobSpec, opt ExecOptions) ([]b
 	eopt.Workers = opt.Workers
 	eopt.Events = opt.Events
 	eopt.Obs = opt.Obs
+	if ck := opt.Checkpoints; ck != nil {
+		eopt.Sweeps = experiments.NewSweepCache(ck.SweepDir)
+	}
 	rep, err := experiments.Run(ctx, spec.Experiment, eopt, rp)
 	if err != nil {
 		return nil, err

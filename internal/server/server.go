@@ -194,7 +194,7 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 		Workers:     s.opt.Workers,
 		Events:      sink,
 		Obs:         s.reg,
-		Checkpoints: &Checkpoints{Dir: s.store.jobDir(j.snapshot().ID)},
+		Checkpoints: s.store.checkpoints(j.snapshot().ID),
 		ChunkInsts:  s.opt.ChunkInsts,
 		SweepChunk:  s.opt.SweepChunk,
 	})
@@ -207,7 +207,7 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 		}
 		s.stats.completed.Add(1)
 		// The artifact is durable; the resume state has served its purpose.
-		ck := Checkpoints{Dir: s.store.jobDir(id)}
+		ck := s.store.checkpoints(id)
 		for _, p := range []string{ck.machinePath(), ck.partialPath()} {
 			if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
 				s.stats.persistErrors.Add(1)

@@ -14,7 +14,6 @@ import (
 
 	"mct/api"
 	"mct/internal/config"
-	"mct/internal/experiments"
 	"mct/internal/obs"
 )
 
@@ -735,16 +734,42 @@ func (q *fairQueue) depth() int {
 	return q.queued
 }
 
-// TestExperimentJobDropsSweepCache: an experiment job's in-process sweeps
-// do not outlive the job, so a daemon's memory does not grow with every
-// distinct sweep key its jobs touch. Without a disk cache, a second
-// identical job recomputes exactly the sweeps the first one computed.
+// TestExperimentJobDropsSweepCache: every experiment job owns its sweep
+// cache, so its in-memory sweeps do not outlive the job and a daemon's
+// memory does not grow with every distinct sweep key its jobs touch. In a
+// daemon, the cache's disk layer under the state directory carries
+// completed sweeps to the next job: a second identical job computes none.
+// Without persistence, every job computes the same non-zero count.
 func TestExperimentJobDropsSweepCache(t *testing.T) {
-	t.Setenv("MCT_SWEEP_CACHE", "")
-	experiments.ResetSweepCache()
 	spec := api.JobSpec{V: api.Version, Kind: api.KindExperiment, Experiment: "table4", Quick: true}
+
+	srv, err := New(Options{StateDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := startRunner(t, srv)
+	defer stop()
+	computed := srv.reg.Counter("experiments.sweeps_computed")
+	var daemon [2]uint64
+	for i := range daemon {
+		before := computed.Value()
+		st, err := srv.Submit("ci", spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j := srv.job(st.ID)
+		waitDone(t, j)
+		if got := j.snapshot(); got.State != api.StateDone {
+			t.Fatalf("job %d: state %q (%s)", i, got.State, got.Error)
+		}
+		daemon[i] = computed.Value() - before
+	}
+	if daemon[0] == 0 || daemon[1] != 0 {
+		t.Errorf("daemon jobs computed %v sweeps, want a non-zero count and then 0", daemon)
+	}
+
 	reg := obs.NewRegistry()
-	computed := reg.Counter("experiments.sweeps_computed")
+	computed = reg.Counter("experiments.sweeps_computed")
 	var rises [2]uint64
 	for i := range rises {
 		before := computed.Value()
@@ -754,6 +779,6 @@ func TestExperimentJobDropsSweepCache(t *testing.T) {
 		rises[i] = computed.Value() - before
 	}
 	if rises[0] == 0 || rises[1] != rises[0] {
-		t.Errorf("sweeps computed per job = %v, want the same non-zero count on both runs", rises)
+		t.Errorf("sweeps computed per job without persistence = %v, want the same non-zero count on both runs", rises)
 	}
 }

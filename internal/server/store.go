@@ -20,6 +20,10 @@ import (
 //	machine.ckpt   Execute's machine checkpoint (while running)
 //	partial.json   Execute's completed sweep prefix (while running)
 //
+// and one directory <dir>/sweepcache/ that every experiment job shares: the
+// disk layer of its sweep cache, so completed sweeps outlive the job and
+// the process.
+//
 // Every write is atomic (temp file + rename in the same directory), so a
 // kill -9 can lose at most the work since the last chunk — never corrupt
 // what a restarted server reads back.
@@ -35,6 +39,11 @@ func openStore(dir string) (*store, error) {
 }
 
 func (st *store) jobDir(id string) string { return filepath.Join(st.dir, "jobs", id) }
+
+// checkpoints is the persistence Execute gets for job id.
+func (st *store) checkpoints(id string) *Checkpoints {
+	return &Checkpoints{Dir: st.jobDir(id), SweepDir: filepath.Join(st.dir, "sweepcache")}
+}
 
 func (st *store) createJob(id string, spec api.JobSpec) error {
 	if err := os.MkdirAll(st.jobDir(id), 0o755); err != nil {

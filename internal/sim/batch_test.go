@@ -16,7 +16,7 @@ import (
 func batchConfigs(stride int) []config.Config {
 	space := config.NewSpace(config.SpaceOptions{IncludeWearQuota: true, WearQuotaTarget: 8})
 	var cfgs []config.Config
-	for i := 0; i < space.Len(); i += stride {
+	for _, i := range space.Strided(stride) {
 		cfgs = append(cfgs, space.At(i))
 	}
 	return cfgs

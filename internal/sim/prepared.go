@@ -120,9 +120,9 @@ func (p *Prepared) Checkpoint(path string) error {
 // restored from a checkpoint written by Prepared.Checkpoint — as a Prepared
 // measuring measure accesses per evaluation. The machine's generator must
 // sit exactly at the measurement cut (where Prepare leaves it); warmup ≤ 0
-// records DefaultWarmupAccesses, which only matters to EvaluateCold's
-// replay. The machine must be single-core, and is adopted: the caller must
-// not touch it afterwards.
+// records DefaultWarmupAccesses, which only the tests' cold reference
+// replay (EvaluateCold) reads. The machine must be single-core, and is
+// adopted: the caller must not touch it afterwards.
 func PreparedFromMachine(m *Machine, warmup, measure int) (*Prepared, error) {
 	if len(m.cores) > 1 {
 		return nil, fmt.Errorf("sim: prepared workloads are single-core; machine has %d cores", len(m.cores))
@@ -140,14 +140,6 @@ func PreparedFromMachine(m *Machine, warmup, measure int) (*Prepared, error) {
 		nMeasure: measure,
 		warm:     m,
 	}, nil
-}
-
-// Trace materializes the whole measurement access stream into a fresh
-// slice, regenerated from a clone of the warm generator, so callers own
-// the result outright: mutating it cannot perturb evaluations or the
-// shared window.
-func (p *Prepared) Trace() []trace.Access {
-	return trace.Collect(p.warm.gens[0].Clone(), p.nMeasure)
 }
 
 // materialize builds the shared window (see Prepared); it runs once.
@@ -260,28 +252,6 @@ func (p *Prepared) EvaluateAll(ctx context.Context, cfgs []config.Config, opt en
 		out = append(out, ms...)
 	}
 	return out, nil
-}
-
-// EvaluateCold measures one configuration the pre-clone way: build a fresh
-// machine, replay the entire warmup, and stream the measurement window from
-// the machine's own generator, never reading the shared window. It must
-// produce byte-identical Metrics to Evaluate — that equivalence is the
-// correctness proof of the snapshot contract and of the window replay
-// (enforced by tests) — and exists as the reference path for those tests.
-func (p *Prepared) EvaluateCold(cfg config.Config) (Metrics, error) {
-	m, err := NewMachine(p.Spec, warmupConfig(), p.opt)
-	if err != nil {
-		return Metrics{}, err
-	}
-	m.runOwn(p.warmup)
-	m.settleHierarchy()
-	if err := m.SetConfig(cfg); err != nil {
-		return Metrics{}, err
-	}
-	m.beginWindow()
-	m.runOwn(p.nMeasure)
-	m.finishRun()
-	return m.windowMetrics(), nil
 }
 
 // Warmup advances the machine by n trace accesses (across all cores) and

@@ -339,9 +339,10 @@ func Experiments() []string { return experiments.IDs() }
 // structured report. Options: WithExperimentOptions (default
 // DefaultExperimentOptions), WithRunParams, WithWorkers, WithTraceSink
 // (progress events), WithObserver (engine metric family + sweep counters),
-// WithOutput (render the text report to a writer as well). Cancelling ctx
-// aborts promptly with ctx.Err(); reports are byte-identical at any worker
-// count.
+// WithOutput (render the text report to a writer as well). Each call
+// computes its sweeps afresh unless the experiment options carry a Sweeps
+// cache. Cancelling ctx aborts promptly with ctx.Err(); reports are
+// byte-identical at any worker count.
 func RunExperiment(ctx context.Context, id string, opts ...Option) (*ExperimentReport, error) {
 	c := applyOpts(opts)
 	opt := experiments.DefaultOptions()
