@@ -9,6 +9,7 @@ package mct_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"mct"
@@ -451,6 +452,42 @@ func BenchmarkEvaluateBatch(b *testing.B) {
 		if _, err := p.EvaluateBatch(cfgs); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkEvaluateBatchWidth evaluates the same sim.MaxBatch gups
+// configurations one lane at a time (width=1) and all in one batch
+// (width=8), in ns per lane-access: each configuration's measured accesses
+// count once. The batch amortizes the shared LLC probe over its lanes, so
+// a width-8 figure above the width-1 one means the lanes' own state (dirty
+// masks, controllers) has outgrown the cache. It is reported, not gated.
+func BenchmarkEvaluateBatchWidth(b *testing.B) {
+	const accesses = 10_000
+	p, err := sim.Prepare("gups", 0, accesses, sim.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	space := mct.NewSpace(mct.SpaceOptions{})
+	cfgs := make([]mct.Config, sim.MaxBatch)
+	for k := range cfgs {
+		cfgs[k] = space.At(k * space.Len() / len(cfgs))
+	}
+	for _, width := range []int{1, sim.MaxBatch} {
+		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
+			if _, err := p.EvaluateBatch(cfgs[:1]); err != nil { // builds the shared window
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for k := 0; k < len(cfgs); k += width {
+					if _, err := p.EvaluateBatch(cfgs[k : k+width]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			laneAccesses := float64(b.N) * float64(len(cfgs)*accesses)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/laneAccesses, "ns/lane-access")
+		})
 	}
 }
 

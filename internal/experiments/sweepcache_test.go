@@ -112,7 +112,8 @@ func TestSweepCacheRejectsShiftedIndices(t *testing.T) {
 		shifted[i] = idx + 1
 	}
 	var buf bytes.Buffer
-	d := diskSweep{SpaceLen: want.Space.Len(), Indices: shifted, Metrics: want.Metrics, Baseline: want.Baseline, Default: want.Default}
+	d := diskSweepOf(want)
+	d.Indices = shifted
 	if err := gob.NewEncoder(&buf).Encode(&d); err != nil {
 		t.Fatal(err)
 	}
@@ -133,5 +134,41 @@ func TestSweepCacheRejectsShiftedIndices(t *testing.T) {
 	}
 	if s := NewSweepCache(dir).load(key, want.Space); s == nil || !reflect.DeepEqual(s, want) {
 		t.Error("the recomputation did not overwrite the shifted entry with the correct one")
+	}
+}
+
+// TestSweepCacheStoreIsByteStable: repeated stores of one sweep write the
+// same bytes. Most windows' WritesByRatio maps hold two ratios, and gob
+// would write a map in its randomized iteration order, so five stores
+// would all agree only by chance.
+func TestSweepCacheStoreIsByteStable(t *testing.T) {
+	opt := cheapOptions()
+	s, err := RunSweep(context.Background(), "lbm", true, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ratios := 0
+	for _, m := range s.Metrics {
+		ratios = max(ratios, len(m.WritesByRatio))
+	}
+	if ratios < 2 {
+		t.Fatalf("no window wrote at more than %d ratio; the map order is not exercised", ratios)
+	}
+	key := sweepKeyFor("lbm", true, opt)
+	var files [5][]byte
+	for i := range files {
+		c := NewSweepCache(t.TempDir())
+		c.store(key, s)
+		if files[i], err = os.ReadFile(filepath.Join(c.dir, key.filename())); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.load(key, s.Space); !reflect.DeepEqual(got, s) {
+			t.Fatal("the stored sweep does not load back as computed")
+		}
+	}
+	for i := range files {
+		if !bytes.Equal(files[i], files[0]) {
+			t.Fatalf("store %d of one sweep wrote different bytes from the first", i)
+		}
 	}
 }

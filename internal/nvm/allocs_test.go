@@ -1,9 +1,9 @@
 // Allocation gates of the controller's hot path: the in-flight op is held
-// by value (no per-issue *inflight), a cancellation re-queues the write by
-// shifting the existing queue storage in place (no per-cancel slice
-// rebuild), and a full write queue stalls without allocating. Once the
-// queues are warm, the controller's issue/read/cancel/backpressure cycle
-// allocates nothing.
+// by value (no per-issue *inflight), every queued write lives in the queue
+// arena New sizes to the most a run can queue (an enqueue, a pop and a
+// cancel's requeue at the head relink arena slots), and a full write queue
+// stalls without allocating. The controller's issue/read/cancel/
+// backpressure cycle allocates nothing, with no warm-up of its queues.
 package nvm
 
 import (
@@ -36,7 +36,7 @@ func TestWriteCancelSteadyStateAllocs(t *testing.T) {
 		}
 		now++
 	}
-	// Warm: first cycles grow the queue slices to their steady capacity.
+	// Warm: the first cycles fill the wear-ratio map's keys.
 	for i := 0; i < 64; i++ {
 		cycle()
 	}
@@ -107,20 +107,10 @@ func TestQuotaEagerSetConfigSteadyStateAllocs(t *testing.T) {
 // stream (recordBusy's, the one BenchmarkControllerBusy replays: reads,
 // demand and eager writes, cancels and direct eager issues on idle banks)
 // allocate nothing. The recorded stream is replayed round after round,
-// each round shifted past the controller's clock. The per-bank queues are
-// given their bounded capacity up front: a queue otherwise grows the first
-// time it reaches a new depth, which the amortized appends allow and which
-// would make the count depend on how long the test warms up.
+// each round shifted past the controller's clock.
 func TestControllerBusyZeroAllocs(t *testing.T) {
 	warm, calls := recordBusy(t, config.StaticBaseline(), 40_000)
 	c := warm.Clone()
-	for i := range c.banks {
-		b := &c.banks[i]
-		// A cancel re-queues a write without the capacity check, so the
-		// demand queues get headroom past WriteQueueCap.
-		b.writes = append(make([]writeReq, 0, c.p.WriteQueueCap+c.p.Banks), b.writes...)
-		b.eager = append(make([]writeReq, 0, c.p.EagerQueueCap), b.eager...)
-	}
 	var shift uint64
 	round := func() {
 		for _, call := range calls {
@@ -139,11 +129,9 @@ func TestControllerBusyZeroAllocs(t *testing.T) {
 // bank, issued with no time between them, keeps the write queue full, so
 // every Write stalls in drainUntilSpace (backpressure) until the bank
 // issues a queued write, then enqueues behind it. The stall loop
-// allocates nothing. The bank's queue gets its bounded capacity up front,
-// as in TestControllerBusyZeroAllocs.
+// allocates nothing.
 func TestQueueFullBackpressureZeroAllocs(t *testing.T) {
 	c := mustNew(t, config.StaticBaseline(), smallParams())
-	c.banks[0].writes = make([]writeReq, 0, c.p.WriteQueueCap)
 	now, addr := uint64(100), uint64(0)
 	flood := func(n int) {
 		for i := 0; i < n; i++ {

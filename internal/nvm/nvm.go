@@ -113,6 +113,22 @@ func DefaultParams() Params {
 // queued writes in one 64-bit mask.
 const maxBanks = 64
 
+// maxQueueSlots bounds the demand and eager queue capacities together. New
+// allocates the queue arena up front, so parameters read back from a
+// checkpoint must not be able to ask for an arbitrarily large one.
+const maxQueueSlots = 1 << 16
+
+// arenaSize is the most writes a controller can hold queued at once: a
+// Write enqueues only below WriteQueueCap and an EagerWrite only below
+// EagerQueueCap, but a cancelling Read requeues its bank's in-flight write
+// without the capacity check. Each cancel consumes the op it requeues, and
+// an op is issued either from the demand queue or, for eager writes, only
+// while the demand queue is empty, so demand writes queued plus banks
+// holding an op never exceed WriteQueueCap + Banks.
+func (p Params) arenaSize() int {
+	return p.WriteQueueCap + p.Banks + p.EagerQueueCap
+}
+
 // Validate checks parameter sanity. The bank count must be a power of two
 // no larger than maxBanks and the row size 0 or a power of two, so that
 // bankOf and rowOf map an address with a shift and a mask.
@@ -134,6 +150,12 @@ func (p Params) Validate() error {
 	}
 	if p.WriteQueueCap <= 0 || p.EagerQueueCap < 0 || p.DrainLow < 0 || p.DrainHigh < p.DrainLow {
 		return fmt.Errorf("nvm: invalid queue parameters")
+	}
+	if p.WriteQueueCap > maxQueueSlots || p.EagerQueueCap > maxQueueSlots-p.WriteQueueCap {
+		return fmt.Errorf("nvm: queue capacities %d+%d exceed %d", p.WriteQueueCap, p.EagerQueueCap, maxQueueSlots)
+	}
+	if p.MaxCancellations > math.MaxInt32 {
+		return fmt.Errorf("nvm: MaxCancellations %d does not fit a write's int32 cancel count", p.MaxCancellations)
 	}
 	if p.CancelProgressLimit < 0 || p.CancelProgressLimit > 1 {
 		return fmt.Errorf("nvm: cancel progress limit %g outside [0,1]", p.CancelProgressLimit)
@@ -197,36 +219,61 @@ func (s *Stats) MaxBankWear() float64 {
 	return m
 }
 
+// writeReq is one queued write. cancels is an int32 (Params.Validate
+// bounds MaxCancellations to fit) so that the record packs into 24 bytes.
 type writeReq struct {
 	addr    uint64
 	enq     uint64
-	cancels int
+	cancels int32
 	eager   bool
 }
 
+// inflight is the write pulse occupying a bank: what Read's cancel path
+// requeues and Snapshot emits. The pulse ends at the bank's freeAt, so it
+// keeps no end time of its own.
 type inflight struct {
-	req         writeReq
+	addr        uint64
+	enq         uint64
 	pulseStart  uint64
-	done        uint64
 	ratio       float64
-	cancellable bool
 	token       int // write-power token held for the pulse duration
+	cancels     int32
+	eager       bool
+	cancellable bool
+}
+
+// slot is one entry of a controller's queue arena: a queued write and the
+// arena index of the entry behind it in its bank's queue, or of the next
+// free slot.
+type slot struct {
+	req  writeReq
+	next int32
+}
+
+// fifo is one bank queue: a list of arena slots threaded oldest first
+// through slot.next. head and tail are meaningful only while n > 0.
+type fifo struct {
+	head, tail int32
+	n          int32
 }
 
 type bankState struct {
+	// freeAt and the queues, all the event-horizon walk reads of a bank,
+	// lead: 32 bytes that share a cache line when the bank array is
+	// line-aligned (a bank is 96 bytes).
 	freeAt uint64
+	writes fifo
+	eager  fifo
 	// op is the write occupying the bank until freeAt, valid only while
 	// opValid is set. Held by value: issueWrite runs once per write on the
 	// simulator's hot path, and a pointer here would heap-allocate every
 	// in-flight record.
-	op      inflight
 	opValid bool
-	writes  []writeReq
-	eager   []writeReq
 	// openRow is the row held in the row buffer (open-page policy);
 	// rowValid is false until the first activation.
-	openRow  uint64
 	rowValid bool
+	openRow  uint64
+	op       inflight
 }
 
 // Controller is the NVM memory controller. It is not safe for concurrent
@@ -235,7 +282,12 @@ type Controller struct {
 	p   Params
 	cfg config.Config
 
-	banks     []bankState
+	banks []bankState
+	// arena holds every queued write of every bank, demand and eager, in
+	// one allocation sized at New to the most a run can queue (see
+	// arenaSize); free heads the list of unused slots.
+	arena     []slot
+	free      int32
 	busFreeAt uint64
 	// tokens[i] is the time write-power token i frees up.
 	tokens []uint64
@@ -265,8 +317,12 @@ type Controller struct {
 	// min ev. advanceBanks visits only banks whose bound has passed.
 	// Anything that makes a bank issuable earlier (an enqueue, a cancel,
 	// the demand queue emptying) lowers the bounds; raising freeAt leaves
-	// them stale-low, which is safe.
+	// them stale-low, which is safe. dpend has bit b set while bank b has
+	// a demand write queued (set at every demand enqueue, cleared by
+	// bankEvent once the demand queue is empty): while any demand write
+	// waits, no other bank has a finite bound.
 	pend      uint64
+	dpend     uint64
 	ev        []uint64
 	nextEvent uint64
 	// swept is the latest time at which a sweep covered every bank with
@@ -318,11 +374,16 @@ func New(cfg config.Config, p Params) (*Controller, error) {
 	c := &Controller{
 		p:        p,
 		banks:    make([]bankState, p.Banks),
+		arena:    make([]slot, p.arenaSize()),
 		tokens:   make([]uint64, p.MaxConcurrentWrites),
 		ev:       make([]uint64, p.Banks),
 		rowShift: uint(bits.TrailingZeros64(rowBytes)),
 		bankMask: uint64(p.Banks - 1),
 	}
+	for i := range c.arena {
+		c.arena[i].next = int32(i + 1) //mctlint:ignore cyclecast Validate bounds the arena by maxQueueSlots + maxBanks
+	}
+	c.arena[len(c.arena)-1].next = -1
 	c.setConfig(cfg)
 	c.refreshEvents()
 	c.nextSlice = p.WearQuotaSliceCycles
@@ -504,6 +565,9 @@ func (c *Controller) updateWearQuota(atCycles uint64) {
 // bounds were computed without their eager queues, so from that bank on
 // every pending bank is visited, and afterwards every bound is recomputed
 // (earlier banks' eager writes become due at the next Advance).
+//
+// A first pass, free of branches, marks the due banks and takes the
+// horizon over the others; the second visits the due banks in index order.
 func (c *Controller) advanceBanks(t uint64) {
 	if c.writeQLen == 0 && c.eagerQLen == 0 {
 		return
@@ -512,26 +576,42 @@ func (c *Controller) advanceBanks(t uint64) {
 	if t < c.nextEvent {
 		return
 	}
-	locked := c.writeQLen > 0
+	// With a demand write queued, eager-only banks cannot issue, and
+	// skipping one leaves only its op marker, which swept masks.
+	scan := c.pend
+	if c.writeQLen > 0 {
+		scan = c.dpend
+	}
+	var due uint64
 	next := uint64(math.MaxUint64)
-	// The walk reads a copy of pend: advanceBank only pops, so banks
-	// leave the mask during the walk and none join it.
-	for m := c.pend; m != 0; m &= m - 1 {
+	for m := scan; m != 0; m &= m - 1 {
 		b := bits.TrailingZeros64(m)
 		e := c.ev[b]
-		if e <= t || c.eagerUnlocked(locked) {
-			c.advanceBank(b, t)
-			e = c.bankEvent(b)
-			c.ev[b] = e
+		_, later := bits.Sub64(t, e, 0) // 1 when e > t, else 0
+		due |= (later ^ 1) << uint(b)
+		next = min(next, e|(later-1)) // a due bank counts after its visit
+	}
+	// advanceBank only pops, so banks leave pend during the walk and none
+	// join it.
+	locked := c.writeQLen > 0
+	unlocked := false
+	for m := due; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		c.advanceBank(b, t)
+		e := c.bankEvent(b)
+		c.ev[b] = e
+		next = min(next, e)
+		if !unlocked && c.eagerUnlocked(locked) {
+			// Every pending bank above b is visited too.
+			unlocked = true
+			m |= c.pend &^ (2<<uint(b) - 1)
 		}
-		if e < next {
-			next = e
-		}
+	}
+	if unlocked {
+		c.refreshEvents()
+		return
 	}
 	c.nextEvent = next
-	if c.eagerUnlocked(locked) {
-		c.refreshEvents()
-	}
 }
 
 // eagerUnlocked reports whether the demand queue, non-empty when locked
@@ -546,18 +626,19 @@ func (c *Controller) eagerUnlocked(locked bool) bool {
 // may issue). A bank whose queues are both empty leaves pend.
 func (c *Controller) bankEvent(b int) uint64 {
 	bank := &c.banks[b]
-	if len(bank.writes) == 0 && len(bank.eager) == 0 {
-		c.pend &^= 1 << uint(b)
-		return math.MaxUint64
+	if bank.writes.n == 0 {
+		c.dpend &^= 1 << uint(b)
+		if bank.eager.n == 0 {
+			c.pend &^= 1 << uint(b)
+			return math.MaxUint64
+		}
 	}
 	e := uint64(math.MaxUint64)
-	if len(bank.writes) > 0 {
-		e = max64(bank.freeAt, bank.writes[0].enq)
+	if bank.writes.n > 0 {
+		e = max(bank.freeAt, c.front(bank.writes).enq)
 	}
-	if len(bank.eager) > 0 && c.eagerAllowed() {
-		if t := max64(bank.freeAt, bank.eager[0].enq); t < e {
-			e = t
-		}
+	if bank.eager.n > 0 && c.eagerAllowed() {
+		e = min(e, max(bank.freeAt, c.front(bank.eager).enq))
 	}
 	return e
 }
@@ -607,11 +688,54 @@ func (c *Controller) eagerAllowed() bool {
 	return c.writeQLen == 0
 }
 
-// popFront removes q[0] by shifting the tail down one slot, preserving the
-// slice's backing array so subsequent appends reuse its capacity.
-func popFront(q []writeReq) []writeReq {
-	copy(q, q[1:])
-	return q[:len(q)-1]
+// front returns the oldest write of a non-empty queue.
+func (c *Controller) front(q fifo) *writeReq {
+	return &c.arena[q.head].req
+}
+
+// take claims a free arena slot for r. arenaSize bounds what a run can
+// queue, and FromSnapshot what a checkpoint can, so a slot is always free.
+func (c *Controller) take(r writeReq) int32 {
+	i := c.free
+	c.free = c.arena[i].next
+	c.arena[i] = slot{req: r, next: -1}
+	return i
+}
+
+// pushBack appends r to q.
+func (c *Controller) pushBack(q *fifo, r writeReq) {
+	i := c.take(r)
+	if q.n == 0 {
+		q.head = i
+	} else {
+		c.arena[q.tail].next = i
+	}
+	q.tail = i
+	q.n++
+}
+
+// pushFront puts r at the head of q, ahead of every queued write.
+func (c *Controller) pushFront(q *fifo, r writeReq) {
+	i := c.take(r)
+	if q.n == 0 {
+		q.tail = i
+	} else {
+		c.arena[i].next = q.head
+	}
+	q.head = i
+	q.n++
+}
+
+// popFront removes and returns the oldest write of a non-empty queue and
+// frees its slot.
+func (c *Controller) popFront(q *fifo) writeReq {
+	i := q.head
+	s := &c.arena[i]
+	q.head = s.next
+	q.n--
+	s.next = c.free
+	c.free = i
+	return s.req
 }
 
 func (c *Controller) advanceBank(b int, t uint64) {
@@ -625,19 +749,12 @@ func (c *Controller) advanceBank(b int, t uint64) {
 		var req writeReq
 		var isEager bool
 		switch {
-		// Pops shift in place rather than re-slicing from the front: a
-		// [1:] pop drifts the slice base through its backing array, so
-		// every refill append would reallocate. Keeping the base stable
-		// makes the warm issue/cancel cycle allocation-free (the queues
-		// are short, so the O(len) copy is cheap).
-		case len(bank.writes) > 0 && bank.writes[0].enq <= t:
-			req = bank.writes[0]
-			bank.writes = popFront(bank.writes)
+		case bank.writes.n > 0 && c.front(bank.writes).enq <= t:
+			req = c.popFront(&bank.writes)
 			c.writeQLen--
 			c.updateDrainMode()
-		case len(bank.eager) > 0 && bank.eager[0].enq <= t && c.eagerAllowed():
-			req = bank.eager[0]
-			bank.eager = popFront(bank.eager)
+		case bank.eager.n > 0 && c.front(bank.eager).enq <= t && c.eagerAllowed():
+			req = c.popFront(&bank.eager)
 			c.eagerQLen--
 			isEager = true
 		default:
@@ -655,8 +772,8 @@ func (c *Controller) issueWrite(b int, req writeReq, isEager bool) {
 	cost := &c.classes[class]
 	ratio, pulse := cost.ratio, cost.pulse
 
-	issueAt := max64(bank.freeAt, req.enq)
-	busStart := max64(issueAt, c.busFreeAt)
+	issueAt := max(bank.freeAt, req.enq)
+	busStart := max(issueAt, c.busFreeAt)
 	c.busFreeAt = busStart + c.p.TBurst
 	// The write pulse needs a free power token (the first one to free
 	// up); long (slow) pulses hold tokens longer, so mellow writes consume
@@ -667,11 +784,15 @@ func (c *Controller) issueWrite(b int, req writeReq, isEager bool) {
 			tok, tokFree = i, free
 		}
 	}
-	pulseStart := max64(busStart+c.p.TBurst, tokFree)
+	pulseStart := max(busStart+c.p.TBurst, tokFree)
 	done := pulseStart + pulse
 	c.tokens[tok] = done
 	bank.freeAt = done
-	bank.op = inflight{req: req, pulseStart: pulseStart, done: done, ratio: ratio, cancellable: cancellable, token: tok}
+	// Field by field: a composite literal here is built on the stack and
+	// then copied, which costs more than the stores themselves.
+	op := &bank.op
+	op.addr, op.enq, op.pulseStart, op.ratio = req.addr, req.enq, pulseStart, ratio
+	op.token, op.cancels, op.eager, op.cancellable = tok, req.cancels, req.eager, cancellable
 	bank.opValid = true
 
 	// Accounting. Wear and energy are charged per attempt: a cancelled
@@ -704,19 +825,20 @@ func (c *Controller) issueWrite(b int, req writeReq, isEager bool) {
 // writeClass decides the latency class and cancellability of a write about
 // to issue on bank b (the request has already been popped from its queue).
 func (c *Controller) writeClass(b int, req writeReq, isEager bool) (class int, cancellable bool) {
+	retry := int(req.cancels) < c.p.MaxCancellations
 	if c.cfg.WearQuota && c.forced {
 		// Exhausted quota: "the whole coming time slice can only use the
 		// slowest writes and write cancellation is enforced" (§3.1).
-		return classQuota, req.cancels < c.p.MaxCancellations
+		return classQuota, retry
 	}
 	if isEager {
-		return classSlow, c.cfg.SlowCancellation && req.cancels < c.p.MaxCancellations
+		return classSlow, c.cfg.SlowCancellation && retry
 	}
-	if c.cfg.BankAware && len(c.banks[b].writes) < c.cfg.BankAwareThreshold {
+	if c.cfg.BankAware && int(c.banks[b].writes.n) < c.cfg.BankAwareThreshold {
 		// Bank not busy: issue slow.
-		return classSlow, c.cfg.SlowCancellation && req.cancels < c.p.MaxCancellations
+		return classSlow, c.cfg.SlowCancellation && retry
 	}
-	return classFast, c.cfg.FastCancellation && req.cancels < c.p.MaxCancellations
+	return classFast, c.cfg.FastCancellation && retry
 }
 
 // Read services a demand read at time now and returns the cycle at which
@@ -728,21 +850,15 @@ func (c *Controller) Read(addr uint64, now uint64) uint64 {
 	b := c.bankOf(addr)
 	bank := &c.banks[b]
 
-	if op := &bank.op; bank.opValid && bank.freeAt > max64(now, c.swept) && op.cancellable &&
-		!c.drainMode && c.pulseProgress(op, now) < c.p.CancelProgressLimit {
+	if op := &bank.op; bank.opValid && bank.freeAt > max(now, c.swept) && op.cancellable &&
+		!c.drainMode && pulseProgress(op.pulseStart, bank.freeAt, now) < c.p.CancelProgressLimit {
 		// Cancel the write in progress; it re-queues at the head. The read
-		// pays a small abort turnaround before the bank is usable. The
-		// requeue shifts in place instead of rebuilding the slice: this runs
-		// on the hot path, and the queue's capacity is already amortized.
+		// pays a small abort turnaround before the bank is usable.
 		c.st.CancelledWrites++
-		req := op.req
-		req.cancels++
-		req.enq = now
-		// Amortized: grows the existing queue capacity, no per-cancel rebuild.
-		bank.writes = append(bank.writes, writeReq{})
-		copy(bank.writes[1:], bank.writes)
-		bank.writes[0] = req
+		done := bank.freeAt
+		c.pushFront(&bank.writes, writeReq{addr: op.addr, enq: now, cancels: op.cancels + 1, eager: op.eager})
 		c.pend |= 1 << uint(b)
+		c.dpend |= 1 << uint(b)
 		c.writeQLen++
 		c.updateDrainMode()
 		if c.writeQLen > c.st.WriteQueuePeak {
@@ -751,13 +867,13 @@ func (c *Controller) Read(addr uint64, now uint64) uint64 {
 		bank.freeAt = now + cancelAbortCycles
 		c.noteBank(b)
 		// Release the power token held by the aborted pulse.
-		if op.done == c.tokens[op.token] {
+		if done == c.tokens[op.token] {
 			c.tokens[op.token] = now
 		}
 		bank.opValid = false
 	}
 
-	start := max64(now, bank.freeAt)
+	start := max(now, bank.freeAt)
 	row := c.rowOf(addr)
 	cell := c.p.TRCD + c.p.TCAS
 	if c.p.RowBytes > 0 && bank.rowValid && bank.openRow == row {
@@ -772,7 +888,7 @@ func (c *Controller) Read(addr uint64, now uint64) uint64 {
 	cellDone := start + cell
 	bank.freeAt = cellDone
 	bank.opValid = false
-	busStart := max64(cellDone, c.busFreeAt)
+	busStart := max(cellDone, c.busFreeAt)
 	c.busFreeAt = busStart + c.p.TBurst
 	final := busStart + c.p.TBurst
 
@@ -793,15 +909,12 @@ func (c *Controller) Write(addr uint64, now uint64) uint64 {
 		accepted = c.drainUntilSpace(now)
 	}
 	b := c.bankOf(addr)
-	// Amortized: the bounded queue (WriteQueueCap) reuses its capacity across the run.
-	c.banks[b].writes = append(c.banks[b].writes, writeReq{addr: addr, enq: accepted})
+	q := &c.banks[b].writes
+	c.pushBack(q, writeReq{addr: addr, enq: accepted})
 	c.pend |= 1 << uint(b)
+	c.dpend |= 1 << uint(b)
 	c.writeQLen++
-	depth := len(c.banks[b].writes)
-	if depth > 16 {
-		depth = 16
-	}
-	c.st.BankQueueDepth[depth]++
+	c.st.BankQueueDepth[min(q.n, 16)]++
 	c.updateDrainMode()
 	if c.writeQLen > c.st.WriteQueuePeak {
 		c.st.WriteQueuePeak = c.writeQLen
@@ -846,7 +959,8 @@ func (c *Controller) EagerWrite(addr uint64, now uint64) bool {
 	}
 	b := c.bankOf(addr)
 	req := writeReq{addr: addr, enq: now, eager: true}
-	if bank := &c.banks[b]; bank.freeAt <= c.now && c.eagerAllowed() && len(bank.writes) == 0 && len(bank.eager) == 0 {
+	bank := &c.banks[b]
+	if bank.freeAt <= c.now && c.eagerAllowed() && bank.writes.n == 0 && bank.eager.n == 0 {
 		// An idle bank with nothing queued and no demand write waiting:
 		// issue at once, as enqueueing and kicking the bank would, without
 		// touching the queue, pend or any bound (no demand queue changes,
@@ -858,8 +972,7 @@ func (c *Controller) EagerWrite(addr uint64, now uint64) bool {
 		}
 		return true
 	}
-	// Amortized: the bounded queue (EagerQueueCap) reuses its capacity across the run.
-	c.banks[b].eager = append(c.banks[b].eager, req)
+	c.pushBack(&bank.eager, req)
 	c.pend |= 1 << uint(b)
 	c.eagerQLen++
 	c.kickBank(b)
@@ -886,17 +999,17 @@ func (c *Controller) Drain(now uint64) uint64 {
 	return now
 }
 
-// pulseProgress returns the completed fraction of an in-flight write's
-// pulse at time now (0 while the data is still on the bus).
-func (c *Controller) pulseProgress(op *inflight, now uint64) float64 {
-	if now <= op.pulseStart {
+// pulseProgress returns the completed fraction at time now of a write pulse
+// running from start to done (0 while the data is still on the bus).
+func pulseProgress(start, done, now uint64) float64 {
+	if now <= start {
 		return 0
 	}
-	total := op.done - op.pulseStart
+	total := done - start
 	if total == 0 {
 		return 1
 	}
-	return float64(now-op.pulseStart) / float64(total)
+	return float64(now-start) / float64(total)
 }
 
 // updateDrainMode re-evaluates drain mode against the watermarks.
@@ -906,11 +1019,4 @@ func (c *Controller) updateDrainMode() {
 	} else if c.writeQLen <= c.p.DrainLow {
 		c.drainMode = false
 	}
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -2,6 +2,7 @@ package nvm
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -42,6 +43,10 @@ func TestParamsValidate(t *testing.T) {
 		func(p *Params) { p.CancelProgressLimit = 2 },
 		func(p *Params) { p.MaxConcurrentWrites = 0 },
 		func(p *Params) { p.WearQuotaSliceCycles = 0 },
+		func(p *Params) { p.MaxCancellations = math.MaxInt32 + 1 },
+		func(p *Params) { p.WriteQueueCap = maxQueueSlots + 1 },
+		func(p *Params) { p.EagerQueueCap = maxQueueSlots - p.WriteQueueCap + 1 },
+		func(p *Params) { p.WriteQueueCap, p.EagerQueueCap = math.MaxInt, 1 },
 	}
 	for i, mut := range bad {
 		p := DefaultParams()
@@ -483,8 +488,8 @@ func checkInvariants(c *Controller) error {
 	if c.WriteQueueLen() != 0 || c.EagerQueueLen() != 0 {
 		return fmt.Errorf("drain left %d demand + %d eager writes", c.WriteQueueLen(), c.EagerQueueLen())
 	}
-	if c.pend != 0 {
-		return fmt.Errorf("drained controller still marks banks %#x pending", c.pend)
+	if c.pend != 0 || c.dpend != 0 {
+		return fmt.Errorf("drained controller still marks banks %#x pending, %#x with demand writes", c.pend, c.dpend)
 	}
 	var sum float64
 	for _, w := range st.WearByBank {

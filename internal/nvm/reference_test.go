@@ -4,15 +4,18 @@
 // all banks in index order whenever any write is queued, and every issued
 // write bumps the WritesByRatio map directly.
 //
-// refController embeds a production Controller for its state and for the
-// pure helpers (drain watermarks, wear quota, pulse progress); the methods
-// that decide when and what a bank issues are re-implemented here, and so
-// are the address mapping (division, not shift and mask) and the per-issue
-// pulse and wear arithmetic, so a fault in the production helpers cannot
-// hide in both controllers at once. The embedded horizon fields (pend, ev,
-// nextEvent, swept), the per-class write counters and the class cost table
-// are never touched by these methods, so the production Snapshot applied
-// to the reference state yields the pre-horizon bytes.
+// refController embeds a production Controller for its scalar state and
+// for the pure helpers (drain watermarks, wear quota, pulse progress); the
+// methods that decide when and what a bank issues are re-implemented here,
+// and so are the address mapping (division, not shift and mask) and the
+// per-issue pulse and wear arithmetic, so a fault in the production
+// helpers cannot hide in both controllers at once. The banks are its own:
+// plain per-bank queue slices and in-flight records, never the production
+// queue arena, so a queue-order fault cannot hide in both either, and its
+// Snapshot builds the checkpoint form from them directly. The embedded
+// banks, arena and horizon fields (pend, dpend, ev, nextEvent, swept), the
+// per-class write counters and the class cost table are never touched by
+// these methods.
 package nvm
 
 import (
@@ -28,6 +31,28 @@ import (
 
 type refController struct {
 	*Controller
+	banks []refBank
+}
+
+// refBank is one bank as the controller held it before the queue arena:
+// slice queues and a full in-flight record.
+type refBank struct {
+	freeAt   uint64
+	op       refOp
+	opValid  bool
+	writes   []writeReq
+	eager    []writeReq
+	openRow  uint64
+	rowValid bool
+}
+
+type refOp struct {
+	req         writeReq
+	pulseStart  uint64
+	done        uint64
+	ratio       float64
+	cancellable bool
+	token       int
 }
 
 func newRef(cfg config.Config, p Params) (*refController, error) {
@@ -35,7 +60,55 @@ func newRef(cfg config.Config, p Params) (*refController, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &refController{c}, nil
+	return &refController{Controller: c, banks: make([]refBank, p.Banks)}, nil
+}
+
+// popFront removes q[0] by shifting the tail down one slot.
+func popFront(q []writeReq) []writeReq {
+	copy(q, q[1:])
+	return q[:len(q)-1]
+}
+
+func reqToState(r writeReq) WriteReqState {
+	return WriteReqState{Addr: r.addr, Enq: r.enq, Cancels: int(r.cancels), Eager: r.eager}
+}
+
+func reqsToState(rs []writeReq) []WriteReqState {
+	if len(rs) == 0 {
+		return nil
+	}
+	out := make([]WriteReqState, len(rs))
+	for i, r := range rs {
+		out[i] = reqToState(r)
+	}
+	return out
+}
+
+// Snapshot is the production Snapshot as it read the pre-arena banks.
+func (c *refController) Snapshot() Snapshot {
+	s := c.Controller.Snapshot()
+	for i := range c.banks {
+		b := &c.banks[i]
+		bs := BankSnapshot{
+			FreeAt:   b.freeAt,
+			Writes:   reqsToState(b.writes),
+			Eager:    reqsToState(b.eager),
+			OpenRow:  b.openRow,
+			RowValid: b.rowValid,
+		}
+		if b.opValid && b.freeAt > c.swept {
+			bs.Op = &InflightState{
+				Req:         reqToState(b.op.req),
+				PulseStart:  b.op.pulseStart,
+				Done:        b.op.done,
+				Ratio:       b.op.ratio,
+				Cancellable: b.op.cancellable,
+				Token:       b.op.token,
+			}
+		}
+		s.Banks[i] = bs
+	}
+	return s
 }
 
 func (c *refController) rowOf(addr uint64) uint64 {
@@ -132,8 +205,8 @@ func (c *refController) issueWrite(b int, req writeReq, isEager bool) {
 	bank := &c.banks[b]
 	ratio, cancellable := c.writeClass(b, req, isEager)
 
-	issueAt := max64(bank.freeAt, req.enq)
-	busStart := max64(issueAt, c.busFreeAt)
+	issueAt := max(bank.freeAt, req.enq)
+	busStart := max(issueAt, c.busFreeAt)
 	c.busFreeAt = busStart + c.p.TBurst
 	tok := 0
 	for i, free := range c.tokens {
@@ -141,11 +214,11 @@ func (c *refController) issueWrite(b int, req writeReq, isEager bool) {
 			tok = i
 		}
 	}
-	pulseStart := max64(busStart+c.p.TBurst, c.tokens[tok])
+	pulseStart := max(busStart+c.p.TBurst, c.tokens[tok])
 	done := pulseStart + c.twp(ratio)
 	c.tokens[tok] = done
 	bank.freeAt = done
-	bank.op = inflight{req: req, pulseStart: pulseStart, done: done, ratio: ratio, cancellable: cancellable, token: tok}
+	bank.op = refOp{req: req, pulseStart: pulseStart, done: done, ratio: ratio, cancellable: cancellable, token: tok}
 	bank.opValid = true
 
 	c.st.WearByBank[b] += c.wearPerWrite(ratio)
@@ -172,15 +245,15 @@ func (c *refController) issueWrite(b int, req writeReq, isEager bool) {
 
 func (c *refController) writeClass(b int, req writeReq, isEager bool) (ratio float64, cancellable bool) {
 	if c.cfg.WearQuota && c.forced {
-		return config.WearQuotaSlowRatio, req.cancels < c.p.MaxCancellations
+		return config.WearQuotaSlowRatio, int(req.cancels) < c.p.MaxCancellations
 	}
 	if isEager {
-		return c.cfg.SlowLatency, c.cfg.SlowCancellation && req.cancels < c.p.MaxCancellations
+		return c.cfg.SlowLatency, c.cfg.SlowCancellation && int(req.cancels) < c.p.MaxCancellations
 	}
 	if c.cfg.BankAware && len(c.banks[b].writes) < c.cfg.BankAwareThreshold {
-		return c.cfg.SlowLatency, c.cfg.SlowCancellation && req.cancels < c.p.MaxCancellations
+		return c.cfg.SlowLatency, c.cfg.SlowCancellation && int(req.cancels) < c.p.MaxCancellations
 	}
-	return c.cfg.FastLatency, c.cfg.FastCancellation && req.cancels < c.p.MaxCancellations
+	return c.cfg.FastLatency, c.cfg.FastCancellation && int(req.cancels) < c.p.MaxCancellations
 }
 
 func (c *refController) Read(addr uint64, now uint64) uint64 {
@@ -189,7 +262,7 @@ func (c *refController) Read(addr uint64, now uint64) uint64 {
 	bank := &c.banks[b]
 
 	if op := &bank.op; bank.opValid && bank.freeAt > now && op.cancellable &&
-		!c.drainMode && c.pulseProgress(op, now) < c.p.CancelProgressLimit {
+		!c.drainMode && pulseProgress(op.pulseStart, op.done, now) < c.p.CancelProgressLimit {
 		c.st.CancelledWrites++
 		req := op.req
 		req.cancels++
@@ -209,7 +282,7 @@ func (c *refController) Read(addr uint64, now uint64) uint64 {
 		bank.opValid = false
 	}
 
-	start := max64(now, bank.freeAt)
+	start := max(now, bank.freeAt)
 	row := c.rowOf(addr)
 	cell := c.p.TRCD + c.p.TCAS
 	if c.p.RowBytes > 0 && bank.rowValid && bank.openRow == row {
@@ -223,7 +296,7 @@ func (c *refController) Read(addr uint64, now uint64) uint64 {
 	cellDone := start + cell
 	bank.freeAt = cellDone
 	bank.opValid = false
-	busStart := max64(cellDone, c.busFreeAt)
+	busStart := max(cellDone, c.busFreeAt)
 	c.busFreeAt = busStart + c.p.TBurst
 	final := busStart + c.p.TBurst
 
@@ -264,7 +337,7 @@ func (c *refController) drainUntilSpace(now uint64) uint64 {
 			if len(bank.writes) == 0 {
 				continue
 			}
-			t := max64(bank.freeAt, bank.writes[0].enq)
+			t := max(bank.freeAt, bank.writes[0].enq)
 			if t < next {
 				next = t
 			}
@@ -303,13 +376,13 @@ func (c *refController) Drain(now uint64) uint64 {
 		for b := range c.banks {
 			bank := &c.banks[b]
 			if len(bank.writes) > 0 {
-				t := max64(bank.freeAt, bank.writes[0].enq)
+				t := max(bank.freeAt, bank.writes[0].enq)
 				if t < next {
 					next = t
 				}
 			}
 			if len(bank.eager) > 0 && c.eagerAllowed() {
-				t := max64(bank.freeAt, bank.eager[0].enq)
+				t := max(bank.freeAt, bank.eager[0].enq)
 				if t < next {
 					next = t
 				}
@@ -428,7 +501,7 @@ func lockstep(rng *rand.Rand, mix trafficMix, cfgs []config.Config, ops int, now
 		now += uint64(rng.Intn(mix.maxGap + 1))
 		at := now
 		if mix.skew && rng.Intn(3) == 0 {
-			at -= uint64(rng.Intn(int(min64(now, 400)) + 1))
+			at -= uint64(rng.Intn(int(min(now, 400)) + 1))
 		}
 		addr := uint64(rng.Intn(mix.lines)) * 64
 		var what string
@@ -451,7 +524,7 @@ func lockstep(rng *rand.Rand, mix trafficMix, cfgs []config.Config, ops int, now
 				return 0, fmt.Errorf("op %d: %s = %d, accepted before it was offered", i, what, results[0])
 			}
 			// The writer stalls on backpressure.
-			now = max64(now, results[0])
+			now = max(now, results[0])
 		case k < total:
 			what = fmt.Sprintf("EagerWrite(%d, %d)", addr, at)
 			for _, c := range ctls {
@@ -482,7 +555,7 @@ func lockstep(rng *rand.Rand, mix trafficMix, cfgs []config.Config, ops int, now
 				for _, c := range ctls {
 					results = append(results, c.Drain(at))
 				}
-				now = max64(now, results[0])
+				now = max(now, results[0])
 			}
 		}
 		for j, r := range results {
@@ -551,13 +624,6 @@ func checkDifferential(t *testing.T, mix trafficMix, ops, seeds int) {
 	if err := quick.Check(f, &quick.Config{MaxCount: seeds}); err != nil {
 		t.Fatalf("%s: %v\n%v", mix.name, err, failure)
 	}
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // TestDifferentialAgainstReference: under each stress mix (the plain mix

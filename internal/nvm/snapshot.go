@@ -2,11 +2,17 @@
 // sweeps and an exported, serializable state for machine checkpoints.
 //
 // The aliasing rules (see DESIGN.md, "Snapshot contract"): a clone shares
-// nothing mutable with its parent. Per-bank queues are slices of value
-// structs and are copied; the in-flight op is a fresh pointer; Stats is
-// deep-copied (WearByBank slice, WritesByRatio map), and the event-horizon
-// bounds are copied with it. Params and Config are pure value types and
-// copy by assignment.
+// nothing mutable with its parent. The banks, with their in-flight ops held
+// by value, the queue arena every bank's queues are threaded through, the
+// power tokens and the event-horizon bounds are flat slices of value
+// structs and are copied; Stats is deep-copied (WearByBank slice,
+// WritesByRatio map). Params and Config are pure value types and copy by
+// assignment.
+//
+// The serializable Snapshot lists each bank's queues as slices, oldest
+// first, and its in-flight op as a record with an end time: Snapshot and
+// FromSnapshot convert to and from the arena, so checkpoint bytes do not
+// depend on arena slot positions.
 package nvm
 
 import (
@@ -29,23 +35,14 @@ func (s Stats) Clone() Stats {
 	return n
 }
 
-func (b bankState) clone() bankState {
-	n := b // op is held by value and copies with the struct
-	n.writes = append([]writeReq(nil), b.writes...)
-	n.eager = append([]writeReq(nil), b.eager...)
-	return n
-}
-
 // Clone returns an independent deep copy of the controller at its current
-// simulated time: banks (queues, in-flight ops, row buffers), write-power
-// tokens, drain/wear-quota state and statistics. Advancing one controller
-// never perturbs the other.
+// simulated time: banks (in-flight ops, row buffers), queued writes,
+// write-power tokens, drain/wear-quota state and statistics. Advancing one
+// controller never perturbs the other.
 func (c *Controller) Clone() *Controller {
 	n := *c
-	n.banks = make([]bankState, len(c.banks))
-	for i := range c.banks {
-		n.banks[i] = c.banks[i].clone()
-	}
+	n.banks = append([]bankState(nil), c.banks...)
+	n.arena = append([]slot(nil), c.arena...)
 	n.tokens = append([]uint64(nil), c.tokens...)
 	n.ev = append([]uint64(nil), c.ev...)
 	n.st = c.st.Clone()
@@ -100,37 +97,24 @@ type Snapshot struct {
 	Stats Stats
 }
 
-func reqToState(r writeReq) WriteReqState {
-	return WriteReqState{Addr: r.addr, Enq: r.enq, Cancels: r.cancels, Eager: r.eager}
+// queueState lists q oldest first. An empty queue is nil, so a snapshot
+// does not depend on the queue's history (gob, too, sends neither).
+func (c *Controller) queueState(q fifo) []WriteReqState {
+	if q.n == 0 {
+		return nil
+	}
+	out := make([]WriteReqState, q.n)
+	for k, i := 0, q.head; k < len(out); k, i = k+1, c.arena[i].next {
+		r := c.arena[i].req
+		out[k] = WriteReqState{Addr: r.addr, Enq: r.enq, Cancels: int(r.cancels), Eager: r.eager}
+	}
+	return out
 }
 
+// reqFromState converts a checked WriteReqState; checkReq bounds Cancels
+// by Params.MaxCancellations, which Validate bounds to int32.
 func reqFromState(s WriteReqState) writeReq {
-	return writeReq{addr: s.Addr, enq: s.Enq, cancels: s.Cancels, eager: s.Eager}
-}
-
-// reqsToState returns nil for an empty queue, drained or never used, so a
-// snapshot does not depend on the queue's history (gob, too, sends
-// neither).
-func reqsToState(rs []writeReq) []WriteReqState {
-	if len(rs) == 0 {
-		return nil
-	}
-	out := make([]WriteReqState, len(rs))
-	for i, r := range rs {
-		out[i] = reqToState(r)
-	}
-	return out
-}
-
-func reqsFromState(ss []WriteReqState) []writeReq {
-	if ss == nil {
-		return nil
-	}
-	out := make([]writeReq, len(ss))
-	for i, s := range ss {
-		out[i] = reqFromState(s)
-	}
-	return out
+	return writeReq{addr: s.Addr, enq: s.Enq, cancels: int32(s.Cancels), eager: s.Eager} //mctlint:ignore cyclecast checkReq bounds Cancels by MaxCancellations ≤ MaxInt32
 }
 
 // Snapshot captures the controller's complete state for checkpointing. A
@@ -138,27 +122,28 @@ func reqsFromState(ss []WriteReqState) []writeReq {
 // swept): which skipped banks still carry a completed op's marker depends
 // on the visit schedule, and the bytes must not.
 //
-// pend, ev and nextEvent are not captured: they derive from the queues and
-// freeAt, and FromSnapshot recomputes them.
+// pend, dpend, ev and nextEvent are not captured: they derive from the
+// queues and freeAt, and FromSnapshot recomputes them. Nor are arena slot
+// positions: each queue is listed oldest first.
 func (c *Controller) Snapshot() Snapshot {
 	banks := make([]BankSnapshot, len(c.banks))
 	for i := range c.banks {
 		b := &c.banks[i]
 		bs := BankSnapshot{
 			FreeAt:   b.freeAt,
-			Writes:   reqsToState(b.writes),
-			Eager:    reqsToState(b.eager),
+			Writes:   c.queueState(b.writes),
+			Eager:    c.queueState(b.eager),
 			OpenRow:  b.openRow,
 			RowValid: b.rowValid,
 		}
-		if b.opValid && b.freeAt > c.swept {
+		if op := &b.op; b.opValid && b.freeAt > c.swept {
 			bs.Op = &InflightState{
-				Req:         reqToState(b.op.req),
-				PulseStart:  b.op.pulseStart,
-				Done:        b.op.done,
-				Ratio:       b.op.ratio,
-				Cancellable: b.op.cancellable,
-				Token:       b.op.token,
+				Req:         WriteReqState{Addr: op.addr, Enq: op.enq, Cancels: int(op.cancels), Eager: op.eager},
+				PulseStart:  op.pulseStart,
+				Done:        b.freeAt,
+				Ratio:       op.ratio,
+				Cancellable: op.cancellable,
+				Token:       op.token,
 			}
 		}
 		banks[i] = bs
@@ -180,14 +165,18 @@ func (c *Controller) Snapshot() Snapshot {
 }
 
 // checkReq rejects a write no run can produce: a cancel count outside
-// [0, maxCancels] (a write stops being cancellable at the limit), an eager
-// queue entry without the eager flag, or an eager write on the demand
-// queue that was never cancelled (only a cancelled eager write is requeued
-// there). queue is "demand", "eager" or "" for an in-flight op.
-func checkReq(r WriteReqState, queue string, maxCancels int) error {
+// [0, maxCancels] (a write stops being cancellable at the limit), an
+// enqueue time past the controller's time now (Write, a cancelling Read and
+// EagerWrite all enqueue at or before it), an eager queue entry without
+// the eager flag, or an eager write on the demand queue that was never
+// cancelled (only a cancelled eager write is requeued there). queue is
+// "demand", "eager" or "" for an in-flight op.
+func checkReq(r WriteReqState, queue string, maxCancels int, now uint64) error {
 	switch {
 	case r.Cancels < 0 || r.Cancels > maxCancels:
 		return fmt.Errorf("cancelled %d times, the limit is %d", r.Cancels, maxCancels)
+	case r.Enq > now:
+		return fmt.Errorf("enqueued at %d, after the controller's time %d", r.Enq, now)
 	case queue == "eager" && !r.Eager:
 		return fmt.Errorf("eager queue entry is not an eager write")
 	case queue == "demand" && r.Eager && r.Cancels == 0:
@@ -197,81 +186,101 @@ func checkReq(r WriteReqState, queue string, maxCancels int) error {
 }
 
 // checkQueue applies checkReq to every entry of one bank's queue.
-func checkQueue(bank int, queue string, rs []WriteReqState, maxCancels int) error {
+func checkQueue(bank int, queue string, rs []WriteReqState, maxCancels int, now uint64) error {
 	for j, r := range rs {
-		if err := checkReq(r, queue, maxCancels); err != nil {
+		if err := checkReq(r, queue, maxCancels, now); err != nil {
 			return fmt.Errorf("nvm: snapshot bank %d %s queue entry %d: %w", bank, queue, j, err)
 		}
 	}
 	return nil
 }
 
+// checkOp rejects an in-flight op no run can produce: a power token
+// outside the token array, a write checkReq rejects, a pulse that ends
+// before it starts, or one that does not end when its bank frees up.
+func checkOp(op *InflightState, freeAt uint64, p Params, now uint64) error {
+	switch {
+	case op.Token < 0 || op.Token >= p.MaxConcurrentWrites:
+		return fmt.Errorf("holds power token %d, params have %d", op.Token, p.MaxConcurrentWrites)
+	case op.PulseStart > op.Done:
+		return fmt.Errorf("starts at %d, after it ends at %d", op.PulseStart, op.Done)
+	case op.Done != freeAt:
+		return fmt.Errorf("ends at %d, but its bank frees up at %d", op.Done, freeAt)
+	}
+	return checkReq(op.Req, "", p.MaxCancellations, now)
+}
+
 // FromSnapshot rebuilds a controller from a state captured with Snapshot.
 // The rebuilt controller continues the identical simulation. A snapshot is
 // a trust boundary (checkpoints are read back from disk), so beyond the
 // slice shapes it checks what the controller indexes or counts by: every
-// op's power token is in range, and the queue lengths match the queues.
-// It also rejects queue entries and ops no run can produce (checkReq, and
-// a pulse that ends before it starts).
+// op's power token is in range, the queue lengths match the queues, and
+// the queues fit the arena (demand writes plus in-flight ops within
+// WriteQueueCap + Banks, as arenaSize argues for every run, and eager
+// writes within EagerQueueCap). It also rejects queue entries and ops no
+// run can produce (checkReq, checkOp).
 func FromSnapshot(s Snapshot) (*Controller, error) {
 	c, err := New(s.Config, s.Params)
 	if err != nil {
 		return nil, err
 	}
-	if len(s.Banks) != s.Params.Banks {
-		return nil, fmt.Errorf("nvm: snapshot has %d banks, params say %d", len(s.Banks), s.Params.Banks)
+	p := s.Params
+	if len(s.Banks) != p.Banks {
+		return nil, fmt.Errorf("nvm: snapshot has %d banks, params say %d", len(s.Banks), p.Banks)
 	}
-	if len(s.Tokens) != s.Params.MaxConcurrentWrites {
-		return nil, fmt.Errorf("nvm: snapshot has %d tokens, params say %d", len(s.Tokens), s.Params.MaxConcurrentWrites)
+	if len(s.Tokens) != p.MaxConcurrentWrites {
+		return nil, fmt.Errorf("nvm: snapshot has %d tokens, params say %d", len(s.Tokens), p.MaxConcurrentWrites)
 	}
-	if len(s.Stats.WearByBank) != s.Params.Banks {
-		return nil, fmt.Errorf("nvm: snapshot wear vector has %d banks, params say %d", len(s.Stats.WearByBank), s.Params.Banks)
+	if len(s.Stats.WearByBank) != p.Banks {
+		return nil, fmt.Errorf("nvm: snapshot wear vector has %d banks, params say %d", len(s.Stats.WearByBank), p.Banks)
 	}
-	var writes, eager int
+	var writes, eager, ops int
 	for i := range s.Banks {
 		bs := &s.Banks[i]
-		b := bankState{
-			freeAt:   bs.FreeAt,
-			writes:   reqsFromState(bs.Writes),
-			eager:    reqsFromState(bs.Eager),
-			openRow:  bs.OpenRow,
-			rowValid: bs.RowValid,
-		}
-		if err := checkQueue(i, "demand", bs.Writes, s.Params.MaxCancellations); err != nil {
+		if err := checkQueue(i, "demand", bs.Writes, p.MaxCancellations, s.Now); err != nil {
 			return nil, err
 		}
-		if err := checkQueue(i, "eager", bs.Eager, s.Params.MaxCancellations); err != nil {
+		if err := checkQueue(i, "eager", bs.Eager, p.MaxCancellations, s.Now); err != nil {
 			return nil, err
 		}
 		if bs.Op != nil {
-			if bs.Op.Token < 0 || bs.Op.Token >= s.Params.MaxConcurrentWrites {
-				return nil, fmt.Errorf("nvm: snapshot bank %d holds power token %d, params have %d", i, bs.Op.Token, s.Params.MaxConcurrentWrites)
-			}
-			if err := checkReq(bs.Op.Req, "", s.Params.MaxCancellations); err != nil {
+			if err := checkOp(bs.Op, bs.FreeAt, p, s.Now); err != nil {
 				return nil, fmt.Errorf("nvm: snapshot bank %d in-flight op: %w", i, err)
 			}
-			if bs.Op.PulseStart > bs.Op.Done {
-				return nil, fmt.Errorf("nvm: snapshot bank %d in-flight op starts at %d, after it ends at %d", i, bs.Op.PulseStart, bs.Op.Done)
-			}
-			b.op = inflight{
-				req:         reqFromState(bs.Op.Req),
-				pulseStart:  bs.Op.PulseStart,
-				done:        bs.Op.Done,
-				ratio:       bs.Op.Ratio,
-				cancellable: bs.Op.Cancellable,
-				token:       bs.Op.Token,
-			}
-			b.opValid = true
+			ops++
 		}
-		c.banks[i] = b
-		writes += len(b.writes)
-		eager += len(b.eager)
-		if len(b.writes) > 0 || len(b.eager) > 0 {
-			c.pend |= 1 << uint(i)
-		}
+		writes += len(bs.Writes)
+		eager += len(bs.Eager)
 	}
 	if s.WriteQLen != writes || s.EagerQLen != eager {
 		return nil, fmt.Errorf("nvm: snapshot queue lengths %d/%d, queues hold %d/%d", s.WriteQLen, s.EagerQLen, writes, eager)
+	}
+	if writes+ops > p.WriteQueueCap+p.Banks || eager > p.EagerQueueCap {
+		return nil, fmt.Errorf("nvm: snapshot queues %d demand writes and %d in-flight ops (at most %d together) and %d eager writes (at most %d)",
+			writes, ops, p.WriteQueueCap+p.Banks, eager, p.EagerQueueCap)
+	}
+	for i := range s.Banks {
+		bs := &s.Banks[i]
+		b := &c.banks[i]
+		b.freeAt, b.openRow, b.rowValid = bs.FreeAt, bs.OpenRow, bs.RowValid
+		for _, r := range bs.Writes {
+			c.pushBack(&b.writes, reqFromState(r))
+		}
+		for _, r := range bs.Eager {
+			c.pushBack(&b.eager, reqFromState(r))
+		}
+		if op := bs.Op; op != nil {
+			r := reqFromState(op.Req)
+			b.op = inflight{addr: r.addr, enq: r.enq, pulseStart: op.PulseStart, ratio: op.Ratio,
+				token: op.Token, cancels: r.cancels, eager: r.eager, cancellable: op.Cancellable}
+			b.opValid = true
+		}
+		if b.writes.n > 0 || b.eager.n > 0 {
+			c.pend |= 1 << uint(i)
+		}
+		if b.writes.n > 0 {
+			c.dpend |= 1 << uint(i)
+		}
 	}
 	copy(c.tokens, s.Tokens)
 	c.busFreeAt = s.BusFreeAt

@@ -3,6 +3,7 @@ package nvm
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -149,6 +150,7 @@ func TestFromSnapshotValidates(t *testing.T) {
 // drainUntilSpace's bail-out for an impossible state.
 func TestFromSnapshotRejectsBadTokenAndQueueLengths(t *testing.T) {
 	c := mustNew(t, config.Default(), smallParams())
+	c.Advance(10) // the test's writes enqueue by the snapshot's time
 	b := c.bankOf(0)
 	// withOp puts a cancellable write pulse holding token tok on line 0's
 	// bank, busy until 1000.
@@ -187,13 +189,16 @@ func TestFromSnapshotRejectsBadTokenAndQueueLengths(t *testing.T) {
 	}
 }
 
-// TestFromSnapshotRejectsImpossibleQueues: queue entries and in-flight ops
-// no run can produce are rejected, one case each, while the cancelled
-// eager write a Read requeues onto the demand queue restores.
+// TestFromSnapshotRejectsImpossibleQueues: queue entries, in-flight ops,
+// queue totals and parameters no run can produce are rejected, one case
+// each, while the cancelled eager write a Read requeues onto the demand
+// queue restores, and so do queues filled to the arena's bound.
 func TestFromSnapshotRejectsImpossibleQueues(t *testing.T) {
 	c := mustNew(t, config.Default(), smallParams())
+	c.Advance(10) // the snapshot's time: the test's writes enqueue by 10
 	b := c.bankOf(0)
-	limit := smallParams().MaxCancellations
+	p := smallParams()
+	limit := p.MaxCancellations
 	// queue puts one request on line 0's bank's demand or eager queue.
 	queue := func(eagerQ bool, r WriteReqState) func(*Snapshot) {
 		return func(s *Snapshot) {
@@ -213,6 +218,27 @@ func TestFromSnapshotRejectsImpossibleQueues(t *testing.T) {
 			s.Banks[b].FreeAt = done
 		}
 	}
+	// fill queues n demand writes on line 0's bank, or n eager writes.
+	fill := func(eagerQ bool, n int) func(*Snapshot) {
+		return func(s *Snapshot) {
+			rs := make([]WriteReqState, n)
+			for i := range rs {
+				rs[i] = WriteReqState{Addr: uint64(i) << 20, Enq: 5, Eager: eagerQ}
+			}
+			if eagerQ {
+				s.Banks[b].Eager, s.EagerQLen = rs, n
+			} else {
+				s.Banks[b].Writes, s.WriteQLen = rs, n
+			}
+		}
+	}
+	both := func(fs ...func(*Snapshot)) func(*Snapshot) {
+		return func(s *Snapshot) {
+			for _, f := range fs {
+				f(s)
+			}
+		}
+	}
 	for _, tc := range []struct {
 		name string
 		mut  func(*Snapshot)
@@ -225,6 +251,15 @@ func TestFromSnapshotRejectsImpossibleQueues(t *testing.T) {
 		{"eager queue entry without the eager flag", queue(true, WriteReqState{Enq: 5}), false},
 		{"uncancelled eager write on the demand queue", queue(false, WriteReqState{Enq: 5, Eager: true}), false},
 		{"in-flight pulse ends before it starts", op(WriteReqState{Enq: 5}, 1000, 10), false},
+		{"demand write enqueued after the snapshot's time", queue(false, WriteReqState{Enq: 11}), false},
+		{"eager write enqueued after the snapshot's time", queue(true, WriteReqState{Enq: 11, Eager: true}), false},
+		{"in-flight op enqueued after the snapshot's time", op(WriteReqState{Enq: 11}, 12, 1000), false},
+		{"in-flight pulse ends after its bank frees up", both(op(WriteReqState{Enq: 5}, 10, 1000), func(s *Snapshot) { s.Banks[b].FreeAt = 900 }), false},
+		{"demand writes and an in-flight op past the arena bound", both(fill(false, p.WriteQueueCap+p.Banks), op(WriteReqState{Enq: 5}, 10, 1000)), false},
+		{"eager writes past the eager queue's capacity", fill(true, p.EagerQueueCap+1), false},
+		{"cancel limit past a write's int32 count", func(s *Snapshot) { s.Params.MaxCancellations = math.MaxInt32 + 1 }, false},
+		{"demand writes and in-flight ops at the arena bound", both(fill(false, p.WriteQueueCap+p.Banks-1), op(WriteReqState{Enq: 5}, 10, 1000)), true},
+		{"a full eager queue", fill(true, p.EagerQueueCap), true},
 		{"cancelled eager write on the demand queue", queue(false, WriteReqState{Enq: 5, Cancels: limit, Eager: true}), true},
 		{"eager write at the cancel limit", queue(true, WriteReqState{Enq: 5, Cancels: limit, Eager: true}), true},
 		{"in-flight op at the cancel limit", op(WriteReqState{Enq: 5, Cancels: limit}, 10, 1000), true},

@@ -230,7 +230,7 @@ func execSweep(ctx context.Context, spec api.JobSpec, opt ExecOptions) ([]byte, 
 			if err != nil {
 				return nil, fmt.Errorf("server: resume sweep: %w", err)
 			}
-			prep, err = sim.PreparedFromMachine(m, 0, spec.Accesses)
+			prep, err = sim.PreparedFromMachine(m, spec.Accesses)
 			if err != nil {
 				return nil, err
 			}

@@ -48,7 +48,7 @@ func TestEvaluateBatchMatchesSingleAndCold(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					cold, err := p.EvaluateCold(cfg)
+					cold, err := p.EvaluateCold(DefaultWarmupAccesses, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -19,17 +19,18 @@ func (p *Prepared) Trace() []trace.Access {
 }
 
 // EvaluateCold measures one configuration the pre-clone way: build a fresh
-// machine, replay the entire warmup, and stream the measurement window from
-// the machine's own generator, never reading the shared window. It must
-// produce byte-identical Metrics to Evaluate — that equivalence is the
-// correctness proof of the snapshot contract and of the window replay —
-// and is the reference path the tests hold the warm evaluations to.
-func (p *Prepared) EvaluateCold(cfg config.Config) (Metrics, error) {
+// machine, replay the entire warmup of warmup accesses (the count p was
+// prepared with), and stream the measurement window from the machine's own
+// generator, never reading the shared window. It must produce
+// byte-identical Metrics to Evaluate — that equivalence is the correctness
+// proof of the snapshot contract and of the window replay — and is the
+// reference path the tests hold the warm evaluations to.
+func (p *Prepared) EvaluateCold(warmup int, cfg config.Config) (Metrics, error) {
 	m, err := NewMachine(p.Spec, warmupConfig(), p.opt)
 	if err != nil {
 		return Metrics{}, err
 	}
-	m.runOwn(p.warmup)
+	m.runOwn(warmup)
 	m.settleHierarchy()
 	if err := m.SetConfig(cfg); err != nil {
 		return Metrics{}, err
@@ -65,7 +66,7 @@ func TestWarmCloneSweepMatchesColdRebuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		cold, err := engine.Map(context.Background(), len(cfgs), engine.Options{Workers: 4},
-			func(_ context.Context, k int) (Metrics, error) { return p.EvaluateCold(cfgs[k]) })
+			func(_ context.Context, k int) (Metrics, error) { return p.EvaluateCold(DefaultWarmupAccesses, cfgs[k]) })
 		if err != nil {
 			t.Fatalf("%s cold: %v", bench, err)
 		}

@@ -62,7 +62,6 @@ type Prepared struct {
 	Spec trace.Spec
 	opt  Options
 
-	warmup   int
 	nMeasure int
 	warm     *Machine
 
@@ -102,7 +101,6 @@ func Prepare(benchmark string, warmup, measure int, opt Options) (*Prepared, err
 	return &Prepared{
 		Spec:     spec,
 		opt:      opt,
-		warmup:   warmup,
 		nMeasure: measure,
 		warm:     m,
 	}, nil
@@ -119,24 +117,19 @@ func (p *Prepared) Checkpoint(path string) error {
 // PreparedFromMachine wraps an already-warmed machine — typically one
 // restored from a checkpoint written by Prepared.Checkpoint — as a Prepared
 // measuring measure accesses per evaluation. The machine's generator must
-// sit exactly at the measurement cut (where Prepare leaves it); warmup ≤ 0
-// records DefaultWarmupAccesses, which only the tests' cold reference
-// replay (EvaluateCold) reads. The machine must be single-core, and is
-// adopted: the caller must not touch it afterwards.
-func PreparedFromMachine(m *Machine, warmup, measure int) (*Prepared, error) {
+// sit exactly at the measurement cut (where Prepare leaves it). The machine
+// must be single-core, and is adopted: the caller must not touch it
+// afterwards.
+func PreparedFromMachine(m *Machine, measure int) (*Prepared, error) {
 	if len(m.cores) > 1 {
 		return nil, fmt.Errorf("sim: prepared workloads are single-core; machine has %d cores", len(m.cores))
 	}
 	if measure <= 0 {
 		return nil, fmt.Errorf("sim: non-positive measurement length %d", measure)
 	}
-	if warmup <= 0 {
-		warmup = DefaultWarmupAccesses
-	}
 	return &Prepared{
 		Spec:     m.gens[0].Spec(),
 		opt:      m.opt,
-		warmup:   warmup,
 		nMeasure: measure,
 		warm:     m,
 	}, nil

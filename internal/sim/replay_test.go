@@ -61,7 +61,7 @@ func TestReplayMatchesStream(t *testing.T) {
 			for _, n := range lengths {
 				replays := make([]*Prepared, len(sources))
 				for k, src := range sources {
-					if replays[k], err = PreparedFromMachine(src.warm.Clone(), 0, n); err != nil {
+					if replays[k], err = PreparedFromMachine(src.warm.Clone(), n); err != nil {
 						t.Fatal(err)
 					}
 				}

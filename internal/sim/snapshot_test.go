@@ -277,7 +277,7 @@ func TestCheckpointRejectsMultiCore(t *testing.T) {
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Errorf("rejected checkpoint left a file behind (stat: %v)", err)
 	}
-	if _, err := PreparedFromMachine(mm.Machine, 0, 1_000); err == nil {
+	if _, err := PreparedFromMachine(mm.Machine, 1_000); err == nil {
 		t.Error("PreparedFromMachine adopted a 4-core machine")
 	}
 }
@@ -300,7 +300,7 @@ func TestPreparedWarmColdEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := p.EvaluateCold(cfg)
+		cold, err := p.EvaluateCold(20_000, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -99,7 +99,7 @@ func TestPreparedFromMachineEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := PreparedFromMachine(m, 0, accesses)
+	resumed, err := PreparedFromMachine(m, accesses)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -211,7 +211,7 @@ func TestTieredWarmColdEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := p.EvaluateCold(cfg)
+		cold, err := p.EvaluateCold(20_000, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
