@@ -42,8 +42,12 @@ perfbench-test:
 # reported, not gated, since the figure is noisy on a shared host. The
 # batched-step-loop benchmark is the streaming pipeline's allocation
 # gate: its companion tests assert
-# exactly 0 allocs/op at steady state, with one lane and with a lane per
-# configuration of a full batch. The controller benchmark replays a recorded
+# exactly 0 allocs/op at steady state, with one lane, with a lane per
+# configuration of a full batch and with members sharing lanes. The
+# sharing benchmark runs a stride-29 sweep's batches on zeusmp and gups
+# and reports the exact lane-steps per configuration (30,000 when no lane
+# is shared) and ns per configuration-access; it is reported, not gated.
+# The controller benchmark replays a recorded
 # gups miss stream into a warm NVM controller (ns per controller call); its
 # companion test pins 0 allocs per call on the same stream. The
 # eager-harvest benchmark runs Access + UselessPositions + NextEagerVictim
@@ -58,6 +62,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkEvaluate(WarmClone|Batch|BatchWidth)$$' -benchtime 5x .
 	$(GO) test -run '^$$' -bench 'Benchmark(Tiered)?BatchedStepLoop' -benchtime 200000x ./internal/sim
 	$(GO) test -run 'Test(Tiered)?BatchedStepLoopZeroAllocs|TestLaneFanOutZeroAllocs' -count 1 ./internal/sim
+	$(GO) test -run '^$$' -bench 'BenchmarkEvaluateBatchSharing' -benchtime 1x ./internal/sim
 	$(GO) test -run '^$$' -bench 'BenchmarkControllerBusy' -benchtime 200000x ./internal/nvm
 	$(GO) test -run 'TestControllerBusyZeroAllocs' -count 1 ./internal/nvm
 	$(GO) test -run '^$$' -bench 'BenchmarkEagerHarvest' -benchtime 200000x ./internal/cache

@@ -202,14 +202,20 @@ func lruShift(m uint64, pos uint, mru uint64) uint64 {
 
 // Access performs a load (write=false) or store (write=true) at addr and
 // returns what the memory system must do: nothing (hit), a fill (read
-// miss), and possibly a dirty writeback (victim eviction). It moves the
-// line to MRU in the shared state — the tag lane, the valid mask and the
-// hit counters — and settles the access on lane 0, whose Result it
-// returns; every further lane must Settle the access before the next one.
-// It is on the simulator's per-access hot path: the probe walks the set's
-// tag lane against its valid mask, and the LRU shift moves the tags with
-// one copy and each mask with a few shifts.
+// miss), and possibly a dirty writeback (victim eviction). It is Probe,
+// then Settle on lane 0, whose Result it returns; every further lane must
+// Settle the access before the next one.
 func (c *Cache) Access(addr uint64, write bool) Result {
+	c.Probe(addr)
+	return c.Settle(0, write)
+}
+
+// Probe moves the line at addr to MRU in the shared state — the tag lane,
+// the valid mask and the hit counters — and keeps the outcome for every
+// lane's Settle. It is on the simulator's per-access hot path: the probe
+// walks the set's tag lane against its valid mask, and the LRU shift moves
+// the tags with one copy and each mask with a few shifts.
+func (c *Cache) Probe(addr uint64) {
 	setIdx, tag := c.locate(addr)
 	base := setIdx * c.ways
 	tags := c.tags[base : base+c.ways]
@@ -226,7 +232,7 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 			c.valid[setIdx] = lruShift(valid, pos, 1)
 			copy(tags[1:pos+1], tags[:pos])
 			tags[0] = tag
-			return c.Settle(0, write)
+			return
 		}
 	}
 
@@ -240,10 +246,9 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 	c.valid[setIdx] = lruShift(valid, last, 1)
 	copy(tags[1:], tags[:last])
 	tags[0] = tag
-	return c.Settle(0, write)
 }
 
-// Settle applies the last Access to lane k: its dirty mask follows the
+// Settle applies the last Probe to lane k: its dirty mask follows the
 // LRU shift (a store dirties the line at MRU), and on a miss the victim is
 // written back if the lane holds it dirty. Access settles lane 0 itself.
 func (c *Cache) Settle(k int, write bool) Result {
@@ -312,6 +317,43 @@ func (c *Cache) UselessPositions(eagerThreshold int) int {
 // nearest the MRU end. It is LaneEagerVictim on lane 0.
 func (c *Cache) NextEagerVictim(uselessN, maxSets int) (addr uint64, ok bool) {
 	return c.LaneEagerVictim(0, uselessN, maxSets)
+}
+
+// LaneMark is a lane's state before the last Probe settled on it: its
+// cursor and counters, and its dirty mask of the probed set.
+type LaneMark struct {
+	lane  lane
+	dirty uint64
+}
+
+// MarkLane records lane k's state for CopyLane; call it after Probe and
+// before Settle(k).
+func (c *Cache) MarkLane(k int) LaneMark {
+	return LaneMark{lane: c.lanes[k], dirty: c.dirty[c.last.set*len(c.lanes)+k]}
+}
+
+// CopyLane makes lane dst a copy of lane src as it stood at mark, before
+// the last Probe settled on src: src's dirty masks, with the eager victim
+// src harvested since (victim, when harvested) dirty again and the probed
+// set's mask rewound, and mark's cursor and counters. Tags have not moved
+// since the Probe, so the victim is still resident.
+func (c *Cache) CopyLane(dst, src int, mark LaneMark, victim uint64, harvested bool) {
+	nl := len(c.lanes)
+	for s := 0; s < c.setCount; s++ {
+		c.dirty[s*nl+dst] = c.dirty[s*nl+src]
+	}
+	if harvested {
+		set, tag := c.locate(victim)
+		tags := c.tags[set*c.ways : (set+1)*c.ways]
+		for pos := range tags {
+			if tags[pos] == tag && c.valid[set]>>pos&1 != 0 {
+				c.dirty[set*nl+dst] |= 1 << pos
+				break
+			}
+		}
+	}
+	c.dirty[c.last.set*nl+dst] = mark.dirty
+	c.lanes[dst] = mark.lane
 }
 
 // LaneEagerVictim is NextEagerVictim on lane k: its dirty masks and

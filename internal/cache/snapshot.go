@@ -56,12 +56,17 @@ func (c *Cache) Snapshot() Snapshot {
 // produce — a dirty line that is not valid, or a hit total that is not the
 // sum of the hit histogram — is rejected.
 func FromSnapshot(s Snapshot) (*Cache, error) {
+	// Check the line count before New allocates, so a crafted snapshot
+	// cannot ask for arrays larger than itself.
+	if err := ValidateGeometry(s.SizeBytes, s.Ways); err != nil {
+		return nil, err
+	}
+	if lines := s.SizeBytes / LineBytes; len(s.Lines) != lines {
+		return nil, fmt.Errorf("cache: snapshot has %d lines, geometry says %d", len(s.Lines), lines)
+	}
 	c, err := New(s.SizeBytes, s.Ways)
 	if err != nil {
 		return nil, err
-	}
-	if len(s.Lines) != c.setCount*c.ways {
-		return nil, fmt.Errorf("cache: snapshot has %d lines, geometry says %d", len(s.Lines), c.setCount*c.ways)
 	}
 	if len(s.Stats.HitsByPos) != c.ways {
 		return nil, fmt.Errorf("cache: snapshot hit histogram has %d positions, geometry says %d", len(s.Stats.HitsByPos), c.ways)

@@ -65,17 +65,22 @@ func (d *Cache) Snapshot() Snapshot {
 
 // FromSnapshot rebuilds a DRAM cache tier from a state captured with
 // Snapshot, forwarding to next. The rebuilt tier continues the identical
-// simulation.
+// simulation. The line and hot-table counts are checked against the
+// snapshot's before the tier is allocated, so a crafted snapshot cannot
+// ask for arrays larger than itself.
 func FromSnapshot(s Snapshot, next hierarchy.Mem) (*Cache, error) {
+	if err := s.Params.Validate(); err != nil {
+		return nil, err
+	}
+	if lines := s.Params.CacheBytes / LineBytes; len(s.Lines) != lines {
+		return nil, fmt.Errorf("dram: snapshot has %d lines, geometry says %d", len(s.Lines), lines)
+	}
+	if len(s.Hot) != s.Params.HotTableSize {
+		return nil, fmt.Errorf("dram: snapshot has %d hot-table slots, geometry says %d", len(s.Hot), s.Params.HotTableSize)
+	}
 	d, err := New(s.Params, next)
 	if err != nil {
 		return nil, err
-	}
-	if len(s.Lines) != len(d.tags) {
-		return nil, fmt.Errorf("dram: snapshot has %d lines, geometry says %d", len(s.Lines), len(d.tags))
-	}
-	if len(s.Hot) != len(d.hotTags) {
-		return nil, fmt.Errorf("dram: snapshot has %d hot-table slots, geometry says %d", len(s.Hot), len(d.hotTags))
 	}
 	if s.Promote < 1 || s.Promote > MaxPromoteThreshold {
 		return nil, fmt.Errorf("dram: snapshot promote threshold %d outside [1,%d]", s.Promote, MaxPromoteThreshold)
@@ -106,24 +111,21 @@ func FromSnapshot(s Snapshot, next hierarchy.Mem) (*Cache, error) {
 // Clone returns a deep copy of the tier forwarding to next (the caller
 // clones the chain bottom-up and passes the cloned tier below). The copy
 // shares no mutable state with the original.
-func (d *Cache) Clone(next hierarchy.Mem) *Cache {
-	n := &Cache{
-		p:         d.p,
-		next:      next,
-		tags:      append([]uint64(nil), d.tags...),
-		meta:      append([]uint8(nil), d.meta...),
-		setCount:  d.setCount,
-		ways:      d.ways,
-		setMask:   d.setMask,
-		setShift:  d.setShift,
-		hotTags:   append([]uint64(nil), d.hotTags...),
-		hotCnt:    append([]uint32(nil), d.hotCnt...),
-		hotEpoch:  append([]uint32(nil), d.hotEpoch...),
-		hotMask:   d.hotMask,
-		epoch:     d.epoch,
-		missCount: d.missCount,
-		promote:   d.promote,
-		st:        d.st,
+func (d *Cache) Clone(next hierarchy.Mem) *Cache { return d.CloneInto(nil, next) }
+
+// CloneInto is Clone into dst, reusing its arrays (nil dst allocates a new
+// tier): copying a tier into one cloned from it earlier allocates nothing.
+func (d *Cache) CloneInto(dst *Cache, next hierarchy.Mem) *Cache {
+	if dst == nil {
+		dst = new(Cache)
 	}
-	return n
+	n := *dst
+	*dst = *d
+	dst.next = next
+	dst.tags = append(n.tags[:0], d.tags...)
+	dst.meta = append(n.meta[:0], d.meta...)
+	dst.hotTags = append(n.hotTags[:0], d.hotTags...)
+	dst.hotCnt = append(n.hotCnt[:0], d.hotCnt...)
+	dst.hotEpoch = append(n.hotEpoch[:0], d.hotEpoch...)
+	return dst
 }

@@ -56,39 +56,6 @@ func (m *Dense) Set(i, j int, v float64) { m.data[i*m.cols+j] = v }
 // Row returns a view (not a copy) of row i.
 func (m *Dense) Row(i int) []float64 { return m.data[i*m.cols : (i+1)*m.cols] }
 
-// T returns the transpose as a new matrix.
-func (m *Dense) T() *Dense {
-	t := NewDense(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			t.data[j*t.cols+i] = m.data[i*m.cols+j]
-		}
-	}
-	return t
-}
-
-// Mul returns the product a*b.
-func Mul(a, b *Dense) (*Dense, error) {
-	if a.cols != b.rows {
-		return nil, fmt.Errorf("%w: (%dx%d)*(%dx%d)", ErrShape, a.rows, a.cols, b.rows, b.cols)
-	}
-	c := NewDense(a.rows, b.cols)
-	for i := 0; i < a.rows; i++ {
-		arow := a.Row(i)
-		crow := c.Row(i)
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
-		}
-	}
-	return c, nil
-}
-
 // MulVec returns the matrix-vector product a*x.
 func MulVec(a *Dense, x []float64) ([]float64, error) {
 	if a.cols != len(x) {

@@ -1,11 +1,45 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// T returns the transpose as a new matrix.
+func (m *Dense) T() *Dense {
+	t := NewDense(m.cols, m.rows)
+	for i := 0; i < m.rows; i++ {
+		for j := 0; j < m.cols; j++ {
+			t.data[j*t.cols+i] = m.data[i*m.cols+j]
+		}
+	}
+	return t
+}
+
+// Mul returns the product a*b.
+func Mul(a, b *Dense) (*Dense, error) {
+	if a.cols != b.rows {
+		return nil, fmt.Errorf("%w: (%dx%d)*(%dx%d)", ErrShape, a.rows, a.cols, b.rows, b.cols)
+	}
+	c := NewDense(a.rows, b.cols)
+	for i := 0; i < a.rows; i++ {
+		arow := a.Row(i)
+		crow := c.Row(i)
+		for k, av := range arow {
+			if av == 0 {
+				continue
+			}
+			brow := b.Row(k)
+			for j, bv := range brow {
+				crow[j] += av * bv
+			}
+		}
+	}
+	return c, nil
+}
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 

@@ -340,8 +340,26 @@ type Controller struct {
 	// once per issued write.
 	classes [numClasses]writeClassCost
 
+	// members are configurations the controller stands for besides its
+	// own (SetMembers); bit i of diverged flags members[i] once one of its
+	// decisions differed from the active configuration's.
+	members  []member
+	diverged uint64
+
 	st Stats
 }
+
+// member is a configuration that shares a controller's decisions while
+// each one matches the active configuration's: its write costs are
+// computed at SetMembers, like the active ones at SetConfig.
+type member struct {
+	cfg     config.Config
+	classes [numClasses]writeClassCost
+}
+
+// MaxMembers bounds the members of a controller: one bit each in the
+// Diverged mask.
+const MaxMembers = 64
 
 // Latency classes of an issued write. A live configuration issues writes at
 // only these three ratios.
@@ -420,14 +438,53 @@ func (c *Controller) SetConfig(cfg config.Config) error {
 // setConfig installs a validated cfg and its per-class write costs.
 func (c *Controller) setConfig(cfg config.Config) {
 	c.cfg = cfg.Canonical()
-	for class := range c.classes {
-		ratio := c.classRatio(class)
-		c.classes[class] = writeClassCost{ratio: ratio, pulse: c.twp(ratio), wear: c.wearPerWrite(ratio)}
-	}
+	c.classes = c.classCosts(&c.cfg)
 }
 
+// classCosts returns each write class's ratio, pulse and wear under cfg.
+func (c *Controller) classCosts(cfg *config.Config) [numClasses]writeClassCost {
+	var costs [numClasses]writeClassCost
+	for class := range costs {
+		ratio := classRatio(cfg, class)
+		costs[class] = writeClassCost{ratio: ratio, pulse: c.twp(ratio), wear: c.wearPerWrite(ratio)}
+	}
+	return costs
+}
+
+// SetMembers makes the controller stand for cfgs besides its own
+// configuration, replacing any earlier members, and clears Diverged. At
+// every decision that reads the configuration (a write issue's class,
+// cancellability and counter, and a wear-quota slice boundary) it also
+// takes each member's decision, and flags in Diverged the members whose
+// outcome differs from the active configuration's. It never acts on a
+// member's outcome, so while a member is unflagged the controller is in
+// exactly the state it would be in under that member's configuration.
+// The eager-harvest decision belongs to the caller. Clone and Snapshot
+// drop the members.
+func (c *Controller) SetMembers(cfgs []config.Config) error {
+	if len(cfgs) > MaxMembers {
+		return fmt.Errorf("nvm: %d members, at most %d", len(cfgs), MaxMembers)
+	}
+	c.members, c.diverged = nil, 0
+	for _, cfg := range cfgs {
+		if err := cfg.Validate(); err != nil {
+			return err
+		}
+		mb := member{cfg: cfg.Canonical()}
+		mb.classes = c.classCosts(&mb.cfg)
+		c.members = append(c.members, mb)
+	}
+	return nil
+}
+
+// Diverged returns the members (bit i for the i-th configuration passed to
+// SetMembers) that decided otherwise than the active configuration since
+// SetMembers.
+func (c *Controller) Diverged() uint64 { return c.diverged }
+
 // EagerPolicy returns whether eager mellow writes are on and their
-// threshold, without copying the whole Config on the per-access path.
+// threshold (0 when off), without copying the whole Config on the
+// per-access path.
 func (c *Controller) EagerPolicy() (on bool, threshold int) {
 	return c.cfg.EagerWritebacks, c.cfg.EagerThreshold
 }
@@ -445,13 +502,13 @@ func (c *Controller) Stats() Stats {
 	return s
 }
 
-// classRatio is the latency ratio of a write class under the active config.
-func (c *Controller) classRatio(class int) float64 {
+// classRatio is the latency ratio of a write class under cfg.
+func classRatio(cfg *config.Config, class int) float64 {
 	switch class {
 	case classFast:
-		return c.cfg.FastLatency
+		return cfg.FastLatency
 	case classSlow:
-		return c.cfg.SlowLatency
+		return cfg.SlowLatency
 	}
 	return config.WearQuotaSlowRatio
 }
@@ -462,7 +519,7 @@ func (c *Controller) classRatio(class int) float64 {
 func (c *Controller) foldWrites(byRatio map[float64]uint64) {
 	for class, n := range c.writesByClass {
 		if n > 0 {
-			byRatio[c.classRatio(class)] += n
+			byRatio[c.classes[class].ratio] += n
 		}
 	}
 }
@@ -535,22 +592,43 @@ func (c *Controller) Advance(t uint64) {
 			c.updateWearQuota(boundary)
 			c.nextSlice += c.p.WearQuotaSliceCycles
 		}
+	} else if c.members != nil && c.nextSlice <= t {
+		// A member with the wear quota on would run a slice here.
+		for i := range c.members {
+			if c.members[i].cfg.WearQuota {
+				c.diverged |= 1 << uint(i)
+			}
+		}
 	}
 	c.advanceBanks(t)
 	c.now = t
 }
 
-// updateWearQuota re-evaluates the forced-slow flag at a slice boundary:
-// forced when the most-worn bank has consumed more than its pro-rata share
-// of the budget implied by the target lifetime.
+// updateWearQuota re-evaluates the forced-slow flag at a slice boundary.
+// A member diverges there unless it runs slices too and sets the same
+// flag.
 func (c *Controller) updateWearQuota(atCycles uint64) {
 	c.st.TotalSlices++
-	targetCycles := c.cfg.WearQuotaTarget * SecondsPerYear * c.p.MemCyclesPerSec
-	allowance := float64(atCycles) / targetCycles * c.p.bankWearBudget()
-	c.forced = c.st.MaxBankWear() >= allowance
+	maxWear := c.st.MaxBankWear()
+	c.forced = c.quotaForced(&c.cfg, atCycles, maxWear)
 	if c.forced {
 		c.st.ForcedSlices++
 	}
+	for i := range c.members {
+		if mb := &c.members[i]; !mb.cfg.WearQuota || c.quotaForced(&mb.cfg, atCycles, maxWear) != c.forced {
+			c.diverged |= 1 << uint(i)
+		}
+	}
+}
+
+// quotaForced reports whether cfg's wear quota forces slow writes for the
+// slice starting at atCycles: whether the most-worn bank's wear, maxWear,
+// has reached its pro-rata share of the budget implied by the target
+// lifetime.
+func (c *Controller) quotaForced(cfg *config.Config, atCycles uint64, maxWear float64) bool {
+	targetCycles := cfg.WearQuotaTarget * SecondsPerYear * c.p.MemCyclesPerSec
+	allowance := float64(atCycles) / targetCycles * c.p.bankWearBudget()
+	return maxWear >= allowance
 }
 
 // advanceBanks issues every write due by t, visiting banks in index order
@@ -768,7 +846,7 @@ func (c *Controller) advanceBank(b int, t uint64) {
 // TBurst, then the write pulse holds the bank for TWP·ratio.
 func (c *Controller) issueWrite(b int, req writeReq, isEager bool) {
 	bank := &c.banks[b]
-	class, cancellable := c.writeClass(b, req, isEager)
+	class, cancellable := c.writeClass(&c.cfg, b, req, isEager)
 	cost := &c.classes[class]
 	ratio, pulse := cost.ratio, cost.pulse
 
@@ -809,36 +887,73 @@ func (c *Controller) issueWrite(b int, req writeReq, isEager bool) {
 	} else {
 		c.st.DemandWrites++
 	}
-	switch {
-	case c.forced && c.cfg.WearQuota:
+	counter := c.writeCounter(&c.cfg, ratio, isEager)
+	switch counter {
+	case countForced:
 		c.st.ForcedWrites++
 		if isEager {
 			c.st.EagerConversions++
 		}
-	case ratio == c.cfg.FastLatency && !isEager: //mctlint:ignore floateq ratio is assigned verbatim from cfg.FastLatency/SlowLatency; provenance compare is exact
+	case countFast:
 		c.st.FastWrites++
 	default:
 		c.st.SlowWrites++
 	}
+	if c.members != nil {
+		c.checkIssue(b, req, isEager, ratio, cancellable, counter)
+	}
 }
 
-// writeClass decides the latency class and cancellability of a write about
-// to issue on bank b (the request has already been popped from its queue).
-func (c *Controller) writeClass(b int, req writeReq, isEager bool) (class int, cancellable bool) {
+// checkIssue flags the members that would issue the write at another ratio
+// (so another pulse and wear), cancellability or counter. Equal ratios
+// also keep Stats' WritesByRatio equal, whichever class each counts in.
+func (c *Controller) checkIssue(b int, req writeReq, isEager bool, ratio float64, cancellable bool, counter int) {
+	for i := range c.members {
+		mb := &c.members[i]
+		class, canc := c.writeClass(&mb.cfg, b, req, isEager)
+		r := mb.classes[class].ratio
+		if math.Float64bits(r) != math.Float64bits(ratio) || canc != cancellable || c.writeCounter(&mb.cfg, r, isEager) != counter {
+			c.diverged |= 1 << uint(i)
+		}
+	}
+}
+
+// The Stats counter an issued write bumps.
+const (
+	countFast   = iota // FastWrites
+	countSlow          // SlowWrites
+	countForced        // ForcedWrites (and EagerConversions for an eager write)
+)
+
+// writeCounter returns the counter a write issued at ratio under cfg bumps.
+func (c *Controller) writeCounter(cfg *config.Config, ratio float64, isEager bool) int {
+	switch {
+	case c.forced && cfg.WearQuota:
+		return countForced
+	case ratio == cfg.FastLatency && !isEager: //mctlint:ignore floateq ratio is assigned verbatim from cfg.FastLatency/SlowLatency; provenance compare is exact
+		return countFast
+	}
+	return countSlow
+}
+
+// writeClass decides the latency class and cancellability under cfg of a
+// write about to issue on bank b (the request has already been popped from
+// its queue).
+func (c *Controller) writeClass(cfg *config.Config, b int, req writeReq, isEager bool) (class int, cancellable bool) {
 	retry := int(req.cancels) < c.p.MaxCancellations
-	if c.cfg.WearQuota && c.forced {
+	if cfg.WearQuota && c.forced {
 		// Exhausted quota: "the whole coming time slice can only use the
 		// slowest writes and write cancellation is enforced" (§3.1).
 		return classQuota, retry
 	}
 	if isEager {
-		return classSlow, c.cfg.SlowCancellation && retry
+		return classSlow, cfg.SlowCancellation && retry
 	}
-	if c.cfg.BankAware && int(c.banks[b].writes.n) < c.cfg.BankAwareThreshold {
+	if cfg.BankAware && int(c.banks[b].writes.n) < cfg.BankAwareThreshold {
 		// Bank not busy: issue slow.
-		return classSlow, c.cfg.SlowCancellation && retry
+		return classSlow, cfg.SlowCancellation && retry
 	}
-	return classFast, c.cfg.FastCancellation && retry
+	return classFast, cfg.FastCancellation && retry
 }
 
 // Read services a demand read at time now and returns the cycle at which

@@ -38,15 +38,39 @@ func (s Stats) Clone() Stats {
 // Clone returns an independent deep copy of the controller at its current
 // simulated time: banks (in-flight ops, row buffers), queued writes,
 // write-power tokens, drain/wear-quota state and statistics. Advancing one
-// controller never perturbs the other.
-func (c *Controller) Clone() *Controller {
-	n := *c
-	n.banks = append([]bankState(nil), c.banks...)
-	n.arena = append([]slot(nil), c.arena...)
-	n.tokens = append([]uint64(nil), c.tokens...)
-	n.ev = append([]uint64(nil), c.ev...)
-	n.st = c.st.Clone()
-	return &n
+// controller never perturbs the other. The copy has no members
+// (SetMembers).
+func (c *Controller) Clone() *Controller { return c.CloneInto(nil) }
+
+// CloneInto is Clone into dst, reusing its slices and WritesByRatio map
+// (nil dst allocates a new controller): copying a controller into one
+// cloned from it earlier allocates nothing.
+func (c *Controller) CloneInto(dst *Controller) *Controller {
+	if dst == nil {
+		dst = new(Controller)
+	}
+	n := *dst
+	*dst = *c
+	dst.members, dst.diverged = nil, 0
+	dst.banks = append(n.banks[:0], c.banks...)
+	dst.arena = append(n.arena[:0], c.arena...)
+	dst.tokens = append(n.tokens[:0], c.tokens...)
+	dst.ev = append(n.ev[:0], c.ev...)
+	dst.st = c.st
+	dst.st.WearByBank = append(n.st.WearByBank[:0], c.st.WearByBank...)
+	dst.st.WritesByRatio = n.st.WritesByRatio
+	if c.st.WritesByRatio == nil {
+		dst.st.WritesByRatio = nil
+	} else {
+		if dst.st.WritesByRatio == nil {
+			dst.st.WritesByRatio = make(map[float64]uint64, len(c.st.WritesByRatio))
+		}
+		clear(dst.st.WritesByRatio)
+		for k, v := range c.st.WritesByRatio {
+			dst.st.WritesByRatio[k] = v
+		}
+	}
+	return dst
 }
 
 // WriteReqState is the serializable form of one queued write.

@@ -125,9 +125,12 @@ func TestBatchStarts(t *testing.T) {
 }
 
 // TestLaneFanOutZeroAllocs: the batched step loop — one LLC probe fanned
-// out to MaxBatch lanes, each with its own controller and eager harvest —
-// allocates nothing at steady state, like the one-lane loop
-// (TestBatchedStepLoopZeroAllocs).
+// out to MaxBatch configurations, each lane with its own controller and
+// eager harvest — allocates nothing at steady state, like the one-lane
+// loop (TestBatchedStepLoopZeroAllocs). That holds for distinct
+// configurations, which split into lanes of their own, and for a batch
+// whose members share lanes: their decision checks, call logs and
+// snapshot refreshes reuse their buffers.
 func TestLaneFanOutZeroAllocs(t *testing.T) {
 	spec, err := trace.ByName("lbm")
 	if err != nil {
@@ -138,30 +141,85 @@ func TestLaneFanOutZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.RunAccesses(100_000)
-	b := m.fork(MaxBatch)
-	for k, cfg := range batchConfigs(503)[:MaxBatch] {
-		if err := b.lanes[k].ctrl.SetConfig(cfg); err != nil {
+	distinct := batchConfigs(503)[:MaxBatch]
+	shared := []config.Config{distinct[0], distinct[1], distinct[0], distinct[1], distinct[2], distinct[0], distinct[2], distinct[1]}
+	for name, cfgs := range map[string][]config.Config{"distinct": distinct, "shared": shared} {
+		b, err := m.forkBatch(cfgs)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	buf := b.batchBuf()
-	step := func() {
-		b.gens[0].Fill(buf)
-		b.StepBatch(buf)
-	}
-	for i := 0; i < 25; i++ {
-		step() // steady state: every lane's queue capacities amortized
-	}
-	eager := 0
-	for k := range b.lanes {
-		if b.llc.LaneStats(k).EagerWrites > 0 {
-			eager++
+		buf := b.batchBuf()
+		step := func() {
+			b.gens[0].Fill(buf)
+			b.StepBatch(buf)
+		}
+		for i := 0; i < 25; i++ {
+			step() // steady state: every lane's queue capacities amortized
+		}
+		eager, members := 0, 0
+		for k, l := range b.lanes {
+			if b.llc.LaneStats(k).EagerWrites > 0 {
+				eager++
+			}
+			members += len(l.ids) - 1
+		}
+		if eager == 0 || eager == len(b.lanes) {
+			t.Fatalf("%s: %d of %d lanes harvest eager victims; the gate needs lanes that differ", name, eager, len(b.lanes))
+		}
+		if name == "shared" && members != len(cfgs)-3 {
+			t.Fatalf("%s: %d lanes stand for %d configurations; want 3 lanes", name, len(b.lanes), len(cfgs))
+		}
+		if avg := testing.AllocsPerRun(10, step); avg != 0 {
+			t.Errorf("%s: steady-state %d-configuration step loop allocates %.2f objects per %d-access batch, want exactly 0", name, len(cfgs), avg, len(buf))
 		}
 	}
-	if eager == 0 || eager == len(b.lanes) {
-		t.Fatalf("%d of %d lanes harvest eager victims; the gate needs lanes that differ", eager, len(b.lanes))
+}
+
+// sweepConfigs is a stride-29 sweep of the space without wear quota, plus
+// the 8-year static baseline and the default: the configurations of one
+// leg of the _perfbench sweep workloads.
+func sweepConfigs() []config.Config {
+	space := config.NewSpace(config.SpaceOptions{WearQuotaTarget: 8})
+	var cfgs []config.Config
+	for _, i := range space.Strided(29) {
+		cfgs = append(cfgs, space.At(i))
 	}
-	if avg := testing.AllocsPerRun(10, step); avg != 0 {
-		t.Errorf("steady-state %d-lane step loop allocates %.2f objects per %d-access batch, want exactly 0", MaxBatch, avg, len(buf))
+	base := config.StaticBaseline()
+	base.WearQuotaTarget = 8
+	return append(cfgs, base, config.Default())
+}
+
+// BenchmarkEvaluateBatchSharing runs a stride-29 sweep's batches
+// (EvaluateAll at one worker) on zeusmp, whose configurations often decide
+// alike, and gups, whose rarely do. It reports lane-steps/config, the
+// accesses stepped per configuration summed over lanes (an exact count:
+// the window's length when no lane is shared), and ns/config-access. It is
+// reported, not gated.
+func BenchmarkEvaluateBatchSharing(b *testing.B) {
+	const accesses = 30_000
+	cfgs := sweepConfigs()
+	for _, bench := range []string{"zeusmp", "gups"} {
+		b.Run(bench, func(b *testing.B) {
+			p, err := Prepare(bench, 0, accesses, DefaultOptions())
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := p.Evaluate(cfgs[0]); err != nil { // builds the shared window
+				b.Fatal(err)
+			}
+			var steps int
+			testSplit = func(at int) { steps += accesses - at }
+			defer func() { testSplit = nil }()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				steps = 0
+				if _, err := p.EvaluateAll(context.Background(), cfgs, engine.Options{Workers: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			lanes := len(batchStarts(len(cfgs))) - 1 // each batch starts as one lane
+			b.ReportMetric(float64(lanes*accesses+steps)/float64(len(cfgs)), "lane-steps/config")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(cfgs)*accesses), "ns/config-access")
+		})
 	}
 }

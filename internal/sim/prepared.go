@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"mct/internal/config"
@@ -31,8 +33,8 @@ const windowCap = 1 << 15
 // Prepared is a benchmark workload prepared for repeated configuration
 // evaluations: one machine (trace generator, LLC and NVM controller) has
 // been warmed once under a fixed warmup configuration, and every evaluation
-// forks the whole warm machine into one lane per configuration under test
-// (see EvaluateBatch) and runs only the identical measurement window. This
+// forks the whole warm machine into lanes for the configurations under
+// test (see EvaluateBatch) and runs only the identical measurement window. This
 // is what makes brute-force sweeps of thousands of configurations
 // affordable and fair: the warmup — the one cost per-configuration
 // parallelism cannot remove — is paid once per benchmark instead of once
@@ -52,8 +54,9 @@ const windowCap = 1 << 15
 // Concurrency contract: a Prepared is immutable apart from that one-time
 // materialization, which runs under a sync.Once. An evaluation otherwise
 // only reads the warm machine and the shared window (via fork, which never
-// writes to its receiver and shares nothing mutable), and builds all
-// mutable simulation state per call. Any number of goroutines may
+// writes to its receiver and shares nothing mutable, and via the splits of
+// shared lanes, which clone the warm tiers), and builds all mutable
+// simulation state per call. Any number of goroutines may
 // therefore call Evaluate, EvaluateBatch and EvaluateAll on one Prepared
 // concurrently, and each configuration's result depends only on that
 // configuration — never on what else is in its batch, what runs beside it
@@ -158,26 +161,27 @@ func (p *Prepared) Evaluate(cfg config.Config) (Metrics, error) {
 
 // EvaluateBatch measures several configurations on the prepared workload in
 // one pass over the shared measurement window. It forks the warm machine
-// into one lane per configuration: the LLC's tags, valid masks, LRU order
-// and hit histogram evolve the same way under every configuration of a
-// single-core window, so each access probes them once, and every lane
-// settles it on its own dirty masks, eager cursor, core clock, DRAM tier
-// and controller. A window longer than the shared prefix streams its tail
-// once for the whole batch. Metrics[k] is identical to what Evaluate
-// returns for cfgs[k], whatever else is in the batch; the first
-// configuration the controller rejects fails the whole batch. Keep
-// batches to MaxBatch configurations: the per-lane state of more stops
-// fitting in cache.
+// into lanes: the LLC's tags, valid masks, LRU order and hit histogram
+// evolve the same way under every configuration of a single-core window,
+// so each access probes them once, and every lane settles it on its own
+// dirty masks, eager cursor, core clock, DRAM tier and controller. The
+// batch starts as one lane standing for every configuration; the
+// configurations whose decisions first differ from the lane's own split
+// off into a lane of their own at that access (see share.go), so
+// configurations that decide alike to the end are simulated once. A
+// window longer than the shared prefix streams its tail once for the
+// whole batch. Metrics[k] is identical to what Evaluate returns for
+// cfgs[k], whatever else is in the batch; the first configuration the
+// controller rejects fails the whole batch. Keep batches to MaxBatch
+// configurations: the per-lane state of more stops fitting in cache.
 func (p *Prepared) EvaluateBatch(cfgs []config.Config) ([]Metrics, error) {
 	if len(cfgs) == 0 {
 		return nil, nil
 	}
 	p.once.Do(p.materialize)
-	m := p.warm.fork(len(cfgs))
-	for k, cfg := range cfgs {
-		if err := m.lanes[k].ctrl.SetConfig(cfg); err != nil {
-			return nil, err
-		}
+	m, err := p.warm.forkBatch(cfgs)
+	if err != nil {
+		return nil, err
 	}
 	m.beginWindow()
 	m.StepBatch(p.prefix)
@@ -187,8 +191,13 @@ func (p *Prepared) EvaluateBatch(cfgs []config.Config) ([]Metrics, error) {
 	}
 	m.finishRun()
 	out := make([]Metrics, len(cfgs))
-	for k, l := range m.lanes {
-		out[k] = m.laneMetrics(l)
+	for _, l := range m.lanes {
+		for _, id := range l.ids {
+			out[id] = m.laneMetrics(l)
+		}
+		if l.grp != nil {
+			l.grp.releaseLog()
+		}
 	}
 	return out, nil
 }
@@ -196,7 +205,8 @@ func (p *Prepared) EvaluateBatch(cfgs []config.Config) ([]Metrics, error) {
 // MaxBatch caps the configurations EvaluateAll steps together. Up to 8
 // lanes keep one set's dirty masks in one 64-byte line; far more lanes'
 // dirty arrays and controllers stop fitting in cache and the per-access
-// fan-out slows down.
+// fan-out slows down. It counts configurations, not the lanes they end up
+// in.
 const MaxBatch = 8
 
 // batchStarts partitions n configurations into consecutive batches and
@@ -216,10 +226,18 @@ func batchStarts(n int) []int {
 
 // EvaluateAll measures every configuration of cfgs, in EvaluateBatch
 // batches fanned out over engine.Map (opt.Workers, opt.Obs: the engine's
-// tasks are batches), and returns the results in input order. opt.OnDone,
-// when set, counts configurations: as each batch completes it observes
-// the next done = 1, 2, …, len(cfgs) in order, serialized.
+// tasks are batches), and returns the results in input order. The batches
+// take the configurations in shareOrder, so that those likely to decide
+// alike share a batch and then a lane. opt.OnDone, when set, counts
+// configurations: as each batch completes it observes the next done = 1,
+// 2, …, len(cfgs) in order, serialized.
 func (p *Prepared) EvaluateAll(ctx context.Context, cfgs []config.Config, opt engine.Options) ([]Metrics, error) {
+	order := shareOrder(cfgs)
+	sorted := make([]config.Config, len(cfgs))
+	for i, j := range order {
+		sorted[i] = cfgs[j]
+	}
+	cfgs = sorted
 	starts := batchStarts(len(cfgs))
 	onDone := opt.OnDone
 	opt.OnDone = nil
@@ -240,11 +258,52 @@ func (p *Prepared) EvaluateAll(ctx context.Context, cfgs []config.Config, opt en
 	if err != nil {
 		return nil, err
 	}
-	var out []Metrics
+	out := make([]Metrics, len(cfgs))
+	i := 0
 	for _, ms := range batches {
-		out = append(out, ms...)
+		for _, mt := range ms {
+			out[order[i]] = mt
+			i++
+		}
 	}
 	return out, nil
+}
+
+// shareOrder returns the permutation of cfgs that EvaluateAll batches
+// them in: a stable sort on the parameters that act on every access
+// first (wear quota on/off, eager on/off, slow latency, slow cancellation,
+// eager threshold), then those that act only on demand writes (bank-aware
+// and its threshold, fast latency, fast cancellation). Neighbours then
+// tend to take the same decisions on the paths every access goes through,
+// and so to share a lane longer. The key follows from the write paths the
+// parameters steer, not from any workload.
+func shareOrder(cfgs []config.Config) []int {
+	order := make([]int, len(cfgs))
+	keys := make([]config.Config, len(cfgs))
+	for i, cfg := range cfgs {
+		order[i], keys[i] = i, cfg.Canonical()
+	}
+	b := func(v bool) int {
+		if v {
+			return 1
+		}
+		return 0
+	}
+	slices.SortStableFunc(order, func(i, j int) int {
+		x, y := &keys[i], &keys[j]
+		return cmp.Or(
+			cmp.Compare(b(x.WearQuota), b(y.WearQuota)),
+			cmp.Compare(b(x.EagerWritebacks), b(y.EagerWritebacks)),
+			cmp.Compare(x.SlowLatency, y.SlowLatency),
+			cmp.Compare(b(x.SlowCancellation), b(y.SlowCancellation)),
+			cmp.Compare(x.EagerThreshold, y.EagerThreshold),
+			cmp.Compare(b(x.BankAware), b(y.BankAware)),
+			cmp.Compare(x.BankAwareThreshold, y.BankAwareThreshold),
+			cmp.Compare(x.FastLatency, y.FastLatency),
+			cmp.Compare(b(x.FastCancellation), b(y.FastCancellation)),
+		)
+	})
+	return order
 }
 
 // Warmup advances the machine by n trace accesses (across all cores) and

@@ -183,10 +183,13 @@ func (m Metrics) Vector() [3]float64 { return [3]float64{m.IPC, m.LifetimeYears,
 // (one core per program). Either way the cores share one LLC, optional DRAM
 // tier and NVM controller.
 //
-// Inside Prepared.EvaluateBatch a single-core machine carries one lane per
-// configuration: the LLC's shared state steps once per access and every
-// lane (clock, dirty masks, DRAM tier, controller) settles it. A machine
-// anywhere else has the one lane it embeds.
+// Inside Prepared.EvaluateBatch a single-core machine carries several
+// lanes: the LLC's shared state steps once per access and every lane
+// (clock, dirty masks, DRAM tier, controller) settles it. A lane stands
+// for one configuration or, while they all decide alike, for several: its
+// members split off into a lane of their own at the first access where one
+// of their decisions differs (see share.go). A machine anywhere else has
+// the one lane it embeds, which stands for its configuration alone.
 type Machine struct {
 	opt Options
 	// gens holds each core's trace generator, one per program.
@@ -234,6 +237,13 @@ type lane struct {
 	// window bookkeeping of the memory tiers (the cores keep their own)
 	winStartStats nvm.Stats
 	winStartDRAM  dram.Stats
+
+	// ids lists the batch positions of the configurations the lane stands
+	// for, the controller's own first (nil outside EvaluateBatch).
+	ids []int
+	// grp is set while the lane stands for several configurations; mem is
+	// then its call log.
+	grp *group
 }
 
 // coreState is one core's clock and committed instructions, and both at
@@ -387,20 +397,24 @@ func (m *Machine) memCycle(cpuCycles float64) uint64 {
 
 // step executes one trace access on core ci: the LLC's shared state steps
 // once, then every lane settles the access on its own clock, dirty masks
-// and memory tiers. It is the simulator's inner loop, held to zero
-// allocations by TestBatchedStepLoopZeroAllocs.
+// and memory tiers. A lane with members that decided otherwise splits, and
+// the new lane, appended, settles the access in its turn. It is the
+// simulator's inner loop, held to zero allocations by
+// TestBatchedStepLoopZeroAllocs and TestLaneFanOutZeroAllocs.
 func (m *Machine) step(ci int, a trace.Access) {
 	o := &m.opt
 	gap := float64(a.InstGap) * o.BaseCPI
-	res := m.llc.Access(a.Addr, a.Write)
-	for k, l := range m.lanes {
+	m.llc.Probe(a.Addr)
+	for k := 0; k < len(m.lanes); k++ {
+		l := m.lanes[k]
+		if l.grp != nil {
+			m.begin(k, l, ci)
+		}
 		c := &l.cores[ci]
 		c.cpuCycles += gap
 		c.insts += uint64(a.InstGap)
 
-		if k > 0 {
-			res = m.llc.Settle(k, a.Write)
-		}
+		res := m.llc.Settle(k, a.Write)
 		if res.Hit {
 			c.cpuCycles += o.LLCHitCycles
 			// Multi-core machines harvest eager victims only after an LLC
@@ -429,14 +443,21 @@ func (m *Machine) step(ci int, a trace.Access) {
 		}
 
 		// Eager mellow writes: harvest at most one dirty victim per access
-		// when the technique is on and the hierarchy has room (§3.1).
-		if eager, threshold := l.ctrl.EagerPolicy(); eager && l.mem.EagerSpace() {
+		// when the technique is on and the hierarchy has room (§3.1). The
+		// threshold is 0, so no position is useless, when it is off.
+		if eager, threshold := l.ctrl.EagerPolicy(); (eager || l.grp != nil) && l.mem.EagerSpace() {
 			useless := m.llc.UselessPositions(threshold)
+			if l.grp != nil {
+				l.grp.checkEager(m.llc, useless)
+			}
 			if useless > 0 {
 				if addr, ok := m.llc.LaneEagerVictim(k, useless, o.EagerScanSets); ok {
 					l.mem.EagerWrite(addr, m.memCycle(c.cpuCycles))
 				}
 			}
+		}
+		if l.grp != nil && l.diverged() != 0 {
+			m.split(k, ci)
 		}
 	}
 }
@@ -691,9 +712,14 @@ func diffStats(s0, s1 nvm.Stats) nvm.Stats {
 // finishRun drains every lane's memory hierarchy — dirty DRAM-tier lines
 // flush to NVM, then queued writes retire — so their wear and energy are
 // charged to the run. A lane's drain starts at its most advanced core's
-// clock, and every core's clock catches up to the drain point.
+// clock, and every core's clock catches up to the drain point. Members
+// whose decisions differ during the drain split as in step.
 func (m *Machine) finishRun() {
-	for _, l := range m.lanes {
+	for k := 0; k < len(m.lanes); k++ {
+		l := m.lanes[k]
+		if l.grp != nil {
+			m.begin(k, l, 0)
+		}
 		end := l.cpuCycles()
 		if f := float64(l.mem.Drain(m.memCycle(end))) * m.opt.CPUCyclesPerMemCycle; f > end {
 			end = f
@@ -702,6 +728,9 @@ func (m *Machine) finishRun() {
 			if l.cores[i].cpuCycles < end {
 				l.cores[i].cpuCycles = end
 			}
+		}
+		if l.grp != nil && l.diverged() != 0 {
+			m.split(k, 0)
 		}
 	}
 }

@@ -11,11 +11,14 @@ package sim
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/gob"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"mct/internal/atomicfile"
 	"mct/internal/cache"
@@ -36,8 +39,9 @@ func (m *Machine) Clone() *Machine {
 	return n
 }
 
-// fork returns a deep copy of the machine without its observer, whose k
-// lanes each start as a copy of lane 0. The scratch batch buffer is
+// fork returns a deep copy of the machine without its observer, with one
+// lane, a copy of lane 0, and room in the LLC for k lanes (each a copy of
+// lane 0's LLC state until a lane takes it). The scratch batch buffer is
 // per-machine and not copied: the fork allocates its own on first
 // streaming run, since a shared backing array would race under concurrent
 // Prepared evaluations.
@@ -47,36 +51,37 @@ func (m *Machine) fork(k int) *Machine {
 		gens:          make([]*trace.Generator, len(m.gens)),
 		llc:           m.llc.Fork(k),
 		lane:          m.lane.clone(),
-		lanes:         make([]*lane, k),
+		lanes:         make([]*lane, 1, k),
 		winStartCache: m.winStartCache.Clone(),
 	}
 	for i, g := range m.gens {
 		n.gens[i] = g.Clone()
 	}
 	n.lanes[0] = &n.lane
-	rest := make([]lane, k-1)
-	for i := range rest {
-		rest[i] = m.lane.clone()
-		n.lanes[i+1] = &rest[i]
-	}
 	return n
 }
 
-// clone deep-copies the lane, rebuilding its tier chain bottom-up onto the
-// cloned controller so its mem seam points into its own hierarchy.
+// clone deep-copies the lane's clocks, tiers and window bookkeeping (not
+// its batch positions or members).
 func (l *lane) clone() lane {
 	n := lane{
 		cores:         append([]coreState(nil), l.cores...),
-		ctrl:          l.ctrl.Clone(),
 		winStartStats: l.winStartStats.Clone(),
 		winStartDRAM:  l.winStartDRAM.Clone(),
 	}
-	n.mem = n.ctrl
-	if l.dram != nil {
-		n.dram = l.dram.Clone(n.ctrl)
-		n.mem = n.dram
-	}
+	n.setTiers(l.ctrl.Clone(), l.dram)
 	return n
+}
+
+// setTiers makes ctrl the lane's controller and, when d is set, a clone of
+// d forwarding to ctrl its DRAM tier: the tier chain is rebuilt bottom-up
+// so the mem seam points into the lane's own hierarchy.
+func (l *lane) setTiers(ctrl *nvm.Controller, d *dram.Cache) {
+	l.ctrl, l.dram, l.mem = ctrl, nil, ctrl
+	if d != nil {
+		l.dram = d.Clone(ctrl)
+		l.mem = l.dram
+	}
 }
 
 // MachineState is the complete serializable state of a Machine, the payload
@@ -218,9 +223,25 @@ func RestoreMachine(st MachineState) (*Machine, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sim: checkpoint observer: %w", err)
 		}
-		m.AttachObserver(reg)
+		if err := m.attachRestored(reg); err != nil {
+			return nil, err
+		}
 	}
 	return m, nil
+}
+
+// attachRestored attaches a registry restored from a checkpoint. The
+// registry panics when a family is registered again with another kind,
+// volatility or bucket layout, which a crafted checkpoint can ask for
+// (say, wear buckets for other bank parameters); that is an error here.
+func (m *Machine) attachRestored(reg *obs.Registry) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("sim: checkpoint observer does not fit the machine: %v", r)
+		}
+	}()
+	m.AttachObserver(reg)
+	return nil
 }
 
 const (
@@ -234,20 +255,111 @@ type checkpointEnvelope struct {
 	Magic   string
 	Version int
 	State   MachineState
+	// Maps holds State's maps as key-sorted pairs, and those maps are then
+	// nil: gob writes a map in iteration order, so two checkpoints of one
+	// state would differ in bytes. Gob-additive: a version-1 checkpoint
+	// written before it decodes with Maps nil and its maps in State.
+	Maps *checkpointMaps
 }
 
-// SaveCheckpoint writes the machine's state to path (gob, versioned). The
-// write is atomic: a temp file in the target directory is renamed over path
-// only after a complete encode, so a crash never leaves a torn checkpoint.
-// The format holds one core, so multi-core machines are rejected.
-func SaveCheckpoint(path string, m *Machine) error {
-	if len(m.cores) > 1 {
-		return fmt.Errorf("sim: checkpoints are single-core only; machine has %d cores", len(m.cores))
+// checkpointMaps is the pair form of a MachineState's maps: the two
+// WritesByRatio maps (State.Ctrl.Stats and State.WinStartStats) and the
+// observer's counters, gauges and histograms.
+type checkpointMaps struct {
+	WritesByRatio, WinStartWritesByRatio []pair[float64, uint64]
+	Counters                             []pair[string, uint64]
+	Gauges                               []pair[string, float64]
+	Histograms                           []pair[string, obs.HistogramState]
+}
+
+// pair is one map entry.
+type pair[K cmp.Ordered, V any] struct {
+	Key K
+	Val V
+}
+
+// sortedPairs lists m's entries by ascending key.
+func sortedPairs[K cmp.Ordered, V any](m map[K]V) []pair[K, V] {
+	ps := make([]pair[K, V], 0, len(m))
+	for k, v := range m {
+		ps = append(ps, pair[K, V]{k, v})
 	}
+	slices.SortFunc(ps, func(a, b pair[K, V]) int { return cmp.Compare(a.Key, b.Key) })
+	return ps
+}
+
+// pairMap rebuilds the map sortedPairs listed, rejecting a duplicate or
+// NaN key (no map of the state can hold either).
+func pairMap[K cmp.Ordered, V any](what string, ps []pair[K, V]) (map[K]V, error) {
+	m := make(map[K]V, len(ps))
+	for _, p := range ps {
+		if p.Key != p.Key {
+			return nil, fmt.Errorf("sim: checkpoint %s has a NaN key", what)
+		}
+		if _, dup := m[p.Key]; dup {
+			return nil, fmt.Errorf("sim: checkpoint %s has key %v twice", what, p.Key)
+		}
+		m[p.Key] = p.Val
+	}
+	return m, nil
+}
+
+// packMaps moves st's maps into their pair form.
+func packMaps(st *MachineState) *checkpointMaps {
+	p := &checkpointMaps{
+		WritesByRatio:         sortedPairs(st.Ctrl.Stats.WritesByRatio),
+		WinStartWritesByRatio: sortedPairs(st.WinStartStats.WritesByRatio),
+	}
+	st.Ctrl.Stats.WritesByRatio, st.WinStartStats.WritesByRatio = nil, nil
+	if o := st.Obs; o != nil {
+		p.Counters, p.Gauges, p.Histograms = sortedPairs(o.Counters), sortedPairs(o.Gauges), sortedPairs(o.Histograms)
+		o.Counters, o.Gauges, o.Histograms = nil, nil, nil
+	}
+	return p
+}
+
+// unpack rebuilds st's maps from their pair form. A checkpoint that also
+// carries them in map form, or observer maps without an observer, is
+// rejected.
+func (p *checkpointMaps) unpack(st *MachineState) error {
+	o := st.Obs
+	if st.Ctrl.Stats.WritesByRatio != nil || st.WinStartStats.WritesByRatio != nil ||
+		o != nil && (o.Counters != nil || o.Gauges != nil || o.Histograms != nil) {
+		return fmt.Errorf("sim: checkpoint carries its maps twice")
+	}
+	if o == nil && len(p.Counters)+len(p.Gauges)+len(p.Histograms) > 0 {
+		return fmt.Errorf("sim: checkpoint has observer values but no observer")
+	}
+	var err error
+	if st.Ctrl.Stats.WritesByRatio, err = pairMap("controller writes by ratio", p.WritesByRatio); err != nil {
+		return err
+	}
+	if st.WinStartStats.WritesByRatio, err = pairMap("window-start writes by ratio", p.WinStartWritesByRatio); err != nil {
+		return err
+	}
+	if o == nil {
+		return nil
+	}
+	if o.Counters, err = pairMap("counters", p.Counters); err != nil {
+		return err
+	}
+	if o.Gauges, err = pairMap("gauges", p.Gauges); err != nil {
+		return err
+	}
+	o.Histograms, err = pairMap("histograms", p.Histograms)
+	return err
+}
+
+// SaveCheckpoint writes the machine's state to path (gob, versioned, its
+// maps as key-sorted pairs, so that two checkpoints of one state are
+// byte-equal). The write is atomic: a temp file in the target directory
+// is renamed over path only after a complete encode, so a crash never
+// leaves a torn checkpoint. The format holds one core, so multi-core
+// machines are rejected.
+func SaveCheckpoint(path string, m *Machine) error {
 	var buf bytes.Buffer
-	env := checkpointEnvelope{Magic: checkpointMagic, Version: checkpointVersion, State: m.Snapshot()}
-	if err := gob.NewEncoder(&buf).Encode(env); err != nil {
-		return fmt.Errorf("sim: encode checkpoint: %w", err)
+	if err := writeCheckpoint(&buf, m); err != nil {
+		return err
 	}
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
@@ -255,23 +367,51 @@ func SaveCheckpoint(path string, m *Machine) error {
 	return atomicfile.Write(path, buf.Bytes())
 }
 
+// writeCheckpoint encodes the machine's checkpoint to w.
+func writeCheckpoint(w io.Writer, m *Machine) error {
+	if len(m.cores) > 1 {
+		return fmt.Errorf("sim: checkpoints are single-core only; machine has %d cores", len(m.cores))
+	}
+	env := checkpointEnvelope{Magic: checkpointMagic, Version: checkpointVersion, State: m.Snapshot()}
+	env.Maps = packMaps(&env.State)
+	if err := gob.NewEncoder(w).Encode(env); err != nil {
+		return fmt.Errorf("sim: encode checkpoint: %w", err)
+	}
+	return nil
+}
+
 // LoadCheckpoint rebuilds a machine from a checkpoint written by
-// SaveCheckpoint.
+// SaveCheckpoint, or by an earlier version of it that wrote the maps as
+// maps.
 func LoadCheckpoint(path string) (*Machine, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	m, err := readCheckpoint(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return m, nil
+}
+
+// readCheckpoint decodes a checkpoint from r and rebuilds its machine.
+func readCheckpoint(r io.Reader) (*Machine, error) {
 	var env checkpointEnvelope
-	if err := gob.NewDecoder(f).Decode(&env); err != nil {
-		return nil, fmt.Errorf("sim: decode checkpoint %s: %w", path, err)
+	if err := gob.NewDecoder(r).Decode(&env); err != nil {
+		return nil, fmt.Errorf("sim: decode checkpoint: %w", err)
 	}
 	if env.Magic != checkpointMagic {
-		return nil, fmt.Errorf("sim: %s is not a machine checkpoint", path)
+		return nil, fmt.Errorf("sim: not a machine checkpoint")
 	}
 	if env.Version != checkpointVersion {
-		return nil, fmt.Errorf("sim: checkpoint %s has version %d, this binary reads %d", path, env.Version, checkpointVersion)
+		return nil, fmt.Errorf("sim: checkpoint has version %d, this binary reads %d", env.Version, checkpointVersion)
+	}
+	if env.Maps != nil {
+		if err := env.Maps.unpack(&env.State); err != nil {
+			return nil, err
+		}
 	}
 	return RestoreMachine(env.State)
 }
