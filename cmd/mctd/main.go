@@ -46,6 +46,20 @@ func fail(err error) {
 	os.Exit(1)
 }
 
+// checkFlags rejects negative counts, which server.New would otherwise
+// read as the defaults.
+func checkFlags(workers, queueCap, perClient, sweepChunk int) error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"workers", workers}, {"queue-cap", queueCap}, {"per-client", perClient}, {"sweep-chunk", sweepChunk}} {
+		if f.v < 0 {
+			return fmt.Errorf("-%s %d: want 0 (the default) or a positive count", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
@@ -57,6 +71,9 @@ func main() {
 		sweepChunk = flag.Int("sweep-chunk", 0, "configurations per sweep-job checkpoint chunk (0 = default)")
 	)
 	flag.Parse()
+	if err := checkFlags(*workers, *queueCap, *clientCap, *sweepChunk); err != nil {
+		fail(err)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -86,7 +103,7 @@ func main() {
 
 	hs := &http.Server{Handler: srv.Handler()}
 	httpDone := make(chan error, 1)
-	go func() { httpDone <- hs.Serve(ln) }() //mctlint:ignore goleak Serve returns on Shutdown below; the send is drained before exit
+	go func() { httpDone <- hs.Serve(ln) }() // Serve returns on Shutdown below; the send is drained before exit
 
 	// The runner owns the main goroutine; it returns once ctx is cancelled
 	// and the in-flight job has reached a consistent checkpoint.

@@ -14,7 +14,7 @@ func sampleFindings() []jsonDiagnostic {
 	return []jsonDiagnostic{
 		{File: "internal/sim/sim.go", Line: 40, Col: 2, Rule: "maprange", Message: "b"},
 		{File: "internal/energy/energy.go", Line: 87, Col: 3, Rule: "maprange", Message: "a"},
-		{File: "internal/sim/sim.go", Line: 12, Col: 9, Rule: "goleak", Message: "c"},
+		{File: "internal/sim/sim.go", Line: 12, Col: 9, Rule: "uncheckederr", Message: "c"},
 		{File: "internal/sim/sim.go", Line: 12, Col: 9, Rule: "floateq", Message: "d"},
 	}
 }
@@ -44,9 +44,9 @@ func TestRenderJSONStableAndSorted(t *testing.T) {
 		t.Error("rendered JSON not newline-terminated")
 	}
 	// Sorted order: energy.go first, then sim.go line 12 (floateq before
-	// goleak), then line 40.
+	// uncheckederr), then line 40.
 	if ds2[0].File != "internal/energy/energy.go" ||
-		ds2[1].Rule != "floateq" || ds2[2].Rule != "goleak" || ds2[3].Line != 40 {
+		ds2[1].Rule != "floateq" || ds2[2].Rule != "uncheckederr" || ds2[3].Line != 40 {
 		t.Errorf("unexpected sort order: %+v", ds2)
 	}
 }

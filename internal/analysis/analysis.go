@@ -2,9 +2,9 @@
 // MCT tree, built only on the standard library's go/ast, go/parser and
 // go/types (no golang.org/x/tools). It exists because the reproduction's
 // claims rest on the simulator being deterministic and numerically careful:
-// a single draw from math/rand's global source or a silent float-equality
-// branch can shift IPC/lifetime predictions and invalidate the reproduced
-// figure shapes. The cmd/mctlint driver walks the module, runs the
+// a silent float-equality branch, a truncating cycle cast or map order
+// reaching a sum can shift IPC/lifetime predictions and invalidate the
+// reproduced figure shapes. The cmd/mctlint driver walks the module, runs the
 // registered analyzers over every type-checked package, and reports
 // findings as "file:line: [rule] message".
 //
@@ -83,24 +83,22 @@ type Analyzer struct {
 }
 
 // Analyzers returns the default registry: every simulator-aware rule
-// shipped with mctlint. maprange and obsnames walk whole function bodies
+// shipped with mctlint. maprange walks whole function bodies
 // (ForEachFunc); the others match single statements or declarations.
 // Copying a lock by value is go vet's copylocks check and data races are
 // the race detector's, so no rule here repeats them. Determinism of
 // reports, dumps and checkpoints, the completeness of Clone/Snapshot,
-// hot-path allocations and lock release are pinned by the golden,
-// worker-count, snapshot round-trip, zero-alloc and engine/queue/registry
-// tests rather than by a rule.
+// hot-path allocations, lock release, seeded randomness, metric
+// registration, context propagation and goroutine teardown are pinned by
+// the golden, worker-count, snapshot round-trip, zero-alloc,
+// engine/queue/registry, telemetry, cancellation and goroutine tests
+// rather than by a rule.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		NoRandGlobal,
 		FloatEq,
 		UncheckedErr,
 		CycleCast,
-		CtxFirst,
 		MapRange,
-		ObsNames,
-		GoLeak,
 	}
 }
 

@@ -72,18 +72,12 @@ func fixtureWants(t *testing.T, dir string) []string {
 // analyzers given.
 func loadFixture(t *testing.T, rule string, analyzers []*Analyzer) []Diagnostic {
 	t.Helper()
-	return loadFixtureAs(t, filepath.Join("testdata", "src", rule), "internal/testdata/"+rule, analyzers)
-}
-
-// loadFixtureAs is loadFixture for a fixture directory type-checked under
-// the module-relative import path rel.
-func loadFixtureAs(t *testing.T, dir, rel string, analyzers []*Analyzer) []Diagnostic {
-	t.Helper()
 	loader, err := NewLoader(moduleRoot(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := loader.loadDirAs(dir, loader.ModulePath()+"/"+rel)
+	dir := filepath.Join("testdata", "src", rule)
+	pkg, err := loader.loadDirAs(dir, loader.ModulePath()+"/internal/testdata/"+rule)
 	if err != nil {
 		t.Fatalf("load fixture %s: %v", dir, err)
 	}
@@ -97,54 +91,34 @@ func loadFixtureAs(t *testing.T, dir, rel string, analyzers []*Analyzer) []Diagn
 func TestAnalyzerFixtures(t *testing.T) {
 	for _, a := range Analyzers() {
 		t.Run(a.Name, func(t *testing.T) {
-			matchWants(t, a.Name, filepath.Join("testdata", "src", a.Name),
-				loadFixture(t, a.Name, []*Analyzer{a}))
+			var got []string
+			for _, d := range loadFixture(t, a.Name, []*Analyzer{a}) {
+				if d.Rule == a.Name {
+					got = append(got, fmt.Sprintf("%s:%d %s",
+						filepath.Base(d.Pos.Filename), d.Pos.Line, d.Rule))
+				}
+			}
+			want := fixtureWants(t, filepath.Join("testdata", "src", a.Name))
+			if len(want) == 0 {
+				t.Fatalf("fixture for %s has no want markers", a.Name)
+			}
+			sort.Strings(got)
+			sort.Strings(want)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("findings mismatch for %s\n got: %v\nwant: %v", a.Name, got, want)
+			}
 		})
-	}
-}
-
-// TestGoLeakInsideEngine runs goleak over a fixture type-checked as an
-// engine package, where the package's own members are tracking evidence: a
-// goroutine that mentions only another package (time.Sleep) or only a
-// local must still be reported, although go/types gives a package name and
-// a local the Pkg they appear in.
-func TestGoLeakInsideEngine(t *testing.T) {
-	dir := filepath.Join("testdata", "src", "goleak", "engine")
-	matchWants(t, "goleak", dir,
-		loadFixtureAs(t, dir, "internal/testdata/goleak/internal/engine", []*Analyzer{GoLeak}))
-}
-
-// matchWants requires rule's findings among diags to sit exactly on the
-// "// want" lines of the fixture in dir.
-func matchWants(t *testing.T, rule, dir string, diags []Diagnostic) {
-	t.Helper()
-	var got []string
-	for _, d := range diags {
-		if d.Rule != rule {
-			continue
-		}
-		got = append(got, fmt.Sprintf("%s:%d %s",
-			filepath.Base(d.Pos.Filename), d.Pos.Line, d.Rule))
-	}
-	want := fixtureWants(t, dir)
-	if len(want) == 0 {
-		t.Fatalf("fixture for %s has no want markers", rule)
-	}
-	sort.Strings(got)
-	sort.Strings(want)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("findings mismatch for %s\n got: %v\nwant: %v", rule, got, want)
 	}
 }
 
 // TestMalformedIgnoreReported asserts that a directive without a reason and
 // a directive naming a rule outside the registry are each reported under the
-// reserved rule "mctlint" (the norandglobal fixture carries one of each in
+// reserved rule "mctlint" (the floateq fixture carries one of each in
 // badignore.go) and — via the want markers on the lines below the
 // directives — that neither suppresses anything. The registry check uses
-// the full registry even though only norandglobal runs here.
+// the full registry even though only floateq runs here.
 func TestMalformedIgnoreReported(t *testing.T) {
-	diags := loadFixture(t, "norandglobal", []*Analyzer{NoRandGlobal})
+	diags := loadFixture(t, "floateq", []*Analyzer{FloatEq})
 	var got []string
 	for _, d := range diags {
 		if d.Rule == "mctlint" {
@@ -152,8 +126,8 @@ func TestMalformedIgnoreReported(t *testing.T) {
 		}
 	}
 	want := []string{
-		"badignore.go:9 malformed ignore directive: want //mctlint:ignore <rule> <reason>",
-		`badignore.go:17 ignore directive names unknown rule "norandglobl" (see mctlint -rules)`,
+		"badignore.go:7 malformed ignore directive: want //mctlint:ignore <rule> <reason>",
+		`badignore.go:15 ignore directive names unknown rule "floateqq" (see mctlint -rules)`,
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("directive findings mismatch\n got: %v\nwant: %v", got, want)

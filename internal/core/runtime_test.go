@@ -7,6 +7,7 @@ import (
 
 	"mct/internal/config"
 	"mct/internal/ml"
+	"mct/internal/obs"
 	"mct/internal/sim"
 	"mct/internal/trace"
 )
@@ -248,5 +249,16 @@ func TestCustomPredictorFactory(t *testing.T) {
 	m, _ := sim.NewMachine(spec, config.StaticBaseline(), sim.DefaultOptions())
 	if _, err := New(m, Default(8), bad); err == nil {
 		t.Fatal("factory error must propagate")
+	}
+}
+
+// TestRuntimeObsRegistersEachField: newRuntimeObs registers one name per
+// field (every field is an instrument), so no two fields share, and merge
+// into, one metric.
+func TestRuntimeObsRegistersEachField(t *testing.T) {
+	r := obs.NewRegistry()
+	fields := reflect.TypeOf(*newRuntimeObs(r))
+	if got, want := len(r.Names()), fields.NumField(); got != want {
+		t.Errorf("%d names registered for %d instrument fields: %v", got, want, r.Names())
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -163,11 +164,28 @@ func TestMapParentCancellation(t *testing.T) {
 	}
 }
 
+// settledGoroutines returns the goroutine count once two reads a GC apart
+// agree. Goroutines of earlier tests may still be exiting; a baseline read
+// among them is too high and hides a leak of the same size.
+func settledGoroutines() int {
+	n := -1
+	for i := 0; i < 200; i++ {
+		runtime.GC()
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+		time.Sleep(10 * time.Millisecond)
+	}
+	return n
+}
+
 func TestMapCancellationLeaksNoGoroutines(t *testing.T) {
 	// Workers must exit once the context dies, even when every task blocks
 	// until cancellation: Map's pool is WaitGroup-joined, so a worker that
 	// outlived Map would be a leak visible in the process goroutine count.
-	baseline := runtime.NumGoroutine()
+	baseline := settledGoroutines()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{}, 16)
@@ -347,5 +365,16 @@ func TestMapNoObsNoClock(t *testing.T) {
 		if err != nil || len(out) != 3 || out[2] != 4 {
 			t.Fatalf("workers=%d: out=%v err=%v", workers, out, err)
 		}
+	}
+}
+
+// TestEngineObsRegistersEachField: newEngineObs registers one name per
+// field (every field is an instrument), so no two fields share, and merge
+// into, one metric.
+func TestEngineObsRegistersEachField(t *testing.T) {
+	r := obs.NewRegistry()
+	fields := reflect.TypeOf(*newEngineObs(r))
+	if got, want := len(r.Names()), fields.NumField(); got != want {
+		t.Errorf("%d names registered for %d instrument fields: %v", got, want, r.Names())
 	}
 }

@@ -59,7 +59,12 @@ func MultiProgram(ctx context.Context, mixes []string, totalInsts uint64, opt Op
 				names = append(names, s.Name)
 			}
 
+			// Each run is one indivisible simulation; ctx is checked
+			// before each starts.
 			runStatic := func(cfg config.Config) (sim.Metrics, error) {
+				if err := ctx.Err(); err != nil {
+					return sim.Metrics{}, err
+				}
 				mm, err := sim.NewMultiMachine(specs, cfg, mo)
 				if err != nil {
 					return sim.Metrics{}, err
@@ -76,6 +81,9 @@ func MultiProgram(ctx context.Context, mixes []string, totalInsts uint64, opt Op
 				return MultiProgramResult{}, err
 			}
 
+			if err := ctx.Err(); err != nil {
+				return MultiProgramResult{}, err
+			}
 			mm, err := sim.NewMultiMachine(specs, config.StaticBaseline(), mo)
 			if err != nil {
 				return MultiProgramResult{}, err

@@ -8,9 +8,9 @@
 // The package has two halves:
 //
 //   - a Registry of counters, gauges and fixed-bucket histograms with
-//     stable identity (names are compile-time literals enforced by the
-//     obsnames mctlint rule, dumps are sorted by name, collisions are
-//     programmer errors), participating in the simulator's
+//     stable identity (names obey one grammar, each publisher registers
+//     one name per instrument field, dumps are sorted by name, collisions
+//     are programmer errors), participating in the simulator's
 //     Clone/State/FromState snapshot contract;
 //   - a TraceSink event stream (event.go) that generalizes the engine's
 //     progress sink so sweeps, experiments and runtime decisions flow
@@ -41,9 +41,7 @@ import (
 )
 
 // nameRe is the metric-name grammar. Names are dotted lowercase paths
-// ("cache.hits", "nvm.bank_queue_depth"); the obsnames mctlint rule enforces
-// the same grammar — and literal-ness — statically at every registration
-// site.
+// ("cache.hits", "nvm.bank_queue_depth").
 var nameRe = regexp.MustCompile(`^[a-z0-9_.]+$`)
 
 // Counter is a monotonically increasing uint64 metric. Adds are atomic and
@@ -207,8 +205,9 @@ func NewRegistry() *Registry {
 }
 
 // getOrCreate is the single registration chokepoint. It panics on invalid
-// names and identity collisions — both are programmer errors the obsnames
-// lint rule catches statically for literal registrations.
+// names and identity collisions — both are programmer errors. Two fields
+// of one publisher registered under one name do not collide here; each
+// layer's telemetry test catches that by counting names against fields.
 func (r *Registry) getOrCreate(name string, k kind, volatile bool, bounds []float64) *instrument {
 	if !nameRe.MatchString(name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q (want [a-z0-9_.]+)", name))

@@ -1,7 +1,7 @@
 // Package rng is the single blessed constructor for deterministic random
 // sources. Library code must never draw from math/rand's global source and
-// must never mint its own *rand.Rand from rand.NewSource — both are flagged
-// by the norandglobal analyzer (cmd/mctlint) — because an unseeded or
+// must never mint its own *rand.Rand from rand.NewSource — the seeded
+// determinism and golden tests fail on either — because an unseeded or
 // ad-hoc stream makes experiment results irreproducible. Instead, every
 // component takes an injected *rand.Rand, and the streams are created here,
 // derived from the experiment seed flags, so all randomness in a run is
@@ -101,7 +101,7 @@ func DeriveRand(seed, offset int64) *Rand {
 
 func fromSource(src *Source) *Rand {
 	return &Rand{
-		Rand: rand.New(src), //mctlint:ignore norandglobal blessed constructor; the source is the in-repo clonable splitmix64
+		Rand: rand.New(src), // blessed constructor; the source is the in-repo clonable splitmix64
 		src:  src,
 	}
 }

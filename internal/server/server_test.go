@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -224,7 +225,7 @@ func startRunner(t *testing.T, srv *Server) (stop func()) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- srv.Run(ctx) }() //mctlint:ignore goleak stop() cancels the context and drains the exit error
+	go func() { done <- srv.Run(ctx) }() // stop() cancels the context and drains the exit error
 	return func() {
 		cancel()
 		if err := <-done; err != nil && !errors.Is(err, context.Canceled) {
@@ -780,5 +781,16 @@ func TestExperimentJobDropsSweepCache(t *testing.T) {
 	}
 	if rises[0] == 0 || rises[1] != rises[0] {
 		t.Errorf("sweeps computed per job without persistence = %v, want the same non-zero count on both runs", rises)
+	}
+}
+
+// TestServerObsRegistersEachField: newServerObs registers one name per
+// field (every field is an instrument), so no two fields share, and merge
+// into, one metric.
+func TestServerObsRegistersEachField(t *testing.T) {
+	r := obs.NewRegistry()
+	fields := reflect.TypeOf(newServerObs(r))
+	if got, want := len(r.Names()), fields.NumField(); got != want {
+		t.Errorf("%d names registered for %d instrument fields: %v", got, want, r.Names())
 	}
 }
