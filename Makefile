@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race perfbench-test bench-smoke metrics-check serve-smoke verify
+.PHONY: all build vet lint test race perfbench-test bench-smoke metrics-check serve-smoke fuzz-checkpoint verify
 
 all: verify
 
@@ -79,6 +79,12 @@ metrics-check:
 	$(GO) run ./cmd/mct -benchmark lbm -insts 6000000 -dram -workers 1 -metrics-out results/metrics-dram-w1.json >/dev/null
 	$(GO) run ./cmd/mct -benchmark lbm -insts 6000000 -dram -workers 4 -metrics-out results/metrics-dram-w4.json >/dev/null
 	cmp results/metrics-dram-w1.json results/metrics-dram-w4.json
+
+# A bounded fuzz run of the checkpoint reader, a trust boundary: every
+# input must load or return an error, never panic. `make test` runs only
+# its seeds (internal/sim/testdata/fuzz).
+fuzz-checkpoint:
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadCheckpoint$$' -fuzztime 30s ./internal/sim
 
 # End-to-end daemon smoke: boot mctd, prove CLI/daemon artifact parity over
 # HTTP, then kill -9 mid-job and prove the restarted daemon resumes from the

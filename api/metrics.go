@@ -2,9 +2,9 @@ package api
 
 import (
 	"fmt"
-	"sort"
 
 	"mct/internal/energy"
+	"mct/internal/nvm"
 	"mct/internal/sim"
 )
 
@@ -116,15 +116,8 @@ func FromMetrics(m sim.Metrics) Metrics {
 	if len(m.WearByBankDelta) > 0 {
 		out.WearByBankDelta = append([]float64(nil), m.WearByBankDelta...)
 	}
-	if len(m.WritesByRatio) > 0 {
-		ratios := make([]float64, 0, len(m.WritesByRatio))
-		for r := range m.WritesByRatio {
-			ratios = append(ratios, r)
-		}
-		sort.Float64s(ratios)
-		for _, r := range ratios {
-			out.WritesByRatio = append(out.WritesByRatio, RatioCount{Ratio: r, Count: m.WritesByRatio[r]})
-		}
+	for _, r := range m.WritesByRatio.Ratios() {
+		out.WritesByRatio = append(out.WritesByRatio, RatioCount{Ratio: r, Count: m.WritesByRatio[r]})
 	}
 	return out
 }
@@ -178,7 +171,7 @@ func (m Metrics) Metrics() (sim.Metrics, error) {
 		out.WearByBankDelta = append([]float64(nil), m.WearByBankDelta...)
 	}
 	if len(m.WritesByRatio) > 0 {
-		out.WritesByRatio = make(map[float64]uint64, len(m.WritesByRatio))
+		out.WritesByRatio = make(nvm.RatioCounts, len(m.WritesByRatio))
 		for i, rc := range m.WritesByRatio {
 			if i > 0 && rc.Ratio <= m.WritesByRatio[i-1].Ratio {
 				return sim.Metrics{}, fmt.Errorf("api: metrics writes_by_ratio not strictly ascending at %g", rc.Ratio)

@@ -395,8 +395,9 @@ func (c *Cache) LaneEagerVictim(k, uselessN, maxSets int) (addr uint64, ok bool)
 // It is Fork(1): of a cache with several lanes it keeps lane 0.
 func (c *Cache) Clone() *Cache { return c.Fork(1) }
 
-// Fork returns a deep copy of the shared state with k lanes, each a copy
-// of lane 0 (its dirty masks, cursor and counters).
+// Fork returns a deep copy of the shared state and of lane 0 (its dirty
+// masks, cursor and counters) with room for k lanes. Lanes 1..k-1 start
+// blank: CopyLane fills one before it steps.
 func (c *Cache) Fork(k int) *Cache {
 	n := *c
 	n.tags = append([]uint64(nil), c.tags...)
@@ -404,15 +405,10 @@ func (c *Cache) Fork(k int) *Cache {
 	n.hitsByPos = append([]uint64(nil), c.hitsByPos...)
 	n.lanes = make([]lane, k)
 	n.dirty = make([]uint64, c.setCount*k)
+	n.lanes[0] = c.lanes[0]
 	nl := len(c.lanes)
-	for i := range n.lanes {
-		n.lanes[i] = c.lanes[0]
-	}
 	for s := 0; s < c.setCount; s++ {
-		d := c.dirty[s*nl]
-		for i := 0; i < k; i++ {
-			n.dirty[s*k+i] = d
-		}
+		n.dirty[s*k] = c.dirty[s*nl]
 	}
 	return &n
 }

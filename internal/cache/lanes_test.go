@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -21,7 +22,8 @@ func laneSnapshot(c *Cache, k int) Snapshot {
 }
 
 // runLanes warms a cache and a reference together, forks the cache into
-// k lanes and the reference into k clones, then drives them in lockstep:
+// k lanes (copying lane 0 into the others) and the reference into k
+// clones, then drives them in lockstep:
 // each access steps the shared state once and every lane settles it
 // beside its own reference, and each lane harvests eager victims on its
 // own schedule, with its own threshold and scan window. Access settles
@@ -46,6 +48,10 @@ func runLanes(seed int64, geo [2]int, k, ops int) error {
 		r0.Access(addr, write)
 	}
 	c = c.Fork(k)
+	mark := c.MarkLane(0)
+	for j := 1; j < k; j++ {
+		c.CopyLane(j, 0, mark, 0, false)
+	}
 	refs := make([]*refCache, k)
 	type policy struct {
 		threshold, maxSets int
@@ -113,8 +119,9 @@ func TestLanesLockstepWithReference(t *testing.T) {
 	}
 }
 
-// TestForkCopiesLaneZero: every lane of a fork starts as lane 0 of the
-// original, which the fork leaves untouched.
+// TestForkCopiesLaneZero: lane 0 of a fork starts as lane 0 of the
+// original, which the fork leaves untouched; the other lanes start blank
+// and CopyLane makes them a copy of lane 0.
 func TestForkCopiesLaneZero(t *testing.T) {
 	c := mustNew(t, 4*64*8, 4)
 	for i := 0; i < 64; i++ {
@@ -123,9 +130,17 @@ func TestForkCopiesLaneZero(t *testing.T) {
 	c.NextEagerVictim(2, 0)
 	before := c.Snapshot()
 	f := c.Fork(5)
-	for k := 0; k < 5; k++ {
+	if !reflect.DeepEqual(laneSnapshot(f, 0), before) {
+		t.Fatal("lane 0 of the fork differs from the original")
+	}
+	mark := f.MarkLane(0)
+	for k := 1; k < 5; k++ {
+		if s := laneSnapshot(f, k); s.EagerCursor != 0 || s.Stats.Writebacks != 0 || slices.ContainsFunc(s.Lines, func(l LineState) bool { return l.Dirty }) {
+			t.Fatalf("lane %d of the fork is not blank", k)
+		}
+		f.CopyLane(k, 0, mark, 0, false)
 		if !reflect.DeepEqual(laneSnapshot(f, k), before) {
-			t.Fatalf("lane %d of the fork differs from the original", k)
+			t.Fatalf("lane %d differs from the original after CopyLane", k)
 		}
 	}
 	f.Access(0, false)

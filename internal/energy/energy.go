@@ -15,7 +15,6 @@ package energy
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"mct/internal/nvm"
 )
@@ -104,12 +103,7 @@ func (m Model) Compute(instructions uint64, seconds float64, st nvm.Stats) Break
 	// Sum write energy in sorted-ratio order: float addition is not
 	// associative, so ranging the map directly would let Go's randomized
 	// iteration order perturb the total between identically-seeded runs.
-	ratios := make([]float64, 0, len(st.WritesByRatio))
-	for ratio := range st.WritesByRatio {
-		ratios = append(ratios, ratio)
-	}
-	sort.Float64s(ratios)
-	for _, ratio := range ratios {
+	for _, ratio := range st.WritesByRatio.Ratios() {
 		b.NVMWrite += float64(st.WritesByRatio[ratio]) * m.WriteEnergy(ratio)
 	}
 	b.NVMStatic = seconds * m.NVMStaticPower

@@ -105,67 +105,22 @@ func sweepKeyFor(benchmark string, includeWQ bool, opt Options) sweepKey {
 
 // diskSweep is the on-disk form of a Sweep; the space is rebuilt from the
 // key, and SpaceLen guards against caches from older space enumerations.
+// sim.Metrics encodes its one map in key order (nvm.RatioCounts), so two
+// stores of one sweep write the same bytes.
 type diskSweep struct {
 	SpaceLen int
 	Indices  []int
-	Metrics  []diskMetrics
-	Baseline diskMetrics
-	Default  diskMetrics
-}
-
-// diskMetrics is a sim.Metrics as stored, its WritesByRatio map moved into
-// a slice in ascending ratio order: gob writes a map in iteration order,
-// which would make two stores of one sweep differ byte for byte.
-type diskMetrics struct {
-	sim.Metrics   // WritesByRatio nil
-	WritesByRatio []ratioWrites
-}
-
-type ratioWrites struct {
-	Ratio  float64
-	Writes uint64
-}
-
-func toDisk(m sim.Metrics) diskMetrics {
-	ratios := make([]float64, 0, len(m.WritesByRatio))
-	for r := range m.WritesByRatio {
-		ratios = append(ratios, r)
-	}
-	slices.Sort(ratios)
-	d := diskMetrics{Metrics: m, WritesByRatio: make([]ratioWrites, len(ratios))}
-	d.Metrics.WritesByRatio = nil
-	for i, r := range ratios {
-		d.WritesByRatio[i] = ratioWrites{r, m.WritesByRatio[r]}
-	}
-	return d
-}
-
-// metrics rebuilds the sim.Metrics. A computed window always carries a
-// non-nil WritesByRatio (empty when it wrote nothing), and so does this.
-func (d diskMetrics) metrics() sim.Metrics {
-	m := d.Metrics
-	m.WritesByRatio = make(map[float64]uint64, len(d.WritesByRatio))
-	for _, rw := range d.WritesByRatio {
-		m.WritesByRatio[rw.Ratio] = rw.Writes
-	}
-	return m
-}
-
-func diskSweepOf(s *Sweep) diskSweep {
-	d := diskSweep{SpaceLen: s.Space.Len(), Indices: s.Indices, Metrics: make([]diskMetrics, len(s.Metrics)),
-		Baseline: toDisk(s.Baseline), Default: toDisk(s.Default)}
-	for i, m := range s.Metrics {
-		d.Metrics[i] = toDisk(m)
-	}
-	return d
+	Metrics  []sim.Metrics
+	Baseline sim.Metrics
+	Default  sim.Metrics
 }
 
 func (k sweepKey) filename() string {
 	// The o%016x component is the sim.Options digest: sweeps of different
-	// simulated systems must land in different cache files. The .v2.gob
-	// suffix keeps files of former formats (JSON, then gob with
-	// WritesByRatio as a map) from ever being read.
-	return fmt.Sprintf("sweep_%s_a%d_s%d_wq%t_t%g_seed%d_o%016x.v2.gob",
+	// simulated systems must land in different cache files. The .v3.gob
+	// suffix keeps files of former formats (JSON, gob with WritesByRatio
+	// as a map, then as a slice beside the metrics) from ever being read.
+	return fmt.Sprintf("sweep_%s_a%d_s%d_wq%t_t%g_seed%d_o%016x.v3.gob",
 		k.bench, k.accesses, k.stride, k.wq, k.target, k.seed, k.sim)
 }
 
@@ -187,11 +142,7 @@ func (c *SweepCache) load(k sweepKey, space *config.Space) *Sweep {
 	if d.SpaceLen != space.Len() || !slices.Equal(d.Indices, space.Strided(k.stride)) || len(d.Metrics) != len(d.Indices) {
 		return nil
 	}
-	ms := make([]sim.Metrics, len(d.Metrics))
-	for i, m := range d.Metrics {
-		ms[i] = m.metrics()
-	}
-	return &Sweep{Benchmark: k.bench, Space: space, Indices: d.Indices, Metrics: ms, Baseline: d.Baseline.metrics(), Default: d.Default.metrics()}
+	return &Sweep{Benchmark: k.bench, Space: space, Indices: d.Indices, Metrics: d.Metrics, Baseline: d.Baseline, Default: d.Default}
 }
 
 // store persists a sweep to the disk layer; failures are silent (the cache
@@ -204,7 +155,7 @@ func (c *SweepCache) store(k sweepKey, s *Sweep) {
 		return
 	}
 	var buf bytes.Buffer
-	d := diskSweepOf(s)
+	d := diskSweep{SpaceLen: s.Space.Len(), Indices: s.Indices, Metrics: s.Metrics, Baseline: s.Baseline, Default: s.Default}
 	if err := gob.NewEncoder(&buf).Encode(&d); err != nil {
 		return
 	}

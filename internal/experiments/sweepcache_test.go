@@ -112,8 +112,7 @@ func TestSweepCacheRejectsShiftedIndices(t *testing.T) {
 		shifted[i] = idx + 1
 	}
 	var buf bytes.Buffer
-	d := diskSweepOf(want)
-	d.Indices = shifted
+	d := diskSweep{SpaceLen: want.Space.Len(), Indices: shifted, Metrics: want.Metrics, Baseline: want.Baseline, Default: want.Default}
 	if err := gob.NewEncoder(&buf).Encode(&d); err != nil {
 		t.Fatal(err)
 	}

@@ -183,7 +183,7 @@ type Stats struct {
 	ForcedWrites    uint64 // issued at 4× under an exhausted wear quota
 	CancelledWrites uint64 // write attempts aborted by a read
 
-	WritesByRatio map[float64]uint64
+	WritesByRatio RatioCounts
 
 	WearByBank []float64
 	TotalWear  float64
@@ -202,7 +202,6 @@ type Stats struct {
 	// BankQueueDepth histograms the per-bank write-queue depth observed at
 	// each demand-write enqueue (depth after the enqueue, clamped to 16).
 	BankQueueDepth [17]uint64
-	EagerRejected  uint64 // eager writes refused at a full eager queue
 	// EagerConversions counts eager mellow writes that an exhausted wear
 	// quota forced to issue in the slowest (forced) class instead.
 	EagerConversions uint64
@@ -406,7 +405,7 @@ func New(cfg config.Config, p Params) (*Controller, error) {
 	c.refreshEvents()
 	c.nextSlice = p.WearQuotaSliceCycles
 	c.st.WearByBank = make([]float64, p.Banks)
-	c.st.WritesByRatio = make(map[float64]uint64)
+	c.st.WritesByRatio = make(RatioCounts)
 	return c, nil
 }
 
@@ -516,7 +515,7 @@ func classRatio(cfg *config.Config, class int) float64 {
 // foldWrites adds the per-class write counts to byRatio, keyed by the
 // active config's ratios. Only classes that issued create a key, as the
 // per-write map increment did.
-func (c *Controller) foldWrites(byRatio map[float64]uint64) {
+func (c *Controller) foldWrites(byRatio RatioCounts) {
 	for class, n := range c.writesByClass {
 		if n > 0 {
 			byRatio[c.classes[class].ratio] += n
@@ -1069,7 +1068,6 @@ func (c *Controller) drainUntilSpace(now uint64) uint64 {
 func (c *Controller) EagerWrite(addr uint64, now uint64) bool {
 	c.Advance(now)
 	if c.eagerQLen >= c.p.EagerQueueCap {
-		c.st.EagerRejected++
 		return false
 	}
 	b := c.bankOf(addr)

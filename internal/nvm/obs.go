@@ -33,7 +33,6 @@ type Obs struct {
 	forcedWrites     *obs.Counter
 	cancelledWrites  *obs.Counter
 	queueFullStalls  *obs.Counter
-	eagerRejected    *obs.Counter
 	eagerConversions *obs.Counter
 	readLatency      *obs.Counter
 	readCellCycles   *obs.Counter
@@ -72,7 +71,6 @@ func NewObs(r *obs.Registry, wearBudget float64) *Obs {
 		forcedWrites:     r.Counter("nvm.forced_writes"),
 		cancelledWrites:  r.Counter("nvm.cancelled_writes"),
 		queueFullStalls:  r.Counter("nvm.queue_full_stalls"),
-		eagerRejected:    r.Counter("nvm.eager_rejected"),
 		eagerConversions: r.Counter("nvm.eager_conversions"),
 		readLatency:      r.Counter("nvm.read_latency_cycles"),
 		readCellCycles:   r.Counter("nvm.read_cell_cycles"),
@@ -104,7 +102,6 @@ func (o *Obs) Publish(s Stats) {
 	o.forcedWrites.Add(s.ForcedWrites - o.last.ForcedWrites)
 	o.cancelledWrites.Add(s.CancelledWrites - o.last.CancelledWrites)
 	o.queueFullStalls.Add(s.QueueFullStalls - o.last.QueueFullStalls)
-	o.eagerRejected.Add(s.EagerRejected - o.last.EagerRejected)
 	o.eagerConversions.Add(s.EagerConversions - o.last.EagerConversions)
 	o.readLatency.Add(s.ReadLatencySum - o.last.ReadLatencySum)
 	o.readCellCycles.Add(s.ReadCellCycles - o.last.ReadCellCycles)

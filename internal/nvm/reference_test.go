@@ -359,7 +359,6 @@ func (c *refController) drainUntilSpace(now uint64) uint64 {
 func (c *refController) EagerWrite(addr uint64, now uint64) bool {
 	c.Advance(now)
 	if c.eagerQLen >= c.p.EagerQueueCap {
-		c.st.EagerRejected++
 		return false
 	}
 	b := c.bankOf(addr)

@@ -17,6 +17,7 @@ package nvm
 
 import (
 	"fmt"
+	"maps"
 
 	"mct/internal/config"
 )
@@ -26,12 +27,7 @@ import (
 func (s Stats) Clone() Stats {
 	n := s
 	n.WearByBank = append([]float64(nil), s.WearByBank...)
-	if s.WritesByRatio != nil {
-		n.WritesByRatio = make(map[float64]uint64, len(s.WritesByRatio))
-		for k, v := range s.WritesByRatio {
-			n.WritesByRatio[k] = v
-		}
-	}
+	n.WritesByRatio = maps.Clone(s.WritesByRatio)
 	return n
 }
 
@@ -63,7 +59,7 @@ func (c *Controller) CloneInto(dst *Controller) *Controller {
 		dst.st.WritesByRatio = nil
 	} else {
 		if dst.st.WritesByRatio == nil {
-			dst.st.WritesByRatio = make(map[float64]uint64, len(c.st.WritesByRatio))
+			dst.st.WritesByRatio = make(RatioCounts, len(c.st.WritesByRatio))
 		}
 		clear(dst.st.WritesByRatio)
 		for k, v := range c.st.WritesByRatio {
@@ -316,7 +312,7 @@ func FromSnapshot(s Snapshot) (*Controller, error) {
 	c.nextSlice = s.NextSlice
 	c.st = s.Stats.Clone()
 	if c.st.WritesByRatio == nil {
-		c.st.WritesByRatio = make(map[float64]uint64)
+		c.st.WritesByRatio = make(RatioCounts)
 	}
 	// Every emitted op is still observable, so a restored controller needs
 	// no sweep history (swept = 0); pend and the horizon are rebuilt from

@@ -158,17 +158,27 @@ func TestStateRoundTrip(t *testing.T) {
 	mustPanic(t, "kind collision after restore", func() { got.Gauge("c.one") })
 }
 
+// TestFromStateRejectsBadState: a state from disk that would make the
+// registry panic, or hold an instrument it cannot have, is an error.
 func TestFromStateRejectsBadState(t *testing.T) {
-	cases := []State{
-		{Counters: map[string]uint64{"Bad Name": 1}},
-		{Histograms: map[string]HistogramState{
-			"h.bad": {Bounds: []float64{1, 2}, Counts: []uint64{1}}}},
-		{Histograms: map[string]HistogramState{
-			"h.bad": {Bounds: []float64{2, 1}, Counts: []uint64{0, 0, 0}}}},
+	hist := func(name string, bounds []float64, counts []uint64) InstrumentState {
+		return InstrumentState{Name: name, Kind: "histogram", Bounds: bounds, Counts: counts}
 	}
-	for i, s := range cases {
-		if _, err := FromState(s); err == nil {
-			t.Errorf("case %d: FromState accepted invalid state", i)
+	cases := map[string][]InstrumentState{
+		"invalid name":         {{Name: "Bad Name", Kind: "counter", Count: 1}},
+		"counts miss a bucket": {hist("h.bad", []float64{1, 2}, []uint64{1})},
+		"descending bounds":    {hist("h.bad", []float64{2, 1}, []uint64{0, 0, 0})},
+		"unknown kind":         {{Name: "c.one", Kind: "meter"}},
+		"counter and gauge": {
+			{Name: "cache.eager_writes", Kind: "counter", Count: 3},
+			{Name: "cache.eager_writes", Kind: "gauge", Value: 1},
+		},
+		"name repeated": {{Name: "c.one", Kind: "counter"}, {Name: "c.one", Kind: "counter"}},
+		"names descend": {{Name: "c.two", Kind: "counter"}, {Name: "c.one", Kind: "counter"}},
+	}
+	for name, ins := range cases {
+		if _, err := FromState(State{Instruments: ins}); err == nil {
+			t.Errorf("%s: FromState accepted invalid state", name)
 		}
 	}
 }

@@ -35,7 +35,9 @@ import (
 	"fmt"
 	"math"
 	"regexp"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -333,90 +335,82 @@ func (r *Registry) Clone() *Registry {
 	return n
 }
 
-// HistogramState is the serializable form of one histogram.
-type HistogramState struct {
-	Bounds []float64
-	Counts []uint64
+// InstrumentState is the serializable form of one instrument. Kind is
+// "counter", "gauge" or "histogram", and the instrument's value is Count,
+// Value, or Bounds and Counts accordingly.
+type InstrumentState struct {
+	Name     string
+	Kind     string
+	Volatile bool
+	Count    uint64
+	Value    float64
+	Bounds   []float64
+	Counts   []uint64
 }
 
 // State is the complete serializable state of a Registry — the payload the
-// simulator embeds in versioned machine checkpoints.
+// simulator embeds in versioned machine checkpoints. Its instruments are
+// in ascending name order, so one registry state has one gob encoding.
 type State struct {
-	Counters   map[string]uint64
-	Gauges     map[string]float64
-	Histograms map[string]HistogramState
-	// Volatile lists the names registered through the Volatile*
-	// constructors, sorted.
-	Volatile []string
+	Instruments []InstrumentState
 }
 
 // State captures the registry's contents.
 func (r *Registry) State() State {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := State{
-		Counters:   map[string]uint64{},
-		Gauges:     map[string]float64{},
-		Histograms: map[string]HistogramState{},
-	}
+	s := State{Instruments: make([]InstrumentState, 0, len(r.instruments))}
 	for name, in := range r.instruments {
-		if in.volatile {
-			s.Volatile = append(s.Volatile, name)
-		}
+		is := InstrumentState{Name: name, Kind: in.kind.String(), Volatile: in.volatile}
 		switch in.kind {
 		case kindCounter:
-			s.Counters[name] = in.counter.Value()
+			is.Count = in.counter.Value()
 		case kindGauge:
-			s.Gauges[name] = in.gauge.Value()
+			is.Value = in.gauge.Value()
 		case kindHistogram:
-			s.Histograms[name] = HistogramState{Bounds: in.hist.Bounds(), Counts: in.hist.Counts()}
+			is.Bounds, is.Counts = in.hist.Bounds(), in.hist.Counts()
 		}
+		s.Instruments = append(s.Instruments, is)
 	}
-	sort.Strings(s.Volatile)
+	slices.SortFunc(s.Instruments, func(a, b InstrumentState) int { return strings.Compare(a.Name, b.Name) })
 	return s
 }
 
 // FromState rebuilds a registry from a state captured with State. The
-// rebuilt registry carries the identical instruments and values.
+// rebuilt registry carries the identical instruments and values. A state
+// that names an instrument twice, out of order, under an invalid name or
+// with an unknown kind is an error, as is a histogram with an invalid
+// bucket layout.
 func FromState(s State) (*Registry, error) {
 	r := NewRegistry()
-	vol := map[string]bool{}
-	for _, name := range s.Volatile {
-		vol[name] = true
-	}
-	for name, v := range s.Counters {
-		if !nameRe.MatchString(name) {
-			return nil, fmt.Errorf("obs: state counter name %q invalid", name)
+	for i, is := range s.Instruments {
+		if !nameRe.MatchString(is.Name) {
+			return nil, fmt.Errorf("obs: state instrument name %q invalid", is.Name)
 		}
-		r.getOrCreate(name, kindCounter, vol[name], nil).counter.Add(v)
-	}
-	for name, v := range s.Gauges {
-		if !nameRe.MatchString(name) {
-			return nil, fmt.Errorf("obs: state gauge name %q invalid", name)
+		if i > 0 && is.Name <= s.Instruments[i-1].Name {
+			return nil, fmt.Errorf("obs: state instrument %q repeated or out of name order", is.Name)
 		}
-		// One Set per distinct gauge key: the map's iteration order cannot
-		// change the restored values.
-		r.getOrCreate(name, kindGauge, vol[name], nil).gauge.Set(v)
-	}
-	for name, hs := range s.Histograms {
-		if !nameRe.MatchString(name) {
-			return nil, fmt.Errorf("obs: state histogram name %q invalid", name)
+		// Each name is new to r, so getOrCreate finds no collision.
+		switch is.Kind {
+		case kindCounter.String():
+			r.getOrCreate(is.Name, kindCounter, is.Volatile, nil).counter.Add(is.Count)
+		case kindGauge.String():
+			r.getOrCreate(is.Name, kindGauge, is.Volatile, nil).gauge.Set(is.Value)
+		case kindHistogram.String():
+			if len(is.Counts) != len(is.Bounds)+1 {
+				return nil, fmt.Errorf("obs: state histogram %q has %d counts for %d bounds", is.Name, len(is.Counts), len(is.Bounds))
+			}
+			if err := validBounds(is.Bounds); err != nil {
+				return nil, fmt.Errorf("obs: state histogram %q: %w", is.Name, err)
+			}
+			h := r.getOrCreate(is.Name, kindHistogram, is.Volatile, is.Bounds).hist
+			copy(h.counts, is.Counts)
+			for _, c := range is.Counts {
+				h.total += c
+			}
+		default:
+			return nil, fmt.Errorf("obs: state instrument %q has unknown kind %q", is.Name, is.Kind)
 		}
-		if len(hs.Counts) != len(hs.Bounds)+1 {
-			return nil, fmt.Errorf("obs: state histogram %q has %d counts for %d bounds", name, len(hs.Counts), len(hs.Bounds))
-		}
-		if err := validBounds(hs.Bounds); err != nil {
-			return nil, fmt.Errorf("obs: state histogram %q: %w", name, err)
-		}
-		h := r.getOrCreate(name, kindHistogram, vol[name], hs.Bounds).hist
-		h.mu.Lock()
-		copy(h.counts, hs.Counts)
-		var total uint64
-		for _, c := range hs.Counts {
-			total += c
-		}
-		h.total = total
-		h.mu.Unlock()
 	}
 	return r, nil
 }

@@ -49,9 +49,10 @@ const (
 )
 
 // Checkpoints names the directory where Execute persists resumable state
-// for one job: a machine checkpoint (machine.ckpt) and, for sweeps, the
-// completed prefix of results (partial.json). SweepDir, when set, is the
-// disk layer of an experiment job's sweep cache, which jobs may share.
+// for one job: for evaluate jobs a machine checkpoint (machine.ckpt), for
+// sweeps the completed prefix of results (partial.json). SweepDir, when
+// set, is the disk layer of an experiment job's sweep cache, which jobs
+// may share.
 // Nil Checkpoints in ExecOptions disables persistence entirely — the CLI's
 // synchronous mode.
 type Checkpoints struct {
@@ -212,51 +213,31 @@ type sweepPartial struct {
 }
 
 // execSweep evaluates every stride-th configuration of the enumerated space
-// on one prepared benchmark. The warm machine is checkpointed once after
-// Prepare, and the completed result prefix is persisted after every chunk;
-// a resume restores both and recomputes only the tail. Chunks fan out on
-// the engine worker pool and results keep enumeration order at any worker
-// count.
+// on one prepared benchmark. The completed result prefix is persisted after
+// every chunk; a resume reads it, prepares the benchmark again and
+// computes only the tail. Chunks fan out on the engine worker pool and
+// results keep enumeration order at any worker count.
 func execSweep(ctx context.Context, spec api.JobSpec, opt ExecOptions) ([]byte, error) {
 	stride := max(spec.Stride, 1)
 	space := config.NewSpace(config.SpaceOptions{})
 	indices := space.Strided(stride)
 
 	var done []api.Metrics
-	var prep *sim.Prepared
 	if ck := opt.Checkpoints; ck != nil {
-		if _, serr := os.Stat(ck.machinePath()); serr == nil {
-			m, err := sim.LoadCheckpoint(ck.machinePath())
-			if err != nil {
+		if data, err := os.ReadFile(ck.partialPath()); err == nil {
+			var p sweepPartial
+			if err := decodePartial(data, &p); err != nil {
 				return nil, fmt.Errorf("server: resume sweep: %w", err)
 			}
-			prep, err = sim.PreparedFromMachine(m, spec.Accesses)
-			if err != nil {
-				return nil, err
+			if len(p.Metrics) > len(indices) {
+				return nil, fmt.Errorf("server: resume sweep: partial has %d results for %d indices", len(p.Metrics), len(indices))
 			}
-			if data, rerr := os.ReadFile(ck.partialPath()); rerr == nil {
-				var p sweepPartial
-				if err := decodePartial(data, &p); err != nil {
-					return nil, fmt.Errorf("server: resume sweep: %w", err)
-				}
-				if len(p.Metrics) > len(indices) {
-					return nil, fmt.Errorf("server: resume sweep: partial has %d results for %d indices", len(p.Metrics), len(indices))
-				}
-				done = p.Metrics
-			}
+			done = p.Metrics
 		}
 	}
-	if prep == nil {
-		var err error
-		prep, err = sim.Prepare(spec.Benchmark, 0, spec.Accesses, simOptions(spec))
-		if err != nil {
-			return nil, err
-		}
-		if ck := opt.Checkpoints; ck != nil {
-			if err := prep.Checkpoint(ck.machinePath()); err != nil {
-				return nil, err
-			}
-		}
+	prep, err := sim.Prepare(spec.Benchmark, 0, spec.Accesses, simOptions(spec))
+	if err != nil {
+		return nil, err
 	}
 
 	chunk := opt.sweepChunk()

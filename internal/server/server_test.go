@@ -177,7 +177,8 @@ func TestExecuteEvaluateResume(t *testing.T) {
 
 // TestExecuteSweepResume does the same for a sweep: interrupt after the first
 // chunk of configurations, resume with a different worker count, and require
-// the artifact byte-identical to an uninterrupted single-worker run.
+// the artifact byte-identical to an uninterrupted single-worker run. The job
+// persists its results alone, no machine checkpoint.
 func TestExecuteSweepResume(t *testing.T) {
 	spec := sweepSpec()
 	want, err := Execute(context.Background(), spec, ExecOptions{Workers: 1})
@@ -199,6 +200,9 @@ func TestExecuteSweepResume(t *testing.T) {
 	}
 	if _, err := os.Stat(ck.partialPath()); err != nil {
 		t.Fatalf("no partial result after interrupt: %v", err)
+	}
+	if _, err := os.Stat(ck.machinePath()); !os.IsNotExist(err) {
+		t.Fatalf("a sweep job wrote a machine checkpoint (stat: %v)", err)
 	}
 
 	got, err := Execute(context.Background(), spec, ExecOptions{Workers: 4, Checkpoints: ck, SweepChunk: 4})

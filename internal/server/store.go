@@ -17,7 +17,7 @@ import (
 //	spec.json      the submitted JobSpec (wire form, immutable)
 //	status.json    the last persisted JobStatus
 //	artifact.json  the artifact document, written once on completion
-//	machine.ckpt   Execute's machine checkpoint (while running)
+//	machine.ckpt   Execute's evaluate-job machine checkpoint (while running)
 //	partial.json   Execute's completed sweep prefix (while running)
 //
 // and one directory <dir>/sweepcache/ that every experiment job shares: the

@@ -18,7 +18,7 @@ type Accum struct {
 
 	memReads, memWrites                         uint64
 	eager, cancelled, forced, slow, fast, qfull uint64
-	writesByRatio                               map[float64]uint64
+	writesByRatio                               nvm.RatioCounts
 	hitWeighted                                 float64 // Σ hitRate·window accesses (approximated by reads+writes)
 	windows                                     int
 
@@ -29,7 +29,7 @@ type Accum struct {
 
 // NewAccum returns an empty accumulator for systems described by opt.
 func NewAccum(opt Options) *Accum {
-	return &Accum{opt: opt, writesByRatio: make(map[float64]uint64)}
+	return &Accum{opt: opt, writesByRatio: make(nvm.RatioCounts)}
 }
 
 // Windows returns how many windows have been folded in.

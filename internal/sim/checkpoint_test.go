@@ -2,11 +2,10 @@ package sim
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math"
 	"os"
 	"path/filepath"
-	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -17,13 +16,18 @@ import (
 )
 
 // smallObservedMachine is an observed lbm machine under the static
-// baseline on a small LLC and four banks, so that its checkpoint stays a
-// few kilobytes. Its controller has issued writes at two ratios or more.
-func smallObservedMachine(t testing.TB) *Machine {
+// baseline on a small LLC and four banks, with a small DRAM tier when
+// withDRAM is set, so that its checkpoint stays a few kilobytes. Its
+// controller has issued writes at two ratios or more.
+func smallObservedMachine(t testing.TB, withDRAM bool) *Machine {
 	t.Helper()
 	opt := DefaultOptions()
 	opt.CacheBytes, opt.CacheWays = 8<<10, 4
 	opt.Params.Banks = 4
+	if withDRAM {
+		opt.Tiers.DRAMCache = true
+		opt.DRAM.CacheBytes, opt.DRAM.Ways, opt.DRAM.HotTableSize = 16<<10, 4, 64
+	}
 	spec, err := trace.ByName("lbm")
 	if err != nil {
 		t.Fatal(err)
@@ -40,18 +44,6 @@ func smallObservedMachine(t testing.TB) *Machine {
 	return m
 }
 
-// mapFormCheckpoint encodes m's checkpoint as SaveCheckpoint did before
-// the pair form: the maps in the state and no Maps field.
-func mapFormCheckpoint(t testing.TB, m *Machine) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	env := checkpointEnvelope{Magic: checkpointMagic, Version: checkpointVersion, State: m.Snapshot()}
-	if err := gob.NewEncoder(&buf).Encode(env); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 func checkpointBytes(t testing.TB, m *Machine) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -65,7 +57,7 @@ func checkpointBytes(t testing.TB, m *Machine) []byte {
 // state are byte-equal, although its maps (writes by ratio, the
 // observer's instruments) iterate in a new order each time.
 func TestCheckpointBytesStable(t *testing.T) {
-	m := smallObservedMachine(t)
+	m := smallObservedMachine(t, true)
 	want := checkpointBytes(t, m)
 	for i := 1; i < 20; i++ {
 		if got := checkpointBytes(t, m); !bytes.Equal(got, want) {
@@ -74,68 +66,81 @@ func TestCheckpointBytesStable(t *testing.T) {
 	}
 }
 
-// TestCheckpointMapFormLoads: a checkpoint in the map form written before
-// the pair form, and one in the pair form, both restore to the machine's
-// Snapshot, and the map-form seed of FuzzLoadCheckpoint still loads.
-func TestCheckpointMapFormLoads(t *testing.T) {
-	m := smallObservedMachine(t)
-	want := m.Snapshot()
-	for name, b := range map[string][]byte{"map form": mapFormCheckpoint(t, m), "pair form": checkpointBytes(t, m)} {
-		r, err := readCheckpoint(bytes.NewReader(b))
+// fuzzSeed returns the checkpoint bytes of a FuzzLoadCheckpoint seed.
+func fuzzSeed(t *testing.T, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzLoadCheckpoint", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, body, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+	b, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(body, "[]byte("), ")"))
+	if err != nil {
+		t.Fatalf("seed %s: %v", name, err)
+	}
+	return []byte(b)
+}
+
+// TestCheckpointSeeds: the FuzzLoadCheckpoint seeds of a saved machine
+// load and save back to their own bytes; the version-1 seed (map-form)
+// fails with a version error, and the crafted ones with an error.
+func TestCheckpointSeeds(t *testing.T) {
+	for _, name := range []string{"observed", "dram-tier"} {
+		b := fuzzSeed(t, name)
+		m, err := readCheckpoint(bytes.NewReader(b))
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("seed %s does not load: %v", name, err)
 		}
-		if got := r.Snapshot(); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: restored snapshot differs\n got: %+v\nwant: %+v", name, got, want)
+		if !bytes.Equal(checkpointBytes(t, m), b) {
+			t.Errorf("seed %s saves other bytes", name)
 		}
 	}
-	for _, seed := range []string{"map-form", "pair-form"} {
-		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzLoadCheckpoint", seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, body, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
-		b, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(body, "[]byte("), ")"))
-		if err != nil {
-			t.Fatalf("seed %s: %v", seed, err)
-		}
-		if _, err := readCheckpoint(strings.NewReader(b)); err != nil {
-			t.Errorf("seed %s does not load: %v", seed, err)
+	if _, err := readCheckpoint(bytes.NewReader(fuzzSeed(t, "map-form"))); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Errorf("version-1 seed: got %v, want a version error", err)
+	}
+	for _, name := range []string{"observer-buckets-mismatch", "counter-and-gauge"} {
+		if _, err := readCheckpoint(bytes.NewReader(fuzzSeed(t, name))); err == nil {
+			t.Errorf("seed %s loaded", name)
 		}
 	}
 }
 
-// TestCheckpointRejectsBadMaps: a pair form with a NaN or duplicate key,
-// a checkpoint carrying its maps in both forms, and observer values
-// without an observer fail to load.
+// encodeState encodes st as a checkpoint.
+func encodeState(t testing.TB, st MachineState) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := encodeCheckpoint(&buf, st); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// nameTwice lists st's observer counter cache.eager_writes a second time,
+// as a gauge: a registry cannot hold both.
+func nameTwice(st *MachineState) {
+	ins := st.Obs.Instruments
+	i := slices.IndexFunc(ins, func(in obs.InstrumentState) bool { return in.Name == "cache.eager_writes" })
+	gauge := obs.InstrumentState{Name: ins[i].Name, Kind: "gauge", Value: 1}
+	st.Obs.Instruments = slices.Insert(ins, i+1, gauge)
+}
+
+// TestCheckpointRejectsBadMaps: a checkpoint whose maps no machine holds
+// — a NaN ratio, an observer instrument named twice — fails to load with
+// an error, not a panic.
 func TestCheckpointRejectsBadMaps(t *testing.T) {
-	m := smallObservedMachine(t)
-	cases := map[string]func(env *checkpointEnvelope){
-		"NaN ratio": func(env *checkpointEnvelope) {
-			env.Maps.WritesByRatio = append(env.Maps.WritesByRatio, pair[float64, uint64]{math.NaN(), 1})
-		},
-		"duplicate ratio": func(env *checkpointEnvelope) {
-			env.Maps.WritesByRatio = append(env.Maps.WritesByRatio, env.Maps.WritesByRatio[0])
-		},
-		"duplicate counter": func(env *checkpointEnvelope) {
-			env.Maps.Counters = append(env.Maps.Counters, env.Maps.Counters[0])
-		},
-		"both forms": func(env *checkpointEnvelope) {
-			env.State.Ctrl.Stats.WritesByRatio = map[float64]uint64{1: 1}
-		},
-		"observer values without an observer": func(env *checkpointEnvelope) {
-			env.State.Obs = nil
+	m := smallObservedMachine(t, false)
+	cases := map[string]func(st *MachineState){
+		"NaN ratio":              func(st *MachineState) { st.Ctrl.Stats.WritesByRatio[math.NaN()] = 1 },
+		"NaN window-start ratio": func(st *MachineState) { st.WinStartStats.WritesByRatio[math.NaN()] = 1 },
+		"counter and gauge":      nameTwice,
+		"instrument twice": func(st *MachineState) {
+			st.Obs.Instruments = append(st.Obs.Instruments, st.Obs.Instruments[len(st.Obs.Instruments)-1])
 		},
 	}
 	for name, corrupt := range cases {
-		env := checkpointEnvelope{Magic: checkpointMagic, Version: checkpointVersion, State: m.Snapshot()}
-		env.Maps = packMaps(&env.State)
-		corrupt(&env)
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(env); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := readCheckpoint(&buf); err == nil {
+		st := m.Snapshot()
+		corrupt(&st)
+		if _, err := readCheckpoint(bytes.NewReader(encodeState(t, st))); err == nil {
 			t.Errorf("%s: checkpoint loaded", name)
 		}
 	}
@@ -144,8 +149,10 @@ func TestCheckpointRejectsBadMaps(t *testing.T) {
 // FuzzLoadCheckpoint feeds arbitrary bytes to the checkpoint reader: every
 // input loads or returns an error, never panics, and a machine that loads
 // saves the same bytes twice and again after a round trip through them.
-// The seeds (testdata/fuzz/FuzzLoadCheckpoint) are a checkpoint of
-// smallObservedMachine in the pair form and in the map form.
+// The seeds (testdata/fuzz/FuzzLoadCheckpoint) are checkpoints of
+// smallObservedMachine with and without the DRAM tier, the same with
+// crafted observer states, and a version-1 checkpoint (see
+// TestCheckpointSeeds).
 func FuzzLoadCheckpoint(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("not a checkpoint"))

@@ -9,6 +9,7 @@ import (
 
 	"mct/internal/config"
 	"mct/internal/engine"
+	"mct/internal/nvm"
 	"mct/internal/trace"
 )
 
@@ -109,35 +110,6 @@ func Prepare(benchmark string, warmup, measure int, opt Options) (*Prepared, err
 	}, nil
 }
 
-// Checkpoint writes the prepared workload's warm machine to path as a
-// standard machine checkpoint (see SaveCheckpoint). A later process can
-// rebuild the Prepared with LoadCheckpoint + PreparedFromMachine and skip
-// the warmup replay entirely.
-func (p *Prepared) Checkpoint(path string) error {
-	return SaveCheckpoint(path, p.warm)
-}
-
-// PreparedFromMachine wraps an already-warmed machine — typically one
-// restored from a checkpoint written by Prepared.Checkpoint — as a Prepared
-// measuring measure accesses per evaluation. The machine's generator must
-// sit exactly at the measurement cut (where Prepare leaves it). The machine
-// must be single-core, and is adopted: the caller must not touch it
-// afterwards.
-func PreparedFromMachine(m *Machine, measure int) (*Prepared, error) {
-	if len(m.cores) > 1 {
-		return nil, fmt.Errorf("sim: prepared workloads are single-core; machine has %d cores", len(m.cores))
-	}
-	if measure <= 0 {
-		return nil, fmt.Errorf("sim: non-positive measurement length %d", measure)
-	}
-	return &Prepared{
-		Spec:     m.gens[0].Spec(),
-		opt:      m.opt,
-		nMeasure: measure,
-		warm:     m,
-	}, nil
-}
-
 // materialize builds the shared window (see Prepared); it runs once.
 func (p *Prepared) materialize() {
 	g := p.warm.gens[0].Clone()
@@ -172,11 +144,14 @@ func (p *Prepared) Evaluate(cfg config.Config) (Metrics, error) {
 // window longer than the shared prefix streams its tail once for the
 // whole batch. Metrics[k] is identical to what Evaluate returns for
 // cfgs[k], whatever else is in the batch; the first configuration the
-// controller rejects fails the whole batch. Keep batches to MaxBatch
-// configurations: the per-lane state of more stops fitting in cache.
+// controller rejects fails the whole batch, and so do more than MaxBatch
+// configurations.
 func (p *Prepared) EvaluateBatch(cfgs []config.Config) ([]Metrics, error) {
 	if len(cfgs) == 0 {
 		return nil, nil
+	}
+	if len(cfgs) > MaxBatch {
+		return nil, fmt.Errorf("sim: batch of %d configurations, at most %d", len(cfgs), MaxBatch)
 	}
 	p.once.Do(p.materialize)
 	m, err := p.warm.forkBatch(cfgs)
@@ -202,12 +177,17 @@ func (p *Prepared) EvaluateBatch(cfgs []config.Config) ([]Metrics, error) {
 	return out, nil
 }
 
-// MaxBatch caps the configurations EvaluateAll steps together. Up to 8
-// lanes keep one set's dirty masks in one 64-byte line; far more lanes'
-// dirty arrays and controllers stop fitting in cache and the per-access
-// fan-out slows down. It counts configurations, not the lanes they end up
-// in.
+// MaxBatch caps the configurations of one batch. Up to 8 lanes keep one
+// set's dirty masks in one 64-byte line; far more lanes' dirty arrays and
+// controllers stop fitting in cache and the per-access fan-out slows
+// down. It counts configurations, not the lanes they end up in. A batch
+// starts as one lane, so it must fit one controller's primary and
+// members.
 const MaxBatch = 8
+
+// A batch's configurations fit one lane: a primary and nvm.MaxMembers
+// members.
+var _ [nvm.MaxMembers + 1 - MaxBatch]struct{}
 
 // batchStarts partitions n configurations into consecutive batches and
 // returns each batch's first index, then n. The split is guided: a batch

@@ -47,7 +47,7 @@ func TestReplayMatchesStream(t *testing.T) {
 				t.Fatal(err)
 			}
 			path := filepath.Join(t.TempDir(), "warm.ckpt")
-			if err := p.Checkpoint(path); err != nil {
+			if err := SaveCheckpoint(path, p.warm); err != nil {
 				t.Fatal(err)
 			}
 			restored, err := LoadCheckpoint(path)
@@ -61,9 +61,7 @@ func TestReplayMatchesStream(t *testing.T) {
 			for _, n := range lengths {
 				replays := make([]*Prepared, len(sources))
 				for k, src := range sources {
-					if replays[k], err = PreparedFromMachine(src.warm.Clone(), n); err != nil {
-						t.Fatal(err)
-					}
+					replays[k] = &Prepared{Spec: p.Spec, opt: p.opt, nMeasure: n, warm: src.warm.Clone()}
 				}
 				for i, cfg := range cfgs {
 					want := streamWindow(t, p.warm, cfg, n)

@@ -145,16 +145,11 @@ func replay(mem hierarchy.Mem, calls []memCall) {
 	}
 }
 
-// maxLaneConfigs is the most configurations one lane stands for: the
-// primary and nvm.MaxMembers members.
-const maxLaneConfigs = nvm.MaxMembers + 1
-
-// forkBatch forks the machine into the lanes that evaluate cfgs, each under
-// the controller's own SetConfig: one lane for every maxLaneConfigs
-// configurations, standing for all of them with the machine's tiers as
-// its snapshot. The machine must be one no one steps (the warm machine of
-// a Prepared). The first configuration the controller rejects fails the
-// batch.
+// forkBatch forks the machine into the lane that evaluates cfgs under the
+// controller's own SetConfig: one lane standing for all of them, with the
+// machine's tiers as its snapshot (cfgs fit it, see MaxBatch). The machine
+// must be one no one steps (the warm machine of a Prepared). The first
+// configuration the controller rejects fails the batch.
 func (m *Machine) forkBatch(cfgs []config.Config) (*Machine, error) {
 	for _, cfg := range cfgs {
 		if err := cfg.Validate(); err != nil {
@@ -162,22 +157,13 @@ func (m *Machine) forkBatch(cfgs []config.Config) (*Machine, error) {
 		}
 	}
 	n := m.fork(len(cfgs))
-	warm := tiers{m.ctrl, m.dram}
-	for start := 0; start < len(cfgs); start += maxLaneConfigs {
-		l := &n.lane
-		if start > 0 {
-			c := m.lane.clone()
-			l = &c
-			n.lanes = append(n.lanes, l)
-		}
-		end := min(start+maxLaneConfigs, len(cfgs))
-		for i := start; i < end; i++ {
-			l.ids = append(l.ids, i)
-		}
-		must(l.ctrl.SetConfig(cfgs[start]))
-		if end-start > 1 {
-			l.share(cfgs[start+1:end], warm, -1)
-		}
+	l := &n.lane
+	for i := range cfgs {
+		l.ids = append(l.ids, i)
+	}
+	must(l.ctrl.SetConfig(cfgs[0]))
+	if len(cfgs) > 1 {
+		l.share(cfgs[1:], tiers{m.ctrl, m.dram}, -1)
 	}
 	return n, nil
 }

@@ -169,7 +169,7 @@ type Metrics struct {
 	WearByBankDelta []float64
 
 	// Energy breakdown components needed to re-aggregate windows.
-	WritesByRatio map[float64]uint64
+	WritesByRatio nvm.RatioCounts
 }
 
 // Vector returns [IPC, lifetime, energy] — the tradeoff-space encoding of
@@ -699,7 +699,7 @@ func diffStats(s0, s1 nvm.Stats) nvm.Stats {
 		ForcedWrites:    s1.ForcedWrites - s0.ForcedWrites,
 		CancelledWrites: s1.CancelledWrites - s0.CancelledWrites,
 		QueueFullStalls: s1.QueueFullStalls - s0.QueueFullStalls,
-		WritesByRatio:   make(map[float64]uint64),
+		WritesByRatio:   make(nvm.RatioCounts),
 	}
 	for r, n1 := range s1.WritesByRatio {
 		if n0 := s0.WritesByRatio[r]; n1 > n0 {

@@ -11,14 +11,12 @@ package sim
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/gob"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 
 	"mct/internal/atomicfile"
 	"mct/internal/cache"
@@ -40,8 +38,8 @@ func (m *Machine) Clone() *Machine {
 }
 
 // fork returns a deep copy of the machine without its observer, with one
-// lane, a copy of lane 0, and room in the LLC for k lanes (each a copy of
-// lane 0's LLC state until a lane takes it). The scratch batch buffer is
+// lane, a copy of lane 0, and room in the LLC for k lanes (the lanes a
+// batch splits into; see cache.Fork). The scratch batch buffer is
 // per-machine and not copied: the fork allocates its own on first
 // streaming run, since a shared backing array would race under concurrent
 // Prepared evaluations.
@@ -102,15 +100,10 @@ type MachineState struct {
 	WinStartCache  cache.Stats
 
 	// Obs is the attached observer registry's state, nil when the machine
-	// had none. A gob-additive field: version-1 checkpoints written before
-	// observers existed decode with Obs nil, which restores to "no
-	// observer" — exactly their meaning.
+	// had none.
 	Obs *obs.State
 
 	// DRAM is the DRAM cache tier's state, nil on NVM-only machines.
-	// Gob-additive like Obs: checkpoints written before the tier seam
-	// existed decode with DRAM nil — an NVM-only hierarchy, exactly their
-	// meaning. WinStartDRAM rides along the same way (zero for them).
 	DRAM         *dram.Snapshot
 	WinStartDRAM dram.Stats
 }
@@ -245,117 +238,28 @@ func (m *Machine) attachRestored(reg *obs.Registry) (err error) {
 }
 
 const (
-	checkpointMagic   = "mct-machine-checkpoint"
-	checkpointVersion = 1
+	checkpointMagic = "mct-machine-checkpoint"
+	// checkpointVersion 2 encodes each map of the state in key order
+	// (nvm.RatioCounts, obs.State), so two checkpoints of one state are
+	// byte-equal; version-1 files fail to load.
+	checkpointVersion = 2
 )
 
-// checkpointEnvelope versions the on-disk format so stale checkpoints fail
-// loudly instead of decoding garbage.
-type checkpointEnvelope struct {
+// checkpointHeader is the first gob value of a checkpoint, the
+// MachineState the second. The header is decoded on its own, so a
+// checkpoint of another version fails on its version before its state's
+// types are read. (A version-1 checkpoint is one value holding the header
+// fields and the state; its header decodes the same way.)
+type checkpointHeader struct {
 	Magic   string
 	Version int
-	State   MachineState
-	// Maps holds State's maps as key-sorted pairs, and those maps are then
-	// nil: gob writes a map in iteration order, so two checkpoints of one
-	// state would differ in bytes. Gob-additive: a version-1 checkpoint
-	// written before it decodes with Maps nil and its maps in State.
-	Maps *checkpointMaps
 }
 
-// checkpointMaps is the pair form of a MachineState's maps: the two
-// WritesByRatio maps (State.Ctrl.Stats and State.WinStartStats) and the
-// observer's counters, gauges and histograms.
-type checkpointMaps struct {
-	WritesByRatio, WinStartWritesByRatio []pair[float64, uint64]
-	Counters                             []pair[string, uint64]
-	Gauges                               []pair[string, float64]
-	Histograms                           []pair[string, obs.HistogramState]
-}
-
-// pair is one map entry.
-type pair[K cmp.Ordered, V any] struct {
-	Key K
-	Val V
-}
-
-// sortedPairs lists m's entries by ascending key.
-func sortedPairs[K cmp.Ordered, V any](m map[K]V) []pair[K, V] {
-	ps := make([]pair[K, V], 0, len(m))
-	for k, v := range m {
-		ps = append(ps, pair[K, V]{k, v})
-	}
-	slices.SortFunc(ps, func(a, b pair[K, V]) int { return cmp.Compare(a.Key, b.Key) })
-	return ps
-}
-
-// pairMap rebuilds the map sortedPairs listed, rejecting a duplicate or
-// NaN key (no map of the state can hold either).
-func pairMap[K cmp.Ordered, V any](what string, ps []pair[K, V]) (map[K]V, error) {
-	m := make(map[K]V, len(ps))
-	for _, p := range ps {
-		if p.Key != p.Key {
-			return nil, fmt.Errorf("sim: checkpoint %s has a NaN key", what)
-		}
-		if _, dup := m[p.Key]; dup {
-			return nil, fmt.Errorf("sim: checkpoint %s has key %v twice", what, p.Key)
-		}
-		m[p.Key] = p.Val
-	}
-	return m, nil
-}
-
-// packMaps moves st's maps into their pair form.
-func packMaps(st *MachineState) *checkpointMaps {
-	p := &checkpointMaps{
-		WritesByRatio:         sortedPairs(st.Ctrl.Stats.WritesByRatio),
-		WinStartWritesByRatio: sortedPairs(st.WinStartStats.WritesByRatio),
-	}
-	st.Ctrl.Stats.WritesByRatio, st.WinStartStats.WritesByRatio = nil, nil
-	if o := st.Obs; o != nil {
-		p.Counters, p.Gauges, p.Histograms = sortedPairs(o.Counters), sortedPairs(o.Gauges), sortedPairs(o.Histograms)
-		o.Counters, o.Gauges, o.Histograms = nil, nil, nil
-	}
-	return p
-}
-
-// unpack rebuilds st's maps from their pair form. A checkpoint that also
-// carries them in map form, or observer maps without an observer, is
-// rejected.
-func (p *checkpointMaps) unpack(st *MachineState) error {
-	o := st.Obs
-	if st.Ctrl.Stats.WritesByRatio != nil || st.WinStartStats.WritesByRatio != nil ||
-		o != nil && (o.Counters != nil || o.Gauges != nil || o.Histograms != nil) {
-		return fmt.Errorf("sim: checkpoint carries its maps twice")
-	}
-	if o == nil && len(p.Counters)+len(p.Gauges)+len(p.Histograms) > 0 {
-		return fmt.Errorf("sim: checkpoint has observer values but no observer")
-	}
-	var err error
-	if st.Ctrl.Stats.WritesByRatio, err = pairMap("controller writes by ratio", p.WritesByRatio); err != nil {
-		return err
-	}
-	if st.WinStartStats.WritesByRatio, err = pairMap("window-start writes by ratio", p.WinStartWritesByRatio); err != nil {
-		return err
-	}
-	if o == nil {
-		return nil
-	}
-	if o.Counters, err = pairMap("counters", p.Counters); err != nil {
-		return err
-	}
-	if o.Gauges, err = pairMap("gauges", p.Gauges); err != nil {
-		return err
-	}
-	o.Histograms, err = pairMap("histograms", p.Histograms)
-	return err
-}
-
-// SaveCheckpoint writes the machine's state to path (gob, versioned, its
-// maps as key-sorted pairs, so that two checkpoints of one state are
-// byte-equal). The write is atomic: a temp file in the target directory
-// is renamed over path only after a complete encode, so a crash never
-// leaves a torn checkpoint. The format holds one core, so multi-core
-// machines are rejected.
+// SaveCheckpoint writes the machine's state to path (gob, versioned; two
+// checkpoints of one state are byte-equal). The write is atomic: a temp
+// file in the target directory is renamed over path only after a complete
+// encode, so a crash never leaves a torn checkpoint. The format holds one
+// core, so multi-core machines are rejected.
 func SaveCheckpoint(path string, m *Machine) error {
 	var buf bytes.Buffer
 	if err := writeCheckpoint(&buf, m); err != nil {
@@ -372,17 +276,23 @@ func writeCheckpoint(w io.Writer, m *Machine) error {
 	if len(m.cores) > 1 {
 		return fmt.Errorf("sim: checkpoints are single-core only; machine has %d cores", len(m.cores))
 	}
-	env := checkpointEnvelope{Magic: checkpointMagic, Version: checkpointVersion, State: m.Snapshot()}
-	env.Maps = packMaps(&env.State)
-	if err := gob.NewEncoder(w).Encode(env); err != nil {
+	return encodeCheckpoint(w, m.Snapshot())
+}
+
+// encodeCheckpoint writes st as a checkpoint to w.
+func encodeCheckpoint(w io.Writer, st MachineState) error {
+	enc := gob.NewEncoder(w)
+	if err := enc.Encode(checkpointHeader{Magic: checkpointMagic, Version: checkpointVersion}); err != nil {
+		return fmt.Errorf("sim: encode checkpoint: %w", err)
+	}
+	if err := enc.Encode(st); err != nil {
 		return fmt.Errorf("sim: encode checkpoint: %w", err)
 	}
 	return nil
 }
 
 // LoadCheckpoint rebuilds a machine from a checkpoint written by
-// SaveCheckpoint, or by an earlier version of it that wrote the maps as
-// maps.
+// SaveCheckpoint.
 func LoadCheckpoint(path string) (*Machine, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -398,20 +308,20 @@ func LoadCheckpoint(path string) (*Machine, error) {
 
 // readCheckpoint decodes a checkpoint from r and rebuilds its machine.
 func readCheckpoint(r io.Reader) (*Machine, error) {
-	var env checkpointEnvelope
-	if err := gob.NewDecoder(r).Decode(&env); err != nil {
+	dec := gob.NewDecoder(r)
+	var hdr checkpointHeader
+	if err := dec.Decode(&hdr); err != nil {
 		return nil, fmt.Errorf("sim: decode checkpoint: %w", err)
 	}
-	if env.Magic != checkpointMagic {
+	if hdr.Magic != checkpointMagic {
 		return nil, fmt.Errorf("sim: not a machine checkpoint")
 	}
-	if env.Version != checkpointVersion {
-		return nil, fmt.Errorf("sim: checkpoint has version %d, this binary reads %d", env.Version, checkpointVersion)
+	if hdr.Version != checkpointVersion {
+		return nil, fmt.Errorf("sim: checkpoint has version %d, this binary reads %d", hdr.Version, checkpointVersion)
 	}
-	if env.Maps != nil {
-		if err := env.Maps.unpack(&env.State); err != nil {
-			return nil, err
-		}
+	var st MachineState
+	if err := dec.Decode(&st); err != nil {
+		return nil, fmt.Errorf("sim: decode checkpoint: %w", err)
 	}
-	return RestoreMachine(env.State)
+	return RestoreMachine(st)
 }

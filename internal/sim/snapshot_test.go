@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math"
 	"os"
 	"path/filepath"
@@ -198,14 +196,10 @@ func TestCorruptGeneratorCheckpointFailsToLoad(t *testing.T) {
 			st.Gen.Spec.Phases[0].MPKI = 0
 		}},
 	} {
-		env := checkpointEnvelope{Magic: checkpointMagic, Version: checkpointVersion, State: p.warm.Snapshot()}
-		tc.tamper(&env.State)
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(env); err != nil {
-			t.Fatal(err)
-		}
+		st := p.warm.Snapshot()
+		tc.tamper(&st)
 		path := filepath.Join(dir, "corrupt.ckpt")
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, encodeState(t, st), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := LoadCheckpoint(path); err == nil {
@@ -254,8 +248,8 @@ func TestCheckpointSaveLoad(t *testing.T) {
 }
 
 // TestCheckpointRejectsMultiCore: the checkpoint format holds one core, so
-// saving a multi-core machine — directly through its embedded Machine or
-// via a Prepared wrapping one — errors instead of silently writing core 0.
+// saving a multi-core machine through its embedded Machine errors instead
+// of silently writing core 0.
 func TestCheckpointRejectsMultiCore(t *testing.T) {
 	specs, err := trace.MixByName("mix1")
 	if err != nil {
@@ -270,15 +264,8 @@ func TestCheckpointRejectsMultiCore(t *testing.T) {
 	if err := SaveCheckpoint(path, mm.Machine); err == nil {
 		t.Error("SaveCheckpoint accepted a 4-core machine")
 	}
-	p := &Prepared{warm: mm.Machine}
-	if err := p.Checkpoint(path); err == nil {
-		t.Error("Prepared.Checkpoint accepted a 4-core machine")
-	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Errorf("rejected checkpoint left a file behind (stat: %v)", err)
-	}
-	if _, err := PreparedFromMachine(mm.Machine, 1_000); err == nil {
-		t.Error("PreparedFromMachine adopted a 4-core machine")
 	}
 }
 

@@ -80,41 +80,3 @@ func TestStepInstructionsCheckpointEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestPreparedFromMachineEquivalence: rebuilding a Prepared from a
-// checkpointed warm machine must evaluate configurations identically to the
-// original Prepare — the contract behind resumable sweep jobs.
-func TestPreparedFromMachineEquivalence(t *testing.T) {
-	const accesses = 4000
-	orig, err := Prepare("lbm", 0, accesses, quickOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	path := filepath.Join(t.TempDir(), "machine.ckpt")
-	if err := orig.Checkpoint(path); err != nil {
-		t.Fatal(err)
-	}
-	m, err := LoadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := PreparedFromMachine(m, accesses)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, cfg := range []config.Config{config.StaticBaseline(), config.Default()} {
-		a, err := orig.Evaluate(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := resumed.Evaluate(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("resumed Prepared drifted for %+v:\n got %+v\nwant %+v", cfg, b.Vector(), a.Vector())
-		}
-	}
-}

@@ -75,9 +75,10 @@ func statsField(counter string) string {
 // moved.
 func checkCounters(t *testing.T, run string, reg *obs.Registry, before, after map[string]any, moved map[string]bool) {
 	t.Helper()
-	for name, v := range reg.State().Counters {
+	for _, in := range reg.State().Instruments {
+		name, v := in.Name, in.Count
 		layer, _, _ := strings.Cut(name, ".")
-		if after[layer] == nil {
+		if in.Kind != "counter" || after[layer] == nil {
 			continue
 		}
 		field := statsField(name)
@@ -141,26 +142,11 @@ func TestLayerCountersMatchStats(t *testing.T) {
 		checkCounters(t, tc.bench, reg, before, stats(), moved)
 	}
 
-	// A machine offers an eager write only when the controller has room
-	// for it, so a rejection takes a direct flood.
-	c, err := nvm.New(config.StaticBaseline(), nvm.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	o := nvm.NewObs(reg, c.WearBudget())
-	before := c.Stats()
-	for i := 0; i < 64; i++ {
-		c.EagerWrite(uint64(i)*cache.LineBytes, 0)
-	}
-	o.Publish(c.Stats())
-	checkCounters(t, "eager flood", reg, map[string]any{"nvm": before}, map[string]any{"nvm": c.Stats()}, moved)
-
 	all := obs.NewRegistry()
 	newMachineObs(all, 16, 1, true)
-	for name := range all.State().Counters {
-		if !strings.HasPrefix(name, "sim.") && !moved[name] {
-			t.Errorf("counter %s stayed zero in every run", name)
+	for _, in := range all.State().Instruments {
+		if in.Kind == "counter" && !strings.HasPrefix(in.Name, "sim.") && !moved[in.Name] {
+			t.Errorf("counter %s stayed zero in every run", in.Name)
 		}
 	}
 }
