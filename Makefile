@@ -71,7 +71,8 @@ bench-smoke:
 # Determinism check on the metrics dump itself: the same run at -workers 1
 # and -workers 4 must produce byte-identical stable dumps — once on the
 # stock llc>nvm pipeline and once with the DRAM tier interposed (the
-# dram.* metric family must be just as worker-count invariant).
+# dram.* metric family must be just as worker-count invariant). The dumps
+# are committed, so the closing git diff also fails on any drift from them.
 metrics-check:
 	$(GO) run ./cmd/mct -benchmark lbm -insts 6000000 -workers 1 -metrics-out results/metrics-w1.json >/dev/null
 	$(GO) run ./cmd/mct -benchmark lbm -insts 6000000 -workers 4 -metrics-out results/metrics-w4.json >/dev/null
@@ -79,6 +80,7 @@ metrics-check:
 	$(GO) run ./cmd/mct -benchmark lbm -insts 6000000 -dram -workers 1 -metrics-out results/metrics-dram-w1.json >/dev/null
 	$(GO) run ./cmd/mct -benchmark lbm -insts 6000000 -dram -workers 4 -metrics-out results/metrics-dram-w4.json >/dev/null
 	cmp results/metrics-dram-w1.json results/metrics-dram-w4.json
+	git diff --exit-code -- results/metrics-*.json
 
 # A bounded fuzz run of the checkpoint reader, a trust boundary: every
 # input must load or return an error, never panic. `make test` runs only
