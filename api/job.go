@@ -80,6 +80,9 @@ func (s JobSpec) Validate() error {
 		if s.Insts == 0 {
 			return fmt.Errorf("api: evaluate job: missing insts")
 		}
+		if s.WarmupAccesses < 0 {
+			return fmt.Errorf("api: evaluate job: negative warmup_accesses %d", s.WarmupAccesses)
+		}
 	case KindSweep:
 		if s.Benchmark == "" {
 			return fmt.Errorf("api: sweep job: missing benchmark")

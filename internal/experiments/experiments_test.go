@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -357,6 +358,11 @@ func TestRegistryRunsEverything(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), "nope", tinyOptions(), DefaultRunParams()); err == nil {
 		t.Fatal("unknown id must error")
+	}
+	for alias, id := range aliases {
+		if _, ok := experimentsByID[id]; !ok || slices.Contains(IDs(), alias) {
+			t.Errorf("alias %s: target %s listed %v, alias listed %v", alias, id, ok, slices.Contains(IDs(), alias))
+		}
 	}
 	// Run the cheapest entry through the registry for coverage.
 	rep, err := Run(context.Background(), "space", tinyOptions(), DefaultRunParams())

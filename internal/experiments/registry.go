@@ -44,90 +44,108 @@ func fig6PhaseOptions() phase.Options {
 	return phase.Options{IntervalInsts: 25_000, ShortWindows: 40, LongWindows: 400, Threshold: 15}
 }
 
+// runner runs one experiment and returns its report.
+type runner func(ctx context.Context, opt Options, rp RunParams) (*Report, error)
+
+// report drops an experiment's typed result and keeps its report.
+func report[T any](_ T, rep *Report, err error) (*Report, error) { return rep, err }
+
+// experimentsByID is the one list of experiments: Run dispatches on it
+// and IDs lists it.
+var experimentsByID = map[string]runner{
+	"space": func(_ context.Context, opt Options, _ RunParams) (*Report, error) {
+		return SpaceSummary(opt), nil
+	},
+	"table4": func(ctx context.Context, opt Options, _ RunParams) (*Report, error) {
+		return report(IdealByLifetime(ctx, "leslie3d", []float64{4, 6, 8, 10}, opt))
+	},
+	"fig1": func(ctx context.Context, opt Options, _ RunParams) (*Report, error) {
+		return report(IdealByApp(ctx, opt))
+	},
+	"table6": func(ctx context.Context, opt Options, _ RunParams) (*Report, error) {
+		return report(TopQuadraticFeatures(ctx, 0 /* IPC */, 3, opt))
+	},
+	"fig2": func(ctx context.Context, opt Options, rp RunParams) (*Report, error) {
+		return report(ModelComparison(ctx, rp.SampleCounts, rp.Trials, opt))
+	},
+	"fig3": func(ctx context.Context, opt Options, rp RunParams) (*Report, error) {
+		return report(WearQuotaAblation(ctx, 77, rp.Trials, opt))
+	},
+	"fig4a": func(ctx context.Context, opt Options, _ RunParams) (*Report, error) {
+		return report(LassoCoefficients(ctx, opt))
+	},
+	"fig4b": func(ctx context.Context, opt Options, _ RunParams) (*Report, error) {
+		return report(FeatureVsRandomSampling(ctx, opt))
+	},
+	"fig6": func(ctx context.Context, opt Options, _ RunParams) (*Report, error) {
+		return report(PhaseDetection(ctx, "ocean", 40_000_000, fig6PhaseOptions(), opt))
+	},
+	"fig7": func(ctx context.Context, opt Options, rp RunParams) (*Report, error) {
+		return report(MCTComparison(ctx, []string{ml.NameGBoost, ml.NameQuadraticLasso}, rp.TotalInsts, opt))
+	},
+	"fig8": func(ctx context.Context, opt Options, rp RunParams) (*Report, error) {
+		benches := []string{"lbm", "leslie3d", "GemsFDTD", "stream"}
+		return report(LifetimeSensitivity(ctx, benches, []float64{4, 6, 8, 10}, rp.TotalInsts, opt))
+	},
+	"fig9": func(ctx context.Context, opt Options, rp RunParams) (*Report, error) {
+		return report(SamplingOverhead(ctx, nil, rp.TotalInsts, opt))
+	},
+	"fig10": func(ctx context.Context, opt Options, rp RunParams) (*Report, error) {
+		return report(MultiProgram(ctx, nil, rp.TotalInsts, opt))
+	},
+	"wq-learning": func(ctx context.Context, opt Options, rp RunParams) (*Report, error) {
+		return report(WearQuotaLearning(ctx, []string{"lbm", "leslie3d"}, rp.TotalInsts, opt))
+	},
+	"ablation-norm": func(ctx context.Context, opt Options, rp RunParams) (*Report, error) {
+		return report(NormalizationAblation(ctx, 77, rp.Trials, opt))
+	},
+	"ablation-settle": func(ctx context.Context, opt Options, rp RunParams) (*Report, error) {
+		return report(SettleAblation(ctx, []string{"lbm", "stream", "gups"}, rp.TotalInsts, opt))
+	},
+	"extension-retention": func(ctx context.Context, opt Options, _ RunParams) (*Report, error) {
+		return report(RetentionExtension(ctx, []string{"lbm", "stream", "zeusmp"}, opt.LifetimeTarget, opt))
+	},
+	"validate-wearlevel": func(ctx context.Context, opt Options, _ RunParams) (*Report, error) {
+		return report(WearLevelValidation(ctx, 0, 0, opt))
+	},
+	"ablation-power": func(ctx context.Context, opt Options, _ RunParams) (*Report, error) {
+		return report(PowerBudgetAblation(ctx, []string{"lbm", "stream", "zeusmp"}, nil, opt))
+	},
+	"hybrid-tier": func(ctx context.Context, opt Options, _ RunParams) (*Report, error) {
+		return report(HybridTier(ctx, opt))
+	},
+}
+
+// aliases are the paper's table names for experiments listed under a
+// figure's ID; Run accepts them and IDs does not list them.
+var aliases = map[string]string{
+	"table5": "fig1", "table7": "fig2", "fig4": "fig4b", "table10": "fig7", "table11": "fig10",
+}
+
 // Run executes one experiment by ID and returns its report. Valid IDs are
 // listed by IDs(). Cancelling ctx aborts the experiment with ctx.Err();
 // opt.Workers bounds the parallelism of its sweeps and driver fan-out.
 // A nil opt.Sweeps gets one in-memory SweepCache for this call.
 func Run(ctx context.Context, id string, opt Options, rp RunParams) (*Report, error) {
+	if to, ok := aliases[id]; ok {
+		id = to
+	}
+	run, ok := experimentsByID[id]
+	if !ok {
+		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
+	}
 	if opt.Sweeps == nil {
 		opt.Sweeps = NewSweepCache("")
 	}
-	switch id {
-	case "space":
-		return SpaceSummary(opt), nil
-	case "table4":
-		bench := "leslie3d"
-		_, rep, err := IdealByLifetime(ctx, bench, []float64{4, 6, 8, 10}, opt)
-		return rep, err
-	case "fig1", "table5":
-		_, rep, err := IdealByApp(ctx, opt)
-		return rep, err
-	case "table6":
-		_, rep, err := TopQuadraticFeatures(ctx, 0 /* IPC */, 3, opt)
-		return rep, err
-	case "fig2", "table7":
-		_, rep, err := ModelComparison(ctx, rp.SampleCounts, rp.Trials, opt)
-		return rep, err
-	case "fig3":
-		_, rep, err := WearQuotaAblation(ctx, 77, rp.Trials, opt)
-		return rep, err
-	case "fig4a":
-		_, rep, err := LassoCoefficients(ctx, opt)
-		return rep, err
-	case "fig4", "fig4b":
-		_, rep, err := FeatureVsRandomSampling(ctx, opt)
-		return rep, err
-	case "fig6":
-		_, rep, err := PhaseDetection(ctx, "ocean", 40_000_000, fig6PhaseOptions(), opt)
-		return rep, err
-	case "fig7", "table10":
-		_, rep, err := MCTComparison(ctx, []string{ml.NameGBoost, ml.NameQuadraticLasso}, rp.TotalInsts, opt)
-		return rep, err
-	case "fig8":
-		benches := []string{"lbm", "leslie3d", "GemsFDTD", "stream"}
-		_, rep, err := LifetimeSensitivity(ctx, benches, []float64{4, 6, 8, 10}, rp.TotalInsts, opt)
-		return rep, err
-	case "fig9":
-		_, rep, err := SamplingOverhead(ctx, nil, rp.TotalInsts, opt)
-		return rep, err
-	case "fig10", "table11":
-		_, rep, err := MultiProgram(ctx, nil, rp.TotalInsts, opt)
-		return rep, err
-	case "wq-learning":
-		_, rep, err := WearQuotaLearning(ctx, []string{"lbm", "leslie3d"}, rp.TotalInsts, opt)
-		return rep, err
-	case "ablation-norm":
-		_, rep, err := NormalizationAblation(ctx, 77, rp.Trials, opt)
-		return rep, err
-	case "ablation-settle":
-		_, rep, err := SettleAblation(ctx, []string{"lbm", "stream", "gups"}, rp.TotalInsts, opt)
-		return rep, err
-	case "extension-retention":
-		_, rep, err := RetentionExtension(ctx, []string{"lbm", "stream", "zeusmp"}, opt.LifetimeTarget, opt)
-		return rep, err
-	case "validate-wearlevel":
-		_, rep, err := WearLevelValidation(ctx, 0, 0, opt)
-		return rep, err
-	case "ablation-power":
-		_, rep, err := PowerBudgetAblation(ctx, []string{"lbm", "stream", "zeusmp"}, nil, opt)
-		return rep, err
-	case "hybrid-tier":
-		_, rep, err := HybridTier(ctx, opt)
-		return rep, err
-	default:
-		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
-	}
+	return run(ctx, opt, rp)
 }
 
-// IDs lists the runnable experiment identifiers.
+// IDs returns the experiment IDs accepted by Run, sorted; aliases are not
+// listed.
 func IDs() []string {
-	ids := []string{
-		"space", "table4", "fig1", "table6", "fig2", "fig3",
-		"fig4a", "fig4b", "fig6", "fig7", "fig8", "fig9", "fig10",
-		"wq-learning",
-		"ablation-norm", "ablation-settle", "ablation-power",
-		"validate-wearlevel", "extension-retention",
-		"hybrid-tier",
+	ids := make([]string, 0, len(experimentsByID))
+	for id := range experimentsByID {
+		ids = append(ids, id)
 	}
 	sort.Strings(ids)
 	return ids

@@ -174,7 +174,7 @@ func (p Params) Validate() error {
 // 1/(EnduranceBase·Calibration·r²) of one line.
 type Stats struct {
 	Reads          uint64
-	ReadLatencySum uint64 // cycles, enqueue to data delivered
+	ReadLatencySum uint64 `obs:"read_latency_cycles"` // cycles, enqueue to data delivered
 
 	DemandWrites    uint64 // demand writebacks completed or in flight
 	EagerWrites     uint64 // eager mellow writes issued

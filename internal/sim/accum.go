@@ -1,6 +1,9 @@
 package sim
 
-import "mct/internal/nvm"
+import (
+	"mct/internal/dram"
+	"mct/internal/nvm"
+)
 
 // Accum aggregates the window metrics of one configuration across
 // non-contiguous windows — exactly what the cyclic fine-grained sampling
@@ -22,9 +25,9 @@ type Accum struct {
 	hitWeighted                                 float64 // Σ hitRate·window accesses (approximated by reads+writes)
 	windows                                     int
 
-	// DRAM tier counters (all zero when the system has no DRAM tier).
-	dramHits, dramMisses, dramWriteHits    uint64
-	dramEagerAbsorbed, dramPromos, dramWbs uint64
+	// dram sums the DRAM tier counters Metrics carries (all zero when the
+	// system has no DRAM tier).
+	dram dram.Stats
 }
 
 // NewAccum returns an empty accumulator for systems described by opt.
@@ -59,12 +62,12 @@ func (a *Accum) Add(m Metrics) {
 		a.writesByRatio[r] += n
 	}
 	a.hitWeighted += m.LLCHitRate * float64(m.MemReads+m.MemWrites)
-	a.dramHits += m.DRAMHits
-	a.dramMisses += m.DRAMMisses
-	a.dramWriteHits += m.DRAMWriteHits
-	a.dramEagerAbsorbed += m.DRAMEagerAbsorbed
-	a.dramPromos += m.DRAMPromotions
-	a.dramWbs += m.DRAMWritebacks
+	a.dram.Hits += m.DRAMHits
+	a.dram.Misses += m.DRAMMisses
+	a.dram.WriteHits += m.DRAMWriteHits
+	a.dram.EagerAbsorbed += m.DRAMEagerAbsorbed
+	a.dram.Promotions += m.DRAMPromotions
+	a.dram.Writebacks += m.DRAMWritebacks
 }
 
 // Metrics returns the aggregate as a single Metrics value.
@@ -97,18 +100,8 @@ func (a *Accum) Metrics() Metrics {
 
 	st := nvm.Stats{Reads: a.memReads, WritesByRatio: a.writesByRatio}
 	if a.opt.Tiers.DRAMCache {
-		mt.DRAMHits = a.dramHits
-		mt.DRAMMisses = a.dramMisses
-		mt.DRAMWriteHits = a.dramWriteHits
-		mt.DRAMEagerAbsorbed = a.dramEagerAbsorbed
-		mt.DRAMPromotions = a.dramPromos
-		mt.DRAMWritebacks = a.dramWbs
-		if tot := a.dramHits + a.dramMisses; tot > 0 {
-			mt.DRAMHitRate = float64(a.dramHits) / float64(tot)
-		}
-		reads := a.dramHits
-		writes := a.dramWriteHits + a.dramEagerAbsorbed + a.dramPromos
-		mt.Energy = a.opt.Energy.ComputeTiered(a.insts, a.seconds, st, reads, writes)
+		mt.setDRAM(a.dram)
+		mt.Energy = a.opt.Energy.ComputeTiered(a.insts, a.seconds, st, dramReads(a.dram), dramWrites(a.dram))
 	} else {
 		mt.Energy = a.opt.Energy.Compute(a.insts, a.seconds, st)
 	}

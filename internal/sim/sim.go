@@ -572,7 +572,7 @@ func (m *Machine) laneMetrics(l *lane) Metrics {
 	llc1 := m.llc.Stats()
 	d1 := l.dramStats()
 	if m.obsv != nil {
-		m.obsv.publish(llc1, s1, d1, true)
+		m.obsv.publish(layerStats{llc1, s1, d1}, true)
 	}
 	multi := len(l.cores) > 1
 
@@ -633,13 +633,7 @@ func (m *Machine) laneMetrics(l *lane) Metrics {
 	em.CPUStaticPower *= float64(len(l.cores))
 	if l.dram != nil {
 		dd := diffDRAM(l.winStartDRAM, d1)
-		mt.DRAMHits = dd.Hits
-		mt.DRAMMisses = dd.Misses
-		mt.DRAMWriteHits = dd.WriteHits
-		mt.DRAMEagerAbsorbed = dd.EagerAbsorbed
-		mt.DRAMPromotions = dd.Promotions
-		mt.DRAMWritebacks = dd.Writebacks
-		mt.DRAMHitRate = dd.HitRate()
+		mt.setDRAM(dd)
 		mt.Energy = em.ComputeTiered(mt.Instructions, seconds, dst, dramReads(dd), dramWrites(dd))
 	} else {
 		mt.Energy = em.Compute(mt.Instructions, seconds, dst)
@@ -675,6 +669,17 @@ func diffDRAM(s0, s1 dram.Stats) dram.Stats {
 		Writebacks:    s1.Writebacks - s0.Writebacks,
 		DrainFlushes:  s1.DrainFlushes - s0.DrainFlushes,
 	}
+}
+
+// setDRAM sets the DRAM tier fields of mt from the tier's counters d.
+func (mt *Metrics) setDRAM(d dram.Stats) {
+	mt.DRAMHits = d.Hits
+	mt.DRAMMisses = d.Misses
+	mt.DRAMWriteHits = d.WriteHits
+	mt.DRAMEagerAbsorbed = d.EagerAbsorbed
+	mt.DRAMPromotions = d.Promotions
+	mt.DRAMWritebacks = d.Writebacks
+	mt.DRAMHitRate = d.HitRate()
 }
 
 // dramReads/dramWrites map tier counters to DRAM array accesses for the

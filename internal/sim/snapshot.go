@@ -121,7 +121,7 @@ type MachineState struct {
 func (m *Machine) Snapshot() MachineState {
 	var obsState *obs.State
 	if m.obsv != nil {
-		m.obsv.publish(m.llc.Stats(), m.ctrl.Stats(), m.dramStats(), false)
+		m.obsv.publish(m.layerStats(), false)
 		s := m.obsv.reg.State()
 		obsState = &s
 	}

@@ -1,56 +1,74 @@
 package sim
 
 import (
+	"maps"
 	"reflect"
 	"strings"
 	"testing"
 
-	"mct/internal/cache"
 	"mct/internal/config"
-	"mct/internal/dram"
-	"mct/internal/nvm"
 	"mct/internal/obs"
 )
 
-// instrumentFields counts the *obs.Counter, *obs.Gauge and *obs.Histogram
-// fields of struct type t, descending into pointers to the publishers it
-// bundles.
-func instrumentFields(t reflect.Type) int {
-	n := 0
-	for i := 0; i < t.NumField(); i++ {
-		ft := t.Field(i).Type
-		if ft.Kind() != reflect.Pointer || ft.Elem().Kind() != reflect.Struct {
-			continue
-		}
-		switch e := ft.Elem(); {
-		case e == reflect.TypeOf(obs.Registry{}): // where they register, not an instrument
-		case e.PkgPath() == "mct/internal/obs":
-			n++
-		default:
-			n += instrumentFields(e)
-		}
-	}
-	return n
+// nvmOnlyInstruments is every instrument AttachObserver registers on an
+// NVM-only machine, by name, with its kind; dramInstruments are the ones a
+// DRAM tier adds. Renaming a Stats field renames its counter, and fails
+// here.
+var nvmOnlyInstruments = map[string]string{
+	"cache.hits": "counter", "cache.misses": "counter",
+	"cache.writebacks": "counter", "cache.eager_writes": "counter",
+	"cache.lru_hit_position": "histogram", "cache.writeback_rate": "gauge",
+
+	"nvm.reads": "counter", "nvm.read_latency_cycles": "counter",
+	"nvm.demand_writes": "counter", "nvm.eager_writes": "counter",
+	"nvm.fast_writes": "counter", "nvm.slow_writes": "counter",
+	"nvm.forced_writes": "counter", "nvm.cancelled_writes": "counter",
+	"nvm.read_cell_cycles": "counter", "nvm.write_pulse_cycles": "counter",
+	"nvm.row_hits": "counter", "nvm.row_misses": "counter",
+	"nvm.queue_full_stalls": "counter", "nvm.forced_slices": "counter",
+	"nvm.total_slices": "counter", "nvm.eager_conversions": "counter",
+	"nvm.bank_queue_depth": "histogram", "nvm.bank_wear": "histogram",
+	"nvm.wear_max_frac": "gauge", "nvm.wear_total": "gauge",
+	"nvm.write_queue_peak": "gauge",
+
+	"sim.windows": "counter",
 }
 
-// TestObsConstructorsRegisterEachField: every layer publisher, built on an
-// empty registry, registers one name per instrument field. Two fields
-// registered under one name share one instrument and silently merge two
-// metrics, which the registry cannot see.
-func TestObsConstructorsRegisterEachField(t *testing.T) {
+var dramInstruments = map[string]string{
+	"dram.hits": "counter", "dram.misses": "counter",
+	"dram.write_hits": "counter", "dram.write_misses": "counter",
+	"dram.eager_absorbed": "counter", "dram.promotions": "counter",
+	"dram.writebacks": "counter", "dram.drain_flushes": "counter",
+	"dram.hit_rate": "gauge",
+}
+
+// TestAttachObserverRegistersExactly: AttachObserver registers exactly
+// the pinned instruments, 28 on an NVM-only machine and 37 with the DRAM
+// tier, each under its pinned kind.
+func TestAttachObserverRegistersExactly(t *testing.T) {
+	withDRAM := maps.Clone(nvmOnlyInstruments)
+	maps.Copy(withDRAM, dramInstruments)
 	for _, tc := range []struct {
 		name string
-		make func(r *obs.Registry) any
+		opt  Options
+		want map[string]string
+		n    int
 	}{
-		{"cache", func(r *obs.Registry) any { return cache.NewObs(r, 16) }},
-		{"nvm", func(r *obs.Registry) any { return nvm.NewObs(r, 1) }},
-		{"dram", func(r *obs.Registry) any { return dram.NewObs(r) }},
-		{"sim", func(r *obs.Registry) any { return newMachineObs(r, 16, 1, true) }},
+		{"nvm-only", DefaultOptions(), nvmOnlyInstruments, 28},
+		{"dram", tieredOptions(), withDRAM, 37},
 	} {
-		r := obs.NewRegistry()
-		o := tc.make(r)
-		if got, want := len(r.Names()), instrumentFields(reflect.TypeOf(o).Elem()); got != want {
-			t.Errorf("%s: %d names registered for %d instrument fields: %v", tc.name, got, want, r.Names())
+		m, err := NewMachine(mustSpec(t, "lbm"), config.Default(), tc.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		m.AttachObserver(reg)
+		got := map[string]string{}
+		for _, in := range reg.State().Instruments {
+			got[in.Name] = in.Kind
+		}
+		if len(tc.want) != tc.n || !maps.Equal(got, tc.want) {
+			t.Errorf("%s: registered %d instruments %v, want %d %v", tc.name, len(got), got, tc.n, tc.want)
 		}
 	}
 }

@@ -171,8 +171,8 @@ func DefaultRuntimeOptions() RuntimeOptions { return core.DefaultOptions() }
 
 // NewMachine builds a simulated system running the named benchmark under
 // cfg. Options: WithSimOptions (default DefaultSimOptions), WithObserver
-// (cache/nvm metric families publish to the registry at window
-// boundaries).
+// (the cache, nvm and, with the DRAM tier, dram metric families, derived
+// from each tier's Stats, publish to the registry at window boundaries).
 func NewMachine(ctx context.Context, benchmark string, cfg Config, opts ...Option) (*Machine, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
