@@ -1,4 +1,6 @@
-# Standard verify recipe; CI (.github/workflows/ci.yml) runs the same steps.
+# Standard verify recipe. CI (.github/workflows/ci.yml) calls these targets
+# for vet, perfbench-test, bench-smoke, fuzz-checkpoint, metrics-check and
+# serve-smoke, so the commands live in one place.
 
 GO ?= go
 
@@ -60,8 +62,8 @@ bench-smoke:
 	$(GO) run ./cmd/mctbench -experiment space -quick -quiet
 	./scripts/sweep_cache_smoke.sh
 	$(GO) test -run '^$$' -bench 'BenchmarkEvaluate(WarmClone|Batch|BatchWidth)$$' -benchtime 5x .
-	$(GO) test -run '^$$' -bench 'Benchmark(Tiered)?BatchedStepLoop' -benchtime 200000x ./internal/sim
-	$(GO) test -run 'Test(Tiered)?BatchedStepLoopZeroAllocs|TestLaneFanOutZeroAllocs' -count 1 ./internal/sim
+	$(GO) test -run '^$$' -bench 'BenchmarkMachineStep|Benchmark(Tiered)?BatchedStepLoop' -benchtime 200000x ./internal/sim
+	$(GO) test -run 'TestStepSteadyStateAllocs|Test(Tiered)?BatchedStepLoopZeroAllocs|TestLaneFanOutZeroAllocs' -count 1 ./internal/sim
 	$(GO) test -run '^$$' -bench 'BenchmarkEvaluateBatchSharing' -benchtime 1x ./internal/sim
 	$(GO) test -run '^$$' -bench 'BenchmarkControllerBusy' -benchtime 200000x ./internal/nvm
 	$(GO) test -run 'TestControllerBusyZeroAllocs' -count 1 ./internal/nvm

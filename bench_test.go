@@ -16,7 +16,6 @@ import (
 	"mct/internal/core"
 	"mct/internal/experiments"
 	"mct/internal/ml"
-	"mct/internal/phase"
 	"mct/internal/sim"
 	"mct/internal/stats"
 	"mct/internal/trace"
@@ -154,8 +153,7 @@ func BenchmarkFig6PhaseDetection(b *testing.B) {
 	opt := benchOptions()
 	var detected float64
 	for i := 0; i < b.N; i++ {
-		po := mctPhaseOptions()
-		res, _, err := experiments.PhaseDetection(context.Background(), "ocean", 25_000_000, po, opt)
+		res, _, err := experiments.PhaseDetection(context.Background(), "ocean", 25_000_000, 25_000, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -492,7 +490,3 @@ func BenchmarkEvaluateBatchWidth(b *testing.B) {
 }
 
 func geo(xs []float64) float64 { return stats.GeoMean(xs) }
-
-func mctPhaseOptions() phase.Options {
-	return phase.Options{IntervalInsts: 25_000, ShortWindows: 40, LongWindows: 400, Threshold: 15}
-}

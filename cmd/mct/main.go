@@ -34,6 +34,7 @@ import (
 	"mct/api"
 	"mct/internal/engine"
 	"mct/internal/server"
+	"mct/internal/sim"
 )
 
 // refRun is one finished reference simulation.
@@ -242,7 +243,7 @@ func startReferenceRuns(ctx context.Context, bench string, insts uint64, workers
 				if err != nil {
 					return refRun{}, err
 				}
-				m.Warmup(60_000)
+				m.Warmup(sim.DefaultWarmupAccesses)
 				return refRun{label: refs[i].label, m: m.RunInstructions(insts)}, nil
 			})
 		ch <- refResult{runs: runs, err: err}

@@ -48,11 +48,11 @@ func fail(err error) {
 
 // checkFlags rejects negative counts, which server.New would otherwise
 // read as the defaults.
-func checkFlags(workers, queueCap, perClient, sweepChunk int) error {
+func checkFlags(workers, queueCap, perClient int) error {
 	for _, f := range []struct {
 		name string
 		v    int
-	}{{"workers", workers}, {"queue-cap", queueCap}, {"per-client", perClient}, {"sweep-chunk", sweepChunk}} {
+	}{{"workers", workers}, {"queue-cap", queueCap}, {"per-client", perClient}} {
 		if f.v < 0 {
 			return fmt.Errorf("-%s %d: want 0 (the default) or a positive count", f.name, f.v)
 		}
@@ -62,16 +62,14 @@ func checkFlags(workers, queueCap, perClient, sweepChunk int) error {
 
 func main() {
 	var (
-		addr       = flag.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
-		state      = flag.String("state", "mctd-state", "durable state directory")
-		workers    = flag.Int("workers", 0, "intra-job parallel workers (0 = GOMAXPROCS)")
-		queueCap   = flag.Int("queue-cap", 0, "max queued jobs in total (0 = default)")
-		clientCap  = flag.Int("per-client", 0, "max queued jobs per client (0 = default)")
-		chunkInsts = flag.Uint64("checkpoint-insts", 0, "instructions per evaluate-job checkpoint chunk (0 = default)")
-		sweepChunk = flag.Int("sweep-chunk", 0, "configurations per sweep-job checkpoint chunk (0 = default)")
+		addr      = flag.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
+		state     = flag.String("state", "mctd-state", "durable state directory")
+		workers   = flag.Int("workers", 0, "intra-job parallel workers (0 = GOMAXPROCS)")
+		queueCap  = flag.Int("queue-cap", 0, "max queued jobs in total (0 = default)")
+		clientCap = flag.Int("per-client", 0, "max queued jobs per client (0 = default)")
 	)
 	flag.Parse()
-	if err := checkFlags(*workers, *queueCap, *clientCap, *sweepChunk); err != nil {
+	if err := checkFlags(*workers, *queueCap, *clientCap); err != nil {
 		fail(err)
 	}
 
@@ -83,8 +81,6 @@ func main() {
 		Workers:      *workers,
 		QueueCap:     *queueCap,
 		PerClientCap: *clientCap,
-		ChunkInsts:   *chunkInsts,
-		SweepChunk:   *sweepChunk,
 	})
 	if err != nil {
 		fail(err)

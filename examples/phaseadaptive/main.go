@@ -26,15 +26,12 @@ func main() {
 	}
 	ro := mct.DefaultRuntimeOptions()
 	ro.EnablePhaseDetection = true
-	// Scale the detector to the simulated run length (the paper uses
-	// I=1M instructions with 100·I/1000·I windows on 2B-instruction
+	// Scale the detector interval to the simulated run length (the paper
+	// uses I=1M instructions with 100·I/1000·I windows on 2B-instruction
 	// runs): the short window must fit inside one of ocean's coarse
 	// phases. The runtime observes once per testing chunk, so the chunk
 	// size sets the detector interval.
 	ro.TestChunkInsts = 25_000
-	ro.Phase.ShortWindows = 40
-	ro.Phase.LongWindows = 400
-	ro.Phase.Threshold = 15
 
 	runtime, err := mct.NewRuntime(ctx, machine, mct.DefaultObjective(8), mct.WithRuntimeOptions(ro))
 	if err != nil {

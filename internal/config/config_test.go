@@ -217,23 +217,6 @@ func TestEnumerateDeterministicAndUnique(t *testing.T) {
 	}
 }
 
-func TestSpaceIndexOf(t *testing.T) {
-	s := NewSpace(SpaceOptions{IncludeWearQuota: true, WearQuotaTarget: 8})
-	for _, i := range []int{0, 1, 100, s.Len() - 1} {
-		c := s.At(i)
-		got, ok := s.IndexOf(c)
-		if !ok || got != i {
-			t.Fatalf("IndexOf(At(%d)) = %d,%v", i, got, ok)
-		}
-	}
-	if _, ok := s.IndexOf(Config{FastLatency: 1.25, SlowLatency: 1.25}); ok {
-		t.Fatal("off-grid config must not be found")
-	}
-	if got := len(s.Configs()); got != s.Len() {
-		t.Fatalf("Configs() length %d != %d", got, s.Len())
-	}
-}
-
 func TestSpaceStrided(t *testing.T) {
 	s := NewSpace(SpaceOptions{}) // 2030 configurations
 	for _, tc := range []struct{ stride, n, last int }{
@@ -259,14 +242,18 @@ func TestSpaceFilterAndDistinct(t *testing.T) {
 			t.Fatal("filter returned non-matching config")
 		}
 	}
-	vals := s.DistinctValues(6) // fast_latency dimension
-	if len(vals) != len(LatencyGrid) {
-		t.Fatalf("distinct fast latencies = %v", vals)
-	}
-	for i := 1; i < len(vals); i++ {
-		if vals[i] <= vals[i-1] {
-			t.Fatal("DistinctValues not sorted")
+	// The space's distinct fast latencies are exactly LatencyGrid: the
+	// per-value filters are non-empty and partition the space.
+	covered := 0
+	for _, v := range LatencyGrid {
+		n := len(s.Filter(func(c Config) bool { return c.FastLatency == v }))
+		if n == 0 {
+			t.Fatalf("no configuration with fast latency %v", v)
 		}
+		covered += n
+	}
+	if covered != s.Len() {
+		t.Fatalf("fast latencies of LatencyGrid cover %d of %d configurations", covered, s.Len())
 	}
 }
 

@@ -1,7 +1,5 @@
 package config
 
-import "sort"
-
 // Grid values for the discretized configuration space. The paper reports
 // 3,164 total configurations without giving the grids; with these grids the
 // enumeration yields 4,060 (2,030 without wear quota) — same magnitude and
@@ -112,17 +110,11 @@ func Enumerate(opt SpaceOptions) []Config {
 // Space is an immutable, indexed view of an enumerated configuration space.
 type Space struct {
 	configs []Config
-	index   map[[10]int16]int
 }
 
-// NewSpace enumerates the space under opt and indexes it.
+// NewSpace enumerates the space under opt.
 func NewSpace(opt SpaceOptions) *Space {
-	cfgs := Enumerate(opt)
-	s := &Space{configs: cfgs, index: make(map[[10]int16]int, len(cfgs))}
-	for i, c := range cfgs {
-		s.index[c.Key()] = i
-	}
-	return s
+	return &Space{configs: Enumerate(opt)}
 }
 
 // Len returns the number of configurations in the space.
@@ -130,19 +122,6 @@ func (s *Space) Len() int { return len(s.configs) }
 
 // At returns the configuration at index i.
 func (s *Space) At(i int) Config { return s.configs[i] }
-
-// Configs returns a copy of all configurations.
-func (s *Space) Configs() []Config {
-	out := make([]Config, len(s.configs))
-	copy(out, s.configs)
-	return out
-}
-
-// IndexOf returns the index of c in the space and whether it is present.
-func (s *Space) IndexOf(c Config) (int, bool) {
-	i, ok := s.index[c.Canonical().Key()]
-	return i, ok
-}
 
 // Strided returns every stride-th index of the space, ascending from 0 — the
 // configurations a strided brute-force sweep evaluates. A stride below 1
@@ -165,20 +144,4 @@ func (s *Space) Filter(keep func(Config) bool) []int {
 		}
 	}
 	return idx
-}
-
-// DistinctValues returns the sorted distinct values of the d-th dimension of
-// the 10-dimensional vector encoding across the space. Useful for building
-// stratified (feature-based) sample grids.
-func (s *Space) DistinctValues(d int) []float64 {
-	seen := map[float64]bool{}
-	for _, c := range s.configs {
-		seen[c.Vector()[d]] = true
-	}
-	vals := make([]float64, 0, len(seen))
-	for v := range seen {
-		vals = append(vals, v)
-	}
-	sort.Float64s(vals)
-	return vals
 }

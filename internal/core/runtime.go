@@ -12,16 +12,13 @@ import (
 	"mct/internal/sim"
 )
 
-// SamplerKind selects the sample-set strategy (Figure 4b).
-type SamplerKind int
-
-// Sampler kinds.
+// Health checking (§5.4): after every healthCheckEvery testing chunks the
+// baseline runs for one chunk, and the runtime reverts to the baseline if
+// the chosen configuration's aggregate testing IPC underperforms the
+// aggregate of the baseline health windows by more than healthMargin.
 const (
-	// SamplerFeatureBased grids the three lasso-selected primary features
-	// (§4.4); MCT's default.
-	SamplerFeatureBased SamplerKind = iota
-	// SamplerRandom draws RandomSamples configurations uniformly.
-	SamplerRandom
+	healthCheckEvery = 5
+	healthMargin     = 0.02
 )
 
 // Options configures the MCT runtime. Instruction budgets are scaled to the
@@ -38,9 +35,6 @@ type Options struct {
 	// offline data the runtime cannot construct itself.
 	NewPredictor func() (ml.Predictor, error)
 
-	Sampler       SamplerKind
-	RandomSamples int
-
 	// Space options for the learning space. MCT excludes wear quota from
 	// learning (§4.4) — IncludeWearQuota should stay false; the lifetime
 	// guarantee instead comes from the fixup.
@@ -55,16 +49,9 @@ type Options struct {
 	// loops all samples in units of t for T/(N·t) rounds.
 	SamplingTotalInsts uint64
 	// TestChunkInsts is the granularity of testing-period execution,
-	// monitoring and phase observation.
+	// monitoring and phase observation: it is the phase detector's
+	// interval I.
 	TestChunkInsts uint64
-
-	// HealthCheckEvery runs the baseline for one chunk after this many
-	// testing chunks and reverts to the baseline if the chosen
-	// configuration's aggregate testing IPC underperforms the aggregate of
-	// the baseline health windows by more than HealthMargin (§5.4).
-	// 0 disables health checking.
-	HealthCheckEvery int
-	HealthMargin     float64
 
 	// SampleSettleFrac is the fraction of a sampling unit run (but not
 	// attributed to the sample) right after each configuration switch, so
@@ -72,10 +59,10 @@ type Options struct {
 	// contaminate the next sample's measurements.
 	SampleSettleFrac float64
 
-	// EnablePhaseDetection re-triggers learning when the detector fires
-	// during the testing period.
+	// EnablePhaseDetection re-triggers learning when the detector
+	// (phase.New, one observation per testing chunk) fires during the
+	// testing period.
 	EnablePhaseDetection bool
-	Phase                phase.Options
 
 	// WarmupAccesses warms the system (LLC fill) before the first
 	// learning cycle; 0 skips warmup. Warmup instructions do not count
@@ -106,27 +93,13 @@ type Options struct {
 func DefaultOptions() Options {
 	return Options{
 		Model:              "gboost",
-		Sampler:            SamplerFeatureBased,
-		RandomSamples:      80,
 		BaselineInsts:      300_000,
 		SampleUnitInsts:    25_000,
 		SamplingTotalInsts: 4_500_000,
 		TestChunkInsts:     100_000,
-		HealthCheckEvery:   5,
-		HealthMargin:       0.02,
 		SampleSettleFrac:   0.2,
-		// Detector windows scaled so the short window fits inside a
-		// coarse phase (the paper's I=1M with 100/1000 windows assumes
-		// billions of instructions; here phases are millions). The
-		// runtime overrides IntervalInsts with TestChunkInsts.
-		Phase: phase.Options{
-			IntervalInsts: 25_000,
-			ShortWindows:  40,
-			LongWindows:   400,
-			Threshold:     15,
-		},
-		WarmupAccesses: 60_000,
-		Seed:           42,
+		WarmupAccesses:     sim.DefaultWarmupAccesses,
+		Seed:               42,
 	}
 }
 
@@ -135,19 +108,8 @@ func (o Options) Validate() error {
 	if o.BaselineInsts == 0 || o.SampleUnitInsts == 0 || o.SamplingTotalInsts == 0 || o.TestChunkInsts == 0 {
 		return fmt.Errorf("core: zero instruction budget in options")
 	}
-	if o.Sampler == SamplerRandom && o.RandomSamples <= 0 {
-		return fmt.Errorf("core: random sampler needs RandomSamples > 0")
-	}
-	if o.HealthMargin < 0 || o.HealthMargin > 1 {
-		return fmt.Errorf("core: health margin %g outside [0,1]", o.HealthMargin)
-	}
 	if o.SampleSettleFrac < 0 || o.SampleSettleFrac > 1 {
 		return fmt.Errorf("core: sample settle fraction %g outside [0,1]", o.SampleSettleFrac)
-	}
-	if o.EnablePhaseDetection {
-		if err := o.Phase.Validate(); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -285,9 +247,7 @@ func New(machine System, obj Objective, opt Options) (*Runtime, error) {
 		r.baseline.WearQuotaTarget = lt
 	}
 	if opt.EnablePhaseDetection {
-		po := opt.Phase
-		po.IntervalInsts = opt.TestChunkInsts
-		r.detector = phase.New(po)
+		r.detector = phase.New(opt.TestChunkInsts)
 	}
 	if opt.Obs != nil {
 		r.robs = newRuntimeObs(opt.Obs)
@@ -306,12 +266,7 @@ func (r *Runtime) Baseline() config.Config { return r.baseline }
 func (r *Runtime) plan() sampling.Plan {
 	// A fresh stream per call keeps every phase's plan identical for a
 	// given seed, matching the paper's fixed sample set.
-	switch r.opt.Sampler {
-	case SamplerRandom:
-		return sampling.Random(r.space, r.opt.RandomSamples, rng.New(r.opt.Seed))
-	default:
-		return sampling.FeatureBased(r.space, rng.New(r.opt.Seed))
-	}
+	return sampling.FeatureBased(r.space, rng.New(r.opt.Seed))
 }
 
 // Run executes MCT for totalInsts instructions and reports the aggregated
@@ -537,7 +492,7 @@ func (r *Runtime) runPhase(phaseNo int, budget uint64, overall, samplingAll, tes
 			}
 		}
 
-		if !pr.Reverted && r.opt.HealthCheckEvery > 0 && chunks%r.opt.HealthCheckEvery == 0 && used < budget {
+		if !pr.Reverted && chunks%healthCheckEvery == 0 && used < budget {
 			if r.robs != nil {
 				r.robs.healthChecks.Inc()
 			}
@@ -556,7 +511,7 @@ func (r *Runtime) runPhase(phaseNo int, budget uint64, overall, samplingAll, tes
 			}
 			// Compare rolling aggregates (single chunks are too noisy for
 			// a never-worse guarantee).
-			if chosenAgg.Metrics().IPC < healthAgg.Metrics().IPC*(1-r.opt.HealthMargin) {
+			if chosenAgg.Metrics().IPC < healthAgg.Metrics().IPC*(1-healthMargin) {
 				// Never worse than the baseline system (§5.4).
 				pr.Reverted = true
 				chosen = r.baseline

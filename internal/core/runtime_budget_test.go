@@ -93,20 +93,24 @@ func (f *fakeSystem) Options() sim.Options              { return f.opt }
 func (f *fakeSystem) Warmup(int) uint64                 { return 0 }
 
 // fakeRuntimeOptions are small budgets tuned to the fakeSystem timeline:
-// baseline ends at 100k instructions, sampling at 200k, testing after.
+// baseline ends at 100k instructions, and one round of the feature-based
+// plan's samples, 10k instructions each, ends sampling at
+// fakeTestingStarts; testing runs after.
 func fakeRuntimeOptions() Options {
 	o := DefaultOptions()
-	o.Sampler = SamplerRandom
-	o.RandomSamples = 5
 	o.BaselineInsts = 100_000
 	o.SampleUnitInsts = 10_000
 	o.SamplingTotalInsts = 100_000
 	o.TestChunkInsts = 50_000
-	o.HealthCheckEvery = 2
-	o.HealthMargin = 0.02
 	o.SampleSettleFrac = 0
 	o.WarmupAccesses = 0
 	return o
+}
+
+// fakeTestingStarts is where the testing period of fakeRuntimeOptions
+// begins: the baseline window plus one unit per feature-based sample.
+func fakeTestingStarts(rt *Runtime) uint64 {
+	return rt.opt.BaselineInsts + uint64(rt.plan().Len())*rt.opt.SampleUnitInsts
 }
 
 func newFakeRuntime(t *testing.T, f *fakeSystem, o Options) *Runtime {
@@ -126,10 +130,13 @@ func newFakeRuntime(t *testing.T, f *fakeSystem, o Options) *Runtime {
 // testing, so the health check must revert the machine to the baseline and
 // leave it there.
 func TestHealthRevertSwitchesBackToBaseline(t *testing.T) {
-	f := &fakeSystem{degradeAfter: 200_000}
+	f := &fakeSystem{}
 	rt := newFakeRuntime(t, f, fakeRuntimeOptions())
+	start := fakeTestingStarts(rt)
+	f.degradeAfter = start
 
-	res, err := rt.Run(600_000)
+	// Room for two health checks: each follows healthCheckEvery chunks.
+	res, err := rt.Run(start + 2*(healthCheckEvery+1)*rt.opt.TestChunkInsts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +160,7 @@ func TestNoHealthRevertWhenChosenHolds(t *testing.T) {
 	f := &fakeSystem{} // non-baseline stays at IPC 2.2 forever
 	rt := newFakeRuntime(t, f, fakeRuntimeOptions())
 
-	res, err := rt.Run(600_000)
+	res, err := rt.Run(fakeTestingStarts(rt) + 4*(healthCheckEvery+1)*rt.opt.TestChunkInsts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,20 +177,18 @@ func TestNoHealthRevertWhenChosenHolds(t *testing.T) {
 // runtime starts a fresh learning cycle.
 func TestPhaseChangeStartsNewLearningCycle(t *testing.T) {
 	o := fakeRuntimeOptions()
-	o.HealthCheckEvery = 0 // isolate the detector path
 	o.EnablePhaseDetection = true
-	o.Phase.ShortWindows = 3
-	o.Phase.LongWindows = 20
-	// A 10× traffic jump inflates the long window's variance along with its
-	// mean, capping the Welch score near 4–5; steady-state scores stay below
-	// 1, so 3 separates them cleanly.
-	o.Phase.Threshold = 3
-	// Jump after the detector has a primed history: testing starts at 200k,
-	// 8 chunks of 50k pass before the shift.
-	f := &fakeSystem{trafficJumpAfter: 600_000}
+	f := &fakeSystem{}
 	rt := newFakeRuntime(t, f, o)
+	// Jump after a long quiet history: a 10× jump inflates the long
+	// window's variance along with its mean, so the Welch score peaks near
+	// 60 against 360 quiet intervals but only near 15.4, barely over the
+	// threshold of 15, against 80. The detector also observes the
+	// baseline chunk each health check adds.
+	const quiet = 360
+	f.trafficJumpAfter = fakeTestingStarts(rt) + quiet*o.TestChunkInsts
 
-	res, err := rt.Run(2_000_000)
+	res, err := rt.Run(f.trafficJumpAfter + 100*o.TestChunkInsts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,8 +198,12 @@ func TestPhaseChangeStartsNewLearningCycle(t *testing.T) {
 	if len(res.Phases) < 2 {
 		t.Fatalf("phase change must start a new learning cycle, got %d phase(s)", len(res.Phases))
 	}
-	if !res.Phases[0].PhaseChange {
+	first := res.Phases[0]
+	if !first.PhaseChange {
 		t.Error("first phase record must mark the early end")
+	}
+	if ran := first.Baseline.Instructions + first.Sampling.Instructions + first.Testing.Instructions; ran < f.trafficJumpAfter {
+		t.Errorf("first phase ended at %d instructions, before the traffic jump at %d", ran, f.trafficJumpAfter)
 	}
 }
 

@@ -23,8 +23,9 @@
 //
 // A smaller promotion threshold is more aggressive: more of the working
 // set migrates to DRAM (higher hit ratio, more DRAM energy, fewer NVM
-// writes). The threshold is an online-settable knob (SetPromoteThreshold)
-// so it can be swept and learned like the mellow-writes parameters.
+// writes). The threshold is fixed when the tier is built
+// (config.TierConfig.DRAMPromoteThreshold), so sweeping it means one
+// machine per value.
 //
 // The tier obeys the package-wide hot-path discipline: the line and
 // page-table arrays are flat SoA lanes allocated at construction, and no
@@ -233,17 +234,6 @@ func (d *Cache) Name() string { return "dram" }
 
 // Stats returns a snapshot of the counters.
 func (d *Cache) Stats() Stats { return d.st }
-
-// SetPromoteThreshold adjusts the promotion knob on a live tier; cached
-// lines and page counters are preserved (online reconfiguration, like
-// nvm.Controller.SetConfig).
-func (d *Cache) SetPromoteThreshold(n int) error {
-	if n < 1 || n > MaxPromoteThreshold {
-		return fmt.Errorf("dram: promote threshold %d outside [1,%d]", n, MaxPromoteThreshold)
-	}
-	d.promote = n
-	return nil
-}
 
 func (d *Cache) locate(addr uint64) (setIdx int, tag uint64) {
 	lineAddr := addr / LineBytes

@@ -227,8 +227,7 @@ func TestWearQuotaAblation(t *testing.T) {
 
 func TestPhaseDetectionExperiment(t *testing.T) {
 	opt := tinyOptions()
-	po := fig6PhaseOptions()
-	res, rep, err := PhaseDetection(context.Background(), "ocean", 12_000_000, po, opt)
+	res, rep, err := PhaseDetection(context.Background(), "ocean", 12_000_000, fig6Interval, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,8 +27,9 @@ type PhaseDetectionResult struct {
 
 // PhaseDetection reproduces Figure 6: run a workload (ocean in the paper)
 // under the static configuration, observe the memory workload every
-// interval, and record the t-test scores and detected phases.
-func PhaseDetection(ctx context.Context, benchmark string, totalInsts uint64, po phase.Options, opt Options) (*PhaseDetectionResult, *Report, error) {
+// intervalInsts instructions, and record the t-test scores and detected
+// phases.
+func PhaseDetection(ctx context.Context, benchmark string, totalInsts, intervalInsts uint64, opt Options) (*PhaseDetectionResult, *Report, error) {
 	spec, err := trace.ByName(benchmark)
 	if err != nil {
 		return nil, nil, err
@@ -39,7 +40,7 @@ func PhaseDetection(ctx context.Context, benchmark string, totalInsts uint64, po
 	if err != nil {
 		return nil, nil, err
 	}
-	det := phase.New(po)
+	det := phase.New(intervalInsts)
 
 	res := &PhaseDetectionResult{Benchmark: benchmark}
 	var insts uint64
@@ -47,7 +48,7 @@ func PhaseDetection(ctx context.Context, benchmark string, totalInsts uint64, po
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		w := m.RunInstructions(po.IntervalInsts)
+		w := m.RunInstructions(det.Interval())
 		insts += w.Instructions
 		score, newPhase := det.Observe(float64(w.MemReads + w.MemWrites))
 		res.Points = append(res.Points, PhasePoint{
@@ -62,7 +63,7 @@ func PhaseDetection(ctx context.Context, benchmark string, totalInsts uint64, po
 	}
 
 	tbl := Table{
-		Title:  fmt.Sprintf("Figure 6: phase detection on %s (I=%d insts, threshold=%.0f)", benchmark, po.IntervalInsts, po.Threshold),
+		Title:  fmt.Sprintf("Figure 6: phase detection on %s (I=%d insts, threshold=%d)", benchmark, intervalInsts, phase.Threshold),
 		Header: []string{"insts(M)", "mem_requests", "t_score", "phase"},
 	}
 	for _, p := range res.Points {

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"mct/internal/ml"
-	"mct/internal/phase"
 )
 
 // RunParams tunes the per-experiment knobs used by Run.
@@ -37,12 +36,10 @@ func QuickRunParams() RunParams {
 	}
 }
 
-// fig6PhaseOptions scales the paper's detector (I=1M, 100/1000 windows) to
-// the simulator's trace lengths while keeping the ratios' spirit: dramatic
-// phases must dominate the short window.
-func fig6PhaseOptions() phase.Options {
-	return phase.Options{IntervalInsts: 25_000, ShortWindows: 40, LongWindows: 400, Threshold: 15}
-}
+// fig6Interval is Figure 6's detector interval I: the paper's 1M scaled to
+// the simulator's trace lengths, so ocean's coarse phases dominate the
+// detector's short window.
+const fig6Interval = 25_000
 
 // runner runs one experiment and returns its report.
 type runner func(ctx context.Context, opt Options, rp RunParams) (*Report, error)
@@ -78,7 +75,7 @@ var experimentsByID = map[string]runner{
 		return report(FeatureVsRandomSampling(ctx, opt))
 	},
 	"fig6": func(ctx context.Context, opt Options, _ RunParams) (*Report, error) {
-		return report(PhaseDetection(ctx, "ocean", 40_000_000, fig6PhaseOptions(), opt))
+		return report(PhaseDetection(ctx, "ocean", 40_000_000, fig6Interval, opt))
 	},
 	"fig7": func(ctx context.Context, opt Options, rp RunParams) (*Report, error) {
 		return report(MCTComparison(ctx, []string{ml.NameGBoost, ml.NameQuadraticLasso}, rp.TotalInsts, opt))

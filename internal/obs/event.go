@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 )
 
@@ -28,19 +27,8 @@ type Event struct {
 	// Text is a preformatted human-readable line; sinks that only render
 	// text may ignore everything else.
 	Text string
-	// Values carries window metrics keyed by metric-style names. Use
-	// ValueKeys for deterministic iteration.
+	// Values carries window metrics keyed by metric-style names.
 	Values map[string]float64
-}
-
-// ValueKeys returns the sorted keys of Values.
-func (e Event) ValueKeys() []string {
-	keys := make([]string, 0, len(e.Values))
-	for k := range e.Values {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // TraceSink consumes events. Sinks must be safe to call from multiple

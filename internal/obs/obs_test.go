@@ -257,11 +257,3 @@ func TestTextSink(t *testing.T) {
 		t.Errorf("TextSink output = %q", got)
 	}
 }
-
-func TestEventValueKeys(t *testing.T) {
-	e := Event{Values: map[string]float64{"z.v": 1, "a.v": 2}}
-	keys := e.ValueKeys()
-	if len(keys) != 2 || keys[0] != "a.v" || keys[1] != "z.v" {
-		t.Errorf("ValueKeys = %v", keys)
-	}
-}

@@ -7,81 +7,67 @@
 // by normalization and fine-grained sampling.
 package phase
 
-import (
-	"fmt"
+import "mct/internal/stats"
 
-	"mct/internal/stats"
-)
-
-// Options configures a Detector.
-type Options struct {
-	// IntervalInsts is I: one workload observation per I instructions.
-	IntervalInsts uint64
-	// ShortWindows is the number of recent intervals forming the test
+// The detector's fixed windows and threshold. The paper observes every
+// I=1M instructions with 100/1000-interval windows on billions of
+// instructions; the simulator's phases last millions, so the windows are
+// scaled down until the short one fits inside one coarse phase, and the
+// threshold stays the paper's.
+const (
+	// shortWindows is the number of recent intervals forming the test
 	// window (paper: 100).
-	ShortWindows int
-	// LongWindows is the history length in intervals (paper: 1000).
-	LongWindows int
-	// Threshold is the t-score above which a new phase is declared
-	// (paper: 15).
-	Threshold float64
-}
-
-// Validate checks option sanity.
-func (o Options) Validate() error {
-	if o.IntervalInsts == 0 {
-		return fmt.Errorf("phase: zero interval")
-	}
-	if o.ShortWindows < 2 || o.LongWindows <= o.ShortWindows {
-		return fmt.Errorf("phase: windows must satisfy 2 ≤ short < long (got %d/%d)", o.ShortWindows, o.LongWindows)
-	}
-	if o.Threshold <= 0 {
-		return fmt.Errorf("phase: non-positive threshold %g", o.Threshold)
-	}
-	return nil
-}
+	shortWindows = 40
+	// longWindows is the history length in intervals (paper: 1000).
+	longWindows = 400
+	// Threshold is the t-score above which a new phase is declared.
+	Threshold = 15
+)
 
 // Detector consumes per-interval memory-workload counts and reports phase
 // changes. It is not safe for concurrent use.
 type Detector struct {
-	opt  Options
-	hist []float64 // ring of recent interval workloads, oldest first
+	interval uint64
+	hist     []float64 // ring of recent interval workloads, oldest first
 }
 
-// New returns a Detector; it panics on invalid options (programmer error).
-func New(opt Options) *Detector {
-	if err := opt.Validate(); err != nil {
-		panic(err)
+// New returns a Detector fed one workload observation per intervalInsts
+// instructions (I); it panics on a zero interval (programmer error).
+func New(intervalInsts uint64) *Detector {
+	if intervalInsts == 0 {
+		panic("phase: zero interval")
 	}
-	return &Detector{opt: opt, hist: make([]float64, 0, opt.LongWindows)}
+	return &Detector{interval: intervalInsts, hist: make([]float64, 0, longWindows)}
 }
+
+// Interval returns I, the instructions per observation.
+func (d *Detector) Interval() uint64 { return d.interval }
 
 // Observe folds in the memory-request count of the latest interval and
 // returns the current t-score and whether a new phase was declared. On a
 // new phase the history is cleared ("clear off the counters and restart").
 func (d *Detector) Observe(memRequests float64) (score float64, newPhase bool) {
 	d.hist = append(d.hist, memRequests)
-	if len(d.hist) > d.opt.LongWindows {
+	if len(d.hist) > longWindows {
 		d.hist = d.hist[1:]
 	}
 	score = d.Score()
-	if score > d.opt.Threshold {
+	if score > Threshold {
 		d.Reset()
 		return score, true
 	}
 	return score, false
 }
 
-// Score computes the Welch t-score between the most recent ShortWindows
+// Score computes the Welch t-score between the most recent shortWindows
 // intervals and the full history. It returns 0 until the history holds at
-// least 2·ShortWindows intervals (the test needs a meaningful long window).
+// least 2·shortWindows intervals (the test needs a meaningful long window).
 func (d *Detector) Score() float64 {
 	n := len(d.hist)
-	short := d.opt.ShortWindows
-	if n < 2*short {
+	if n < 2*shortWindows {
 		return 0
 	}
-	recent := d.hist[n-short:]
+	recent := d.hist[n-shortWindows:]
 	long := d.hist // "the past 1000·I instructions" includes the recent window
 	return stats.TScore(
 		stats.Mean(recent), stats.Variance(recent), len(recent),

@@ -5,38 +5,17 @@ import (
 	"testing"
 )
 
-func opts() Options {
-	return Options{IntervalInsts: 1000, ShortWindows: 10, LongWindows: 100, Threshold: 15}
-}
-
-func TestValidate(t *testing.T) {
-	if err := opts().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := []Options{
-		{IntervalInsts: 0, ShortWindows: 10, LongWindows: 100, Threshold: 15},
-		{IntervalInsts: 1, ShortWindows: 1, LongWindows: 100, Threshold: 15},
-		{IntervalInsts: 1, ShortWindows: 10, LongWindows: 10, Threshold: 15},
-		{IntervalInsts: 1, ShortWindows: 10, LongWindows: 100, Threshold: 0},
-	}
-	for i, o := range bad {
-		if err := o.Validate(); err == nil {
-			t.Errorf("options %d should be invalid", i)
-		}
-	}
-}
-
 func TestNewPanicsOnInvalid(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(Options{})
+	New(0)
 }
 
 func TestStationaryWorkloadNoPhase(t *testing.T) {
-	d := New(opts())
+	d := New(1000)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 500; i++ {
 		// Stationary noise around 100 requests/interval.
@@ -47,7 +26,7 @@ func TestStationaryWorkloadNoPhase(t *testing.T) {
 }
 
 func TestStepChangeDetected(t *testing.T) {
-	d := New(opts())
+	d := New(1000)
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 200; i++ {
 		d.Observe(100 + rng.NormFloat64()*5)
@@ -70,8 +49,8 @@ func TestStepChangeDetected(t *testing.T) {
 }
 
 func TestNoScoreBeforeWarm(t *testing.T) {
-	d := New(opts())
-	for i := 0; i < 2*opts().ShortWindows-1; i++ {
+	d := New(1000)
+	for i := 0; i < 2*shortWindows-1; i++ {
 		if s, _ := d.Observe(float64(i * 100)); s != 0 {
 			t.Fatalf("score before warm history = %v, want 0", s)
 		}
@@ -81,7 +60,7 @@ func TestNoScoreBeforeWarm(t *testing.T) {
 func TestGradualDriftTolerated(t *testing.T) {
 	// Slow drift should not look like a dramatic phase: the long window
 	// tracks it.
-	d := New(opts())
+	d := New(1000)
 	rng := rand.New(rand.NewSource(3))
 	level := 100.0
 	phases := 0
@@ -97,19 +76,18 @@ func TestGradualDriftTolerated(t *testing.T) {
 }
 
 func TestHistoryBounded(t *testing.T) {
-	o := opts()
-	d := New(o)
+	d := New(1000)
 	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 3*o.LongWindows; i++ {
+	for i := 0; i < 3*longWindows; i++ {
 		d.Observe(50 + rng.NormFloat64())
 	}
-	if len(d.hist) > o.LongWindows {
-		t.Fatalf("history %d exceeds cap %d", len(d.hist), o.LongWindows)
+	if len(d.hist) > longWindows {
+		t.Fatalf("history %d exceeds cap %d", len(d.hist), longWindows)
 	}
 }
 
 func TestReset(t *testing.T) {
-	d := New(opts())
+	d := New(1000)
 	for i := 0; i < 50; i++ {
 		d.Observe(10)
 	}
@@ -117,7 +95,7 @@ func TestReset(t *testing.T) {
 	if len(d.hist) != 0 {
 		t.Fatal("Reset must clear history")
 	}
-	if d.opt != opts() {
-		t.Fatal("Reset must keep the options")
+	if d.Interval() != 1000 {
+		t.Fatal("Reset must keep the interval")
 	}
 }

@@ -77,28 +77,9 @@ type ExecOptions struct {
 	// Checkpoints, when non-nil, enables resumable persistence (see
 	// Checkpoints). Nil runs the job in memory only.
 	Checkpoints *Checkpoints
-	// ChunkInsts / SweepChunk override the persistence granularity
-	// (0 = the package defaults).
-	ChunkInsts uint64
-	SweepChunk int
-
 	// onChunk, when non-nil, runs after each persisted chunk — a test seam
 	// for interrupting a job at a deterministic point.
 	onChunk func(done, total int)
-}
-
-func (o ExecOptions) chunkInsts() uint64 {
-	if o.ChunkInsts > 0 {
-		return o.ChunkInsts
-	}
-	return DefaultChunkInsts
-}
-
-func (o ExecOptions) sweepChunk() int {
-	if o.SweepChunk > 0 {
-		return o.SweepChunk
-	}
-	return DefaultSweepChunk
 }
 
 func (o ExecOptions) emit(e obs.Event) {
@@ -177,7 +158,6 @@ func execEvaluate(ctx context.Context, spec api.JobSpec, opt ExecOptions) ([]byt
 		m.Warmup(warm) // ends by opening the measurement window
 	}
 	total := spec.Insts
-	chunk := opt.chunkInsts()
 	for {
 		done := m.WindowInstructions()
 		if done >= total {
@@ -186,11 +166,7 @@ func execEvaluate(ctx context.Context, spec api.JobSpec, opt ExecOptions) ([]byt
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		n := total - done
-		if n > chunk {
-			n = chunk
-		}
-		m.StepInstructions(n)
+		m.StepInstructions(min(total-done, DefaultChunkInsts))
 		if ck := opt.Checkpoints; ck != nil {
 			if err := sim.SaveCheckpoint(ck.machinePath(), m); err != nil {
 				return nil, err
@@ -240,12 +216,8 @@ func execSweep(ctx context.Context, spec api.JobSpec, opt ExecOptions) ([]byte, 
 		return nil, err
 	}
 
-	chunk := opt.sweepChunk()
-	for start := len(done); start < len(indices); start += chunk {
-		end := start + chunk
-		if end > len(indices) {
-			end = len(indices)
-		}
+	for start := len(done); start < len(indices); start += DefaultSweepChunk {
+		end := min(start+DefaultSweepChunk, len(indices))
 		cfgs := make([]config.Config, end-start)
 		for i := range cfgs {
 			cfgs[i] = space.At(indices[start+i])

@@ -24,9 +24,6 @@ type Options struct {
 	// QueueCap / PerClientCap bound the queued backlog (0 = defaults).
 	QueueCap     int
 	PerClientCap int
-	// ChunkInsts / SweepChunk set checkpoint granularity (0 = defaults).
-	ChunkInsts uint64
-	SweepChunk int
 	// Obs receives the server's own counters and the engine family from
 	// job fan-out, and backs /metrics. Nil creates a private registry.
 	Obs *obs.Registry
@@ -195,8 +192,6 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 		Events:      sink,
 		Obs:         s.reg,
 		Checkpoints: s.store.checkpoints(j.snapshot().ID),
-		ChunkInsts:  s.opt.ChunkInsts,
-		SweepChunk:  s.opt.SweepChunk,
 	})
 	switch {
 	case err == nil:

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -30,13 +31,19 @@ func evalSpec(insts uint64) api.JobSpec {
 	}
 }
 
+// evalChunks is an evaluate job length that spans several
+// DefaultChunkInsts chunks: two whole ones and a partial third.
+const evalChunks = 5 * DefaultChunkInsts / 2
+
+// sweepSpec is a sweep over 102 strided configurations, two
+// DefaultSweepChunk chunks (64 and 38).
 func sweepSpec() api.JobSpec {
 	return api.JobSpec{
 		V:         api.Version,
 		Kind:      api.KindSweep,
 		Benchmark: "lbm",
 		Accesses:  1500,
-		Stride:    200,
+		Stride:    20,
 	}
 }
 
@@ -145,7 +152,7 @@ func interruptAfter(n int, cancel context.CancelFunc) func(done, total int) {
 // from the checkpoint and produce an artifact byte-identical to an
 // uninterrupted run's.
 func TestExecuteEvaluateResume(t *testing.T) {
-	spec := evalSpec(200_000)
+	spec := evalSpec(evalChunks)
 	want, err := Execute(context.Background(), spec, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +163,6 @@ func TestExecuteEvaluateResume(t *testing.T) {
 	defer cancel()
 	_, err = Execute(ctx, spec, ExecOptions{
 		Checkpoints: ck,
-		ChunkInsts:  40_000,
 		onChunk:     interruptAfter(1, cancel),
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -166,7 +172,7 @@ func TestExecuteEvaluateResume(t *testing.T) {
 		t.Fatalf("no machine checkpoint after interrupt: %v", err)
 	}
 
-	got, err := Execute(context.Background(), spec, ExecOptions{Checkpoints: ck, ChunkInsts: 40_000})
+	got, err := Execute(context.Background(), spec, ExecOptions{Checkpoints: ck})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +198,6 @@ func TestExecuteSweepResume(t *testing.T) {
 	_, err = Execute(ctx, spec, ExecOptions{
 		Workers:     1,
 		Checkpoints: ck,
-		SweepChunk:  4,
 		onChunk:     interruptAfter(1, cancel),
 	})
 	if err == nil {
@@ -205,7 +210,7 @@ func TestExecuteSweepResume(t *testing.T) {
 		t.Fatalf("a sweep job wrote a machine checkpoint (stat: %v)", err)
 	}
 
-	got, err := Execute(context.Background(), spec, ExecOptions{Workers: 4, Checkpoints: ck, SweepChunk: 4})
+	got, err := Execute(context.Background(), spec, ExecOptions{Workers: 4, Checkpoints: ck})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +244,7 @@ func startRunner(t *testing.T, srv *Server) (stop func()) {
 }
 
 func TestServerHTTPLifecycle(t *testing.T) {
-	srv, err := New(Options{StateDir: t.TempDir(), ChunkInsts: 50_000})
+	srv, err := New(Options{StateDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +253,7 @@ func TestServerHTTPLifecycle(t *testing.T) {
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 
-	spec := evalSpec(100_000)
+	spec := evalSpec(evalChunks)
 	resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", bytes.NewReader(api.Encode(spec)))
 	if err != nil {
 		t.Fatal(err)
@@ -445,7 +450,7 @@ func TestServerCancelQueued(t *testing.T) {
 // and fails it as cancelled by the client; afterwards the job's status and
 // its event stream still answer, each with the terminal failed state.
 func TestServerCancelRunning(t *testing.T) {
-	srv, err := New(Options{StateDir: t.TempDir(), ChunkInsts: 20_000})
+	srv, err := New(Options{StateDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,7 +524,7 @@ func TestServerCancelRunning(t *testing.T) {
 // and finish with an artifact byte-identical to an uninterrupted run — with
 // its Resumes count recording the restart.
 func TestServerRestartResume(t *testing.T) {
-	spec := evalSpec(200_000)
+	spec := evalSpec(evalChunks)
 	want, err := Execute(context.Background(), spec, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -544,14 +549,13 @@ func TestServerRestartResume(t *testing.T) {
 	defer cancel()
 	_, err = Execute(ctx, spec, ExecOptions{
 		Checkpoints: &Checkpoints{Dir: st.jobDir(id)},
-		ChunkInsts:  40_000,
 		onChunk:     interruptAfter(1, cancel),
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupt: got %v, want context.Canceled", err)
 	}
 
-	srv, err := New(Options{StateDir: stateDir, ChunkInsts: 40_000})
+	srv, err := New(Options{StateDir: stateDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -584,6 +588,59 @@ func TestServerRestartResume(t *testing.T) {
 	// The resume state must be cleaned up once the artifact is durable.
 	if _, err := os.Stat((&Checkpoints{Dir: st.jobDir(id)}).machinePath()); !os.IsNotExist(err) {
 		t.Fatalf("machine checkpoint not cleaned up after completion: %v", err)
+	}
+}
+
+// TestServerArtifactWriteFails: when the finished artifact cannot be made
+// durable, the job fails with the write error rather than reporting done.
+// A non-empty directory where jobs/<id>/artifact.json goes makes the
+// atomic rename fail after the job has computed its result.
+func TestServerArtifactWriteFails(t *testing.T) {
+	srv, err := New(Options{StateDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := srv.Submit("alice", evalSpec(evalChunks))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocker := filepath.Join(srv.store.jobDir(st.ID), "artifact.json")
+	if err := os.MkdirAll(filepath.Join(blocker, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	failed := srv.reg.Counter("server.jobs_failed")
+	completed := srv.reg.Counter("server.jobs_completed")
+	stop := startRunner(t, srv)
+	j := srv.job(st.ID)
+	waitDone(t, j)
+	stop() // the terminal status reaches disk after j.done closes
+
+	got := j.snapshot()
+	if got.State != api.StateFailed || !strings.Contains(got.Error, "artifact.json") {
+		t.Fatalf("job with an unwritable artifact is %s (error %q), want failed with the write error", got.State, got.Error)
+	}
+	if got.ArtifactBytes != 0 {
+		t.Errorf("failed job reports %d artifact bytes", got.ArtifactBytes)
+	}
+	if failed.Value() != 1 || completed.Value() != 0 {
+		t.Errorf("server.jobs_failed %d, server.jobs_completed %d; want 1 and 0", failed.Value(), completed.Value())
+	}
+	records, err := srv.store.load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(records) != 1 || records[0].status.State != api.StateFailed {
+		t.Fatalf("status on disk %+v, want the one job failed", records)
+	}
+
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	resp, err := http.Get(hs.URL + "/v1/jobs/" + st.ID + "/artifact")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body := readAll(t, resp); resp.StatusCode != http.StatusConflict {
+		t.Fatalf("artifact of the failed job: status %d (%s), want 409", resp.StatusCode, body)
 	}
 }
 
@@ -635,14 +692,14 @@ func TestServerRestartKeepsHistory(t *testing.T) {
 // TestServerSSE: the events stream always ends with the terminal status
 // frame, whether the subscriber joins before, during, or after the run.
 func TestServerSSE(t *testing.T) {
-	srv, err := New(Options{StateDir: t.TempDir(), ChunkInsts: 25_000})
+	srv, err := New(Options{StateDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 
-	st, err := srv.Submit("alice", evalSpec(100_000))
+	st, err := srv.Submit("alice", evalSpec(evalChunks))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -712,7 +769,7 @@ func TestCLIDaemonParity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, err := New(Options{StateDir: t.TempDir(), Workers: 3, SweepChunk: 4})
+	srv, err := New(Options{StateDir: t.TempDir(), Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -360,15 +360,6 @@ func (m *Machine) Tiers() []hierarchy.Tier {
 	return append(ts, m.ctrl)
 }
 
-// SetPromoteThreshold retunes the DRAM tier's hot-page promotion
-// threshold online; errors on NVM-only machines.
-func (m *Machine) SetPromoteThreshold(n int) error {
-	if m.dram == nil {
-		return fmt.Errorf("sim: machine has no DRAM tier")
-	}
-	return m.dram.SetPromoteThreshold(n)
-}
-
 // dramStats returns the DRAM tier's counters, zero on NVM-only machines.
 func (l *lane) dramStats() dram.Stats {
 	if l.dram == nil {

@@ -96,16 +96,6 @@ type Spec struct {
 	Phases []Phase
 }
 
-// TotalCycleInsts returns the instruction length of one pass through the
-// phase schedule.
-func (s Spec) TotalCycleInsts() uint64 {
-	var t uint64
-	for _, p := range s.Phases {
-		t += p.Insts
-	}
-	return t
-}
-
 // Generator produces the access stream for a Spec. It is not safe for
 // concurrent use.
 type Generator struct {

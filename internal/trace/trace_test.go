@@ -147,9 +147,6 @@ func TestOceanHasPhases(t *testing.T) {
 	if len(spec.Phases) < 2 {
 		t.Fatal("ocean must be multi-phase")
 	}
-	if spec.TotalCycleInsts() == 0 {
-		t.Fatal("zero cycle length")
-	}
 	// Windowed MPKI must vary substantially across the phase schedule.
 	g := NewGenerator(spec, rng.NewRand(3))
 	var mpkis []float64

@@ -42,7 +42,7 @@ go build -o "$BIN/mctd" ./cmd/mctd
 
 start_mctd() {
     rm -f "$STATE/mctd.addr" # a stale address file would short-circuit the readiness poll
-    "$BIN/mctd" -addr 127.0.0.1:0 -state "$STATE" -checkpoint-insts 200000 "$@" \
+    "$BIN/mctd" -addr 127.0.0.1:0 -state "$STATE" "$@" \
         > "$WORK/mctd.log" 2>&1 &
     MCTD_PID=$!
     for _ in $(seq 1 50); do
@@ -115,12 +115,15 @@ say "metrics and SSE verified"
 
 # --- phase 2: kill -9 mid-job, restart, resume -----------------------------
 
+# The job spans 100 of the daemon's 1M-instruction checkpoint chunks, so it
+# is still running when the polls below see it running and find its first
+# checkpoint; at a few chunks it can finish between two polls.
 cat > "$WORK/eval.json" <<'EOF'
 {
   "v": 1,
   "kind": "evaluate",
   "benchmark": "stream",
-  "insts": 4000000,
+  "insts": 100000000,
   "config": {
     "v": 1,
     "bank_aware": true,
