@@ -4,9 +4,10 @@
 // claims rest on the simulator being deterministic and numerically careful:
 // a silent float-equality branch, a truncating cycle cast or map order
 // reaching a sum can shift IPC/lifetime predictions and invalidate the
-// reproduced figure shapes. The cmd/mctlint driver walks the module, runs the
-// registered analyzers over every type-checked package, and reports
-// findings as "file:line: [rule] message".
+// reproduced figure shapes. TestModuleTreeClean, part of go test ./...,
+// walks the module, runs the registered analyzers over every type-checked
+// package, and fails on each finding, printed as "file:line: [rule] message"
+// with the path relative to the module.
 //
 // Findings can be suppressed with a directive comment on the offending line
 // or on the line directly above it:
@@ -76,15 +77,13 @@ func ForEachFunc(file *ast.File, visit func(fn ast.Node, body *ast.BlockStmt)) {
 type Analyzer struct {
 	// Name is the rule identifier used in output and ignore directives.
 	Name string
-	// Doc is a one-line description for the driver's -rules listing.
-	Doc string
 	// Run inspects one package and reports findings via pass.Reportf.
 	Run func(pass *Pass)
 }
 
-// Analyzers returns the default registry: every simulator-aware rule
-// shipped with mctlint. maprange walks whole function bodies
-// (ForEachFunc); the others match single statements or declarations.
+// Analyzers returns the registry: every simulator-aware rule. maprange
+// walks whole function bodies (ForEachFunc); the others match single
+// statements or declarations.
 // Copying a lock by value is go vet's copylocks check and data races are
 // the race detector's, so no rule here repeats them. Determinism of
 // reports, dumps and checkpoints, the completeness of Clone/Snapshot,
@@ -116,9 +115,9 @@ type suppressKey struct {
 // L+1 (trailing comment or comment-above placement). A malformed directive
 // (missing rule or reason) suppresses nothing; it, and a well-formed one
 // naming a rule outside the full registry, is reported under the reserved
-// rule name "mctlint". The registry check ignores any -only/-skip
-// selection: a directive for a rule that exists but is not running is
-// still live.
+// rule name "mctlint". The registry check uses the full registry even when
+// fewer analyzers run: a directive for a rule that exists but is not running
+// is still live.
 func suppressions(pass *Pass) map[suppressKey]bool {
 	suppressed := map[suppressKey]bool{}
 	for _, f := range pass.Files {
@@ -135,7 +134,7 @@ func suppressions(pass *Pass) map[suppressKey]bool {
 					continue
 				}
 				if !registered(fields[0]) {
-					pass.Reportf(c.Pos(), "mctlint", "ignore directive names unknown rule %q (see mctlint -rules)", fields[0])
+					pass.Reportf(c.Pos(), "mctlint", "ignore directive names unknown rule %q (see analysis.Analyzers)", fields[0])
 				}
 				pos := pass.Fset.Position(c.Pos())
 				suppressed[suppressKey{pos.Filename, pos.Line, fields[0]}] = true

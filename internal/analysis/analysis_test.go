@@ -7,9 +7,11 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 // wantRe matches trailing fixture markers of the form "// want rule [rule...]".
@@ -127,51 +129,75 @@ func TestMalformedIgnoreReported(t *testing.T) {
 	}
 	want := []string{
 		"badignore.go:7 malformed ignore directive: want //mctlint:ignore <rule> <reason>",
-		`badignore.go:15 ignore directive names unknown rule "floateqq" (see mctlint -rules)`,
+		`badignore.go:15 ignore directive names unknown rule "floateqq" (see analysis.Analyzers)`,
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("directive findings mismatch\n got: %v\nwant: %v", got, want)
 	}
 }
 
-// TestModuleTreeClean is the in-repo form of the acceptance criterion
-// "go run ./cmd/mctlint ./... exits 0": every package of the module must be
-// free of findings under the full registry.
-func TestModuleTreeClean(t *testing.T) {
-	root := moduleRoot(t)
+// runFullLint runs the full registry over every module package and returns
+// the packages walked and the surviving findings.
+func runFullLint(tb testing.TB, root string) ([]string, []Diagnostic) {
+	tb.Helper()
 	loader, err := NewLoader(root)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	paths, err := loader.PackageDirs(root)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	if len(paths) < 10 {
-		t.Fatalf("suspiciously few packages found: %v", paths)
-	}
-	// The linter must lint itself: the default walk has to cover the
-	// analysis framework and the driver, not just the simulator packages.
-	mod := loader.ModulePath()
-	for _, self := range []string{mod + "/internal/analysis", mod + "/cmd/mctlint"} {
-		found := false
-		for _, p := range paths {
-			if p == self {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("default walk misses %s; the linter would not lint itself", self)
-		}
-	}
+	var diags []Diagnostic
 	for _, p := range paths {
 		pkg, err := loader.Load(p)
 		if err != nil {
-			t.Fatalf("load %s: %v", p, err)
+			tb.Fatalf("load %s: %v", p, err)
 		}
-		for _, d := range RunAnalyzers(NewPass(loader, pkg), Analyzers()) {
-			t.Errorf("unexpected finding: %s", d)
+		diags = append(diags, RunAnalyzers(NewPass(loader, pkg), Analyzers())...)
+	}
+	return paths, diags
+}
+
+// BenchmarkLintTree measures one full-registry pass over the module: the
+// number to watch when adding a rule.
+func BenchmarkLintTree(b *testing.B) {
+	root := moduleRoot(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		runFullLint(b, root)
+	}
+}
+
+// TestModuleTreeClean is the module's one lint pass: every package must be
+// free of findings under the full registry, each finding printed as
+// "path:line: [rule] message" with a module-relative path. The pass (cold
+// caches) must also finish inside a wall-clock budget, so a new rule cannot
+// silently blow up lint time; the budget leaves generous headroom over the
+// observed few-second pass and is not checked under -short.
+func TestModuleTreeClean(t *testing.T) {
+	const budget = 120 * time.Second
+	root := moduleRoot(t)
+	start := time.Now()
+	paths, diags := runFullLint(t, root)
+	elapsed := time.Since(start)
+	if len(paths) < 10 {
+		t.Fatalf("suspiciously few packages found: %v", paths)
+	}
+	// The linter must lint itself: the walk has to cover the analysis
+	// framework, not just the simulator packages.
+	if !slices.ContainsFunc(paths, func(p string) bool { return strings.HasSuffix(p, "/internal/analysis") }) {
+		t.Errorf("module walk misses internal/analysis; the linter would not lint itself")
+	}
+	for _, d := range diags {
+		file := d.Pos.Filename
+		if rel, err := filepath.Rel(root, file); err == nil {
+			file = filepath.ToSlash(rel)
 		}
+		t.Errorf("%s:%d: [%s] %s", file, d.Pos.Line, d.Rule, d.Message)
+	}
+	t.Logf("full lint pass: %v (budget %v)", elapsed, budget)
+	if !testing.Short() && elapsed > budget {
+		t.Fatalf("full lint pass took %v, over the %v budget", elapsed, budget)
 	}
 }

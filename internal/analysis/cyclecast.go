@@ -35,7 +35,6 @@ func narrowTarget(k types.BasicKind) (bits int, signed bool, ok bool) {
 // suppress with the justification, or keep the wide type.
 var CycleCast = &Analyzer{
 	Name: "cyclecast",
-	Doc:  "no narrowing conversions of uint64/int64 counters (e.g. int(uint64Expr)); clamp and justify, or stay wide",
 	Run: func(pass *Pass) {
 		for _, f := range pass.Files {
 			ast.Inspect(f, func(n ast.Node) bool {

@@ -35,7 +35,6 @@ func isExactZero(pass *Pass, e ast.Expr) bool {
 // written justification where exactness is genuinely intended.
 var FloatEq = &Analyzer{
 	Name: "floateq",
-	Doc:  "no ==/!= between float operands (except against literal 0); use internal/floats.Eq or justify with an ignore directive",
 	Run: func(pass *Pass) {
 		for _, f := range pass.Files {
 			ast.Inspect(f, func(n ast.Node) bool {

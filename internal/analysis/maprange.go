@@ -23,7 +23,6 @@ import (
 // return counts too; go vet's unreachable check reports that code.
 var MapRange = &Analyzer{
 	Name: "maprange",
-	Doc:  "no map iteration whose order reaches output or an order-sensitive accumulation; sort keys first",
 	Run: func(pass *Pass) {
 		for _, f := range pass.Files {
 			ForEachFunc(f, func(fn ast.Node, body *ast.BlockStmt) {

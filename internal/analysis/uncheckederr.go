@@ -69,7 +69,6 @@ func exemptCallee(pass *Pass, call *ast.CallExpr) bool {
 // into measuring the wrong thing.
 var UncheckedErr = &Analyzer{
 	Name: "uncheckederr",
-	Doc:  "no discarded error returns (bare calls or `_ =`) and no dead `_ = x` stores in internal/ packages",
 	Run: func(pass *Pass) {
 		if !strings.Contains("/"+pass.PkgPath+"/", "/internal/") {
 			return

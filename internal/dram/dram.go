@@ -74,7 +74,7 @@ type Params struct {
 	HotTableSize int
 
 	// PromoteThreshold is how many tracked touches make a page hot
-	// (1 = promote on first touch). Online-settable on a live tier.
+	// (1 = promote on first touch).
 	PromoteThreshold int
 
 	// DecayEpochMisses bounds counter history: every DecayEpochMisses
@@ -185,9 +185,6 @@ type Cache struct {
 	epoch     uint32
 	missCount uint64
 
-	// promote is the live promotion threshold (online knob).
-	promote int
-
 	st Stats
 }
 
@@ -215,7 +212,6 @@ func New(p Params, next hierarchy.Mem) (*Cache, error) {
 		hotCnt:   make([]uint32, p.HotTableSize),
 		hotEpoch: make([]uint32, p.HotTableSize),
 		hotMask:  uint64(p.HotTableSize - 1),
-		promote:  p.PromoteThreshold,
 	}
 	return d, nil
 }
@@ -275,7 +271,7 @@ func (d *Cache) touchPage(addr uint64) bool {
 		d.hotCnt[slot] = 1
 		d.hotEpoch[slot] = d.epoch
 	}
-	return int(d.hotCnt[slot]) >= d.promote
+	return int(d.hotCnt[slot]) >= d.p.PromoteThreshold
 }
 
 // probe looks addr up and, on a hit, moves the line to MRU with dirty

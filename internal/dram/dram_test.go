@@ -371,6 +371,12 @@ func TestFromSnapshotRejects(t *testing.T) {
 	if _, err := FromSnapshot(s, &stubMem{}); err == nil {
 		t.Error("out-of-range promote threshold accepted")
 	}
+
+	s = good
+	s.Promote = good.Params.PromoteThreshold + 1
+	if _, err := FromSnapshot(s, &stubMem{}); err == nil {
+		t.Error("promote threshold differing from the params' accepted")
+	}
 }
 
 // TestHitRateWindows: Stats deltas between two points form a correct

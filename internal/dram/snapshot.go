@@ -25,7 +25,9 @@ type HotEntry struct {
 // Snapshot is the complete serializable state of a DRAM cache tier. Lines
 // are stored set-major in MRU..LRU order, so recency survives the round
 // trip; the tier below is not part of the snapshot — the caller restores
-// the chain bottom-up and rewires it.
+// the chain bottom-up and rewires it. Promote repeats
+// Params.PromoteThreshold (the tier keeps no second copy); FromSnapshot
+// rejects a snapshot whose two differ.
 type Snapshot struct {
 	Params    Params
 	Promote   int
@@ -54,7 +56,7 @@ func (d *Cache) Snapshot() Snapshot {
 	}
 	return Snapshot{
 		Params:    d.p,
-		Promote:   d.promote,
+		Promote:   d.p.PromoteThreshold,
 		Lines:     lines,
 		Hot:       hot,
 		Epoch:     d.epoch,
@@ -78,12 +80,12 @@ func FromSnapshot(s Snapshot, next hierarchy.Mem) (*Cache, error) {
 	if len(s.Hot) != s.Params.HotTableSize {
 		return nil, fmt.Errorf("dram: snapshot has %d hot-table slots, geometry says %d", len(s.Hot), s.Params.HotTableSize)
 	}
+	if s.Promote != s.Params.PromoteThreshold {
+		return nil, fmt.Errorf("dram: snapshot promote threshold %d differs from its params' %d", s.Promote, s.Params.PromoteThreshold)
+	}
 	d, err := New(s.Params, next)
 	if err != nil {
 		return nil, err
-	}
-	if s.Promote < 1 || s.Promote > MaxPromoteThreshold {
-		return nil, fmt.Errorf("dram: snapshot promote threshold %d outside [1,%d]", s.Promote, MaxPromoteThreshold)
 	}
 	for i, ls := range s.Lines {
 		d.tags[i] = ls.Tag
@@ -103,7 +105,6 @@ func FromSnapshot(s Snapshot, next hierarchy.Mem) (*Cache, error) {
 	}
 	d.epoch = s.Epoch
 	d.missCount = s.MissCount
-	d.promote = s.Promote
 	d.st = s.Stats
 	return d, nil
 }

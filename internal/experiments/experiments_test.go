@@ -314,19 +314,26 @@ func TestExtrapolateIPC(t *testing.T) {
 }
 
 func TestMultiProgramQuick(t *testing.T) {
-	opt := tinyOptions()
-	results, rep, err := MultiProgram(context.Background(), []string{"mix3"}, 1_500_000, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := results[0]
-	if len(r.Members) != 4 || r.MCT.Instructions == 0 || r.Static.IPC <= 0 {
-		t.Fatalf("mix result degenerate: %+v", r)
-	}
-	var buf bytes.Buffer
-	rep.Fprint(&buf)
-	if !strings.Contains(buf.String(), "Table 11") {
-		t.Fatal("report missing Table 11")
+	for _, dram := range []bool{false, true} {
+		opt := tinyOptions()
+		opt.Sim.Tiers.DRAMCache = dram
+		results, rep, err := MultiProgram(context.Background(), []string{"mix3"}, 1_500_000, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := results[0]
+		if len(r.Members) != 4 || r.MCT.Instructions == 0 || r.Static.IPC <= 0 {
+			t.Fatalf("dram=%v: mix result degenerate: %+v", dram, r)
+		}
+		// The run's tier composition must reach the multi-core machines.
+		if traffic := r.Static.DRAMHits + r.Static.DRAMMisses; (traffic > 0) != dram {
+			t.Fatalf("dram=%v: static run saw %d DRAM accesses", dram, traffic)
+		}
+		var buf bytes.Buffer
+		rep.Fprint(&buf)
+		if !strings.Contains(buf.String(), "Table 11") {
+			t.Fatal("report missing Table 11")
+		}
 	}
 }
 

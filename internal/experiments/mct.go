@@ -296,7 +296,19 @@ func SamplingOverhead(ctx context.Context, alphas []float64, totalInsts uint64, 
 	}
 	for _, bench := range opt.Benchmarks {
 		emitf(opt, "fig9", bench, "fig9: %s", bench)
-		sw, err := RunSweep(ctx, bench, true, opt)
+		// The static policy alone, on the window RunSweep would prepare: a
+		// configuration's Metrics do not depend on its batch, so this
+		// equals that sweep's Baseline.
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+		simOpt := opt.Sim
+		simOpt.Seed = opt.Seed
+		prep, err := sim.Prepare(bench, 0, opt.Accesses, simOpt)
+		if err != nil {
+			return nil, nil, err
+		}
+		base, err := prep.Evaluate(baselineAt(opt.LifetimeTarget))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -304,7 +316,7 @@ func SamplingOverhead(ctx context.Context, alphas []float64, totalInsts uint64, 
 		if err != nil {
 			return nil, nil, err
 		}
-		stIPC, stEn := sw.Baseline.IPC, EnergyPerInst(sw.Baseline)
+		stIPC, stEn := base.IPC, EnergyPerInst(base)
 		r := SamplingOverheadResult{
 			Benchmark:           bench,
 			SamplingIPCRatio:    out.Sampling.IPC / stIPC,

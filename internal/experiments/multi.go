@@ -43,8 +43,10 @@ func MultiProgram(ctx context.Context, mixes []string, totalInsts uint64, opt Op
 		Header: []string{"mix", "ipc_def", "ipc_mct", "life_def", "life_static", "life_mct"},
 	}
 
+	// The multi-core geometry under the run's tier composition.
 	mo := sim.DefaultMultiOptions()
 	mo.Seed = opt.Seed
+	mo.Tiers = opt.Sim.Tiers
 
 	results, err := engine.Map(ctx, len(mixes), engine.Options{Workers: opt.Workers, Obs: opt.Obs},
 		func(ctx context.Context, i int) (MultiProgramResult, error) {

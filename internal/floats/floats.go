@@ -1,5 +1,5 @@
 // Package floats provides the epsilon comparison helpers required by the
-// floateq analyzer (cmd/mctlint): exact ==/!= between float operands is
+// floateq analyzer (internal/analysis): exact ==/!= between float operands is
 // forbidden outside tests because accumulated rounding error silently flips
 // such branches and shifts simulated IPC/lifetime/energy, breaking the
 // reproduced figure shapes.

@@ -591,56 +591,75 @@ func TestServerRestartResume(t *testing.T) {
 	}
 }
 
-// TestServerArtifactWriteFails: when the finished artifact cannot be made
-// durable, the job fails with the write error rather than reporting done.
-// A non-empty directory where jobs/<id>/artifact.json goes makes the
-// atomic rename fail after the job has computed its result.
+// TestServerArtifactWriteFails: when a file the daemon persists or resumes
+// from is unusable, the job fails with an error naming that file rather
+// than reporting done or resuming into wrong bytes. A non-empty directory
+// where jobs/<id>/artifact.json goes makes the atomic rename fail after the
+// job has computed its result; one where partial.json goes fails a sweep's
+// first chunk write; a corrupt machine.ckpt fails an evaluate job before
+// its first chunk.
 func TestServerArtifactWriteFails(t *testing.T) {
-	srv, err := New(Options{StateDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := srv.Submit("alice", evalSpec(evalChunks))
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocker := filepath.Join(srv.store.jobDir(st.ID), "artifact.json")
-	if err := os.MkdirAll(filepath.Join(blocker, "occupied"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	failed := srv.reg.Counter("server.jobs_failed")
-	completed := srv.reg.Counter("server.jobs_completed")
-	stop := startRunner(t, srv)
-	j := srv.job(st.ID)
-	waitDone(t, j)
-	stop() // the terminal status reaches disk after j.done closes
+	block := func(path string) error { return os.MkdirAll(filepath.Join(path, "occupied"), 0o755) }
+	corrupt := func(path string) error { return os.WriteFile(path, []byte("not a checkpoint"), 0o644) }
+	for _, tc := range []struct {
+		file  string
+		spec  api.JobSpec
+		fault func(path string) error
+	}{
+		{"artifact.json", evalSpec(evalChunks), block},
+		{"machine.ckpt", evalSpec(evalChunks), corrupt},
+		{"partial.json", sweepSpec(), block},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			srv, err := New(Options{StateDir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := srv.Submit("alice", tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.fault(filepath.Join(srv.store.jobDir(st.ID), tc.file)); err != nil {
+				t.Fatal(err)
+			}
+			failed := srv.reg.Counter("server.jobs_failed")
+			completed := srv.reg.Counter("server.jobs_completed")
+			stop := startRunner(t, srv)
+			j := srv.job(st.ID)
+			waitDone(t, j)
+			stop() // the terminal status reaches disk after j.done closes
 
-	got := j.snapshot()
-	if got.State != api.StateFailed || !strings.Contains(got.Error, "artifact.json") {
-		t.Fatalf("job with an unwritable artifact is %s (error %q), want failed with the write error", got.State, got.Error)
-	}
-	if got.ArtifactBytes != 0 {
-		t.Errorf("failed job reports %d artifact bytes", got.ArtifactBytes)
-	}
-	if failed.Value() != 1 || completed.Value() != 0 {
-		t.Errorf("server.jobs_failed %d, server.jobs_completed %d; want 1 and 0", failed.Value(), completed.Value())
-	}
-	records, err := srv.store.load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(records) != 1 || records[0].status.State != api.StateFailed {
-		t.Fatalf("status on disk %+v, want the one job failed", records)
-	}
+			got := j.snapshot()
+			if got.State != api.StateFailed || !strings.Contains(got.Error, tc.file) {
+				t.Fatalf("job with an unusable %s is %s (error %q), want failed naming the file", tc.file, got.State, got.Error)
+			}
+			if got.ArtifactBytes != 0 {
+				t.Errorf("failed job reports %d artifact bytes", got.ArtifactBytes)
+			}
+			if tc.file == "machine.ckpt" && got.Done != 0 {
+				t.Errorf("job resumed from a corrupt checkpoint: %d instructions done", got.Done)
+			}
+			if failed.Value() != 1 || completed.Value() != 0 {
+				t.Errorf("server.jobs_failed %d, server.jobs_completed %d; want 1 and 0", failed.Value(), completed.Value())
+			}
+			records, err := srv.store.load()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(records) != 1 || records[0].status.State != api.StateFailed {
+				t.Fatalf("status on disk %+v, want the one job failed", records)
+			}
 
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-	resp, err := http.Get(hs.URL + "/v1/jobs/" + st.ID + "/artifact")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if body := readAll(t, resp); resp.StatusCode != http.StatusConflict {
-		t.Fatalf("artifact of the failed job: status %d (%s), want 409", resp.StatusCode, body)
+			hs := httptest.NewServer(srv.Handler())
+			defer hs.Close()
+			resp, err := http.Get(hs.URL + "/v1/jobs/" + st.ID + "/artifact")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if body := readAll(t, resp); resp.StatusCode != http.StatusConflict {
+				t.Fatalf("artifact of the failed job: status %d (%s), want 409", resp.StatusCode, body)
+			}
+		})
 	}
 }
 

@@ -170,9 +170,6 @@ func (p *Prepared) EvaluateBatch(cfgs []config.Config) ([]Metrics, error) {
 		for _, id := range l.ids {
 			out[id] = m.laneMetrics(l)
 		}
-		if l.grp != nil {
-			l.grp.releaseLog()
-		}
 	}
 	return out, nil
 }

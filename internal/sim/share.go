@@ -18,14 +18,15 @@ package sim
 // start of the access (an access changes at most two dirty words) and its
 // tiers from a snapshot plus a replay of the hierarchy.Mem calls logged
 // since. The first snapshot is the warm machine's tiers, which never
-// change; every StepBatchSize accesses, or sooner when its log of
-// StepBatchSize calls would overflow, the lane copies its tiers into a
-// buffer it reuses, so the log stays bounded and the loop allocates
-// nothing. A lane with no members keeps no log or snapshot.
+// change; every StepBatchSize accesses, or sooner when its log nears
+// StepBatchSize calls, the lane copies its tiers into a buffer it reuses,
+// so the log stays bounded and, once grown, the loop allocates nothing. A
+// lane with no members keeps no log or snapshot; a lane's log starts empty
+// and grows with its use, so a lane that splits early never holds a full
+// one.
 
 import (
 	"fmt"
-	"sync"
 
 	"mct/internal/cache"
 	"mct/internal/config"
@@ -117,20 +118,6 @@ func (g *memLog) EagerWrite(addr, now uint64) bool {
 // tier: a writeback, a fill and an eager harvest.
 const maxCallsPerAccess = 3
 
-// logPool recycles the call logs of lanes with members, StepBatchSize
-// calls each, across the batches of a sweep.
-var logPool = sync.Pool{New: func() any {
-	calls := make([]memCall, 0, StepBatchSize)
-	return &calls
-}}
-
-// releaseLog returns the group's log to logPool.
-func (g *group) releaseLog() {
-	calls := g.log.calls[:0]
-	g.log.calls = nil
-	logPool.Put(&calls)
-}
-
 // replay repeats logged calls on mem.
 func replay(mem hierarchy.Mem, calls []memCall) {
 	for _, c := range calls {
@@ -180,7 +167,7 @@ func must(err error) {
 // its next access.
 func (l *lane) share(members []config.Config, base tiers, at int) {
 	g := &group{base: base, at: at}
-	g.log.Mem, g.log.calls = l.mem, *logPool.Get().(*[]memCall)
+	g.log.Mem = l.mem
 	l.grp, l.mem = g, &g.log
 	l.setMembers(members)
 }
@@ -213,10 +200,11 @@ func (g *group) checkEager(llc *cache.Cache, useless int) {
 
 // begin records lane k's state before the current access (or the final
 // drain) on core ci, first refreshing the snapshot if the log spans
-// StepBatchSize accesses or has no room for another access's calls.
+// StepBatchSize accesses or another access's calls could take it past
+// StepBatchSize calls.
 func (m *Machine) begin(k int, l *lane, ci int) {
 	g := l.grp
-	if g.steps == StepBatchSize || len(g.log.calls) > cap(g.log.calls)-maxCallsPerAccess {
+	if g.steps == StepBatchSize || len(g.log.calls) > StepBatchSize-maxCallsPerAccess {
 		g.own.ctrl = l.ctrl.CloneInto(g.own.ctrl)
 		if l.dram != nil {
 			g.own.dram = l.dram.CloneInto(g.own.dram, g.own.ctrl)
@@ -283,7 +271,6 @@ func (m *Machine) split(k, ci int) {
 	l.ids = ids
 	if len(stay) == 0 {
 		must(l.ctrl.SetMembers(nil))
-		g.releaseLog()
 		l.grp, l.mem = nil, g.log.Mem
 	} else {
 		l.setMembers(stay)
