@@ -17,14 +17,14 @@ vet:
 	$(GO) vet ./...
 	cd _perfbench && $(GO) vet ./...
 
-# The lint tests alone: TestModuleTreeClean is the module's one
-# full-registry pass (every finding fails it; there is no baseline), the
-# others check each rule on its fixture and the directive syntax. make test
+# The lint tests alone: TestModuleTreeClean and TestLintTreeWallClockBudget
+# share the module's one full-registry pass (every finding fails the first,
+# a pass over 120 s the second; there is no baseline), the others check each rule on its fixture and the directive syntax. make test
 # runs them too, so verify does not list lint. Data races are left to the
 # race detector (make race, and CI's race-full job), hot-path allocations to
 # the zero-alloc tests.
 lint:
-	$(GO) test -count=1 -run 'TestModuleTreeClean|TestAnalyzerFixtures|TestMalformedIgnoreReported' ./internal/analysis
+	$(GO) test -count=1 -run 'TestModuleTreeClean|TestLintTreeWallClockBudget|TestAnalyzerFixtures|TestMalformedIgnoreReported' ./internal/analysis
 
 test:
 	$(GO) test ./...
