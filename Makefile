@@ -1,10 +1,10 @@
 # Standard verify recipe. CI (.github/workflows/ci.yml) calls these targets
-# for vet, perfbench-test, bench-smoke, fuzz-checkpoint, metrics-check and
-# serve-smoke, so the commands live in one place.
+# for vet, perfbench-test, bench-smoke, fuzz-checkpoint, metrics-check,
+# report-check and serve-smoke, so the commands live in one place.
 
 GO ?= go
 
-.PHONY: all build vet lint test race perfbench-test bench-smoke metrics-check serve-smoke fuzz-checkpoint verify
+.PHONY: all build vet lint test race perfbench-test bench-smoke metrics-check report-check serve-smoke fuzz-checkpoint verify
 
 all: verify
 
@@ -86,6 +86,14 @@ metrics-check:
 	cmp results/metrics-dram-w1.json results/metrics-dram-w4.json
 	git diff --exit-code -- results/metrics-*.json
 
+# Every experiment at quick scale on three benchmarks (~10 s on 2 vCPUs),
+# regenerated and compared with the committed report: a change that moves
+# any experiment's output fails here. The report is the same at any
+# -workers.
+report-check:
+	$(GO) run ./cmd/mctbench -experiment all -quick -quiet -workers 2 -benchmarks lbm,zeusmp,gups -insts 2000000 > results/report_quick.txt
+	git diff --exit-code -- results/report_quick.txt
+
 # A bounded fuzz run of the checkpoint reader, a trust boundary: every
 # input must load or return an error, never panic. `make test` runs only
 # its seeds (internal/sim/testdata/fuzz).
@@ -98,4 +106,4 @@ fuzz-checkpoint:
 serve-smoke:
 	./scripts/serve_smoke.sh
 
-verify: build vet test race perfbench-test bench-smoke metrics-check serve-smoke
+verify: build vet test race perfbench-test bench-smoke metrics-check report-check serve-smoke
