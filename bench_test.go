@@ -22,16 +22,16 @@ import (
 )
 
 // benchOptions is the reduced-fidelity configuration used by the bench
-// harness: a strided configuration space and short traces keep every
-// benchmark in the seconds range on one core.
+// harness: a strided configuration space, short traces and MCT runs, and
+// one trial keep every benchmark in the seconds range on one core.
 func benchOptions() experiments.Options {
 	o := experiments.DefaultOptions()
 	o.Accesses = 10_000
 	o.Stride = 29
+	o.TotalInsts = 6_000_000
+	o.Trials = 1
 	return o
 }
-
-const benchInsts = 6_000_000
 
 // BenchmarkConfigSpace regenerates the Tables 2/3 space accounting.
 func BenchmarkConfigSpace(b *testing.B) {
@@ -99,9 +99,10 @@ func BenchmarkTable6TopFeatures(b *testing.B) {
 func BenchmarkFig2ModelComparison(b *testing.B) {
 	opt := benchOptions()
 	opt.Benchmarks = []string{"lbm", "stream", "milc"}
+	opt.SampleCounts = []int{20, 77}
 	var gbAcc float64
 	for i := 0; i < b.N; i++ {
-		res, _, err := experiments.ModelComparison(context.Background(), []int{20, 77}, 1, opt)
+		res, _, err := experiments.ModelComparison(context.Background(), opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -118,7 +119,7 @@ func BenchmarkFig3WearQuotaAblation(b *testing.B) {
 	opt.Benchmarks = []string{"lbm"}
 	var degr float64
 	for i := 0; i < b.N; i++ {
-		res, _, err := experiments.WearQuotaAblation(context.Background(), 60, 1, opt)
+		res, _, err := experiments.WearQuotaAblation(context.Background(), 60, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -168,7 +169,7 @@ func BenchmarkFig7MCTvsBaselines(b *testing.B) {
 	opt := benchOptions()
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		res, _, err := experiments.MCTComparison(context.Background(), []string{ml.NameGBoost}, benchInsts, opt)
+		res, _, err := experiments.MCTComparison(context.Background(), []string{ml.NameGBoost}, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -186,7 +187,7 @@ func BenchmarkFig7MCTvsBaselines(b *testing.B) {
 func BenchmarkFig8LifetimeSensitivity(b *testing.B) {
 	opt := benchOptions()
 	for i := 0; i < b.N; i++ {
-		res, _, err := experiments.LifetimeSensitivity(context.Background(), []string{"lbm", "stream"}, []float64{4, 8, 10}, benchInsts, opt)
+		res, _, err := experiments.LifetimeSensitivity(context.Background(), []string{"lbm", "stream"}, []float64{4, 8, 10}, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -203,7 +204,7 @@ func BenchmarkFig9SamplingOverhead(b *testing.B) {
 	opt.Benchmarks = []string{"lbm", "stream"}
 	var sampling float64
 	for i := 0; i < b.N; i++ {
-		res, _, err := experiments.SamplingOverhead(context.Background(), []float64{1, 10}, benchInsts, opt)
+		res, _, err := experiments.SamplingOverhead(context.Background(), []float64{1, 10}, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -220,9 +221,10 @@ func BenchmarkFig9SamplingOverhead(b *testing.B) {
 // multi-program MCT.
 func BenchmarkFig10MultiProgram(b *testing.B) {
 	opt := benchOptions()
+	opt.TotalInsts = 4_000_000
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		res, _, err := experiments.MultiProgram(context.Background(), []string{"mix1", "mix3"}, 4_000_000, opt)
+		res, _, err := experiments.MultiProgram(context.Background(), []string{"mix1", "mix3"}, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -241,7 +243,7 @@ func BenchmarkWearQuotaLearning(b *testing.B) {
 	opt := benchOptions()
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		res, _, err := experiments.WearQuotaLearning(context.Background(), []string{"lbm"}, benchInsts, opt)
+		res, _, err := experiments.WearQuotaLearning(context.Background(), []string{"lbm"}, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -258,7 +260,7 @@ func BenchmarkAblationNormalization(b *testing.B) {
 	opt.Benchmarks = []string{"lbm"}
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		res, _, err := experiments.NormalizationAblation(context.Background(), 60, 1, opt)
+		res, _, err := experiments.NormalizationAblation(context.Background(), 60, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -273,7 +275,7 @@ func BenchmarkAblationSettle(b *testing.B) {
 	opt := benchOptions()
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		res, _, err := experiments.SettleAblation(context.Background(), []string{"lbm"}, benchInsts, opt)
+		res, _, err := experiments.SettleAblation(context.Background(), []string{"lbm"}, opt)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -45,7 +45,7 @@ func main() {
 		stride  = flag.Int("stride", 0, "override configuration-space stride (0 = preset)")
 		acc     = flag.Int("accesses", 0, "override trace length per evaluation (0 = preset)")
 		insts   = flag.Uint64("insts", 0, "override MCT run length in instructions (0 = preset)")
-		benches = flag.String("benchmarks", "", "comma-separated benchmark subset (default: all)")
+		benches = flag.String("benchmarks", "", "comma-separated benchmark subset (default: all); table4, fig6, fig8, fig10, wq-learning, ablation-settle, ablation-power and extension-retention run the paper's fixed lists and ignore it")
 		workers = flag.Int("workers", 0, "parallel evaluation workers (0 = GOMAXPROCS)")
 		quiet   = flag.Bool("quiet", false, "suppress progress output")
 		asJSON  = flag.Bool("json", false, "emit structured JSON instead of text tables")
@@ -75,27 +75,13 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	opt := mct.DefaultExperimentOptions()
-	if *quick {
-		opt = mct.QuickExperimentOptions()
-	}
-	if *stride > 0 {
-		opt.Stride = *stride
-	}
-	if *acc > 0 {
-		opt.Accesses = *acc
-	}
-	if *benches != "" {
-		opt.Benchmarks = strings.Split(*benches, ",")
-	}
+	opt := experimentOptions(*quick, *stride, *acc, *insts, *benches)
 	opt.Sim.Tiers = tiers
 	opt.Workers = *workers
 	opt.Sweeps = experiments.NewSweepCache(*sweeps)
 	if !*quiet {
 		opt.Events = mct.TextProgress(os.Stderr)
 	}
-
-	rp := runParams(*quick, *insts)
 
 	ids := []string{*expID}
 	if *expID == "all" {
@@ -113,7 +99,7 @@ func main() {
 	for _, id := range ids {
 		start := time.Now()
 		ropts := []mct.Option{
-			mct.WithExperimentOptions(opt), mct.WithRunParams(rp), mct.WithObserver(reg),
+			mct.WithExperimentOptions(opt), mct.WithObserver(reg),
 		}
 		if !*asJSON {
 			ropts = append(ropts, mct.WithOutput(os.Stdout))
@@ -156,17 +142,27 @@ func checkFlags(stride, accesses, workers int, tiers config.TierConfig) error {
 	return tiers.Validate()
 }
 
-// runParams resolves the experiment scales: the -quick or default preset,
-// then an -insts override on top of either.
-func runParams(quick bool, insts uint64) mct.ExperimentRunParams {
-	rp := mct.DefaultExperimentRunParams()
+// experimentOptions resolves the experiment settings: the -quick or
+// default preset, then each set override (-stride, -accesses, -insts,
+// -benchmarks) on top of either.
+func experimentOptions(quick bool, stride, accesses int, insts uint64, benchmarks string) mct.ExperimentOptions {
+	opt := mct.DefaultExperimentOptions()
 	if quick {
-		rp = mct.QuickExperimentRunParams()
+		opt = mct.QuickExperimentOptions()
+	}
+	if stride > 0 {
+		opt.Stride = stride
+	}
+	if accesses > 0 {
+		opt.Accesses = accesses
 	}
 	if insts > 0 {
-		rp.TotalInsts = insts
+		opt.TotalInsts = insts
 	}
-	return rp
+	if benchmarks != "" {
+		opt.Benchmarks = strings.Split(benchmarks, ",")
+	}
+	return opt
 }
 
 // writeFileMkdir writes data to path, creating the parent directory.

@@ -30,25 +30,27 @@ func TestCheckFlags(t *testing.T) {
 	}
 }
 
+// TestRunParams: the run scale comes from the -quick or default preset,
+// and -insts overrides the MCT run length of either.
 func TestRunParams(t *testing.T) {
-	def, quick := mct.DefaultExperimentRunParams(), mct.QuickExperimentRunParams()
-	withInsts := func(rp mct.ExperimentRunParams, n uint64) mct.ExperimentRunParams {
-		rp.TotalInsts = n
-		return rp
+	def, quick := mct.DefaultExperimentOptions(), mct.QuickExperimentOptions()
+	withInsts := func(opt mct.ExperimentOptions, n uint64) mct.ExperimentOptions {
+		opt.TotalInsts = n
+		return opt
 	}
 	for _, tc := range []struct {
 		name  string
 		quick bool
 		insts uint64
-		want  mct.ExperimentRunParams
+		want  mct.ExperimentOptions
 	}{
 		{"default", false, 0, def},
 		{"default -insts", false, 3_000_000, withInsts(def, 3_000_000)},
 		{"quick", true, 0, quick},
 		{"quick -insts", true, 3_000_000, withInsts(quick, 3_000_000)},
 	} {
-		if got := runParams(tc.quick, tc.insts); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("%s: runParams = %+v, want %+v", tc.name, got, tc.want)
+		if got := experimentOptions(tc.quick, 0, 0, tc.insts, ""); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: experimentOptions = %+v, want %+v", tc.name, got, tc.want)
 		}
 	}
 }

@@ -26,14 +26,9 @@ type NormalizationAblationResult struct {
 // NormalizationAblation quantifies the §4.4 "Normalization" technique: with
 // a fixed lasso penalty, targets on raw physical scales (e.g. joules ≈
 // 10⁻²) are crushed by the regularizer, while baseline-normalized targets
-// (≈1) fit well.
-func NormalizationAblation(ctx context.Context, samples, trials int, opt Options) ([]NormalizationAblationResult, *Report, error) {
-	if samples <= 0 {
-		samples = 77
-	}
-	if trials <= 0 {
-		trials = 3
-	}
+// (≈1) fit well. Each R² is averaged over opt.Trials random training sets
+// of samples rows.
+func NormalizationAblation(ctx context.Context, samples int, opt Options) ([]NormalizationAblationResult, *Report, error) {
 	var results []NormalizationAblationResult
 	tbl := Table{
 		Title:  "Ablation (§4.4): quadratic-lasso R² with baseline-normalized vs raw targets",
@@ -50,7 +45,7 @@ func NormalizationAblation(ctx context.Context, samples, trials int, opt Options
 		rng := rng.Derive(opt.Seed, 31)
 		for t := 0; t < 3; t++ {
 			for variant := 0; variant < 2; variant++ {
-				acc, err := meanHeldOutR2(newLasso, X, sw.Targets(core.Metric(t), variant == 0), samples, trials, rng)
+				acc, err := meanHeldOutR2(newLasso, X, sw.Targets(core.Metric(t), variant == 0), samples, opt.Trials, rng)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -84,7 +79,7 @@ type SettleAblationResult struct {
 // choice: without it, queued writes issued under the previous sample's
 // policy contaminate the next sample's labels, degrading the learned
 // decision.
-func SettleAblation(ctx context.Context, benchmarks []string, totalInsts uint64, opt Options) ([]SettleAblationResult, *Report, error) {
+func SettleAblation(ctx context.Context, benchmarks []string, opt Options) ([]SettleAblationResult, *Report, error) {
 	var results []SettleAblationResult
 	tbl := Table{
 		Title:  "Ablation: sample settle window (testing-period metrics)",
@@ -92,7 +87,7 @@ func SettleAblation(ctx context.Context, benchmarks []string, totalInsts uint64,
 	}
 	for _, bench := range benchmarks {
 		run := func(frac float64) (sim.Metrics, error) {
-			out, err := runMCT(ctx, bench, ml.NameGBoost, core.Default(opt.LifetimeTarget), totalInsts, opt,
+			out, err := runMCT(ctx, bench, ml.NameGBoost, core.Default(opt.LifetimeTarget), opt,
 				func(ro *core.Options) { ro.SampleSettleFrac = frac })
 			return out.Testing, err
 		}
@@ -126,9 +121,6 @@ type PowerBudgetAblationResult struct {
 // writes consume scarce write bandwidth and cost real performance — the
 // tension the mellow-writes techniques negotiate.
 func PowerBudgetAblation(ctx context.Context, benchmarks []string, budgets []int, opt Options) ([]PowerBudgetAblationResult, *Report, error) {
-	if len(budgets) == 0 {
-		budgets = []int{2, 4, 8, 16}
-	}
 	var results []PowerBudgetAblationResult
 	tbl := Table{
 		Title:  "Ablation: write-power budget (IPC of all-slow 3x writes relative to default)",
@@ -142,8 +134,7 @@ func PowerBudgetAblation(ctx context.Context, benchmarks []string, budgets []int
 			if err := ctx.Err(); err != nil {
 				return nil, nil, err
 			}
-			simOpt := opt.Sim
-			simOpt.Seed = opt.Seed
+			simOpt := opt.seededSim()
 			simOpt.Params.MaxConcurrentWrites = budget
 			prep, err := sim.Prepare(bench, 0, opt.Accesses, simOpt)
 			if err != nil {

@@ -46,7 +46,7 @@ func TestRunCancelsFromFirstEvent(t *testing.T) {
 						cancel()
 					})
 				}
-				if _, err := Run(ctx, id, opt, QuickRunParams()); !errors.Is(err, context.Canceled) {
+				if _, err := Run(ctx, id, opt); !errors.Is(err, context.Canceled) {
 					t.Fatalf("err = %v, want context.Canceled", err)
 				}
 				if after := tasks.Value() - atCancel; after > uint64(workers-1) {
@@ -81,7 +81,7 @@ func TestFig1LeavesNoGoroutines(t *testing.T) {
 	opt := QuickOptions()
 	opt.Benchmarks = []string{"lbm"}
 	opt.Workers = 2
-	if _, err := Run(context.Background(), "fig1", opt, QuickRunParams()); err != nil {
+	if _, err := Run(context.Background(), "fig1", opt); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)

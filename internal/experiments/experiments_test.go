@@ -136,7 +136,9 @@ func TestIdealByLifetime(t *testing.T) {
 
 func TestModelComparisonQuick(t *testing.T) {
 	opt := tinyOptions()
-	res, rep, err := ModelComparison(context.Background(), []int{10, 25}, 1, opt)
+	opt.SampleCounts = []int{10, 25}
+	opt.Trials = 1
+	res, rep, err := ModelComparison(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +218,8 @@ func TestFeatureVsRandomSampling(t *testing.T) {
 func TestWearQuotaAblation(t *testing.T) {
 	opt := tinyOptions()
 	opt.Benchmarks = []string{"lbm"}
-	results, _, err := WearQuotaAblation(context.Background(), 30, 1, opt)
+	opt.Trials = 1
+	results, _, err := WearQuotaAblation(context.Background(), 30, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +246,8 @@ func TestPhaseDetectionExperiment(t *testing.T) {
 
 func TestMCTComparisonQuick(t *testing.T) {
 	opt := tinyOptions()
-	results, rep, err := MCTComparison(context.Background(), []string{ml.NameGBoost}, tinyInsts, opt)
+	opt.TotalInsts = tinyInsts
+	results, rep, err := MCTComparison(context.Background(), []string{ml.NameGBoost}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +270,8 @@ func TestMCTComparisonQuick(t *testing.T) {
 
 func TestLifetimeSensitivityQuick(t *testing.T) {
 	opt := tinyOptions()
-	results, _, err := LifetimeSensitivity(context.Background(), []string{"lbm"}, []float64{4, 10}, tinyInsts, opt)
+	opt.TotalInsts = tinyInsts
+	results, _, err := LifetimeSensitivity(context.Background(), []string{"lbm"}, []float64{4, 10}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +288,8 @@ func TestLifetimeSensitivityQuick(t *testing.T) {
 func TestSamplingOverheadQuick(t *testing.T) {
 	opt := tinyOptions()
 	opt.Benchmarks = []string{"stream"}
-	results, rep, err := SamplingOverhead(context.Background(), []float64{1, 10}, tinyInsts, opt)
+	opt.TotalInsts = tinyInsts
+	results, rep, err := SamplingOverhead(context.Background(), []float64{1, 10}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +323,8 @@ func TestMultiProgramQuick(t *testing.T) {
 	for _, dram := range []bool{false, true} {
 		opt := tinyOptions()
 		opt.Sim.Tiers.DRAMCache = dram
-		results, rep, err := MultiProgram(context.Background(), []string{"mix3"}, 1_500_000, opt)
+		opt.TotalInsts = 1_500_000
+		results, rep, err := MultiProgram(context.Background(), []string{"mix3"}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,7 +346,8 @@ func TestMultiProgramQuick(t *testing.T) {
 
 func TestWearQuotaLearningQuick(t *testing.T) {
 	opt := tinyOptions()
-	results, _, err := WearQuotaLearning(context.Background(), []string{"lbm"}, tinyInsts, opt)
+	opt.TotalInsts = tinyInsts
+	results, _, err := WearQuotaLearning(context.Background(), []string{"lbm"}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,8 +370,19 @@ func TestRegistryRunsEverything(t *testing.T) {
 	if len(IDs()) < 10 {
 		t.Fatal("registry too small")
 	}
-	if _, err := Run(context.Background(), "nope", tinyOptions(), DefaultRunParams()); err == nil {
+	if _, err := Run(context.Background(), "nope", tinyOptions()); err == nil {
 		t.Fatal("unknown id must error")
+	}
+	for _, unset := range []func(*Options){
+		func(o *Options) { o.TotalInsts = 0 },
+		func(o *Options) { o.Trials = 0 },
+		func(o *Options) { o.SampleCounts = nil },
+	} {
+		o := tinyOptions()
+		unset(&o)
+		if _, err := Run(context.Background(), "fig3", o); err == nil {
+			t.Errorf("fig3 with TotalInsts %d, Trials %d, SampleCounts %v ran; want an error", o.TotalInsts, o.Trials, o.SampleCounts)
+		}
 	}
 	for alias, id := range aliases {
 		if _, ok := experimentsByID[id]; !ok || slices.Contains(IDs(), alias) {
@@ -371,7 +390,7 @@ func TestRegistryRunsEverything(t *testing.T) {
 		}
 	}
 	// Run the cheapest entry through the registry for coverage.
-	rep, err := Run(context.Background(), "space", tinyOptions(), DefaultRunParams())
+	rep, err := Run(context.Background(), "space", tinyOptions())
 	if err != nil || rep.ID != "space" {
 		t.Fatalf("registry run failed: %v", err)
 	}
@@ -391,7 +410,8 @@ func TestTableRendering(t *testing.T) {
 func TestNormalizationAblation(t *testing.T) {
 	opt := tinyOptions()
 	opt.Benchmarks = []string{"lbm"}
-	res, _, err := NormalizationAblation(context.Background(), 25, 1, opt)
+	opt.Trials = 1
+	res, _, err := NormalizationAblation(context.Background(), 25, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +430,8 @@ func TestNormalizationAblation(t *testing.T) {
 
 func TestSettleAblation(t *testing.T) {
 	opt := tinyOptions()
-	res, _, err := SettleAblation(context.Background(), []string{"stream"}, tinyInsts, opt)
+	opt.TotalInsts = tinyInsts
+	res, _, err := SettleAblation(context.Background(), []string{"stream"}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,9 +37,6 @@ type TopFeaturesResult struct {
 // features per application, ranked by the magnitude of quadratic-lasso
 // coefficients fitted on the (compressed-feature) ground truth.
 func TopQuadraticFeatures(ctx context.Context, metric core.Metric, topN int, opt Options) ([]TopFeaturesResult, *Report, error) {
-	if topN <= 0 {
-		topN = 3
-	}
 	names := ml.QuadraticNames(config.CompressedNames())
 	var results []TopFeaturesResult
 	tbl := Table{

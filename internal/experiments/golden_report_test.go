@@ -24,9 +24,8 @@ func renderFig1(t *testing.T, workers int) string {
 	o := tinyOptions()
 	o.Sweeps = nil // cold: Run builds a fresh cache for the call
 	o.Workers = workers
-	rp := DefaultRunParams()
-	rp.Trials = 1
-	rep, err := Run(context.Background(), "fig1", o, rp)
+	o.Trials = 1
+	rep, err := Run(context.Background(), "fig1", o)
 	if err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}

@@ -43,14 +43,15 @@ func EnergyPerInst(m sim.Metrics) float64 {
 	return m.EnergyJ / float64(m.Instructions)
 }
 
-// runtimeOptionsFor scales the MCT budgets so short runs still get a
-// baseline window, a sampling period (≈⅓ of the budget) and a testing
-// period (the rest) — the paper's 1:2 sampling:testing proof-of-concept
-// split.
-func runtimeOptionsFor(model string, totalInsts uint64, seed int64) core.Options {
+// runtimeOptionsFor scales the MCT budgets so runs of opt.TotalInsts
+// still get a baseline window, a sampling period (≈⅓ of the budget) and a
+// testing period (the rest) — the paper's 1:2 sampling:testing
+// proof-of-concept split.
+func runtimeOptionsFor(model string, opt Options) core.Options {
+	totalInsts := opt.TotalInsts
 	ro := core.DefaultOptions()
 	ro.Model = model
-	ro.Seed = seed
+	ro.Seed = opt.Seed
 	if ro.SamplingTotalInsts > totalInsts/3 {
 		ro.SamplingTotalInsts = totalInsts / 3
 		if ro.SamplingTotalInsts < 100_000 {
@@ -72,11 +73,12 @@ func runtimeOptionsFor(model string, totalInsts uint64, seed int64) core.Options
 	return ro
 }
 
-// runMCT executes MCT with the given model on a fresh machine and returns
-// the outcome. A non-nil override adjusts the runtime options (an
-// ablation's one changed field) before the runtime is built. The run itself
-// is one indivisible simulation; ctx is checked before it starts.
-func runMCT(ctx context.Context, bench, model string, obj core.Objective, totalInsts uint64, opt Options, override func(*core.Options)) (MCTRunOutcome, error) {
+// runMCT executes MCT with the given model for opt.TotalInsts instructions
+// on a fresh machine and returns the outcome. A non-nil override adjusts the
+// runtime options (an ablation's one changed field) before the runtime is
+// built. The run itself is one indivisible simulation; ctx is checked
+// before it starts.
+func runMCT(ctx context.Context, bench, model string, obj core.Objective, opt Options, override func(*core.Options)) (MCTRunOutcome, error) {
 	if err := ctx.Err(); err != nil {
 		return MCTRunOutcome{}, err
 	}
@@ -84,13 +86,11 @@ func runMCT(ctx context.Context, bench, model string, obj core.Objective, totalI
 	if err != nil {
 		return MCTRunOutcome{}, err
 	}
-	simOpt := opt.Sim
-	simOpt.Seed = opt.Seed
-	m, err := sim.NewMachine(spec, config.StaticBaseline(), simOpt)
+	m, err := sim.NewMachine(spec, config.StaticBaseline(), opt.seededSim())
 	if err != nil {
 		return MCTRunOutcome{}, err
 	}
-	ro := runtimeOptionsFor(model, totalInsts, opt.Seed)
+	ro := runtimeOptionsFor(model, opt)
 	if override != nil {
 		override(&ro)
 	}
@@ -98,7 +98,7 @@ func runMCT(ctx context.Context, bench, model string, obj core.Objective, totalI
 	if err != nil {
 		return MCTRunOutcome{}, err
 	}
-	res, err := rt.Run(totalInsts)
+	res, err := rt.Run(opt.TotalInsts)
 	if err != nil {
 		return MCTRunOutcome{}, err
 	}
@@ -118,10 +118,7 @@ func runMCT(ctx context.Context, bench, model string, obj core.Objective, totalI
 // MCTComparison reproduces Figure 7 and Table 10: MCT (gradient boosting
 // and quadratic-lasso) against the default system, the best static policy,
 // and the brute-force ideal policy, under the default objective.
-func MCTComparison(ctx context.Context, models []string, totalInsts uint64, opt Options) ([]MCTComparisonResult, *Report, error) {
-	if len(models) == 0 {
-		models = []string{ml.NameGBoost, ml.NameQuadraticLasso}
-	}
+func MCTComparison(ctx context.Context, models []string, opt Options) ([]MCTComparisonResult, *Report, error) {
 	obj := core.Default(opt.LifetimeTarget)
 
 	var results []MCTComparisonResult
@@ -157,7 +154,7 @@ func MCTComparison(ctx context.Context, models []string, totalInsts uint64, opt 
 			MCT:         map[string]MCTRunOutcome{},
 		}
 		for _, mn := range models {
-			out, err := runMCT(ctx, bench, mn, obj, totalInsts, opt, nil)
+			out, err := runMCT(ctx, bench, mn, obj, opt, nil)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -219,10 +216,7 @@ type LifetimeSensitivityResult struct {
 // years. As in the paper's Table 4 protocol, the brute-force ideal search
 // uses the space without wear quota (sweeping every target's wear-quota
 // space is computationally prohibitive even here).
-func LifetimeSensitivity(ctx context.Context, benchmarks []string, targets []float64, totalInsts uint64, opt Options) ([]LifetimeSensitivityResult, *Report, error) {
-	if len(targets) == 0 {
-		targets = []float64{4, 6, 8, 10}
-	}
+func LifetimeSensitivity(ctx context.Context, benchmarks []string, targets []float64, opt Options) ([]LifetimeSensitivityResult, *Report, error) {
 	var results []LifetimeSensitivityResult
 	tbl := Table{
 		Title:  "Figure 8: sensitivity to lifetime targets (IPC and energy/inst normalized to the 8y static policy)",
@@ -239,7 +233,7 @@ func LifetimeSensitivity(ctx context.Context, benchmarks []string, targets []flo
 			pos, _ := sw.Ideal(obj)
 			tOpt := opt
 			tOpt.LifetimeTarget = t
-			out, err := runMCT(ctx, bench, ml.NameGBoost, obj, totalInsts, tOpt, nil)
+			out, err := runMCT(ctx, bench, ml.NameGBoost, obj, tOpt, nil)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -283,10 +277,7 @@ func ExtrapolateIPC(sampling, testing, alpha float64) float64 {
 // sample configurations during the sampling period, the gains during the
 // testing period, and the extrapolated net gain for testing:sampling
 // ratios α.
-func SamplingOverhead(ctx context.Context, alphas []float64, totalInsts uint64, opt Options) ([]SamplingOverheadResult, *Report, error) {
-	if len(alphas) == 0 {
-		alphas = []float64{1, 2, 5, 10, 20}
-	}
+func SamplingOverhead(ctx context.Context, alphas []float64, opt Options) ([]SamplingOverheadResult, *Report, error) {
 	obj := core.Default(opt.LifetimeTarget)
 	var results []SamplingOverheadResult
 
@@ -302,9 +293,7 @@ func SamplingOverhead(ctx context.Context, alphas []float64, totalInsts uint64, 
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		simOpt := opt.Sim
-		simOpt.Seed = opt.Seed
-		prep, err := sim.Prepare(bench, 0, opt.Accesses, simOpt)
+		prep, err := sim.Prepare(bench, 0, opt.Accesses, opt.seededSim())
 		if err != nil {
 			return nil, nil, err
 		}
@@ -312,7 +301,7 @@ func SamplingOverhead(ctx context.Context, alphas []float64, totalInsts uint64, 
 		if err != nil {
 			return nil, nil, err
 		}
-		out, err := runMCT(ctx, bench, ml.NameGBoost, obj, totalInsts, opt, nil)
+		out, err := runMCT(ctx, bench, ml.NameGBoost, obj, opt, nil)
 		if err != nil {
 			return nil, nil, err
 		}

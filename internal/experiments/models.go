@@ -56,7 +56,8 @@ const hbTaskRows = 300
 
 // ModelComparison reproduces Figure 2 and Table 7: convergence rate and
 // prediction accuracy of all predictors versus the number of runtime
-// samples, plus measured computation overheads. Ground truth is the
+// samples (opt.SampleCounts, each averaged over opt.Trials random training
+// sets), plus measured computation overheads. Ground truth is the
 // brute-force sweep; targets are normalized to the baseline configuration.
 //
 // The driver fans out across benchmarks twice (sweeps, then per-benchmark
@@ -64,13 +65,7 @@ const hbTaskRows = 300
 // per-benchmark partial sums in a fixed within-benchmark order and reduced
 // across benchmarks in input order, so the floating-point result is
 // bit-identical at any worker count.
-func ModelComparison(ctx context.Context, sampleCounts []int, trials int, opt Options) (*ModelComparisonResult, *Report, error) {
-	if len(sampleCounts) == 0 {
-		sampleCounts = []int{10, 20, 40, 77, 120, 160, 200}
-	}
-	if trials <= 0 {
-		trials = 3
-	}
+func ModelComparison(ctx context.Context, opt Options) (*ModelComparisonResult, *Report, error) {
 	models := modelComparisonModels()
 
 	// Sweeps for every benchmark (ground truth + offline data). This stage
@@ -92,9 +87,9 @@ func ModelComparison(ctx context.Context, sampleCounts []int, trials int, opt Op
 	}
 
 	res := &ModelComparisonResult{
-		SampleCounts: sampleCounts,
+		SampleCounts: opt.SampleCounts,
 		Models:       models,
-		Acc:          zeroAcc(models, len(sampleCounts)),
+		Acc:          zeroAcc(models, len(opt.SampleCounts)),
 		FitMS:        map[string]float64{},
 		NeedsOffline: map[string]bool{
 			ml.NameOffline: true, ml.NameHBayes: true,
@@ -144,7 +139,7 @@ func ModelComparison(ctx context.Context, sampleCounts []int, trials int, opt Op
 	partials, err := engine.Map(ctx, len(opt.Benchmarks), engine.Options{Workers: opt.Workers, Obs: opt.Obs},
 		func(ctx context.Context, bi int) (map[string][3][]float64, error) {
 			bench := opt.Benchmarks[bi]
-			part := zeroAcc(models, len(sampleCounts))
+			part := zeroAcc(models, len(opt.SampleCounts))
 
 			sw := sweeps[bench]
 			X := sw.Vectors()
@@ -154,7 +149,7 @@ func ModelComparison(ctx context.Context, sampleCounts []int, trials int, opt Op
 			}
 			rng := rng.Derive(opt.Seed, 77)
 
-			for ci, n := range sampleCounts {
+			for ci, n := range opt.SampleCounts {
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
@@ -166,7 +161,7 @@ func ModelComparison(ctx context.Context, sampleCounts []int, trials int, opt Op
 				if n < 2 {
 					n = 2
 				}
-				for trial := 0; trial < trials; trial++ {
+				for trial := 0; trial < opt.Trials; trial++ {
 					train := rng.Perm(len(X))[:n]
 					for _, mname := range models {
 						acc := part[mname]
@@ -179,7 +174,7 @@ func ModelComparison(ctx context.Context, sampleCounts []int, trials int, opt Op
 							if err != nil {
 								return nil, fmt.Errorf("experiments: fit %s on %s: %w", mname, bench, err)
 							}
-							acc[t][ci] += r2 / float64(trials)
+							acc[t][ci] += r2 / float64(opt.Trials)
 						}
 					}
 				}
@@ -252,12 +247,12 @@ func ModelComparison(ctx context.Context, sampleCounts []int, trials int, opt Op
 	for t := 0; t < 3; t++ {
 		tb := Table{Title: fmt.Sprintf("Figure 2 (%s): mean R² vs #samples", metricNames[t])}
 		tb.Header = append(tb.Header, "model")
-		for _, n := range sampleCounts {
+		for _, n := range opt.SampleCounts {
 			tb.Header = append(tb.Header, fmt.Sprintf("n=%d", n))
 		}
 		for _, m := range models {
 			row := []string{m}
-			for i := range sampleCounts {
+			for i := range opt.SampleCounts {
 				row = append(row, f3(res.Acc[m][t][i]))
 			}
 			tb.AddRow(row...)

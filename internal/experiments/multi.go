@@ -32,10 +32,7 @@ const multiWarmupAccesses = 4 * sim.DefaultWarmupAccesses
 // multi-core space ("computationally intractable"). Mixes run concurrently
 // (opt.Workers); rows render in mix order, so the report is identical at
 // any worker count.
-func MultiProgram(ctx context.Context, mixes []string, totalInsts uint64, opt Options) ([]MultiProgramResult, *Report, error) {
-	if len(mixes) == 0 {
-		mixes = trace.MixNames()
-	}
+func MultiProgram(ctx context.Context, mixes []string, opt Options) ([]MultiProgramResult, *Report, error) {
 	obj := core.Default(opt.LifetimeTarget)
 	t11 := Table{Title: "Table 11: multi-program workloads", Header: []string{"mix", "members"}}
 	fig10 := Table{
@@ -72,7 +69,7 @@ func MultiProgram(ctx context.Context, mixes []string, totalInsts uint64, opt Op
 					return sim.Metrics{}, err
 				}
 				mm.Warmup(multiWarmupAccesses)
-				return mm.RunInstructions(totalInsts), nil
+				return mm.RunInstructions(opt.TotalInsts), nil
 			}
 			def, err := runStatic(config.Default())
 			if err != nil {
@@ -90,13 +87,13 @@ func MultiProgram(ctx context.Context, mixes []string, totalInsts uint64, opt Op
 			if err != nil {
 				return MultiProgramResult{}, err
 			}
-			ro := runtimeOptionsFor(ml.NameGBoost, totalInsts, opt.Seed)
+			ro := runtimeOptionsFor(ml.NameGBoost, opt)
 			ro.WarmupAccesses = multiWarmupAccesses
 			rt, err := core.New(core.MultiSystem{MM: mm}, obj, ro)
 			if err != nil {
 				return MultiProgramResult{}, err
 			}
-			res, err := rt.Run(totalInsts)
+			res, err := rt.Run(opt.TotalInsts)
 			if err != nil {
 				return MultiProgramResult{}, err
 			}

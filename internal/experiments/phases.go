@@ -34,9 +34,7 @@ func PhaseDetection(ctx context.Context, benchmark string, totalInsts, intervalI
 	if err != nil {
 		return nil, nil, err
 	}
-	simOpt := opt.Sim
-	simOpt.Seed = opt.Seed
-	m, err := sim.NewMachine(spec, config.StaticBaseline(), simOpt)
+	m, err := sim.NewMachine(spec, config.StaticBaseline(), opt.seededSim())
 	if err != nil {
 		return nil, nil, err
 	}

@@ -6,35 +6,8 @@ import (
 	"sort"
 
 	"mct/internal/ml"
+	"mct/internal/trace"
 )
-
-// RunParams tunes the per-experiment knobs used by Run.
-type RunParams struct {
-	// TotalInsts is the MCT end-to-end run length.
-	TotalInsts uint64
-	// SampleCounts drives the Figure 2 convergence axis.
-	SampleCounts []int
-	// Trials averages stochastic experiments.
-	Trials int
-}
-
-// DefaultRunParams returns the standard experiment scales.
-func DefaultRunParams() RunParams {
-	return RunParams{
-		TotalInsts:   15_000_000,
-		SampleCounts: []int{10, 20, 40, 77, 120, 160, 200},
-		Trials:       3,
-	}
-}
-
-// QuickRunParams returns the reduced scales that go with QuickOptions.
-func QuickRunParams() RunParams {
-	return RunParams{
-		TotalInsts:   8_000_000,
-		SampleCounts: []int{10, 20, 40, 77, 120},
-		Trials:       2,
-	}
-}
 
 // fig6Interval is Figure 6's detector interval I: the paper's 1M scaled to
 // the simulator's trace lengths, so ocean's coarse phases dominate the
@@ -42,7 +15,7 @@ func QuickRunParams() RunParams {
 const fig6Interval = 25_000
 
 // runner runs one experiment and returns its report.
-type runner func(ctx context.Context, opt Options, rp RunParams) (*Report, error)
+type runner func(ctx context.Context, opt Options) (*Report, error)
 
 // report drops an experiment's typed result and keeps its report.
 func report[T any](_ T, rep *Report, err error) (*Report, error) { return rep, err }
@@ -50,65 +23,69 @@ func report[T any](_ T, rep *Report, err error) (*Report, error) { return rep, e
 // experimentsByID is the one list of experiments: Run dispatches on it
 // and IDs lists it.
 var experimentsByID = map[string]runner{
-	"space": func(_ context.Context, opt Options, _ RunParams) (*Report, error) {
+	"space": func(_ context.Context, opt Options) (*Report, error) {
 		return SpaceSummary(opt), nil
 	},
-	"table4": func(ctx context.Context, opt Options, _ RunParams) (*Report, error) {
+	"table4": func(ctx context.Context, opt Options) (*Report, error) {
 		return report(IdealByLifetime(ctx, "leslie3d", []float64{4, 6, 8, 10}, opt))
 	},
-	"fig1": func(ctx context.Context, opt Options, _ RunParams) (*Report, error) {
+	"fig1": func(ctx context.Context, opt Options) (*Report, error) {
 		return report(IdealByApp(ctx, opt))
 	},
-	"table6": func(ctx context.Context, opt Options, _ RunParams) (*Report, error) {
+	"table6": func(ctx context.Context, opt Options) (*Report, error) {
 		return report(TopQuadraticFeatures(ctx, 0 /* IPC */, 3, opt))
 	},
-	"fig2": func(ctx context.Context, opt Options, rp RunParams) (*Report, error) {
-		return report(ModelComparison(ctx, rp.SampleCounts, rp.Trials, opt))
+	"fig2": func(ctx context.Context, opt Options) (*Report, error) {
+		return report(ModelComparison(ctx, opt))
 	},
-	"fig3": func(ctx context.Context, opt Options, rp RunParams) (*Report, error) {
-		return report(WearQuotaAblation(ctx, 77, rp.Trials, opt))
+	"fig3": func(ctx context.Context, opt Options) (*Report, error) {
+		return report(WearQuotaAblation(ctx, 77, opt))
 	},
-	"fig4a": func(ctx context.Context, opt Options, _ RunParams) (*Report, error) {
+	"fig4a": func(ctx context.Context, opt Options) (*Report, error) {
 		return report(LassoCoefficients(ctx, opt))
 	},
-	"fig4b": func(ctx context.Context, opt Options, _ RunParams) (*Report, error) {
+	"fig4b": func(ctx context.Context, opt Options) (*Report, error) {
 		return report(FeatureVsRandomSampling(ctx, opt))
 	},
-	"fig6": func(ctx context.Context, opt Options, _ RunParams) (*Report, error) {
+	"fig6": func(ctx context.Context, opt Options) (*Report, error) {
 		return report(PhaseDetection(ctx, "ocean", 40_000_000, fig6Interval, opt))
 	},
-	"fig7": func(ctx context.Context, opt Options, rp RunParams) (*Report, error) {
-		return report(MCTComparison(ctx, []string{ml.NameGBoost, ml.NameQuadraticLasso}, rp.TotalInsts, opt))
+	"fig7": func(ctx context.Context, opt Options) (*Report, error) {
+		return report(MCTComparison(ctx, []string{ml.NameGBoost, ml.NameQuadraticLasso}, opt))
 	},
-	"fig8": func(ctx context.Context, opt Options, rp RunParams) (*Report, error) {
+	"fig8": func(ctx context.Context, opt Options) (*Report, error) {
 		benches := []string{"lbm", "leslie3d", "GemsFDTD", "stream"}
-		return report(LifetimeSensitivity(ctx, benches, []float64{4, 6, 8, 10}, rp.TotalInsts, opt))
+		return report(LifetimeSensitivity(ctx, benches, []float64{4, 6, 8, 10}, opt))
 	},
-	"fig9": func(ctx context.Context, opt Options, rp RunParams) (*Report, error) {
-		return report(SamplingOverhead(ctx, nil, rp.TotalInsts, opt))
+	"fig9": func(ctx context.Context, opt Options) (*Report, error) {
+		return report(SamplingOverhead(ctx, []float64{1, 2, 5, 10, 20}, opt))
 	},
-	"fig10": func(ctx context.Context, opt Options, rp RunParams) (*Report, error) {
-		return report(MultiProgram(ctx, nil, rp.TotalInsts, opt))
+	"fig10": func(ctx context.Context, opt Options) (*Report, error) {
+		return report(MultiProgram(ctx, trace.MixNames(), opt))
 	},
-	"wq-learning": func(ctx context.Context, opt Options, rp RunParams) (*Report, error) {
-		return report(WearQuotaLearning(ctx, []string{"lbm", "leslie3d"}, rp.TotalInsts, opt))
+	"wq-learning": func(ctx context.Context, opt Options) (*Report, error) {
+		return report(WearQuotaLearning(ctx, []string{"lbm", "leslie3d"}, opt))
 	},
-	"ablation-norm": func(ctx context.Context, opt Options, rp RunParams) (*Report, error) {
-		return report(NormalizationAblation(ctx, 77, rp.Trials, opt))
+	"ablation-norm": func(ctx context.Context, opt Options) (*Report, error) {
+		return report(NormalizationAblation(ctx, 77, opt))
 	},
-	"ablation-settle": func(ctx context.Context, opt Options, rp RunParams) (*Report, error) {
-		return report(SettleAblation(ctx, []string{"lbm", "stream", "gups"}, rp.TotalInsts, opt))
+	"ablation-settle": func(ctx context.Context, opt Options) (*Report, error) {
+		return report(SettleAblation(ctx, []string{"lbm", "stream", "gups"}, opt))
 	},
-	"extension-retention": func(ctx context.Context, opt Options, _ RunParams) (*Report, error) {
+	"extension-retention": func(ctx context.Context, opt Options) (*Report, error) {
 		return report(RetentionExtension(ctx, []string{"lbm", "stream", "zeusmp"}, opt.LifetimeTarget, opt))
 	},
-	"validate-wearlevel": func(ctx context.Context, opt Options, _ RunParams) (*Report, error) {
-		return report(WearLevelValidation(ctx, 0, 0, opt))
+	"validate-wearlevel": func(ctx context.Context, opt Options) (*Report, error) {
+		// The region is downscaled so the run completes several gap
+		// rotations — the steady-state regime the paper's 95% figure
+		// describes (a real bank reaches it over months; one rotation is
+		// (N+1)·ψ writes).
+		return report(WearLevelValidation(ctx, 8, 1<<10, opt))
 	},
-	"ablation-power": func(ctx context.Context, opt Options, _ RunParams) (*Report, error) {
-		return report(PowerBudgetAblation(ctx, []string{"lbm", "stream", "zeusmp"}, nil, opt))
+	"ablation-power": func(ctx context.Context, opt Options) (*Report, error) {
+		return report(PowerBudgetAblation(ctx, []string{"lbm", "stream", "zeusmp"}, []int{2, 4, 8, 16}, opt))
 	},
-	"hybrid-tier": func(ctx context.Context, opt Options, _ RunParams) (*Report, error) {
+	"hybrid-tier": func(ctx context.Context, opt Options) (*Report, error) {
 		return report(HybridTier(ctx, opt))
 	},
 }
@@ -122,8 +99,10 @@ var aliases = map[string]string{
 // Run executes one experiment by ID and returns its report. Valid IDs are
 // listed by IDs(). Cancelling ctx aborts the experiment with ctx.Err();
 // opt.Workers bounds the parallelism of its sweeps and driver fan-out.
-// A nil opt.Sweeps gets one in-memory SweepCache for this call.
-func Run(ctx context.Context, id string, opt Options, rp RunParams) (*Report, error) {
+// A nil opt.Sweeps gets one in-memory SweepCache for this call. The run
+// scale (TotalInsts, Trials, SampleCounts) has no fallback in the drivers,
+// so an unset one is an error rather than a table of zeros.
+func Run(ctx context.Context, id string, opt Options) (*Report, error) {
 	if to, ok := aliases[id]; ok {
 		id = to
 	}
@@ -131,10 +110,14 @@ func Run(ctx context.Context, id string, opt Options, rp RunParams) (*Report, er
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
 	}
+	if opt.TotalInsts == 0 || opt.Trials < 1 || len(opt.SampleCounts) == 0 {
+		return nil, fmt.Errorf("experiments: %s: TotalInsts %d, Trials %d, SampleCounts %v: every run scale must be set (start from DefaultOptions or QuickOptions)",
+			id, opt.TotalInsts, opt.Trials, opt.SampleCounts)
+	}
 	if opt.Sweeps == nil {
 		opt.Sweeps = NewSweepCache("")
 	}
-	return run(ctx, opt, rp)
+	return run(ctx, opt)
 }
 
 // IDs returns the experiment IDs accepted by Run, sorted; aliases are not

@@ -96,11 +96,10 @@ func TestSweepEventsWorkerInvariant(t *testing.T) {
 func TestExperimentReportDeterminism(t *testing.T) {
 	opt := tinyOptions()
 	opt.Sweeps = nil // cold: Run builds a fresh cache per call
-	rp := DefaultRunParams()
-	rp.Trials = 1
+	opt.Trials = 1
 
 	render := func() string {
-		rep, err := Run(context.Background(), "fig4b", opt, rp)
+		rep, err := Run(context.Background(), "fig4b", opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,13 +124,12 @@ func TestExperimentReportDeterminism(t *testing.T) {
 func TestParallelDeterminismAcrossWorkers(t *testing.T) {
 	opt := tinyOptions()
 	opt.Sweeps = nil // cold: Run builds a fresh cache per call
-	rp := DefaultRunParams()
-	rp.Trials = 1
+	opt.Trials = 1
 
 	render := func(workers int) string {
 		o := opt
 		o.Workers = workers
-		rep, err := Run(context.Background(), "fig1", o, rp)
+		rep, err := Run(context.Background(), "fig1", o)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -168,13 +166,12 @@ func TestEnergyPathParallelDeterminism(t *testing.T) {
 	opt := tinyOptions()
 	opt.Sweeps = nil // cold: Run builds a fresh cache per call
 	opt.Benchmarks = []string{"lbm"}
-	rp := DefaultRunParams()
-	rp.Trials = 1
+	opt.Trials = 1
 
 	render := func(workers int) string {
 		o := opt
 		o.Workers = workers
-		rep, err := Run(context.Background(), "fig3", o, rp)
+		rep, err := Run(context.Background(), "fig3", o)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -282,12 +279,11 @@ func TestSweepKeyIncludesSimOptions(t *testing.T) {
 func TestModelComparisonReportDeterminism(t *testing.T) {
 	opt := tinyOptions()
 	opt.Sweeps = nil // cold: Run builds a fresh cache per call
-	rp := DefaultRunParams()
-	rp.Trials = 1
-	rp.SampleCounts = []int{40}
+	opt.Trials = 1
+	opt.SampleCounts = []int{40}
 
 	render := func() string {
-		rep, err := Run(context.Background(), "fig2", opt, rp)
+		rep, err := Run(context.Background(), "fig2", opt)
 		if err != nil {
 			t.Fatal(err)
 		}

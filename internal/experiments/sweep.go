@@ -25,6 +25,14 @@ type Options struct {
 	Stride int
 	// LifetimeTarget is the default minimum-lifetime objective (years).
 	LifetimeTarget float64
+	// TotalInsts is the length of each MCT end-to-end run (Figures 7–10,
+	// wq-learning, ablation-settle).
+	TotalInsts uint64
+	// SampleCounts is Figure 2's training-sample axis.
+	SampleCounts []int
+	// Trials is how many random training subsets the learning experiments
+	// (Figures 2 and 3, ablation-norm) average over.
+	Trials int
 	// Sim is the simulated system.
 	Sim sim.Options
 	// Seed drives workload and sampling randomness.
@@ -56,18 +64,32 @@ func DefaultOptions() Options {
 		Accesses:       30_000,
 		Stride:         1,
 		LifetimeTarget: 8,
+		TotalInsts:     15_000_000,
+		SampleCounts:   []int{10, 20, 40, 77, 120, 160, 200},
+		Trials:         3,
 		Sim:            sim.DefaultOptions(),
 		Seed:           1,
 	}
 }
 
 // QuickOptions returns reduced-fidelity settings for tests: a strided
-// subset of the space and shorter traces.
+// subset of the space, shorter traces and MCT runs, fewer sample counts
+// and trials.
 func QuickOptions() Options {
 	o := DefaultOptions()
 	o.Accesses = 8_000
 	o.Stride = 23
+	o.TotalInsts = 8_000_000
+	o.SampleCounts = []int{10, 20, 40, 77, 120}
+	o.Trials = 2
 	return o
+}
+
+// seededSim returns the simulator options with the experiment's seed.
+func (o Options) seededSim() sim.Options {
+	s := o.Sim
+	s.Seed = o.Seed
+	return s
 }
 
 // Sweep holds the brute-force evaluation of (a strided subset of) a
@@ -113,9 +135,7 @@ func computeSweep(ctx context.Context, benchmark string, includeWQ bool, key swe
 		return s, nil
 	}
 
-	simOpt := opt.Sim
-	simOpt.Seed = opt.Seed
-	prep, err := sim.Prepare(benchmark, 0, opt.Accesses, simOpt)
+	prep, err := sim.Prepare(benchmark, 0, opt.Accesses, opt.seededSim())
 	if err != nil {
 		return nil, err
 	}

@@ -84,7 +84,7 @@ func TestRunSharesSweepCacheWithinCall(t *testing.T) {
 	opt.Sweeps = nil
 	opt.Benchmarks = []string{"lbm", "lbm"}
 	for call := uint64(1); call <= 2; call++ {
-		if _, err := Run(context.Background(), "fig1", opt, DefaultRunParams()); err != nil {
+		if _, err := Run(context.Background(), "fig1", opt); err != nil {
 			t.Fatal(err)
 		}
 		if n := sweepsComputed(opt.Obs); n != call {

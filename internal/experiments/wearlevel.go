@@ -30,15 +30,6 @@ type WearLevelResult struct {
 // reports the achieved avg/max wear ratio against the paper's assumed 95%,
 // alongside the unleveled ratio and the gap-movement write overhead.
 func WearLevelValidation(ctx context.Context, psi, regionLines int, opt Options) ([]WearLevelResult, *Report, error) {
-	if psi <= 0 {
-		psi = 8
-	}
-	if regionLines <= 0 {
-		// Downscaled so the run completes several gap rotations — the
-		// steady-state regime the paper's 95% figure describes (a real
-		// bank reaches it over months; one rotation is (N+1)·ψ writes).
-		regionLines = 1 << 10
-	}
 	var results []WearLevelResult
 	tbl := Table{
 		Title:  fmt.Sprintf("Wear-leveling validation: Start-Gap (ψ=%d, %d-line region) vs the assumed 0.95", psi, regionLines),

@@ -24,14 +24,9 @@ type WearQuotaAblationResult struct {
 // WearQuotaAblation reproduces Figure 3: including wear quota in the
 // configuration space makes the targets harder to predict (the paper
 // observes a 2–6% accuracy degradation), which is why MCT excludes it from
-// learning and re-adds it as a fixup.
-func WearQuotaAblation(ctx context.Context, samples, trials int, opt Options) ([]WearQuotaAblationResult, *Report, error) {
-	if samples <= 0 {
-		samples = 77
-	}
-	if trials <= 0 {
-		trials = 3
-	}
+// learning and re-adds it as a fixup. Each R² is averaged over opt.Trials
+// random training sets of samples rows.
+func WearQuotaAblation(ctx context.Context, samples int, opt Options) ([]WearQuotaAblationResult, *Report, error) {
 	var results []WearQuotaAblationResult
 	tbl := Table{
 		Title:  "Figure 3: gboost R² excluding vs including wear quota in the learning space",
@@ -57,7 +52,7 @@ func WearQuotaAblation(ctx context.Context, samples, trials int, opt Options) ([
 			X := sw.Vectors()
 			rng := rng.Derive(opt.Seed, int64(variant))
 			for t := 0; t < 3; t++ {
-				acc, err := meanHeldOutR2(newGBoost, X, sw.Targets(core.Metric(t), true), samples, trials, rng)
+				acc, err := meanHeldOutR2(newGBoost, X, sw.Targets(core.Metric(t), true), samples, opt.Trials, rng)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -92,7 +87,7 @@ type WearQuotaLearningResult struct {
 
 // WearQuotaLearning reproduces §6.2.3's end-to-end comparison on the given
 // benchmarks (the paper reports lbm and leslie3d).
-func WearQuotaLearning(ctx context.Context, benchmarks []string, totalInsts uint64, opt Options) ([]WearQuotaLearningResult, *Report, error) {
+func WearQuotaLearning(ctx context.Context, benchmarks []string, opt Options) ([]WearQuotaLearningResult, *Report, error) {
 	var results []WearQuotaLearningResult
 	tbl := Table{
 		Title:  "§6.2.3: MCT testing-period metrics, wear quota excluded vs included in learning",
@@ -100,7 +95,7 @@ func WearQuotaLearning(ctx context.Context, benchmarks []string, totalInsts uint
 	}
 	for _, bench := range benchmarks {
 		run := func(includeWQ bool) (sim.Metrics, error) {
-			out, err := runMCT(ctx, bench, ml.NameGBoost, core.Default(opt.LifetimeTarget), totalInsts, opt,
+			out, err := runMCT(ctx, bench, ml.NameGBoost, core.Default(opt.LifetimeTarget), opt,
 				func(ro *core.Options) {
 					ro.Space = config.SpaceOptions{IncludeWearQuota: includeWQ, WearQuotaTarget: opt.LifetimeTarget}
 				})

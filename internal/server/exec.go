@@ -259,9 +259,8 @@ func execSweep(ctx context.Context, spec api.JobSpec, opt ExecOptions) ([]byte, 
 // Checkpoints, experiments.Run keeps the sweeps in memory for the call.
 func execExperiment(ctx context.Context, spec api.JobSpec, opt ExecOptions) ([]byte, error) {
 	eopt := experiments.DefaultOptions()
-	rp := experiments.DefaultRunParams()
 	if spec.Quick {
-		eopt, rp = experiments.QuickOptions(), experiments.QuickRunParams()
+		eopt = experiments.QuickOptions()
 	}
 	eopt.Sim = simOptions(spec)
 	eopt.Workers = opt.Workers
@@ -270,7 +269,7 @@ func execExperiment(ctx context.Context, spec api.JobSpec, opt ExecOptions) ([]b
 	if ck := opt.Checkpoints; ck != nil {
 		eopt.Sweeps = experiments.NewSweepCache(ck.SweepDir)
 	}
-	rep, err := experiments.Run(ctx, spec.Experiment, eopt, rp)
+	rep, err := experiments.Run(ctx, spec.Experiment, eopt)
 	if err != nil {
 		return nil, err
 	}

@@ -251,15 +251,19 @@ func (s *Server) Submit(client string, spec api.JobSpec) (api.JobStatus, error) 
 	st := api.JobStatus{V: api.Version, ID: id, Kind: spec.Kind, Client: client, State: api.StateQueued}
 	j := newJob(spec, st)
 	// Persist before enqueueing: the runner may pop the job the instant it
-	// is queued, and must find its directory on disk.
-	if err := s.store.createJob(id, spec); err != nil {
-		return api.JobStatus{}, err
+	// is queued, and must find its directory on disk. A job that is not
+	// queued leaves no directory behind, or the next New would fail to
+	// load it.
+	err := s.store.createJob(id, spec)
+	if err == nil {
+		err = s.store.writeStatus(st)
 	}
-	if err := s.store.writeStatus(st); err != nil {
-		return api.JobStatus{}, err
+	if err == nil {
+		if err = s.queue.push(j); err != nil {
+			s.stats.rejected.Add(1)
+		}
 	}
-	if err := s.queue.push(j); err != nil {
-		s.stats.rejected.Add(1)
+	if err != nil {
 		if rerr := os.RemoveAll(s.store.jobDir(id)); rerr != nil {
 			s.stats.persistErrors.Add(1)
 		}

@@ -62,6 +62,15 @@ func waitDone(t *testing.T, j *job) {
 	}
 }
 
+// blockPath replaces the file at path with a non-empty directory, which no
+// atomic write can rename over.
+func blockPath(path string) error {
+	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+		return err
+	}
+	return os.MkdirAll(filepath.Join(path, "occupied"), 0o755)
+}
+
 // --- queue -----------------------------------------------------------------
 
 // TestFairQueueRotation: a client submitting one job behind another client's
@@ -178,6 +187,29 @@ func TestExecuteEvaluateResume(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("resumed artifact differs from uninterrupted run:\n--- resumed ---\n%s--- straight ---\n%s", got, want)
+	}
+}
+
+// TestExecuteCheckpointWriteFails: a machine checkpoint that cannot be
+// written mid-job fails the job, naming the file, instead of running on
+// without the resume state it promises.
+func TestExecuteCheckpointWriteFails(t *testing.T) {
+	ck := &Checkpoints{Dir: t.TempDir()}
+	chunks := 0
+	var blockErr error
+	_, err := Execute(context.Background(), evalSpec(evalChunks), ExecOptions{
+		Checkpoints: ck,
+		onChunk: func(done, total int) {
+			if chunks++; chunks == 1 {
+				blockErr = blockPath(ck.machinePath())
+			}
+		},
+	})
+	if blockErr != nil {
+		t.Fatal(blockErr)
+	}
+	if err == nil || !strings.Contains(err.Error(), "machine.ckpt") {
+		t.Fatalf("Execute with machine.ckpt blocked after chunk 1: err %v, want one naming machine.ckpt", err)
 	}
 }
 
@@ -599,16 +631,15 @@ func TestServerRestartResume(t *testing.T) {
 // first chunk write; a corrupt machine.ckpt fails an evaluate job before
 // its first chunk.
 func TestServerArtifactWriteFails(t *testing.T) {
-	block := func(path string) error { return os.MkdirAll(filepath.Join(path, "occupied"), 0o755) }
 	corrupt := func(path string) error { return os.WriteFile(path, []byte("not a checkpoint"), 0o644) }
 	for _, tc := range []struct {
 		file  string
 		spec  api.JobSpec
 		fault func(path string) error
 	}{
-		{"artifact.json", evalSpec(evalChunks), block},
+		{"artifact.json", evalSpec(evalChunks), blockPath},
 		{"machine.ckpt", evalSpec(evalChunks), corrupt},
-		{"partial.json", sweepSpec(), block},
+		{"partial.json", sweepSpec(), blockPath},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
 			srv, err := New(Options{StateDir: t.TempDir()})
@@ -658,6 +689,64 @@ func TestServerArtifactWriteFails(t *testing.T) {
 			}
 			if body := readAll(t, resp); resp.StatusCode != http.StatusConflict {
 				t.Fatalf("artifact of the failed job: status %d (%s), want 409", resp.StatusCode, body)
+			}
+		})
+	}
+}
+
+// TestServerStatusWriteFails: a job whose status.json cannot be written
+// once it starts running fails naming the file, and both counters show it.
+func TestServerStatusWriteFails(t *testing.T) {
+	srv, err := New(Options{StateDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := srv.Submit("alice", evalSpec(20_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := blockPath(filepath.Join(srv.store.jobDir(st.ID), "status.json")); err != nil {
+		t.Fatal(err)
+	}
+	stop := startRunner(t, srv)
+	j := srv.job(st.ID)
+	waitDone(t, j)
+	stop()
+
+	if got := j.snapshot(); got.State != api.StateFailed || !strings.Contains(got.Error, "status.json") {
+		t.Fatalf("job with a blocked status.json is %s (error %q), want failed naming the file", got.State, got.Error)
+	}
+	if n := srv.reg.Counter("server.jobs_failed").Value(); n != 1 {
+		t.Errorf("server.jobs_failed %d, want 1", n)
+	}
+	if n := srv.reg.Counter("server.persist_errors").Value(); n < 1 {
+		t.Errorf("server.persist_errors %d, want at least 1", n)
+	}
+}
+
+// TestSubmitPersistFailureLeavesNoJob: a Submit that cannot persist the
+// job's spec or status removes the job's directory, so the next New on the
+// state directory starts, with no job listed.
+func TestSubmitPersistFailureLeavesNoJob(t *testing.T) {
+	for _, file := range []string{"spec.json", "status.json"} {
+		t.Run(file, func(t *testing.T) {
+			stateDir := t.TempDir()
+			srv, err := New(Options{StateDir: stateDir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := blockPath(filepath.Join(srv.store.jobDir(jobID(1)), file)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := srv.Submit("alice", evalSpec(20_000)); err == nil {
+				t.Fatalf("Submit with %s blocked succeeded", file)
+			}
+			srv2, err := New(Options{StateDir: stateDir})
+			if err != nil {
+				t.Fatalf("New after a failed Submit: %v", err)
+			}
+			if len(srv2.order) != 0 {
+				t.Fatalf("New after a failed Submit lists jobs %v, want none", srv2.order)
 			}
 		})
 	}

@@ -319,12 +319,12 @@ func EvaluateMany(ctx context.Context, benchmark string, nAccesses int, cfgs []C
 
 // Experiment types.
 type (
-	// ExperimentOptions scales the experiment drivers.
+	// ExperimentOptions scales the experiment drivers: the swept space and
+	// traces, the MCT run length, Figure 2's sample counts and the
+	// learning experiments' trials.
 	ExperimentOptions = experiments.Options
 	// ExperimentReport is a rendered experiment artifact.
 	ExperimentReport = experiments.Report
-	// ExperimentRunParams tunes per-experiment knobs.
-	ExperimentRunParams = experiments.RunParams
 )
 
 // TextProgress returns a sink that renders trace events as plain text
@@ -337,7 +337,7 @@ func Experiments() []string { return experiments.IDs() }
 
 // RunExperiment regenerates one paper table/figure and returns the
 // structured report. Options: WithExperimentOptions (default
-// DefaultExperimentOptions), WithRunParams, WithWorkers, WithTraceSink
+// DefaultExperimentOptions), WithWorkers, WithTraceSink
 // (progress events), WithObserver (engine metric family + sweep counters),
 // WithOutput (render the text report to a writer as well). Each call
 // computes its sweeps afresh unless the experiment options carry a Sweeps
@@ -352,10 +352,6 @@ func RunExperiment(ctx context.Context, id string, opts ...Option) (*ExperimentR
 	if c.tiers != nil {
 		opt.Sim.Tiers = *c.tiers
 	}
-	rp := experiments.DefaultRunParams()
-	if c.rp != nil {
-		rp = *c.rp
-	}
 	if c.workersSet {
 		opt.Workers = c.workers
 	}
@@ -365,7 +361,7 @@ func RunExperiment(ctx context.Context, id string, opts ...Option) (*ExperimentR
 	if c.reg != nil {
 		opt.Obs = c.reg
 	}
-	rep, err := experiments.Run(ctx, id, opt, rp)
+	rep, err := experiments.Run(ctx, id, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -379,12 +375,6 @@ func RunExperiment(ctx context.Context, id string, opts ...Option) (*ExperimentR
 func DefaultExperimentOptions() ExperimentOptions { return experiments.DefaultOptions() }
 
 // QuickExperimentOptions returns reduced-fidelity settings (strided space,
-// short traces) for fast iteration and tests.
+// short traces and MCT runs, fewer samples and trials) for fast iteration
+// and tests.
 func QuickExperimentOptions() ExperimentOptions { return experiments.QuickOptions() }
-
-// DefaultExperimentRunParams returns the standard experiment scales.
-func DefaultExperimentRunParams() ExperimentRunParams { return experiments.DefaultRunParams() }
-
-// QuickExperimentRunParams returns the reduced scales that go with
-// QuickExperimentOptions.
-func QuickExperimentRunParams() ExperimentRunParams { return experiments.QuickRunParams() }

@@ -30,7 +30,6 @@ type callOpts struct {
 	tiers   *TierConfig
 	runtime *RuntimeOptions
 	exp     *ExperimentOptions
-	rp      *ExperimentRunParams
 	reg     *Registry
 	sink    TraceSink
 	out     io.Writer
@@ -83,12 +82,6 @@ func WithRuntimeOptions(o RuntimeOptions) Option {
 // DefaultExperimentOptions).
 func WithExperimentOptions(o ExperimentOptions) Option {
 	return func(c *callOpts) { c.exp = &o }
-}
-
-// WithRunParams sets per-experiment scale knobs (default:
-// DefaultExperimentRunParams).
-func WithRunParams(rp ExperimentRunParams) Option {
-	return func(c *callOpts) { c.rp = &rp }
 }
 
 // WithObserver attaches a metrics registry to the call: machines publish
