@@ -38,8 +38,9 @@ race:
 perfbench-test:
 	cd _perfbench && $(GO) test -count=1 ./...
 
-# Quick end-to-end check that the mctbench binary still runs an experiment
-# and that the warm-clone and batched evaluation micro-benchmarks still
+# Quick end-to-end check that the mctbench binary still runs an experiment,
+# printing with -json the same bytes as mct -job on the same experiment
+# spec (one versioned report form for both paths), and that the warm-clone and batched evaluation micro-benchmarks still
 # compile and run: the parallel-determinism tests exercise the engine, this
 # exercises the CLI and the bench harness. The batch-width benchmark
 # reports gups ns per lane-access at one lane and at a full batch; it is
@@ -61,7 +62,11 @@ perfbench-test:
 # byte-identical report, and a third run into a fresh directory must write
 # byte-identical entries.
 bench-smoke:
-	$(GO) run ./cmd/mctbench -experiment space -quick -quiet
+	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/mctbench -experiment space -quick -quiet -json > "$$tmp/bench.json" && \
+	echo '{"v":1,"kind":"experiment","experiment":"space","quick":true}' > "$$tmp/spec.json" && \
+	$(GO) run ./cmd/mct -job "$$tmp/spec.json" > "$$tmp/job.json" && \
+	cmp "$$tmp/bench.json" "$$tmp/job.json"
 	./scripts/sweep_cache_smoke.sh
 	$(GO) test -run '^$$' -bench 'BenchmarkEvaluate(WarmClone|Batch|BatchWidth)$$' -benchtime 5x .
 	$(GO) test -run '^$$' -bench 'BenchmarkMachineStep|Benchmark(Tiered)?BatchedStepLoop' -benchtime 200000x ./internal/sim

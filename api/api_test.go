@@ -325,3 +325,32 @@ func TestSweepResultPairing(t *testing.T) {
 		t.Fatal("decoder accepted mismatched indices/metrics")
 	}
 }
+
+// FuzzDecodeSweepResult feeds arbitrary bytes to the one decoder of a
+// sweep's results, which reads both the artifact and the prefix a sweep
+// job resumes from (partial.json): every input decodes or returns an
+// error, never panics, and a document that decodes re-encodes to bytes
+// that decode and encode to themselves. The seeds
+// (testdata/fuzz/FuzzDecodeSweepResult) are the golden artifact, a
+// completed prefix, the same torn mid-metrics, a prefix in the job's
+// former private form, a version-2 document, a metrics entry without its
+// version and one with unpaired indices.
+func FuzzDecodeSweepResult(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r, err := DecodeSweepResult(b)
+		if err != nil {
+			return
+		}
+		if len(r.Indices) != len(r.Metrics) {
+			t.Fatalf("decoded %d indices for %d metrics", len(r.Indices), len(r.Metrics))
+		}
+		first := Encode(r)
+		again, err := DecodeSweepResult(first)
+		if err != nil {
+			t.Fatalf("a decoded result re-encodes to bytes that fail to decode: %v\n%s", err, first)
+		}
+		if re := Encode(again); !bytes.Equal(re, first) {
+			t.Fatalf("encode∘decode not identity on an encoded result:\n%s\n%s", first, re)
+		}
+	})
+}

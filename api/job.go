@@ -10,8 +10,9 @@ const (
 	// mid-run.
 	KindEvaluate = "evaluate"
 	// KindSweep evaluates a strided slice of the configuration space on one
-	// prepared benchmark and returns a SweepResult. The warm machine and
-	// completed chunks are persisted, so a resume recomputes only the tail.
+	// prepared benchmark and returns a SweepResult. The result's completed
+	// prefix is persisted after each chunk, so a resume recomputes only the
+	// tail.
 	KindSweep = "sweep"
 	// KindExperiment regenerates one paper table/figure and returns an
 	// ExperimentReport. Resume granularity is the on-disk sweep cache.

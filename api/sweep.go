@@ -21,7 +21,8 @@ type SweepResult struct {
 	Metrics []Metrics `json:"metrics"`
 }
 
-// Validate checks version and the indices/metrics pairing.
+// Validate checks the versions, of the result and of each of its metrics,
+// and the indices/metrics pairing.
 func (r SweepResult) Validate() error {
 	if r.V != Version {
 		return fmt.Errorf("api: sweep result has schema version %d; this decoder reads version %d", r.V, Version)
@@ -29,10 +30,17 @@ func (r SweepResult) Validate() error {
 	if len(r.Indices) != len(r.Metrics) {
 		return fmt.Errorf("api: sweep result: %d indices but %d metrics", len(r.Indices), len(r.Metrics))
 	}
+	for i, m := range r.Metrics {
+		if m.V != Version {
+			return fmt.Errorf("api: sweep result: metrics %d has schema version %d; this decoder reads version %d", i, m.V, Version)
+		}
+	}
 	return nil
 }
 
-// DecodeSweepResult strictly decodes and validates a SweepResult document.
+// DecodeSweepResult strictly decodes and validates a SweepResult document:
+// a sweep job's artifact, and the completed prefix of one that the job
+// persists to resume from.
 func DecodeSweepResult(data []byte) (SweepResult, error) {
 	var r SweepResult
 	if err := decodeStrict(data, &r, "sweep result"); err != nil {

@@ -33,6 +33,7 @@ import (
 	"mct"
 	"mct/api"
 	"mct/internal/engine"
+	"mct/internal/phase"
 	"mct/internal/server"
 	"mct/internal/sim"
 )
@@ -62,6 +63,12 @@ func main() {
 		jobOut   = flag.String("job-out", "", "artifact output path for -job (default stdout)")
 	)
 	flag.Parse()
+	// tiers is the hierarchy composition every machine of this run is built
+	// with (MCT run and reference runs alike, so the comparison is fair).
+	tiers := mct.TierConfig{DRAMCache: *dram, DRAMPromoteThreshold: *dramTh}
+	if err := tiers.Validate(); err != nil {
+		fail(fmt.Errorf("-dram, -dram-promote: %w", err))
+	}
 
 	if *list {
 		fmt.Println("benchmarks:", mct.Benchmarks())
@@ -83,20 +90,19 @@ func main() {
 	ro := mct.DefaultRuntimeOptions()
 	ro.Model = *model
 	ro.EnablePhaseDetection = *phases
+	if *phases {
+		// The runtime observes once per testing chunk, so the chunk is
+		// the detector interval; at the default 100k the detector needs
+		// 8M testing instructions before its first score.
+		ro.TestChunkInsts = phase.DefaultInterval
+	}
 
 	if *mix != "" && (*ckptSave != "" || *ckptLoad != "") {
 		fail(errors.New("checkpoints are single-core only; drop -mix or the -checkpoint flags"))
 	}
-	if *dramTh != 0 && !*dram {
-		fail(errors.New("-dram-promote requires -dram"))
-	}
 	if *dram && *ckptLoad != "" {
 		fail(errors.New("a checkpoint carries its own tier composition; drop -dram or -checkpoint-load"))
 	}
-	// tiers is the hierarchy composition every machine of this run is built
-	// with (MCT run and reference runs alike, so the comparison is fair).
-	tiers := mct.TierConfig{DRAMCache: *dram, DRAMPromoteThreshold: *dramTh}
-
 	// One registry serves every layer of the run: the machine's cache/nvm
 	// families, the runtime's core family, and the reference-run engine
 	// fan-out. Only schedule-independent instruments land in the stable

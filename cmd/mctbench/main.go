@@ -21,7 +21,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -33,6 +32,7 @@ import (
 	"time"
 
 	"mct"
+	"mct/api"
 	"mct/internal/config"
 	"mct/internal/experiments"
 )
@@ -48,7 +48,7 @@ func main() {
 		benches = flag.String("benchmarks", "", "comma-separated benchmark subset (default: all); table4, fig6, fig8, fig10, wq-learning, ablation-settle, ablation-power and extension-retention run the paper's fixed lists and ignore it")
 		workers = flag.Int("workers", 0, "parallel evaluation workers (0 = GOMAXPROCS)")
 		quiet   = flag.Bool("quiet", false, "suppress progress output")
-		asJSON  = flag.Bool("json", false, "emit structured JSON instead of text tables")
+		asJSON  = flag.Bool("json", false, "emit each report as a versioned api.ExperimentReport document (the mctd/mct -job artifact) instead of text tables")
 		metrics = flag.String("metrics-out", "", "write a sorted JSON metrics dump of the experiment runs to this file")
 		dram    = flag.Bool("dram", false, "run experiments on the hybrid hierarchy: DRAM cache tier between LLC and NVM")
 		dramTh  = flag.Int("dram-promote", 0, "DRAM hot-page promotion threshold (0 = tier default; requires -dram)")
@@ -94,25 +94,16 @@ func main() {
 	if *metrics != "" {
 		reg = mct.NewRegistry()
 	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
 	for _, id := range ids {
 		start := time.Now()
-		ropts := []mct.Option{
-			mct.WithExperimentOptions(opt), mct.WithObserver(reg),
-		}
-		if !*asJSON {
-			ropts = append(ropts, mct.WithOutput(os.Stdout))
-		}
-		rep, err := mct.RunExperiment(ctx, id, ropts...)
+		rep, err := mct.RunExperiment(ctx, id, mct.WithExperimentOptions(opt), mct.WithObserver(reg))
 		if err != nil {
 			fail(id, err)
 		}
 		if *asJSON {
-			if err := enc.Encode(rep); err != nil {
-				fail(id, err)
-			}
+			os.Stdout.Write(api.Encode(api.FromReport(rep)))
 		} else {
+			rep.Fprint(os.Stdout)
 			fmt.Println()
 		}
 		if !*quiet {

@@ -14,7 +14,7 @@
 //	DELETE /v1/jobs/{id}           cancel a job            → JobStatus
 //	GET    /v1/jobs/{id}/artifact  fetch the result        → artifact document (409 until done)
 //	GET    /v1/jobs/{id}/events    progress stream         → SSE of api.Event frames
-//	GET    /metrics                obs registry            → JSON (expvar bridge)
+//	GET    /metrics                obs registry            → JSON (Registry.DumpAllJSON)
 //	GET    /healthz                liveness                → {"ok":true}
 //
 // Jobs persist under the state directory and survive the process: on

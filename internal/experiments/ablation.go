@@ -29,6 +29,9 @@ type NormalizationAblationResult struct {
 // (≈1) fit well. Each R² is averaged over opt.Trials random training sets
 // of samples rows.
 func NormalizationAblation(ctx context.Context, samples int, opt Options) ([]NormalizationAblationResult, *Report, error) {
+	if opt.Trials < 1 {
+		return nil, nil, opt.errScale()
+	}
 	var results []NormalizationAblationResult
 	tbl := Table{
 		Title:  "Ablation (§4.4): quadratic-lasso R² with baseline-normalized vs raw targets",
@@ -80,6 +83,9 @@ type SettleAblationResult struct {
 // policy contaminate the next sample's labels, degrading the learned
 // decision.
 func SettleAblation(ctx context.Context, benchmarks []string, opt Options) ([]SettleAblationResult, *Report, error) {
+	if opt.TotalInsts == 0 {
+		return nil, nil, opt.errScale()
+	}
 	var results []SettleAblationResult
 	tbl := Table{
 		Title:  "Ablation: sample settle window (testing-period metrics)",

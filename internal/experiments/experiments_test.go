@@ -9,6 +9,7 @@ import (
 
 	"mct/internal/core"
 	"mct/internal/ml"
+	"mct/internal/phase"
 )
 
 // testSweeps is the sweep cache the package's tests share through
@@ -230,7 +231,7 @@ func TestWearQuotaAblation(t *testing.T) {
 
 func TestPhaseDetectionExperiment(t *testing.T) {
 	opt := tinyOptions()
-	res, rep, err := PhaseDetection(context.Background(), "ocean", 12_000_000, fig6Interval, opt)
+	res, rep, err := PhaseDetection(context.Background(), "ocean", 12_000_000, phase.DefaultInterval, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,6 +394,48 @@ func TestRegistryRunsEverything(t *testing.T) {
 	rep, err := Run(context.Background(), "space", tinyOptions())
 	if err != nil || rep.ID != "space" {
 		t.Fatalf("registry run failed: %v", err)
+	}
+}
+
+// TestDriversRejectUnsetScale: a driver called directly rejects an unset
+// run scale it reads, as Run does, instead of returning a table of zeros,
+// and MCTComparison rejects an empty model list instead of indexing it.
+func TestDriversRejectUnsetScale(t *testing.T) {
+	ctx := context.Background()
+	unset := func(f func(*Options)) Options {
+		o := tinyOptions()
+		f(&o)
+		return o
+	}
+	noInsts := unset(func(o *Options) { o.TotalInsts = 0 })
+	noTrials := unset(func(o *Options) { o.Trials = 0 })
+	noCounts := unset(func(o *Options) { o.SampleCounts = nil })
+	lbm := []string{"lbm"}
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"MCTComparison no TotalInsts", func() error {
+			_, _, err := MCTComparison(ctx, []string{ml.NameGBoost}, noInsts)
+			return err
+		}},
+		{"MCTComparison no models", func() error { _, _, err := MCTComparison(ctx, nil, tinyOptions()); return err }},
+		{"LifetimeSensitivity no TotalInsts", func() error {
+			_, _, err := LifetimeSensitivity(ctx, lbm, []float64{8}, noInsts)
+			return err
+		}},
+		{"SamplingOverhead no TotalInsts", func() error { _, _, err := SamplingOverhead(ctx, []float64{1}, noInsts); return err }},
+		{"MultiProgram no TotalInsts", func() error { _, _, err := MultiProgram(ctx, []string{"mix1"}, noInsts); return err }},
+		{"WearQuotaLearning no TotalInsts", func() error { _, _, err := WearQuotaLearning(ctx, lbm, noInsts); return err }},
+		{"SettleAblation no TotalInsts", func() error { _, _, err := SettleAblation(ctx, lbm, noInsts); return err }},
+		{"ModelComparison no Trials", func() error { _, _, err := ModelComparison(ctx, noTrials); return err }},
+		{"ModelComparison no SampleCounts", func() error { _, _, err := ModelComparison(ctx, noCounts); return err }},
+		{"WearQuotaAblation no Trials", func() error { _, _, err := WearQuotaAblation(ctx, 25, noTrials); return err }},
+		{"NormalizationAblation no Trials", func() error { _, _, err := NormalizationAblation(ctx, 25, noTrials); return err }},
+	} {
+		if err := tc.run(); err == nil {
+			t.Errorf("%s: ran; want an error", tc.name)
+		}
 	}
 }
 

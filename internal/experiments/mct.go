@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"mct/internal/config"
@@ -119,6 +120,12 @@ func runMCT(ctx context.Context, bench, model string, obj core.Objective, opt Op
 // and quadratic-lasso) against the default system, the best static policy,
 // and the brute-force ideal policy, under the default objective.
 func MCTComparison(ctx context.Context, models []string, opt Options) ([]MCTComparisonResult, *Report, error) {
+	if opt.TotalInsts == 0 {
+		return nil, nil, opt.errScale()
+	}
+	if len(models) == 0 {
+		return nil, nil, errors.New("experiments: MCTComparison: no models to compare")
+	}
 	obj := core.Default(opt.LifetimeTarget)
 
 	var results []MCTComparisonResult
@@ -217,6 +224,9 @@ type LifetimeSensitivityResult struct {
 // uses the space without wear quota (sweeping every target's wear-quota
 // space is computationally prohibitive even here).
 func LifetimeSensitivity(ctx context.Context, benchmarks []string, targets []float64, opt Options) ([]LifetimeSensitivityResult, *Report, error) {
+	if opt.TotalInsts == 0 {
+		return nil, nil, opt.errScale()
+	}
 	var results []LifetimeSensitivityResult
 	tbl := Table{
 		Title:  "Figure 8: sensitivity to lifetime targets (IPC and energy/inst normalized to the 8y static policy)",
@@ -278,6 +288,9 @@ func ExtrapolateIPC(sampling, testing, alpha float64) float64 {
 // testing period, and the extrapolated net gain for testing:sampling
 // ratios α.
 func SamplingOverhead(ctx context.Context, alphas []float64, opt Options) ([]SamplingOverheadResult, *Report, error) {
+	if opt.TotalInsts == 0 {
+		return nil, nil, opt.errScale()
+	}
 	obj := core.Default(opt.LifetimeTarget)
 	var results []SamplingOverheadResult
 

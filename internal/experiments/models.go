@@ -66,6 +66,9 @@ const hbTaskRows = 300
 // across benchmarks in input order, so the floating-point result is
 // bit-identical at any worker count.
 func ModelComparison(ctx context.Context, opt Options) (*ModelComparisonResult, *Report, error) {
+	if opt.Trials < 1 || len(opt.SampleCounts) == 0 {
+		return nil, nil, opt.errScale()
+	}
 	models := modelComparisonModels()
 
 	// Sweeps for every benchmark (ground truth + offline data). This stage

@@ -33,6 +33,9 @@ const multiWarmupAccesses = 4 * sim.DefaultWarmupAccesses
 // (opt.Workers); rows render in mix order, so the report is identical at
 // any worker count.
 func MultiProgram(ctx context.Context, mixes []string, opt Options) ([]MultiProgramResult, *Report, error) {
+	if opt.TotalInsts == 0 {
+		return nil, nil, opt.errScale()
+	}
 	obj := core.Default(opt.LifetimeTarget)
 	t11 := Table{Title: "Table 11: multi-program workloads", Header: []string{"mix", "members"}}
 	fig10 := Table{

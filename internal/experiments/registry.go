@@ -6,13 +6,9 @@ import (
 	"sort"
 
 	"mct/internal/ml"
+	"mct/internal/phase"
 	"mct/internal/trace"
 )
-
-// fig6Interval is Figure 6's detector interval I: the paper's 1M scaled to
-// the simulator's trace lengths, so ocean's coarse phases dominate the
-// detector's short window.
-const fig6Interval = 25_000
 
 // runner runs one experiment and returns its report.
 type runner func(ctx context.Context, opt Options) (*Report, error)
@@ -48,7 +44,7 @@ var experimentsByID = map[string]runner{
 		return report(FeatureVsRandomSampling(ctx, opt))
 	},
 	"fig6": func(ctx context.Context, opt Options) (*Report, error) {
-		return report(PhaseDetection(ctx, "ocean", 40_000_000, fig6Interval, opt))
+		return report(PhaseDetection(ctx, "ocean", 40_000_000, phase.DefaultInterval, opt))
 	},
 	"fig7": func(ctx context.Context, opt Options) (*Report, error) {
 		return report(MCTComparison(ctx, []string{ml.NameGBoost, ml.NameQuadraticLasso}, opt))
@@ -99,9 +95,9 @@ var aliases = map[string]string{
 // Run executes one experiment by ID and returns its report. Valid IDs are
 // listed by IDs(). Cancelling ctx aborts the experiment with ctx.Err();
 // opt.Workers bounds the parallelism of its sweeps and driver fan-out.
-// A nil opt.Sweeps gets one in-memory SweepCache for this call. The run
-// scale (TotalInsts, Trials, SampleCounts) has no fallback in the drivers,
-// so an unset one is an error rather than a table of zeros.
+// A nil opt.Sweeps gets one in-memory SweepCache for this call. Every run
+// scale (TotalInsts, Trials, SampleCounts) must be set, whichever of them
+// the experiment reads.
 func Run(ctx context.Context, id string, opt Options) (*Report, error) {
 	if to, ok := aliases[id]; ok {
 		id = to
@@ -111,8 +107,7 @@ func Run(ctx context.Context, id string, opt Options) (*Report, error) {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
 	}
 	if opt.TotalInsts == 0 || opt.Trials < 1 || len(opt.SampleCounts) == 0 {
-		return nil, fmt.Errorf("experiments: %s: TotalInsts %d, Trials %d, SampleCounts %v: every run scale must be set (start from DefaultOptions or QuickOptions)",
-			id, opt.TotalInsts, opt.Trials, opt.SampleCounts)
+		return nil, opt.errScale()
 	}
 	if opt.Sweeps == nil {
 		opt.Sweeps = NewSweepCache("")

@@ -56,6 +56,14 @@ type Options struct {
 	Sweeps *SweepCache
 }
 
+// errScale is the error for an unset run scale (TotalInsts, Trials,
+// SampleCounts). The drivers have no fallback, so each rejects an unset one
+// it reads rather than run to a table of zeros.
+func (o Options) errScale() error {
+	return fmt.Errorf("experiments: TotalInsts %d, Trials %d, SampleCounts %v: every run scale the experiment reads must be set (start from DefaultOptions or QuickOptions)",
+		o.TotalInsts, o.Trials, o.SampleCounts)
+}
+
 // DefaultOptions returns full-fidelity settings (full space, all
 // benchmarks).
 func DefaultOptions() Options {

@@ -27,6 +27,9 @@ type WearQuotaAblationResult struct {
 // learning and re-adds it as a fixup. Each R² is averaged over opt.Trials
 // random training sets of samples rows.
 func WearQuotaAblation(ctx context.Context, samples int, opt Options) ([]WearQuotaAblationResult, *Report, error) {
+	if opt.Trials < 1 {
+		return nil, nil, opt.errScale()
+	}
 	var results []WearQuotaAblationResult
 	tbl := Table{
 		Title:  "Figure 3: gboost R² excluding vs including wear quota in the learning space",
@@ -88,6 +91,9 @@ type WearQuotaLearningResult struct {
 // WearQuotaLearning reproduces §6.2.3's end-to-end comparison on the given
 // benchmarks (the paper reports lbm and leslie3d).
 func WearQuotaLearning(ctx context.Context, benchmarks []string, opt Options) ([]WearQuotaLearningResult, *Report, error) {
+	if opt.TotalInsts == 0 {
+		return nil, nil, opt.errScale()
+	}
 	var results []WearQuotaLearningResult
 	tbl := Table{
 		Title:  "§6.2.3: MCT testing-period metrics, wear quota excluded vs included in learning",

@@ -65,7 +65,8 @@ func (r *Registry) DumpJSON() []byte {
 }
 
 // DumpAllJSON renders the full dump including volatile (wall-clock /
-// scheduling-dependent) instruments. Not byte-stable across runs.
+// scheduling-dependent) instruments, the form a live endpoint such as
+// mctd's /metrics serves. Not byte-stable across runs.
 func (r *Registry) DumpAllJSON() []byte {
 	return marshalDoc(r.doc(true))
 }
@@ -77,12 +78,4 @@ func marshalDoc(d dumpDoc) []byte {
 		panic(fmt.Sprintf("obs: dump marshal: %v", err))
 	}
 	return append(b, '\n')
-}
-
-// ExpvarFunc returns a snapshot function suitable for expvar.Publish
-// (expvar.Func marshals the returned value on every scrape). The snapshot
-// includes volatile instruments: a live debug endpoint wants wall-clock
-// signals, unlike the stable dump.
-func (r *Registry) ExpvarFunc() func() any {
-	return func() any { return r.doc(true) }
 }

@@ -235,18 +235,6 @@ func TestConcurrentAddsDeterministic(t *testing.T) {
 	}
 }
 
-func TestExpvarFuncIncludesVolatile(t *testing.T) {
-	r := NewRegistry()
-	r.VolatileGauge("v.live").Set(4)
-	doc, ok := r.ExpvarFunc()().(dumpDoc)
-	if !ok {
-		t.Fatalf("ExpvarFunc returned %T", r.ExpvarFunc()())
-	}
-	if doc.Gauges["v.live"] != 4 {
-		t.Errorf("expvar snapshot missing volatile gauge: %+v", doc)
-	}
-}
-
 func TestTextSink(t *testing.T) {
 	var buf bytes.Buffer
 	sink := TextSink(&buf)

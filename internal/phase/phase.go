@@ -22,6 +22,9 @@ const (
 	longWindows = 400
 	// Threshold is the t-score above which a new phase is declared.
 	Threshold = 15
+	// DefaultInterval is I for the simulator's runs (Figure 6, mct
+	// -phases): the paper's 1M scaled down with the windows.
+	DefaultInterval = 25_000
 )
 
 // Detector consumes per-interval memory-workload counts and reports phase

@@ -22,9 +22,8 @@
 package server
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 
@@ -50,9 +49,9 @@ const (
 
 // Checkpoints names the directory where Execute persists resumable state
 // for one job: for evaluate jobs a machine checkpoint (machine.ckpt), for
-// sweeps the completed prefix of results (partial.json). SweepDir, when
-// set, is the disk layer of an experiment job's sweep cache, which jobs
-// may share.
+// sweeps the api.SweepResult artifact cut to its completed prefix
+// (partial.json). SweepDir, when set, is the disk layer of an experiment
+// job's sweep cache, which jobs may share.
 // Nil Checkpoints in ExecOptions disables persistence entirely — the CLI's
 // synchronous mode.
 type Checkpoints struct {
@@ -179,44 +178,39 @@ func execEvaluate(ctx context.Context, spec api.JobSpec, opt ExecOptions) ([]byt
 	return api.Encode(api.FromMetrics(m.WindowMetrics())), nil
 }
 
-// sweepPartial is the persisted completed prefix of a sweep job. Metrics
-// are stored in wire form, which round-trips exactly (shortest-round-trip
-// float encoding), so a resumed sweep's artifact is byte-identical to an
-// uninterrupted one.
-type sweepPartial struct {
-	V       int           `json:"v"`
-	Metrics []api.Metrics `json:"metrics"`
-}
-
 // execSweep evaluates every stride-th configuration of the enumerated space
-// on one prepared benchmark. The completed result prefix is persisted after
-// every chunk; a resume reads it, prepares the benchmark again and
-// computes only the tail. Chunks fan out on the engine worker pool and
-// results keep enumeration order at any worker count.
+// on one prepared benchmark. After every chunk the job persists its own
+// artifact cut to the completed prefix: an api.SweepResult whose Indices
+// are the first len(Metrics) strided positions. A resume reads it back with
+// api.DecodeSweepResult, checks it was written for this spec, prepares the
+// benchmark again and computes only the tail. Metrics round-trip exactly in
+// wire form (shortest-round-trip floats), so a resumed artifact is
+// byte-identical to an uninterrupted one. Chunks fan out on the engine
+// worker pool and results keep enumeration order at any worker count.
 func execSweep(ctx context.Context, spec api.JobSpec, opt ExecOptions) ([]byte, error) {
-	stride := max(spec.Stride, 1)
 	space := config.NewSpace(config.SpaceOptions{})
-	indices := space.Strided(stride)
+	res := api.SweepResult{
+		V:         api.Version,
+		Benchmark: spec.Benchmark,
+		Accesses:  spec.Accesses,
+		Stride:    max(spec.Stride, 1),
+		SpaceSize: space.Len(),
+	}
+	indices := space.Strided(res.Stride)
 
-	var done []api.Metrics
 	if ck := opt.Checkpoints; ck != nil {
-		if data, err := os.ReadFile(ck.partialPath()); err == nil {
-			var p sweepPartial
-			if err := decodePartial(data, &p); err != nil {
-				return nil, fmt.Errorf("server: resume sweep: %w", err)
-			}
-			if len(p.Metrics) > len(indices) {
-				return nil, fmt.Errorf("server: resume sweep: partial has %d results for %d indices", len(p.Metrics), len(indices))
-			}
-			done = p.Metrics
+		done, err := resumeSweep(ck.partialPath(), res, indices)
+		if err != nil {
+			return nil, fmt.Errorf("server: resume sweep from %s: %w", ck.partialPath(), err)
 		}
+		res.Metrics = done
 	}
 	prep, err := sim.Prepare(spec.Benchmark, 0, spec.Accesses, simOptions(spec))
 	if err != nil {
 		return nil, err
 	}
 
-	for start := len(done); start < len(indices); start += DefaultSweepChunk {
+	for start := len(res.Metrics); start < len(indices); start += DefaultSweepChunk {
 		end := min(start+DefaultSweepChunk, len(indices))
 		cfgs := make([]config.Config, end-start)
 		for i := range cfgs {
@@ -227,27 +221,44 @@ func execSweep(ctx context.Context, spec api.JobSpec, opt ExecOptions) ([]byte, 
 			return nil, err
 		}
 		for _, m := range ms {
-			done = append(done, api.FromMetrics(m))
+			res.Metrics = append(res.Metrics, api.FromMetrics(m))
 		}
+		res.Indices = indices[:end]
 		if ck := opt.Checkpoints; ck != nil {
-			if err := atomicfile.Write(ck.partialPath(), api.Encode(sweepPartial{V: api.Version, Metrics: done})); err != nil {
+			if err := atomicfile.Write(ck.partialPath(), api.Encode(res)); err != nil {
 				return nil, err
 			}
 		}
-		opt.emit(obs.Event{Scope: "job", Item: spec.Benchmark, Done: len(done), Total: len(indices)})
-		opt.chunkDone(len(done), len(indices))
+		opt.emit(obs.Event{Scope: "job", Item: spec.Benchmark, Done: end, Total: len(indices)})
+		opt.chunkDone(end, len(indices))
 	}
-
-	res := api.SweepResult{
-		V:         api.Version,
-		Benchmark: spec.Benchmark,
-		Accesses:  spec.Accesses,
-		Stride:    stride,
-		SpaceSize: space.Len(),
-		Indices:   indices,
-		Metrics:   done,
-	}
+	res.Indices = indices
 	return api.Encode(res), nil
+}
+
+// resumeSweep reads the persisted prefix at path, if there is one, and
+// returns its metrics. The prefix must be the result want, cut to its
+// first len(Metrics) strided positions of indices: same benchmark, trace
+// length, stride and space. Anything else is an error, never a resume into
+// another sweep's bytes.
+func resumeSweep(path string, want api.SweepResult, indices []int) ([]api.Metrics, error) {
+	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	got, err := api.DecodeSweepResult(data)
+	if err != nil {
+		return nil, err
+	}
+	want.Indices, want.Metrics = indices[:min(len(got.Indices), len(indices))], got.Metrics
+	if !bytes.Equal(api.Encode(got), api.Encode(want)) {
+		return nil, fmt.Errorf("%d results of sweep %s (%d accesses, stride %d, space %d) do not begin this sweep",
+			len(got.Metrics), got.Benchmark, got.Accesses, got.Stride, got.SpaceSize)
+	}
+	return got.Metrics, nil
 }
 
 // execExperiment regenerates one paper table/figure. Resume granularity is
@@ -274,17 +285,4 @@ func execExperiment(ctx context.Context, spec api.JobSpec, opt ExecOptions) ([]b
 		return nil, err
 	}
 	return api.Encode(api.FromReport(rep)), nil
-}
-
-// decodePartial decodes a persisted sweep prefix strictly enough to catch a
-// truncated or foreign file, without rejecting same-version field growth
-// the way the api decoders do (the partial is private to one job dir).
-func decodePartial(data []byte, p *sweepPartial) error {
-	if err := json.Unmarshal(data, p); err != nil {
-		return err
-	}
-	if p.V != api.Version {
-		return errors.New("partial result has a different schema version")
-	}
-	return nil
 }

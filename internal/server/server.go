@@ -481,14 +481,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics serves the obs registry — stable families plus volatile
-// runtime gauges — as one JSON document via the registry's expvar bridge.
+// runtime gauges — as its full dump (Registry.DumpAllJSON).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	v := s.reg.ExpvarFunc()()
-	data, err := json.Marshal(v)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(append(data, '\n')) //mctlint:ignore uncheckederr a failed response write means the client is gone; nothing to do
+	w.Write(s.reg.DumpAllJSON()) //mctlint:ignore uncheckederr a failed response write means the client is gone; nothing to do
 }

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -235,8 +236,17 @@ func TestExecuteSweepResume(t *testing.T) {
 	if err == nil {
 		t.Fatal("interrupted Execute returned no error")
 	}
-	if _, err := os.Stat(ck.partialPath()); err != nil {
+	data, err := os.ReadFile(ck.partialPath())
+	if err != nil {
 		t.Fatalf("no partial result after interrupt: %v", err)
+	}
+	prefix, err := api.DecodeSweepResult(data)
+	if err != nil {
+		t.Fatalf("partial.json is not a sweep result: %v", err)
+	}
+	if len(prefix.Metrics) != DefaultSweepChunk || prefix.Indices[1] != spec.Stride {
+		t.Fatalf("partial.json holds %d results at indices %v..., want the first chunk's %d at stride %d",
+			len(prefix.Metrics), prefix.Indices[:2], DefaultSweepChunk, spec.Stride)
 	}
 	if _, err := os.Stat(ck.machinePath()); !os.IsNotExist(err) {
 		t.Fatalf("a sweep job wrote a machine checkpoint (stat: %v)", err)
@@ -255,6 +265,62 @@ func TestExecuteSweepResume(t *testing.T) {
 	}
 	if len(res.Metrics) != len(res.Indices) || len(res.Metrics) == 0 {
 		t.Fatalf("sweep artifact shape: %d metrics for %d indices", len(res.Metrics), len(res.Indices))
+	}
+}
+
+// TestExecuteSweepRejectsForeignPartial: a partial.json torn mid-document,
+// written for another benchmark or stride, or whose indices are not the
+// sweep's first strided positions fails the resume, naming the file; the
+// job never resumes into another sweep's bytes.
+func TestExecuteSweepRejectsForeignPartial(t *testing.T) {
+	spec := sweepSpec()
+	ck := &Checkpoints{Dir: t.TempDir()}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if _, err := Execute(ctx, spec, ExecOptions{Workers: 1, Checkpoints: ck, onChunk: interruptAfter(1, cancel)}); err == nil {
+		t.Fatal("interrupted Execute returned no error")
+	}
+	data, err := os.ReadFile(ck.partialPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix, err := api.DecodeSweepResult(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit := func(f func(r *api.SweepResult)) []byte {
+		r := prefix
+		r.Indices = slices.Clone(prefix.Indices)
+		f(&r)
+		return api.Encode(r)
+	}
+	space := config.NewSpace(config.SpaceOptions{})
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"torn", data[:len(data)/2]},
+		{"other benchmark", edit(func(r *api.SweepResult) { r.Benchmark = "stream" })},
+		{"other stride", edit(func(r *api.SweepResult) {
+			r.Stride = spec.Stride / 2
+			r.Indices = space.Strided(r.Stride)[:len(r.Metrics)]
+		})},
+		{"shifted indices", edit(func(r *api.SweepResult) {
+			for i := range r.Indices {
+				r.Indices[i]++
+			}
+		})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ck := &Checkpoints{Dir: t.TempDir()}
+			if err := os.WriteFile(ck.partialPath(), tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got, err := Execute(context.Background(), spec, ExecOptions{Workers: 1, Checkpoints: ck})
+			if err == nil || !strings.Contains(err.Error(), "partial.json") || got != nil {
+				t.Fatalf("resume from a %s partial.json: %d artifact bytes, err %v; want an error naming partial.json", tc.name, len(got), err)
+			}
+		})
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 //	status.json    the last persisted JobStatus
 //	artifact.json  the artifact document, written once on completion
 //	machine.ckpt   Execute's evaluate-job machine checkpoint (while running)
-//	partial.json   Execute's completed sweep prefix (while running)
+//	partial.json   Execute's sweep artifact cut to its completed prefix (while running)
 //
 // and one directory <dir>/sweepcache/ that every experiment job shares: the
 // disk layer of its sweep cache, so completed sweeps outlive the job and

@@ -234,14 +234,9 @@ func SaveCheckpoint(path string, m *Machine) error { return sim.SaveCheckpoint(p
 // version.
 func LoadCheckpoint(path string) (*Machine, error) { return sim.LoadCheckpoint(path) }
 
-// CloneMachine returns an independent deep copy of a machine: both continue
-// the identical simulation, and advancing one never perturbs the other.
-func CloneMachine(m *Machine) *Machine { return m.Clone() }
-
 // runtimeOptions resolves the effective core options of one facade call:
-// explicit options (or defaults) with the shared observer surface merged
-// in (WithObserver feeds the core metric family, WithTraceSink the
-// decision-trace events).
+// explicit options (or defaults) with WithObserver's registry merged in
+// for the core metric family.
 func runtimeOptions(c callOpts) RuntimeOptions {
 	opt := core.DefaultOptions()
 	if c.runtime != nil {
@@ -250,17 +245,15 @@ func runtimeOptions(c callOpts) RuntimeOptions {
 	if c.reg != nil {
 		opt.Obs = c.reg
 	}
-	if c.sink != nil {
-		opt.Events = c.sink
-	}
 	return opt
 }
 
 // NewRuntime attaches an MCT runtime to a machine. Options:
-// WithRuntimeOptions (default DefaultRuntimeOptions), WithObserver (the
-// core metric family publishes to the registry; if the machine has no
-// observer yet, the registry is attached to it too, so one registry covers
-// both layers), WithTraceSink (decision-trace events).
+// WithRuntimeOptions (default DefaultRuntimeOptions; its Events field
+// receives the decision-trace events), WithObserver (the core metric
+// family publishes to the registry; if the machine has no observer yet,
+// the registry is attached to it too, so one registry covers both
+// layers).
 func NewRuntime(ctx context.Context, m *Machine, obj Objective, opts ...Option) (*Runtime, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -329,17 +322,17 @@ type (
 
 // TextProgress returns a sink that renders trace events as plain text
 // lines on w — the same lines the drivers printed before events existed.
-// Pass it via WithTraceSink.
+// Set it as ExperimentOptions.Events or RuntimeOptions.Events.
 func TextProgress(w io.Writer) TraceSink { return obs.TextSink(w) }
 
 // Experiments lists the reproducible table/figure identifiers.
 func Experiments() []string { return experiments.IDs() }
 
 // RunExperiment regenerates one paper table/figure and returns the
-// structured report. Options: WithExperimentOptions (default
-// DefaultExperimentOptions), WithWorkers, WithTraceSink
-// (progress events), WithObserver (engine metric family + sweep counters),
-// WithOutput (render the text report to a writer as well). Each call
+// structured report; rep.Fprint(w) renders its text tables. Options:
+// WithExperimentOptions (default DefaultExperimentOptions; its Events
+// field receives the progress events), WithTiers, WithWorkers,
+// WithObserver (engine metric family + sweep counters). Each call
 // computes its sweeps afresh unless the experiment options carry a Sweeps
 // cache. Cancelling ctx aborts promptly with ctx.Err(); reports are
 // byte-identical at any worker count.
@@ -355,20 +348,10 @@ func RunExperiment(ctx context.Context, id string, opts ...Option) (*ExperimentR
 	if c.workersSet {
 		opt.Workers = c.workers
 	}
-	if c.sink != nil {
-		opt.Events = c.sink
-	}
 	if c.reg != nil {
 		opt.Obs = c.reg
 	}
-	rep, err := experiments.Run(ctx, id, opt)
-	if err != nil {
-		return nil, err
-	}
-	if c.out != nil {
-		rep.Fprint(c.out)
-	}
-	return rep, nil
+	return experiments.Run(ctx, id, opt)
 }
 
 // DefaultExperimentOptions returns full-fidelity experiment settings.

@@ -96,9 +96,11 @@ func TestRunExperimentSpace(t *testing.T) {
 	ctx := context.Background()
 	var buf bytes.Buffer
 	opt := mct.QuickExperimentOptions()
-	if _, err := mct.RunExperiment(ctx, "space", mct.WithExperimentOptions(opt), mct.WithOutput(&buf)); err != nil {
+	rep, err := mct.RunExperiment(ctx, "space", mct.WithExperimentOptions(opt))
+	if err != nil {
 		t.Fatal(err)
 	}
+	rep.Fprint(&buf)
 	if !strings.Contains(buf.String(), "2030") {
 		t.Fatalf("space report wrong:\n%s", buf.String())
 	}

@@ -134,8 +134,9 @@ func TestObserverDoesNotPerturbRuntime(t *testing.T) {
 	}
 }
 
-// TestRuntimeTraceSink: WithTraceSink receives the runtime's decision
-// trace (baseline, sampling, decision events) with the runtime scope.
+// TestRuntimeTraceSink: RuntimeOptions.Events receives the runtime's
+// decision trace (baseline, sampling, decision events) with the runtime
+// scope.
 func TestRuntimeTraceSink(t *testing.T) {
 	ctx := context.Background()
 	var (
@@ -155,8 +156,8 @@ func TestRuntimeTraceSink(t *testing.T) {
 	ro.SamplingTotalInsts = 900_000
 	ro.SampleUnitInsts = 10_000
 	ro.BaselineInsts = 100_000
-	rt, err := mct.NewRuntime(ctx, m, mct.DefaultObjective(8),
-		mct.WithRuntimeOptions(ro), mct.WithTraceSink(sink))
+	ro.Events = sink
+	rt, err := mct.NewRuntime(ctx, m, mct.DefaultObjective(8), mct.WithRuntimeOptions(ro))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,6 @@
 package mct
 
-import (
-	"io"
-
-	"mct/internal/obs"
-)
+import "mct/internal/obs"
 
 // Observability types, re-exported from internal/obs.
 type (
@@ -31,8 +27,6 @@ type callOpts struct {
 	runtime *RuntimeOptions
 	exp     *ExperimentOptions
 	reg     *Registry
-	sink    TraceSink
-	out     io.Writer
 	workers int
 	// workersSet distinguishes WithWorkers(0) ("use GOMAXPROCS") from
 	// "option absent".
@@ -89,18 +83,6 @@ func WithExperimentOptions(o ExperimentOptions) Option {
 // fan-outs the engine family, all onto reg. Dump it with reg.DumpJSON().
 func WithObserver(reg *Registry) Option {
 	return func(c *callOpts) { c.reg = reg }
-}
-
-// WithTraceSink routes trace events — experiment/sweep progress and
-// runtime decision traces — to sink. Use TextProgress(w) for plain text.
-func WithTraceSink(sink TraceSink) Option {
-	return func(c *callOpts) { c.sink = sink }
-}
-
-// WithOutput sets the writer RunExperiment renders its text report to (by
-// default the report is only returned, not rendered).
-func WithOutput(w io.Writer) Option {
-	return func(c *callOpts) { c.out = w }
 }
 
 // WithWorkers bounds evaluation parallelism (0 = GOMAXPROCS). Results and
