@@ -1,10 +1,10 @@
 # Standard verify recipe. CI (.github/workflows/ci.yml) calls these targets
-# for vet, perfbench-test, bench-smoke, fuzz-checkpoint, metrics-check,
+# for vet, perfbench-test, bench-smoke, fuzz, metrics-check,
 # report-check and serve-smoke, so the commands live in one place.
 
 GO ?= go
 
-.PHONY: all build vet lint test race perfbench-test bench-smoke metrics-check report-check serve-smoke fuzz-checkpoint verify
+.PHONY: all build vet lint test race perfbench-test bench-smoke metrics-check report-check serve-smoke fuzz verify
 
 all: verify
 
@@ -99,11 +99,15 @@ report-check:
 	$(GO) run ./cmd/mctbench -experiment all -quick -quiet -workers 2 -benchmarks lbm,zeusmp,gups -insts 2000000 > results/report_quick.txt
 	git diff --exit-code -- results/report_quick.txt
 
-# A bounded fuzz run of the checkpoint reader, a trust boundary: every
-# input must load or return an error, never panic. `make test` runs only
-# its seeds (internal/sim/testdata/fuzz).
-fuzz-checkpoint:
+# A bounded fuzz run of every trust-boundary decoder, about 60 s in all:
+# the checkpoint reader, the sweep-result reader (artifact and resume
+# prefix) and the HTTP job-spec decoder. Every input must decode or return
+# an error, never panic. go test -fuzz takes one target per call; `make
+# test` runs only their seeds (testdata/fuzz in each package).
+fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadCheckpoint$$' -fuzztime 30s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSweepResult$$' -fuzztime 15s ./api
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeJobSpec$$' -fuzztime 15s ./api
 
 # End-to-end daemon smoke: boot mctd, prove CLI/daemon artifact parity over
 # HTTP, then kill -9 mid-job and prove the restarted daemon resumes from the

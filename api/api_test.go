@@ -354,3 +354,30 @@ func FuzzDecodeSweepResult(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeJobSpec feeds arbitrary bytes to the daemon's submission
+// decoder, the HTTP trust boundary: every input decodes to a valid spec or
+// returns an error, never panics, and a spec that decodes re-encodes to
+// bytes that decode to the same spec and encode to themselves. The seeds
+// (testdata/fuzz/FuzzDecodeJobSpec) are one spec of each kind, an unknown
+// kind, a negative warmup_accesses, a version-2 spec and a spec followed
+// by trailing data.
+func FuzzDecodeJobSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		s, err := DecodeJobSpec(b)
+		if err != nil {
+			return
+		}
+		first := Encode(s)
+		again, err := DecodeJobSpec(first)
+		if err != nil {
+			t.Fatalf("a decoded spec re-encodes to bytes that fail to decode: %v\n%s", err, first)
+		}
+		if !reflect.DeepEqual(again, s) {
+			t.Fatalf("decode∘encode changed the spec:\n%+v\n%+v", s, again)
+		}
+		if re := Encode(again); !bytes.Equal(re, first) {
+			t.Fatalf("encode∘decode not identity on an encoded spec:\n%s\n%s", first, re)
+		}
+	})
+}

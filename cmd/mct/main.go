@@ -38,9 +38,11 @@ import (
 	"mct/internal/sim"
 )
 
-// refRun is one finished reference simulation.
+// refRun is one reference policy, run on the identical workload, and once
+// finished its metrics.
 type refRun struct {
 	label string
+	cfg   mct.Config
 	m     mct.Metrics
 }
 
@@ -86,16 +88,7 @@ func main() {
 		return
 	}
 
-	obj := mct.DefaultObjective(*lifetime)
-	ro := mct.DefaultRuntimeOptions()
-	ro.Model = *model
-	ro.EnablePhaseDetection = *phases
-	if *phases {
-		// The runtime observes once per testing chunk, so the chunk is
-		// the detector interval; at the default 100k the detector needs
-		// 8M testing instructions before its first score.
-		ro.TestChunkInsts = phase.DefaultInterval
-	}
+	obj, ro, refs := runOptions(*lifetime, *insts, *model, *phases, *mix != "", *ckptLoad != "")
 
 	if *mix != "" && (*ckptSave != "" || *ckptLoad != "") {
 		fail(errors.New("checkpoints are single-core only; drop -mix or the -checkpoint flags"))
@@ -118,7 +111,7 @@ func main() {
 	// comparable and are skipped.
 	var refCh chan refResult
 	if *mix == "" && *ckptLoad == "" {
-		refCh = startReferenceRuns(ctx, *bench, *insts, *workers, tiers, reg)
+		refCh = startReferenceRuns(ctx, *bench, refs, *insts, *workers, tiers, reg)
 	}
 
 	var (
@@ -145,9 +138,6 @@ func main() {
 		)
 		if *ckptLoad != "" {
 			m, e = mct.LoadCheckpoint(*ckptLoad)
-			// The loaded machine is already warm; the runtime's own warmup
-			// would advance it past the saved point.
-			ro.WarmupAccesses = 0
 			// A checkpoint written under -metrics-out carries its registry;
 			// resuming continues the same counters so the final dump matches
 			// an uninterrupted run.
@@ -222,6 +212,30 @@ func main() {
 	}
 }
 
+// runOptions resolves the objective, the MCT runtime options and the
+// reference policies of one run from its flags. A machine resumed from a
+// checkpoint is already warm: the runtime's own warmup would advance it
+// past the saved point.
+func runOptions(lifetime float64, insts uint64, model string, phases, multi, resumed bool) (mct.Objective, mct.RuntimeOptions, []refRun) {
+	obj := mct.DefaultObjective(lifetime)
+	ro := mct.DefaultRuntimeOptions().ScaledTo(insts)
+	ro.Model = model
+	ro.EnablePhaseDetection = phases
+	if phases {
+		// The runtime observes once per testing chunk, so the chunk is
+		// the detector interval; at the default 100k the detector needs
+		// 8M testing instructions before its first score.
+		ro.TestChunkInsts = phase.DefaultInterval
+	}
+	switch {
+	case resumed:
+		ro.WarmupAccesses = 0
+	case multi:
+		ro.WarmupAccesses = sim.MultiWarmupAccesses
+	}
+	return obj, ro, []refRun{{label: "default", cfg: mct.DefaultConfig()}, {label: "static ", cfg: obj.Baseline()}}
+}
+
 // refResult carries the reference runs (in presentation order) or the first
 // error.
 type refResult struct {
@@ -229,15 +243,9 @@ type refResult struct {
 	err  error
 }
 
-// startReferenceRuns launches the default-system and static-baseline runs
-// on the identical workload in the background and returns a channel with
-// the ordered results.
-func startReferenceRuns(ctx context.Context, bench string, insts uint64, workers int, tiers mct.TierConfig, reg *mct.Registry) chan refResult {
-	refs := []struct {
-		label string
-		cfg   mct.Config
-	}{{"default", mct.DefaultConfig()}, {"static ", mct.StaticBaseline()}}
-
+// startReferenceRuns launches the reference runs on the identical workload
+// in the background and returns a channel with the ordered results.
+func startReferenceRuns(ctx context.Context, bench string, refs []refRun, insts uint64, workers int, tiers mct.TierConfig, reg *mct.Registry) chan refResult {
 	ch := make(chan refResult, 1)
 	go func() {
 		// The reference machines carry no per-machine observer (their
@@ -250,7 +258,9 @@ func startReferenceRuns(ctx context.Context, bench string, insts uint64, workers
 					return refRun{}, err
 				}
 				m.Warmup(sim.DefaultWarmupAccesses)
-				return refRun{label: refs[i].label, m: m.RunInstructions(insts)}, nil
+				r := refs[i]
+				r.m = m.RunInstructions(insts)
+				return r, nil
 			})
 		ch <- refResult{runs: runs, err: err}
 	}()

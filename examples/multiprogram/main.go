@@ -23,21 +23,23 @@ func main() {
 	fmt.Printf("%-6s %-42s %10s %10s %10s %12s\n",
 		"mix", "members", "def IPC", "static", "MCT", "MCT life(y)")
 
+	obj := mct.DefaultObjective(8)
 	for _, mix := range mct.Mixes() {
-		// Reference runs under the two fixed policies.
+		// Reference runs under the two fixed policies; the static one is
+		// the baseline at the objective's lifetime floor.
 		refIPC := map[string]float64{}
 		for _, ref := range []struct {
 			label string
 			cfg   mct.Config
 		}{
 			{"default", mct.DefaultConfig()},
-			{"static", mct.StaticBaseline()},
+			{"static", obj.Baseline()},
 		} {
 			mm, err := mct.NewMixMachine(ctx, mix, ref.cfg)
 			if err != nil {
 				log.Fatal(err)
 			}
-			mm.Warmup(240_000)
+			mm.Warmup(mct.MultiWarmupAccesses)
 			w := mm.RunInstructions(insts)
 			refIPC[ref.label] = w.IPC
 		}
@@ -47,9 +49,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		ro := mct.DefaultRuntimeOptions()
-		ro.WarmupAccesses = 240_000
-		rt, err := mct.NewMultiRuntime(ctx, mm, mct.DefaultObjective(8), mct.WithRuntimeOptions(ro))
+		ro := mct.DefaultRuntimeOptions().ScaledTo(insts)
+		ro.WarmupAccesses = mct.MultiWarmupAccesses
+		rt, err := mct.NewMultiRuntime(ctx, mm, obj, mct.WithRuntimeOptions(ro))
 		if err != nil {
 			log.Fatal(err)
 		}

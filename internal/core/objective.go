@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 
+	"mct/internal/config"
 	"mct/internal/floats"
 )
 
@@ -81,6 +82,18 @@ func (o Objective) MinLifetime() float64 {
 		}
 	}
 	return 0
+}
+
+// Baseline returns the static baseline policy (config.StaticBaseline) with
+// its wear-quota target at the objective's lifetime floor, when it has one:
+// the configuration the runtime normalizes against and health-checks with,
+// and the static policy MCT is compared to.
+func (o Objective) Baseline() config.Config {
+	b := config.StaticBaseline()
+	if lt := o.MinLifetime(); lt > 0 {
+		b.WearQuotaTarget = lt
+	}
+	return b
 }
 
 // Validate checks the objective's structure.

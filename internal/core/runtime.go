@@ -103,6 +103,24 @@ func DefaultOptions() Options {
 	}
 }
 
+// ScaledTo returns o with its budgets fitted to a run of totalInsts
+// instructions at the paper's 1:2 sampling:testing proof-of-concept split,
+// so a short run still reaches its testing period. Budgets within the caps
+// stay: DefaultOptions is unchanged from 15M instructions up. New and Run
+// never scale.
+func (o Options) ScaledTo(totalInsts uint64) Options {
+	if o.SamplingTotalInsts > totalInsts/3 {
+		o.SamplingTotalInsts = max(totalInsts/3, 100_000)
+	}
+	if o.BaselineInsts > totalInsts/20 {
+		o.BaselineInsts = max(totalInsts/20, 50_000)
+	}
+	if unit := o.SamplingTotalInsts / 100; unit < o.SampleUnitInsts {
+		o.SampleUnitInsts = max(unit, 2_000)
+	}
+	return o
+}
+
 // Validate checks option sanity.
 func (o Options) Validate() error {
 	if o.BaselineInsts == 0 || o.SampleUnitInsts == 0 || o.SamplingTotalInsts == 0 || o.TestChunkInsts == 0 {
@@ -238,13 +256,10 @@ func New(machine System, obj Objective, opt Options) (*Runtime, error) {
 	r := &Runtime{
 		machine:  machine,
 		space:    config.NewSpace(opt.Space),
-		baseline: config.StaticBaseline(),
+		baseline: obj.Baseline(),
 		obj:      obj,
 		opt:      opt,
 		model:    tm,
-	}
-	if lt := obj.MinLifetime(); lt > 0 {
-		r.baseline.WearQuotaTarget = lt
 	}
 	if opt.EnablePhaseDetection {
 		r.detector = phase.New(opt.TestChunkInsts)
@@ -257,10 +272,6 @@ func New(machine System, obj Objective, opt Options) (*Runtime, error) {
 
 // Space returns the learning space.
 func (r *Runtime) Space() *config.Space { return r.space }
-
-// Baseline returns the static baseline configuration used for
-// normalization and health checks.
-func (r *Runtime) Baseline() config.Config { return r.baseline }
 
 // plan builds the sample set for this phase.
 func (r *Runtime) plan() sampling.Plan {

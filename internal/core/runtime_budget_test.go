@@ -120,7 +120,7 @@ func newFakeRuntime(t *testing.T, f *fakeSystem, o Options) *Runtime {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.baseline = rt.Baseline()
+	f.baseline = rt.baseline
 	f.active = f.baseline
 	return rt
 }

@@ -126,10 +126,68 @@ func TestRunQuadraticLassoModel(t *testing.T) {
 	}
 }
 
+// TestBaselineCarriesObjectiveTarget: the runtime normalizes against and
+// health-checks with Objective.Baseline, the static policy at the lifetime
+// floor, which is also what callers run as their static reference.
 func TestBaselineCarriesObjectiveTarget(t *testing.T) {
-	rt, _ := newRuntime(t, "lbm", Default(6), quickRuntimeOptions())
-	if got := rt.Baseline().WearQuotaTarget; got != 6 {
-		t.Fatalf("baseline wear-quota target %v, want 6", got)
+	for _, lt := range []float64{4, 6, 8} {
+		want := config.StaticBaseline()
+		want.WearQuotaTarget = lt
+		obj := Default(lt)
+		if got := obj.Baseline(); got != want {
+			t.Errorf("Default(%g).Baseline() = %v, want %v", lt, got, want)
+		}
+		rt, _ := newRuntime(t, "lbm", obj, quickRuntimeOptions())
+		if rt.baseline != want {
+			t.Errorf("runtime baseline at %gy = %v, want %v", lt, rt.baseline, want)
+		}
+	}
+	if got := (Objective{}).Baseline(); got != config.StaticBaseline() {
+		t.Errorf("baseline without a lifetime floor = %v, want the static baseline", got)
+	}
+}
+
+// TestScaledTo: the budgets fit a short run at the 1:2 sampling:testing
+// split, and DefaultOptions already fits the 15M-instruction default.
+func TestScaledTo(t *testing.T) {
+	if got := DefaultOptions().ScaledTo(15_000_000); !reflect.DeepEqual(got, DefaultOptions()) {
+		t.Errorf("ScaledTo(15M) = %+v, want DefaultOptions", got)
+	}
+	got := DefaultOptions().ScaledTo(2_000_000)
+	if got.SamplingTotalInsts != 666_666 || got.BaselineInsts != 100_000 || got.SampleUnitInsts != 6_666 {
+		t.Errorf("ScaledTo(2M) budgets: sampling %d, baseline %d, unit %d; want 666666, 100000, 6666",
+			got.SamplingTotalInsts, got.BaselineInsts, got.SampleUnitInsts)
+	}
+	// The floors hold at tiny runs.
+	got = DefaultOptions().ScaledTo(10_000)
+	if got.SamplingTotalInsts != 100_000 || got.BaselineInsts != 50_000 || got.SampleUnitInsts != 2_000 {
+		t.Errorf("ScaledTo(10k) budgets: sampling %d, baseline %d, unit %d; want the floors 100000, 50000, 2000",
+			got.SamplingTotalInsts, got.BaselineInsts, got.SampleUnitInsts)
+	}
+}
+
+// TestScaledRunReachesTesting: a 2M-instruction run on the unscaled
+// defaults spends every instruction sampling, and the same run with scaled
+// budgets learns and then tests for most of the run.
+func TestScaledRunReachesTesting(t *testing.T) {
+	const insts = 2_000_000
+	run := func(o Options) Result {
+		rt, _ := newRuntime(t, "lbm", Default(8), o)
+		res, err := rt.Run(insts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	if res := run(DefaultOptions()); res.Testing.Instructions != 0 {
+		t.Errorf("unscaled defaults tested %d instructions of %d; want none (sampling takes the run)", res.Testing.Instructions, insts)
+	}
+	res := run(DefaultOptions().ScaledTo(insts))
+	if res.Testing.Instructions < insts/2 || res.Testing.IPC <= 0 {
+		t.Fatalf("scaled run tested %d instructions at IPC %.3f; want at least half the run", res.Testing.Instructions, res.Testing.IPC)
+	}
+	if d := res.Phases[0].Decision; d.ChosenIndex < 0 {
+		t.Fatal("scaled run chose no configuration")
 	}
 }
 

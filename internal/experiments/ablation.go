@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"mct/internal/config"
@@ -93,7 +94,7 @@ func SettleAblation(ctx context.Context, benchmarks []string, opt Options) ([]Se
 	}
 	for _, bench := range benchmarks {
 		run := func(frac float64) (sim.Metrics, error) {
-			out, err := runMCT(ctx, bench, ml.NameGBoost, core.Default(opt.LifetimeTarget), opt,
+			out, err := runMCT(ctx, bench, ml.NameGBoost, opt,
 				func(ro *core.Options) { ro.SampleSettleFrac = frac })
 			return out.Testing, err
 		}
@@ -127,6 +128,9 @@ type PowerBudgetAblationResult struct {
 // writes consume scarce write bandwidth and cost real performance — the
 // tension the mellow-writes techniques negotiate.
 func PowerBudgetAblation(ctx context.Context, benchmarks []string, budgets []int, opt Options) ([]PowerBudgetAblationResult, *Report, error) {
+	if len(budgets) == 0 {
+		return nil, nil, errors.New("experiments: PowerBudgetAblation: no write-power budgets")
+	}
 	var results []PowerBudgetAblationResult
 	tbl := Table{
 		Title:  "Ablation: write-power budget (IPC of all-slow 3x writes relative to default)",

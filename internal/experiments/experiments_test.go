@@ -399,7 +399,8 @@ func TestRegistryRunsEverything(t *testing.T) {
 
 // TestDriversRejectUnsetScale: a driver called directly rejects an unset
 // run scale it reads, as Run does, instead of returning a table of zeros,
-// and MCTComparison rejects an empty model list instead of indexing it.
+// and an empty list it iterates (models, benchmarks, targets, ratios,
+// budgets, mixes) instead of indexing it or printing an empty table.
 func TestDriversRejectUnsetScale(t *testing.T) {
 	ctx := context.Background()
 	unset := func(f func(*Options)) Options {
@@ -411,6 +412,7 @@ func TestDriversRejectUnsetScale(t *testing.T) {
 	noTrials := unset(func(o *Options) { o.Trials = 0 })
 	noCounts := unset(func(o *Options) { o.SampleCounts = nil })
 	lbm := []string{"lbm"}
+	noBenchmarks := unset(func(o *Options) { o.Benchmarks = nil })
 	for _, tc := range []struct {
 		name string
 		run  func() error
@@ -432,6 +434,21 @@ func TestDriversRejectUnsetScale(t *testing.T) {
 		{"ModelComparison no SampleCounts", func() error { _, _, err := ModelComparison(ctx, noCounts); return err }},
 		{"WearQuotaAblation no Trials", func() error { _, _, err := WearQuotaAblation(ctx, 25, noTrials); return err }},
 		{"NormalizationAblation no Trials", func() error { _, _, err := NormalizationAblation(ctx, 25, noTrials); return err }},
+		{"ModelComparison no benchmarks", func() error { _, _, err := ModelComparison(ctx, noBenchmarks); return err }},
+		{"RetentionExtension no benchmarks", func() error {
+			_, _, err := RetentionExtension(ctx, nil, 8, tinyOptions())
+			return err
+		}},
+		{"LifetimeSensitivity no targets", func() error {
+			_, _, err := LifetimeSensitivity(ctx, lbm, nil, tinyOptions())
+			return err
+		}},
+		{"SamplingOverhead no alphas", func() error { _, _, err := SamplingOverhead(ctx, nil, noBenchmarks); return err }},
+		{"PowerBudgetAblation no budgets", func() error {
+			_, _, err := PowerBudgetAblation(ctx, lbm, nil, tinyOptions())
+			return err
+		}},
+		{"MultiProgram no mixes", func() error { _, _, err := MultiProgram(ctx, nil, tinyOptions()); return err }},
 	} {
 		if err := tc.run(); err == nil {
 			t.Errorf("%s: ran; want an error", tc.name)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"mct/internal/core"
@@ -31,6 +32,9 @@ type RetentionExtensionResult struct {
 // space: brute-force the small space for the ideal, then show the learner
 // reaching a near-ideal choice from one third of the measurements.
 func RetentionExtension(ctx context.Context, benchmarks []string, lifetimeTarget float64, opt Options) ([]RetentionExtensionResult, *Report, error) {
+	if len(benchmarks) == 0 {
+		return nil, nil, errors.New("experiments: RetentionExtension: no benchmarks")
+	}
 	p := retention.DefaultParams()
 	// Only a-priori-valid configurations (scrub interval within the
 	// device's retention at that ratio) enter the space, as a real

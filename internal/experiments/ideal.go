@@ -59,7 +59,7 @@ func IdealByApp(ctx context.Context, opt Options) ([]IdealByAppResult, *Report, 
 
 	tbl5 := Table{Title: "Table 5: ideal configurations per application", Header: configHeader}
 	tbl5.AddRow(configRow("default", config.Default())...)
-	tbl5.AddRow(configRow("baseline", baselineAt(opt.LifetimeTarget))...)
+	tbl5.AddRow(configRow("baseline", obj.Baseline())...)
 
 	fig1 := Table{
 		Title:  "Figure 1: IPC, lifetime, energy of default / baseline / ideal (IPC+energy normalized to baseline)",

@@ -13,14 +13,11 @@ import (
 	"mct/internal/trace"
 )
 
-// MCTRunOutcome is one MCT execution on one benchmark.
+// MCTRunOutcome is one MCT execution on one workload.
 type MCTRunOutcome struct {
-	Model    string
 	Sampling sim.Metrics
 	Testing  sim.Metrics
-	Overall  sim.Metrics
 	Chosen   config.Config
-	Reverts  int
 }
 
 // MCTComparisonResult holds the Figure 7 / Table 10 data for one benchmark.
@@ -44,58 +41,42 @@ func EnergyPerInst(m sim.Metrics) float64 {
 	return m.EnergyJ / float64(m.Instructions)
 }
 
-// runtimeOptionsFor scales the MCT budgets so runs of opt.TotalInsts
-// still get a baseline window, a sampling period (≈⅓ of the budget) and a
-// testing period (the rest) — the paper's 1:2 sampling:testing
-// proof-of-concept split.
-func runtimeOptionsFor(model string, opt Options) core.Options {
-	totalInsts := opt.TotalInsts
-	ro := core.DefaultOptions()
-	ro.Model = model
-	ro.Seed = opt.Seed
-	if ro.SamplingTotalInsts > totalInsts/3 {
-		ro.SamplingTotalInsts = totalInsts / 3
-		if ro.SamplingTotalInsts < 100_000 {
-			ro.SamplingTotalInsts = 100_000
-		}
-	}
-	if ro.BaselineInsts > totalInsts/20 {
-		ro.BaselineInsts = totalInsts / 20
-		if ro.BaselineInsts < 50_000 {
-			ro.BaselineInsts = 50_000
-		}
-	}
-	if unit := ro.SamplingTotalInsts / 100; unit < ro.SampleUnitInsts {
-		ro.SampleUnitInsts = unit
-		if ro.SampleUnitInsts < 2_000 {
-			ro.SampleUnitInsts = 2_000
-		}
-	}
-	return ro
-}
-
-// runMCT executes MCT with the given model for opt.TotalInsts instructions
-// on a fresh machine and returns the outcome. A non-nil override adjusts the
-// runtime options (an ablation's one changed field) before the runtime is
-// built. The run itself is one indivisible simulation; ctx is checked
-// before it starts.
-func runMCT(ctx context.Context, bench, model string, obj core.Objective, opt Options, override func(*core.Options)) (MCTRunOutcome, error) {
+// runMCT executes MCT with the given model under the default objective at
+// opt.LifetimeTarget for opt.TotalInsts instructions on a fresh machine and
+// returns the outcome. workload names a benchmark,
+// run on the single-core system, or a Table 11 mix, run on the multi-core
+// system with the warmup that fills its shared LLC. The runtime budgets are
+// scaled to the run; a non-nil override adjusts the runtime options (an
+// ablation's one changed field) before the runtime is built. The run itself
+// is one indivisible simulation; ctx is checked before it starts.
+func runMCT(ctx context.Context, workload, model string, opt Options, override func(*core.Options)) (MCTRunOutcome, error) {
 	if err := ctx.Err(); err != nil {
 		return MCTRunOutcome{}, err
 	}
-	spec, err := trace.ByName(bench)
-	if err != nil {
-		return MCTRunOutcome{}, err
+	ro := core.DefaultOptions().ScaledTo(opt.TotalInsts)
+	ro.Model = model
+	ro.Seed = opt.Seed
+	var sys core.System
+	if specs, err := trace.MixByName(workload); err == nil {
+		mm, err := sim.NewMultiMachine(specs, config.StaticBaseline(), opt.seededMulti())
+		if err != nil {
+			return MCTRunOutcome{}, err
+		}
+		sys = core.MultiSystem{MM: mm}
+		ro.WarmupAccesses = sim.MultiWarmupAccesses
+	} else {
+		spec, err := trace.ByName(workload)
+		if err != nil {
+			return MCTRunOutcome{}, err
+		}
+		if sys, err = sim.NewMachine(spec, config.StaticBaseline(), opt.seededSim()); err != nil {
+			return MCTRunOutcome{}, err
+		}
 	}
-	m, err := sim.NewMachine(spec, config.StaticBaseline(), opt.seededSim())
-	if err != nil {
-		return MCTRunOutcome{}, err
-	}
-	ro := runtimeOptionsFor(model, opt)
 	if override != nil {
 		override(&ro)
 	}
-	rt, err := core.New(m, obj, ro)
+	rt, err := core.New(sys, core.Default(opt.LifetimeTarget), ro)
 	if err != nil {
 		return MCTRunOutcome{}, err
 	}
@@ -103,13 +84,7 @@ func runMCT(ctx context.Context, bench, model string, obj core.Objective, opt Op
 	if err != nil {
 		return MCTRunOutcome{}, err
 	}
-	out := MCTRunOutcome{
-		Model:    model,
-		Sampling: res.Sampling,
-		Testing:  res.Testing,
-		Overall:  res.Overall,
-		Reverts:  res.HealthReverts,
-	}
+	out := MCTRunOutcome{Sampling: res.Sampling, Testing: res.Testing}
 	if n := len(res.Phases); n > 0 {
 		out.Chosen = res.Phases[n-1].Decision.Chosen
 	}
@@ -137,7 +112,7 @@ func MCTComparison(ctx context.Context, models []string, opt Options) ([]MCTComp
 		fig7.Header = append(fig7.Header, "ipc_"+mn, "life_"+mn, "en_"+mn)
 	}
 	t10 := Table{Title: "Table 10: optimal configurations selected by MCT (" + models[0] + ")", Header: configHeader}
-	t10.AddRow(configRow("static", baselineAt(opt.LifetimeTarget))...)
+	t10.AddRow(configRow("static", obj.Baseline())...)
 
 	gains := map[string][]float64{}    // model -> per-bench IPC ratio vs static
 	energies := map[string][]float64{} // model -> per-bench energy ratio vs static
@@ -161,7 +136,7 @@ func MCTComparison(ctx context.Context, models []string, opt Options) ([]MCTComp
 			MCT:         map[string]MCTRunOutcome{},
 		}
 		for _, mn := range models {
-			out, err := runMCT(ctx, bench, mn, obj, opt, nil)
+			out, err := runMCT(ctx, bench, mn, opt, nil)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -227,6 +202,9 @@ func LifetimeSensitivity(ctx context.Context, benchmarks []string, targets []flo
 	if opt.TotalInsts == 0 {
 		return nil, nil, opt.errScale()
 	}
+	if len(targets) == 0 {
+		return nil, nil, errors.New("experiments: LifetimeSensitivity: no lifetime targets")
+	}
 	var results []LifetimeSensitivityResult
 	tbl := Table{
 		Title:  "Figure 8: sensitivity to lifetime targets (IPC and energy/inst normalized to the 8y static policy)",
@@ -239,11 +217,10 @@ func LifetimeSensitivity(ctx context.Context, benchmarks []string, targets []flo
 		}
 		for _, t := range targets {
 			emitf(opt, "fig8", bench, "fig8: %s @ %gy", bench, t)
-			obj := core.Default(t)
-			pos, _ := sw.Ideal(obj)
+			pos, _ := sw.Ideal(core.Default(t))
 			tOpt := opt
 			tOpt.LifetimeTarget = t
-			out, err := runMCT(ctx, bench, ml.NameGBoost, obj, tOpt, nil)
+			out, err := runMCT(ctx, bench, ml.NameGBoost, tOpt, nil)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -291,6 +268,9 @@ func SamplingOverhead(ctx context.Context, alphas []float64, opt Options) ([]Sam
 	if opt.TotalInsts == 0 {
 		return nil, nil, opt.errScale()
 	}
+	if len(alphas) == 0 {
+		return nil, nil, errors.New("experiments: SamplingOverhead: no testing:sampling ratios")
+	}
 	obj := core.Default(opt.LifetimeTarget)
 	var results []SamplingOverheadResult
 
@@ -310,11 +290,11 @@ func SamplingOverhead(ctx context.Context, alphas []float64, opt Options) ([]Sam
 		if err != nil {
 			return nil, nil, err
 		}
-		base, err := prep.Evaluate(baselineAt(opt.LifetimeTarget))
+		base, err := prep.Evaluate(obj.Baseline())
 		if err != nil {
 			return nil, nil, err
 		}
-		out, err := runMCT(ctx, bench, ml.NameGBoost, obj, opt, nil)
+		out, err := runMCT(ctx, bench, ml.NameGBoost, opt, nil)
 		if err != nil {
 			return nil, nil, err
 		}

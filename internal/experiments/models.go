@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -68,6 +69,9 @@ const hbTaskRows = 300
 func ModelComparison(ctx context.Context, opt Options) (*ModelComparisonResult, *Report, error) {
 	if opt.Trials < 1 || len(opt.SampleCounts) == 0 {
 		return nil, nil, opt.errScale()
+	}
+	if len(opt.Benchmarks) == 0 {
+		return nil, nil, errors.New("experiments: ModelComparison: no benchmarks")
 	}
 	models := modelComparisonModels()
 

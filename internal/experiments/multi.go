@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"mct/internal/config"
@@ -23,9 +24,6 @@ type MultiProgramResult struct {
 	Chosen  config.Config
 }
 
-// multiWarmupAccesses fills the 8 MB shared LLC (4× the single-core cache).
-const multiWarmupAccesses = 4 * sim.DefaultWarmupAccesses
-
 // MultiProgram reproduces Table 11 and Figure 10: MCT on a 4-core system
 // running the multi-program mixes, compared to the default system and the
 // static policy. As in the paper, no brute-force ideal is computed for the
@@ -36,17 +34,15 @@ func MultiProgram(ctx context.Context, mixes []string, opt Options) ([]MultiProg
 	if opt.TotalInsts == 0 {
 		return nil, nil, opt.errScale()
 	}
+	if len(mixes) == 0 {
+		return nil, nil, errors.New("experiments: MultiProgram: no mixes")
+	}
 	obj := core.Default(opt.LifetimeTarget)
 	t11 := Table{Title: "Table 11: multi-program workloads", Header: []string{"mix", "members"}}
 	fig10 := Table{
 		Title:  "Figure 10: multi-core MCT (geomean IPC normalized to static; lifetime in years)",
 		Header: []string{"mix", "ipc_def", "ipc_mct", "life_def", "life_static", "life_mct"},
 	}
-
-	// The multi-core geometry under the run's tier composition.
-	mo := sim.DefaultMultiOptions()
-	mo.Seed = opt.Seed
-	mo.Tiers = opt.Sim.Tiers
 
 	results, err := engine.Map(ctx, len(mixes), engine.Options{Workers: opt.Workers, Obs: opt.Obs},
 		func(ctx context.Context, i int) (MultiProgramResult, error) {
@@ -67,49 +63,32 @@ func MultiProgram(ctx context.Context, mixes []string, opt Options) ([]MultiProg
 				if err := ctx.Err(); err != nil {
 					return sim.Metrics{}, err
 				}
-				mm, err := sim.NewMultiMachine(specs, cfg, mo)
+				mm, err := sim.NewMultiMachine(specs, cfg, opt.seededMulti())
 				if err != nil {
 					return sim.Metrics{}, err
 				}
-				mm.Warmup(multiWarmupAccesses)
+				mm.Warmup(sim.MultiWarmupAccesses)
 				return mm.RunInstructions(opt.TotalInsts), nil
 			}
 			def, err := runStatic(config.Default())
 			if err != nil {
 				return MultiProgramResult{}, err
 			}
-			st, err := runStatic(baselineAt(opt.LifetimeTarget))
+			st, err := runStatic(obj.Baseline())
 			if err != nil {
 				return MultiProgramResult{}, err
 			}
-
-			if err := ctx.Err(); err != nil {
-				return MultiProgramResult{}, err
-			}
-			mm, err := sim.NewMultiMachine(specs, config.StaticBaseline(), mo)
+			out, err := runMCT(ctx, mix, ml.NameGBoost, opt, nil)
 			if err != nil {
 				return MultiProgramResult{}, err
 			}
-			ro := runtimeOptionsFor(ml.NameGBoost, opt)
-			ro.WarmupAccesses = multiWarmupAccesses
-			rt, err := core.New(core.MultiSystem{MM: mm}, obj, ro)
-			if err != nil {
-				return MultiProgramResult{}, err
-			}
-			res, err := rt.Run(opt.TotalInsts)
-			if err != nil {
-				return MultiProgramResult{}, err
-			}
-
 			r := MultiProgramResult{
 				Mix:     mix,
 				Members: names,
 				Default: def,
 				Static:  st,
-				MCT:     res.Testing,
-			}
-			if n := len(res.Phases); n > 0 {
-				r.Chosen = res.Phases[n-1].Decision.Chosen
+				MCT:     out.Testing,
+				Chosen:  out.Chosen,
 			}
 			return r, nil
 		})

@@ -100,6 +100,15 @@ func (o Options) seededSim() sim.Options {
 	return s
 }
 
+// seededMulti is the multi-core system of Figure 10 under the run's tier
+// composition and seed.
+func (o Options) seededMulti() sim.MultiOptions {
+	mo := sim.DefaultMultiOptions()
+	mo.Seed = o.Seed
+	mo.Tiers = o.Sim.Tiers
+	return mo
+}
+
 // Sweep holds the brute-force evaluation of (a strided subset of) a
 // configuration space on one benchmark — the raw material for "ideal"
 // selection and for training/validating predictors on ground truth.
@@ -156,7 +165,7 @@ func computeSweep(ctx context.Context, benchmark string, includeWQ bool, key swe
 	for _, i := range indices {
 		cfgs = append(cfgs, space.At(i))
 	}
-	cfgs = append(cfgs, baselineAt(opt.LifetimeTarget), config.Default())
+	cfgs = append(cfgs, core.Default(opt.LifetimeTarget).Baseline(), config.Default())
 
 	eopt := engine.Options{Workers: opt.Workers, Obs: opt.Obs}
 	if opt.Obs != nil {
@@ -187,16 +196,6 @@ func computeSweep(ctx context.Context, benchmark string, includeWQ bool, key swe
 
 	opt.Sweeps.store(key, s)
 	return s, nil
-}
-
-// baselineAt is the static policy with its wear-quota target set to the
-// objective's lifetime floor.
-func baselineAt(target float64) config.Config {
-	b := config.StaticBaseline()
-	if target > 0 {
-		b.WearQuotaTarget = target
-	}
-	return b
 }
 
 // Vectors returns the 10-dim encodings of the evaluated configurations.

@@ -101,7 +101,7 @@ func WearQuotaLearning(ctx context.Context, benchmarks []string, opt Options) ([
 	}
 	for _, bench := range benchmarks {
 		run := func(includeWQ bool) (sim.Metrics, error) {
-			out, err := runMCT(ctx, bench, ml.NameGBoost, core.Default(opt.LifetimeTarget), opt,
+			out, err := runMCT(ctx, bench, ml.NameGBoost, opt,
 				func(ro *core.Options) {
 					ro.Space = config.SpaceOptions{IncludeWearQuota: includeWQ, WearQuotaTarget: opt.LifetimeTarget}
 				})

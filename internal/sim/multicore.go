@@ -27,6 +27,11 @@ func DefaultMultiOptions() MultiOptions {
 	return MultiOptions{Options: o}
 }
 
+// MultiWarmupAccesses fills the multi-core system's 8 MB shared LLC, four
+// times the single-core cache DefaultWarmupAccesses fills: the warmup of
+// every multi-core reference run and MCT run.
+const MultiWarmupAccesses = 4 * DefaultWarmupAccesses
+
 // coreAddrStride separates per-core address spaces (16 GB apart).
 const coreAddrStride = 1 << 34
 

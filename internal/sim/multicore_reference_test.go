@@ -331,7 +331,7 @@ func requireWindow(t *testing.T, where string, got Metrics, gm *Machine, want re
 // of both continuing while the parents stay put.
 func TestMultiCoreReferenceLockstep(t *testing.T) {
 	const (
-		warm   = 4 * DefaultWarmupAccesses // fills the 8 MB shared LLC
+		warm   = MultiWarmupAccesses
 		window = 1_000_000
 	)
 	for _, mix := range trace.MixNames() {

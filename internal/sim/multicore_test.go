@@ -60,7 +60,7 @@ func TestMultiMachineSpecCount(t *testing.T) {
 
 func TestMultiRunBasics(t *testing.T) {
 	mm := mustMulti(t, "mix1", config.StaticBaseline())
-	mm.Warmup(240_000)
+	mm.Warmup(MultiWarmupAccesses)
 	w := mm.RunInstructions(400_000)
 	ipcs := perCoreIPC(mm.Machine)
 	if len(ipcs) != 4 {
@@ -101,7 +101,7 @@ func TestMultiCoresShareMemoryPressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mm.Warmup(240_000)
+	mm.Warmup(MultiWarmupAccesses)
 	mm.RunInstructions(800_000)
 
 	solo, err := NewMachine(specs[0], config.Default(), DefaultOptions())

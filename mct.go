@@ -166,8 +166,14 @@ func simOptions(c callOpts) SimOptions {
 }
 
 // DefaultRuntimeOptions returns MCT runtime options scaled to the
-// simulator.
+// simulator's 15M-instruction runs; RuntimeOptions.ScaledTo fits their
+// budgets to a shorter run.
 func DefaultRuntimeOptions() RuntimeOptions { return core.DefaultOptions() }
+
+// MultiWarmupAccesses is the warmup, in memory accesses, that fills a mix
+// machine's shared LLC: the count for MultiMachine.Warmup and for the
+// RuntimeOptions.WarmupAccesses of a NewMultiRuntime.
+const MultiWarmupAccesses = sim.MultiWarmupAccesses
 
 // NewMachine builds a simulated system running the named benchmark under
 // cfg. Options: WithSimOptions (default DefaultSimOptions), WithObserver
